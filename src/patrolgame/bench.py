@@ -4,14 +4,12 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .model import GameDefinitionError, Instance
-from .oracle import solve_oracle
-from .tdbs import TdbsConfig, solve_tdbs
-from .waterfill import solve_hw
+from .planner import get_solver
 
 # Timeout convention: runs longer than the cap are recorded at the cap.
 DEFAULT_TIMEOUT = 7200.0
@@ -65,13 +63,6 @@ def generate_instance(params: GenParams) -> Instance:
         reward_att=reward_att,
         penalty_att=penalty_att,
     )
-
-
-SOLVERS: Dict[str, Callable[[Instance], object]] = {
-    "tdbs": lambda inst: solve_tdbs(inst, TdbsConfig()),
-    "hw": solve_hw,
-    "oracle": solve_oracle,
-}
 
 
 @dataclass(frozen=True)
@@ -132,16 +123,14 @@ def run_benchmark(
     on one worker. Runs exceeding ``timeout`` seconds are recorded at the cap
     and counted, not dropped.
     """
-    for name in algorithms:
-        if name not in SOLVERS:
-            raise GameDefinitionError("unknown algorithm %r" % (name,))
+    solvers = {name: get_solver(name) for name in algorithms}
     rows: List[BenchRow] = []
     for params in grid:
         instances = [
             generate_instance(replace(params, seed=params.seed + k)) for k in range(runs)
         ]
         for name in algorithms:
-            solver = SOLVERS[name]
+            solver = solvers[name]
             times = []
             timeouts = 0
             for inst in instances:

@@ -17,13 +17,14 @@ from .bench import DEFAULT_RUNS, DEFAULT_TIMEOUT, GenParams, generate_instance, 
 from .model import GameDefinitionError, ProfileValidationError
 from .oracle import EnumerationLimitError
 from .planner import (
+    SOLVER_NAMES,
     InstanceFormatError,
     ScenarioInstance,
-    _solver_fn,
     budget_sweep,
     case_study_scenario,
     compare_with_baseline,
     effectiveness_grid,
+    get_solver,
     grid_csv,
     load_instance,
     save_instance,
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     solve = sub.add_parser("solve", help="solve one instance file")
-    solve.add_argument("--algorithm", choices=("tdbs", "hw", "oracle"), default="hw")
+    solve.add_argument("--algorithm", choices=SOLVER_NAMES, default="hw")
     solve.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     solve.add_argument("--input", required=True)
     solve.add_argument("--output", required=True)
@@ -63,7 +64,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--rp", type=float, default=None, help="default: floor(n/2)")
     bench.add_argument("--rv", type=int, default=None, help="default: floor(n/2)")
     bench.add_argument(
-        "--algorithms", nargs="+", choices=("tdbs", "hw", "oracle"), default=["tdbs", "hw"]
+        "--algorithms", nargs="+", choices=SOLVER_NAMES, default=["tdbs", "hw"]
     )
     bench.add_argument("--runs", type=int, default=DEFAULT_RUNS)
     bench.add_argument("--timeout", type=float, default=DEFAULT_TIMEOUT)
@@ -72,6 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sweep = sub.add_parser("sweep", help="allocate extra recruitment budget")
     sweep.add_argument("--input", default=None, help="default: bundled case study")
+    # The oracle's enumeration is too slow to repeat across a sweep.
     sweep.add_argument("--algorithm", choices=("tdbs", "hw"), default="hw")
     sweep.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     sweep.add_argument("--budget-max", type=int, default=30)
@@ -83,7 +85,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     compare = sub.add_parser("compare", help="optimal strategy vs the baseline")
     compare.add_argument("--input", default=None, help="default: bundled case study")
-    compare.add_argument("--algorithm", choices=("tdbs", "hw", "oracle"), default="hw")
+    compare.add_argument("--algorithm", choices=SOLVER_NAMES, default="hw")
     compare.add_argument("--epsilon", type=float, default=DEFAULT_EPSILON)
     compare.add_argument(
         "--grid", action="store_true", help="sweep the 45 (e_p, e_v) settings"
@@ -101,7 +103,7 @@ def _load_scenario(path: Optional[str]) -> ScenarioInstance:
 
 def _cmd_solve(args) -> int:
     scenario = _load_scenario(args.input)
-    result = _solver_fn(args.algorithm, args.epsilon)(scenario.instance)
+    result = get_solver(args.algorithm, args.epsilon)(scenario.instance)
     save_result(args.output, result)
     print(
         "%s: attacked target %d, defender utility %.6f (written to %s)"
@@ -133,11 +135,10 @@ def _cmd_sweep(args) -> int:
     scenario = _load_scenario(args.input)
     if args.ep is not None or args.ev is not None:
         inst = scenario.instance
-        base_e_v = inst.e_v if not hasattr(inst.e_v, "shape") else float(max(inst.e_v))
         scenario = with_effectiveness(
             scenario,
             args.ep if args.ep is not None else inst.e_p,
-            args.ev if args.ev is not None else base_e_v,
+            args.ev if args.ev is not None else inst.e_v,
         )
     rows = budget_sweep(
         scenario,

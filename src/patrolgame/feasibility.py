@@ -3,15 +3,16 @@
 Given a candidate attacked target and fixed resources on it, decide whether
 the remaining rangers and villagers can cover every other target well enough
 that the candidate stays an attacker best response, and produce a witness
-profile when they can. Villagers are placed greedily (whole multiples of
-their coverage first, leftovers dumped on the largest residuals); rangers
-fill whatever coverage remains.
+profile when they can. Villagers are placed greedily, each where it covers
+the most still-needed coverage; rangers fill whatever coverage remains.
+Villager effectiveness may be a scalar or vary per target.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -45,57 +46,15 @@ class FeasibilityAnswer:
     witness: Optional[StrategyProfile]
 
 
-@dataclass(frozen=True)
-class TargetSpecificInstance:
-    """Instance variant whose villager effectiveness varies per target."""
+def TargetSpecificInstance(base: Instance, e_v) -> Instance:
+    """``base`` with a per-target villager effectiveness ``e_v``.
 
-    base: Instance
-    e_v: np.ndarray
-
-    def __post_init__(self):
-        e_v = np.array(self.e_v, dtype=float)
-        if e_v.ndim != 1 or e_v.shape[0] != self.base.n:
-            raise GameDefinitionError("per-target e_v must have one entry per target")
-        if np.any(e_v <= 0) or np.any(e_v > 1):
-            raise GameDefinitionError("villager effectiveness must lie in (0, 1]")
-        e_v.setflags(write=False)
-        object.__setattr__(self, "e_v", e_v)
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def ranger_budget(self) -> float:
-        return self.base.ranger_budget
-
-    @property
-    def villager_budget(self) -> int:
-        return self.base.villager_budget
-
-    @property
-    def e_p(self) -> float:
-        return self.base.e_p
-
-    @property
-    def reward_def(self) -> np.ndarray:
-        return self.base.reward_def
-
-    @property
-    def penalty_def(self) -> np.ndarray:
-        return self.base.penalty_def
-
-    @property
-    def reward_att(self) -> np.ndarray:
-        return self.base.reward_att
-
-    @property
-    def penalty_att(self) -> np.ndarray:
-        return self.base.penalty_att
-
-    @property
-    def spread_att(self) -> np.ndarray:
-        return self.base.spread_att
+    Kept under the name of the former wrapper class because
+    ``perfbench/workloads.py`` builds its per-target instances through it,
+    and the benchmark must run unchanged against older and newer versions of
+    the library. New code passes the vector to ``Instance`` directly.
+    """
+    return dataclasses.replace(base, e_v=e_v)
 
 
 def _min_coverage_vec(
@@ -147,9 +106,10 @@ def _validate_query(instance, query: FeasibilityQuery) -> None:
         raise GameDefinitionError("v_star %r outside the villager budget" % (query.v_star,))
 
 
-def _fixed_target_utility(instance, query: FeasibilityQuery, e_v_star: float) -> float:
-    c_star = min(instance.e_p * query.p_star + e_v_star * query.v_star, 1.0)
+def _fixed_target_utility(instance, query: FeasibilityQuery) -> float:
     i = query.i_star
+    e_v = instance.e_v[i] if isinstance(instance.e_v, np.ndarray) else instance.e_v
+    c_star = min(instance.e_p * query.p_star + e_v * query.v_star, 1.0)
     return float(instance.reward_att[i] * (1.0 - c_star) + instance.penalty_att[i] * c_star)
 
 
@@ -167,15 +127,64 @@ def _witness(instance, query, coverage_remaining, villagers) -> StrategyProfile:
     return StrategyProfile(p, v)
 
 
+def _fill_in_order(counts: np.ndarray, spare: int) -> np.ndarray:
+    """How much of each entry of ``counts`` a budget of ``spare`` covers, in array order."""
+    before = np.cumsum(counts) - counts
+    return np.minimum(np.maximum(spare - before, 0.0), counts)
+
+
+def _place_villagers(c_min: np.ndarray, e_v, spare: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy villager counts and the residual need they leave uncovered.
+
+    Target j's need splits into whole-villager pieces of size e_v[j] and one
+    smaller remainder; placing villagers one at a time where the next one
+    covers the most is the same as taking the ``spare`` largest pieces
+    overall, ties to the lowest target index. Zero-size remainders are never
+    taken.
+    """
+    n = c_min.shape[0]
+    whole = np.floor(c_min / e_v + _COUNT_EPS)
+    remainder = np.maximum(c_min - whole * e_v, 0.0)
+    has_remainder = remainder > 0.0
+    n_whole = float(whole.sum())
+    if n_whole + np.count_nonzero(has_remainder) <= spare:  # every piece fits
+        return (whole + has_remainder).astype(np.int64), np.zeros(n)
+
+    if isinstance(e_v, np.ndarray):
+        # Pieces interleaved as (whole_0, remainder_0, whole_1, ...), so one
+        # stable sort by size orders equal pieces by target index.
+        sizes = np.empty(2 * n)
+        sizes[0::2], sizes[1::2] = e_v, remainder
+        counts = np.empty(2 * n)
+        counts[0::2], counts[1::2] = whole, has_remainder
+        order = np.argsort(-sizes, kind="stable")
+        taken = np.empty(2 * n)
+        taken[order] = _fill_in_order(counts[order], spare)
+        residual = np.maximum(c_min - taken[0::2] * e_v, 0.0)
+        residual[taken[1::2] > 0.0] = 0.0
+        return (taken[0::2] + taken[1::2]).astype(np.int64), residual
+
+    # Scalar e_v: whole pieces are all the same size and larger than any
+    # remainder, so they go in target order and no sort is needed unless
+    # villagers are left over for the remainders.
+    if n_whole >= spare:
+        alloc = _fill_in_order(whole, spare).astype(np.int64)
+        return alloc, np.maximum(c_min - alloc * e_v, 0.0)
+    top = np.argsort(-remainder, kind="stable")[: spare - int(n_whole)]
+    remainder[top] = 0.0
+    whole[top] += 1
+    return whole.astype(np.int64), remainder
+
+
 def check_consistent(instance: Instance, query: FeasibilityQuery) -> FeasibilityAnswer:
     """Decide whether ``query`` extends to a full profile keeping ``i_star`` attacked.
 
-    Greedy fill: each other target first receives as many whole villagers as
-    fit under its minimum coverage, leftover villagers then erase the largest
-    residuals (ties to the lowest index), and rangers must cover the rest.
+    Greedy fill: the spare villagers go where each covers the most
+    still-needed coverage (see _place_villagers), and rangers must cover the
+    rest. Works for a scalar and for a per-target ``e_v``.
     """
     _validate_query(instance, query)
-    u = _fixed_target_utility(instance, query, instance.e_v)
+    u = _fixed_target_utility(instance, query)
     c_min, achievable = _min_coverage_vec(instance.reward_att, instance.penalty_att, u)
     achievable[query.i_star] = True
     if not achievable.all():
@@ -184,84 +193,29 @@ def check_consistent(instance: Instance, query: FeasibilityQuery) -> Feasibility
     c_min[query.i_star] = 0.0
 
     spare = instance.villager_budget - query.v_star
-    want = np.minimum(np.floor(c_min / instance.e_v + _COUNT_EPS), float(spare))
-    before = np.concatenate(([0.0], np.cumsum(want)[:-1]))
-    alloc = np.clip(spare - before, 0.0, want).astype(np.int64)
-    residual = np.maximum(c_min - alloc * instance.e_v, 0.0)
-
-    leftover = spare - int(alloc.sum())
-    if leftover > 0:
-        order = np.argsort(-residual, kind="stable")
-        for j in order[: min(instance.n, leftover)]:
-            if residual[j] <= 0.0:
-                break  # zero-residual dumps would be pure waste; leave unassigned
-            residual[j] = 0.0
-            alloc[j] += 1
-
+    alloc, residual = _place_villagers(c_min, instance.e_v, spare)
     ranger_coverage = max(instance.ranger_budget - query.p_star, 0.0) * instance.e_p
     if float(residual.sum()) > ranger_coverage + FEAS_TOL:
         return FeasibilityAnswer(False, None)
     return FeasibilityAnswer(True, _witness(instance, query, residual, alloc))
 
 
-def check_consistent_ts(
-    ts: TargetSpecificInstance, query: FeasibilityQuery
-) -> FeasibilityAnswer:
-    """Consistency check when villager effectiveness varies per target.
-
-    Villagers are placed one at a time on the target where the next villager
-    covers the most still-needed coverage, until none helps or none remain.
-    """
-    _validate_query(ts, query)
-    u = _fixed_target_utility(ts, query, float(ts.e_v[query.i_star]))
-    c_remaining, achievable = _min_coverage_vec(ts.reward_att, ts.penalty_att, u)
-    achievable[query.i_star] = True
-    if not achievable.all():
-        return FeasibilityAnswer(False, None)
-    c_remaining = c_remaining.copy()
-    c_remaining[query.i_star] = 0.0
-
-    gain = np.minimum(c_remaining, ts.e_v)
-    counts = np.zeros(ts.n, dtype=np.int64)
-    for _ in range(ts.villager_budget - query.v_star):
-        j = int(np.argmax(gain))
-        if gain[j] <= 0.0:
-            break
-        counts[j] += 1
-        c_remaining[j] -= gain[j]
-        gain[j] = min(c_remaining[j], ts.e_v[j])
-
-    ranger_coverage = max(ts.ranger_budget - query.p_star, 0.0) * ts.e_p
-    if float(c_remaining.sum()) > ranger_coverage + FEAS_TOL:
-        return FeasibilityAnswer(False, None)
-    return FeasibilityAnswer(True, _witness(ts, query, c_remaining, counts))
-
-
-def consistency_check_for(instance) -> Callable[[object, FeasibilityQuery], FeasibilityAnswer]:
-    """The consistency check matching the instance flavour."""
-    if isinstance(instance, TargetSpecificInstance):
-        return check_consistent_ts
-    return check_consistent
-
-
 def max_feasible_villagers(
-    instance, i_star: int, check: Optional[Callable] = None
+    instance: Instance, i_star: int
 ) -> Tuple[Optional[int], Optional[StrategyProfile], int]:
-    """Largest v with check(i_star, 0, v) feasible, via binary search.
+    """Largest v with check_consistent(i_star, 0, v) feasible, via binary search.
 
     Monotone by the resource-reduction property: lowering the count on the
     attacked target never breaks consistency. Returns (count, witness, calls);
     count is None when even v = 0 is infeasible.
     """
-    if check is None:
-        check = consistency_check_for(instance)
     lo, hi = 0, instance.villager_budget
     best: Optional[int] = None
     witness: Optional[StrategyProfile] = None
     calls = 0
     while lo <= hi:
         mid = (lo + hi) // 2
-        answer = check(instance, FeasibilityQuery(i_star, 0.0, mid))
+        answer = check_consistent(instance, FeasibilityQuery(i_star, 0.0, mid))
         calls += 1
         if answer.feasible:
             best, witness = mid, answer.witness

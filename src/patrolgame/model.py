@@ -10,7 +10,7 @@ breaking ties in the defender's favour.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
@@ -48,13 +48,15 @@ class Instance:
 
     Rewards are earned on the favourable outcome (defended for the defender,
     undefended for the attacker); penalties on the other one. Sign conventions:
-    reward vectors are >= 0, penalty vectors are <= 0.
+    reward vectors are >= 0, penalty vectors are <= 0. Villager effectiveness
+    ``e_v`` is a scalar or a read-only per-target vector (terrain can make a
+    villager more effective on some targets than on others).
     """
 
     ranger_budget: float
     villager_budget: int
     e_p: float
-    e_v: float
+    e_v: Union[float, np.ndarray]  # scalar, or one entry per target
     reward_def: np.ndarray
     penalty_def: np.ndarray
     reward_att: np.ndarray
@@ -66,16 +68,24 @@ class Instance:
         n = self.reward_def.shape[0]
         if n == 0:
             raise GameDefinitionError("instance needs at least one target")
-        for name in ("penalty_def", "reward_att", "penalty_att"):
+        for name in ("reward_def", "penalty_def", "reward_att", "penalty_att"):
             if getattr(self, name).shape[0] != n:
                 raise GameDefinitionError("payoff vectors disagree on target count")
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise GameDefinitionError("payoffs must be finite")
         if np.any(self.reward_def < 0) or np.any(self.reward_att < 0):
             raise GameDefinitionError("rewards must be nonnegative")
         if np.any(self.penalty_def > 0) or np.any(self.penalty_att > 0):
             raise GameDefinitionError("penalties must be nonpositive")
         if not (0.0 < self.e_p <= 1.0):
             raise GameDefinitionError("ranger effectiveness must lie in (0, 1]")
-        if not (0.0 < self.e_v <= 1.0):
+        if np.ndim(self.e_v) == 0:
+            object.__setattr__(self, "e_v", float(self.e_v))
+        else:
+            object.__setattr__(self, "e_v", _frozen_array(self.e_v, float))
+            if self.e_v.shape[0] != n:
+                raise GameDefinitionError("per-target e_v must have one entry per target")
+        if not np.all((0.0 < self.e_v) & (self.e_v <= 1.0)):
             raise GameDefinitionError("villager effectiveness must lie in (0, 1]")
         if not (np.isfinite(self.ranger_budget) and self.ranger_budget >= 0):
             raise GameDefinitionError("ranger budget must be a nonnegative real")

@@ -6,6 +6,11 @@ villager-to-target assignment), and for each one find the most ranger effort
 that can sit on the candidate attacked target while the continuous remainder
 still covers every other target's minimum coverage. Divisible effort makes
 that residual fill exact, so the enumeration maximum is the true optimum.
+
+``solve_oracle`` takes any ``Instance``, whose villager effectiveness may be
+a scalar or vary per target. The villager-specific variant is a different
+model, in which each individual villager has their own effectiveness
+wherever they stand, so it keeps its own instance type.
 """
 
 from __future__ import annotations
@@ -142,7 +147,7 @@ def _profile_from(instance, i_star: int, p_star: float, need: np.ndarray, v: np.
 def solve_oracle(instance, cap: int = ENUMERATION_CAP) -> SolveResult:
     """Exact optimum by enumerating every villager placement.
 
-    Accepts plain instances and target-specific-effectiveness instances.
+    Works for a scalar and for a per-target villager effectiveness.
     Refuses (EnumerationLimitError) when the placement count exceeds ``cap``.
     """
     n, r_v = instance.n, instance.villager_budget

@@ -1,4 +1,5 @@
-"""Batch planning: instance files, case-study scenarios, sweeps, comparisons.
+"""Batch planning: the solver registry, instance files, case-study scenarios,
+sweeps and comparisons.
 
 The on-disk instance format is a single JSON document:
 
@@ -13,9 +14,10 @@ The on-disk instance format is a single JSON document:
       "baseline": {"p": [...], "v": [...]}  # optional current strategy
     }
 
-A per-target "e_v" array switches loading to the target-specific variant.
-Floats are serialized by shortest-repr (up to 17 significant digits), so a
-save/load round trip is bit-exact.
+"e_v" is a scalar or a per-target array; the hw solver needs a scalar.
+Non-finite numbers (NaN, Infinity) are rejected. Floats are serialized by
+shortest-repr (up to 17 significant digits), so a save/load round trip is
+bit-exact.
 """
 
 from __future__ import annotations
@@ -25,11 +27,10 @@ import json
 import math
 from dataclasses import dataclass
 from importlib import resources
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .feasibility import TargetSpecificInstance
 from .model import (
     GameDefinitionError,
     Instance,
@@ -60,7 +61,7 @@ class InstanceFormatError(ValueError):
 class ScenarioInstance:
     """An instance plus optional case-study metadata."""
 
-    instance: Union[Instance, TargetSpecificInstance]
+    instance: Instance
     labels: Optional[Tuple[str, ...]] = None
     slope_class: Optional[Tuple[str, ...]] = None
     baseline: Optional[StrategyProfile] = None
@@ -117,7 +118,17 @@ class EffectivenessGrid:
     decrease_count: np.ndarray
 
 
-def _solver_fn(name: str, epsilon: float = DEFAULT_EPSILON):
+SOLVER_NAMES = ("tdbs", "hw", "oracle")
+
+
+def get_solver(name: str, epsilon: float = DEFAULT_EPSILON) -> Callable[[Instance], SolveResult]:
+    """The solver registered as ``name`` (one of SOLVER_NAMES).
+
+    The solver functions are looked up in this module when called, not
+    captured at import, so a caller that rebinds ``planner.solve_hw`` (to
+    wrap or log it) reaches every grid, sweep and comparison solve.
+    ``epsilon`` is the tdbs search resolution; the exact solvers ignore it.
+    """
     if name == "tdbs":
         return lambda inst: solve_tdbs(inst, TdbsConfig(epsilon=epsilon))
     if name == "hw":
@@ -163,21 +174,17 @@ def scenario_from_dict(doc: dict) -> ScenarioInstance:
     n = _field(doc, "n", int)
     if n < 1:
         raise InstanceFormatError("field 'n' should be a positive integer")
-    e_v_raw = doc.get("e_v")
-    per_target = isinstance(e_v_raw, list)
-    base = Instance(
+    per_target = isinstance(doc.get("e_v"), list)
+    instance = Instance(
         ranger_budget=_field(doc, "ranger_budget", float),
         villager_budget=_field(doc, "villager_budget", int),
         e_p=_field(doc, "e_p", float),
-        e_v=max(_number_list(doc, "e_v", n)) if per_target else _field(doc, "e_v", float),
+        e_v=_number_list(doc, "e_v", n) if per_target else _field(doc, "e_v", float),
         reward_def=_number_list(doc, "reward_defender", n),
         penalty_def=_number_list(doc, "penalty_defender", n),
         reward_att=_number_list(doc, "reward_attacker", n),
         penalty_att=_number_list(doc, "penalty_attacker", n),
     )
-    instance: Union[Instance, TargetSpecificInstance] = base
-    if per_target:
-        instance = TargetSpecificInstance(base, np.asarray(_number_list(doc, "e_v", n)))
 
     labels = None
     if "labels" in doc:
@@ -222,13 +229,24 @@ def scenario_to_dict(scenario: ScenarioInstance) -> dict:
     return doc
 
 
-def load_instance(path) -> ScenarioInstance:
+def _finite_float(token: str) -> float:
+    value = float(token)
+    if not math.isfinite(value):
+        raise InstanceFormatError("non-finite number %s" % token)
+    return value
+
+
+def _load_json(path):
+    """The parsed document; NaN, Infinity and overflowing reals are a format error."""
     with open(path) as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
         except json.JSONDecodeError as err:
             raise InstanceFormatError("not valid JSON: %s" % err) from err
-    return scenario_from_dict(doc)
+
+
+def load_instance(path) -> ScenarioInstance:
+    return scenario_from_dict(_load_json(path))
 
 
 def save_instance(path, scenario: ScenarioInstance) -> None:
@@ -252,11 +270,7 @@ def save_result(path, result: SolveResult) -> None:
 
 
 def load_result(path) -> SolveResult:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as err:
-            raise InstanceFormatError("not valid JSON: %s" % err) from err
+    doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError("result document must be a JSON object")
     for key in ("p", "v", "attacked", "defender_utility", "attacker_utility"):
@@ -286,12 +300,9 @@ def case_study_scenario() -> ScenarioInstance:
 # Case-study operations
 
 
-def with_effectiveness(scenario: ScenarioInstance, e_p: float, e_v: float) -> ScenarioInstance:
-    """The same scenario with scalar effectiveness values swapped in."""
-    base = scenario.instance
-    if isinstance(base, TargetSpecificInstance):
-        base = base.base
-    instance = dataclasses.replace(base, e_p=e_p, e_v=e_v)
+def with_effectiveness(scenario: ScenarioInstance, e_p: float, e_v) -> ScenarioInstance:
+    """The same scenario with effectiveness values swapped in."""
+    instance = dataclasses.replace(scenario.instance, e_p=e_p, e_v=e_v)
     return dataclasses.replace(scenario, instance=instance)
 
 
@@ -325,10 +336,8 @@ def budget_sweep(
     """Best (rangers, villagers) recruitment split per extra budget 0..max_extra."""
     if cost_ranger <= 0 or cost_villager <= 0:
         raise GameDefinitionError("recruit costs must be positive")
-    solve = _solver_fn(solver, epsilon)
+    solve = get_solver(solver, epsilon)
     instance = scenario.instance
-    if isinstance(instance, TargetSpecificInstance):
-        raise GameDefinitionError("budget sweep expects a scalar-effectiveness instance")
     rows: List[BudgetSweepRow] = []
     for budget in range(max_extra + 1):
         best: Optional[BudgetSweepRow] = None
@@ -361,7 +370,7 @@ def compare_with_baseline(
         raise GameDefinitionError("scenario has no baseline strategy to compare against")
     instance = scenario.instance
     baseline_result = evaluate_profile(instance, scenario.baseline)
-    optimal = _solver_fn(solver, epsilon)(instance)
+    optimal = get_solver(solver, epsilon)(instance)
     delta = compute_coverage(instance, optimal.profile) - compute_coverage(
         instance, scenario.baseline
     )
@@ -436,7 +445,7 @@ def shift_effectiveness(value: float, slope_class: str) -> float:
     return min(max(value + SLOPE_SHIFT[slope_class], lo), hi)
 
 
-def terrain_adjust(scenario: ScenarioInstance, e_p: float, e_v: float) -> TargetSpecificInstance:
+def terrain_adjust(scenario: ScenarioInstance, e_p: float, e_v: float) -> Instance:
     """Per-target villager effectiveness from slope-variance classes.
 
     Villager effectiveness shifts +0.1 on high-variance targets and -0.1 on
@@ -446,11 +455,6 @@ def terrain_adjust(scenario: ScenarioInstance, e_p: float, e_v: float) -> Target
     """
     if scenario.slope_class is None:
         raise GameDefinitionError("scenario has no slope classes")
-    base = scenario.instance
-    if isinstance(base, TargetSpecificInstance):
-        base = base.base
     lo, hi = EFFECTIVENESS_CLAMP
-    e_p_adj = min(max(e_p, lo), hi)
-    e_v_vec = np.array([shift_effectiveness(e_v, cls) for cls in scenario.slope_class])
-    nominal = dataclasses.replace(base, e_p=e_p_adj, e_v=min(max(e_v, lo), hi))
-    return TargetSpecificInstance(nominal, e_v_vec)
+    e_v_vec = [shift_effectiveness(e_v, cls) for cls in scenario.slope_class]
+    return dataclasses.replace(scenario.instance, e_p=min(max(e_p, lo), hi), e_v=e_v_vec)

@@ -15,12 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .feasibility import (
-    FeasibilityQuery,
-    consistency_check_for,
-    max_feasible_villagers,
-)
-from .model import GameDefinitionError, SolveResult, evaluate_profile
+from .feasibility import FeasibilityQuery, check_consistent, max_feasible_villagers
+from .model import GameDefinitionError, Instance, SolveResult, evaluate_profile
 
 # Search resolution used by the experiment harness.
 DEFAULT_EPSILON = 1e-3
@@ -61,16 +57,14 @@ class TdbsConfig:
             raise GameDefinitionError("value bound must be positive")
 
 
-def solve_tdbs(instance, config: Optional[TdbsConfig] = None) -> SolveResult:
+def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> SolveResult:
     """Approximately optimal profile within the configured resolution.
 
-    Works on plain instances and on target-specific-effectiveness instances
-    (the per-target consistency check slots in unchanged).
+    Works for a scalar and for a per-target villager effectiveness.
     """
     config = config or TdbsConfig()
     if config.value_bound is not None and config.value_bound < value_bound(instance):
         raise GameDefinitionError("value bound is below the instance's actual values")
-    check = consistency_check_for(instance)
     epsilon = config.epsilon
 
     best: Optional[SolveResult] = None
@@ -78,10 +72,10 @@ def solve_tdbs(instance, config: Optional[TdbsConfig] = None) -> SolveResult:
     candidates = 0
     for i_star in range(instance.n):
         checks += 1
-        if not check(instance, FeasibilityQuery(i_star, 0.0, 0)).feasible:
+        if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, 0)).feasible:
             continue
         candidates += 1
-        v_star, witness, calls = max_feasible_villagers(instance, i_star, check)
+        v_star, witness, calls = max_feasible_villagers(instance, i_star)
         checks += calls
 
         left, right = 0.0, float(instance.ranger_budget)
@@ -89,7 +83,7 @@ def solve_tdbs(instance, config: Optional[TdbsConfig] = None) -> SolveResult:
             mid = (left + right) / 2.0
             if mid == left or mid == right:
                 break  # interval narrower than one float step
-            answer = check(instance, FeasibilityQuery(i_star, mid, v_star))
+            answer = check_consistent(instance, FeasibilityQuery(i_star, mid, v_star))
             checks += 1
             if answer.feasible:
                 left = mid

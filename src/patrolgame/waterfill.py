@@ -18,12 +18,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .feasibility import (
-    FeasibilityQuery,
-    TargetSpecificInstance,
-    check_consistent,
-    max_feasible_villagers,
-)
+from .feasibility import FeasibilityQuery, check_consistent, max_feasible_villagers
 from .model import (
     GameDefinitionError,
     Instance,
@@ -217,7 +212,7 @@ def hw_subproblem(
 
 
 def _run_subproblem(instance, i_star, v_star, on_state=None):
-    if isinstance(instance, TargetSpecificInstance):
+    if np.ndim(instance.e_v) != 0:
         raise GameDefinitionError("waterfilling requires uniform villager effectiveness")
     if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, v_star)).feasible:
         raise GameDefinitionError(
@@ -333,10 +328,9 @@ def solve_hw(instance: Instance) -> SolveResult:
     """Exact optimum over all candidate attacked targets.
 
     Per candidate: binary-search the maximum consistent villager count, run
-    the waterfilling subproblem, and keep the best evaluated profile.
+    the waterfilling subproblem, and keep the best evaluated profile. Needs
+    a scalar villager effectiveness.
     """
-    if isinstance(instance, TargetSpecificInstance):
-        raise GameDefinitionError("waterfilling requires uniform villager effectiveness")
     best: Optional[SolveResult] = None
     checks = 0
     iterations = 0
@@ -345,7 +339,7 @@ def solve_hw(instance: Instance) -> SolveResult:
         checks += 1
         if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, 0)).feasible:
             continue
-        v_star, _, calls = max_feasible_villagers(instance, i_star, check_consistent)
+        v_star, _, calls = max_feasible_villagers(instance, i_star)
         checks += calls
         profile, state = _run_subproblem(instance, i_star, v_star)
         iterations += state.iterations

@@ -5,6 +5,7 @@ lines. Every tolerance is pinned here; the seeds make each criterion fully
 deterministic.
 """
 
+import dataclasses
 import time
 
 import numpy as np
@@ -13,9 +14,7 @@ import pytest
 from patrolgame.bench import GenParams, generate_instance, run_benchmark
 from patrolgame.feasibility import (
     FeasibilityQuery,
-    TargetSpecificInstance,
     check_consistent,
-    check_consistent_ts,
     max_feasible_villagers,
 )
 from patrolgame.model import (
@@ -41,6 +40,7 @@ from patrolgame.waterfill import LEVEL_TOL, hw_subproblem, solve_hw
 
 from conftest import (
     feasible_by_enumeration,
+    greedy_villagers_ref,
     min_coverage_ref,
     placements,
     random_instance,
@@ -254,14 +254,18 @@ def test_criterion_4_variant_reduction():
     rng = np.random.default_rng(64_000)
     for k in range(1000):
         inst = random_instance(65_000 + k, n=int(rng.integers(2, 6)), r_p=2, r_v=3)
-        ts = TargetSpecificInstance(inst, np.full(inst.n, inst.e_v))
+        ts = dataclasses.replace(inst, e_v=np.full(inst.n, inst.e_v))
         query = FeasibilityQuery(
             int(rng.integers(0, inst.n)),
             float(rng.uniform(0, inst.ranger_budget)),
             int(rng.integers(0, inst.villager_budget + 1)),
         )
-        if check_consistent_ts(ts, query).feasible != check_consistent(inst, query).feasible:
-            failures.append("query %d disagrees: %r" % (k, query))
+        per_target = check_consistent(ts, query).feasible
+        if per_target != check_consistent(inst, query).feasible:
+            failures.append("query %d disagrees with the scalar check: %r" % (k, query))
+        reference, _, _ = greedy_villagers_ref(ts, *dataclasses.astuple(query))
+        if per_target != reference:
+            failures.append("query %d disagrees with the reference greedy: %r" % (k, query))
     report(4, "uniform per-target effectiveness reduces to the base check", failures)
 
 

@@ -79,6 +79,18 @@ class TestSolve:
         capsys.readouterr()
 
 
+    @pytest.mark.parametrize("token", ["NaN", "Infinity"])
+    def test_non_finite_file_is_validation_error(self, tmp_path, capsys, token):
+        doc = scenario_to_dict(ScenarioInstance(random_instance(83, n=3, r_p=1, r_v=1)))
+        path = tmp_path / "inf.json"
+        doc["reward_attacker"][0] = 12345.5
+        path.write_text(json.dumps(doc).replace("12345.5", token))
+        out = tmp_path / "o.json"
+        assert cli_dispatch(["solve", "--input", str(path), "--output", str(out)]) == 1
+        assert token in capsys.readouterr().err
+        assert not out.exists()
+
+
 class TestGen:
     def test_gen_then_solve(self, tmp_path, capsys):
         inst = tmp_path / "gen.json"

@@ -1,11 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from patrolgame.feasibility import (
     FeasibilityQuery,
-    TargetSpecificInstance,
     check_consistent,
-    check_consistent_ts,
     max_feasible_villagers,
     min_valid_coverage,
     total_wasted_coverage,
@@ -18,7 +18,13 @@ from patrolgame.model import (
     validate_profile,
 )
 
-from conftest import feasible_by_enumeration, random_instance, symmetric_instance
+from conftest import (
+    feasible_by_enumeration,
+    greedy_villagers_ref,
+    needs_ref,
+    random_instance,
+    symmetric_instance,
+)
 
 
 def make(n=2, **kw):
@@ -194,18 +200,20 @@ class TestCheckConsistent:
 
 
 class TestCheckConsistentTs:
+    """check_consistent on instances whose e_v is a per-target vector."""
+
     def test_uniform_reduction(self):
         rng = np.random.default_rng(9)
         for k in range(300):
             inst = random_instance(7000 + k, n=int(rng.integers(2, 6)), r_p=2, r_v=3)
-            ts = TargetSpecificInstance(inst, np.full(inst.n, inst.e_v))
+            ts = dataclasses.replace(inst, e_v=np.full(inst.n, inst.e_v))
             query = FeasibilityQuery(
                 int(rng.integers(0, inst.n)),
                 float(rng.uniform(0, inst.ranger_budget)),
                 int(rng.integers(0, inst.villager_budget + 1)),
             )
             assert (
-                check_consistent_ts(ts, query).feasible
+                check_consistent(ts, query).feasible
                 == check_consistent(inst, query).feasible
             )
 
@@ -215,50 +223,141 @@ class TestCheckConsistentTs:
         # covers 0.5 on target 1 (e_v 0.9 capped at the need) versus 0.1 on
         # target 2, and with no rangers the rest is uncoverable either way
         def variant(spare):
-            base = Instance(
+            return Instance(
                 ranger_budget=0.0,
                 villager_budget=spare,
                 e_p=0.5,
-                e_v=0.5,
+                e_v=[0.5, 0.9, 0.1],
                 reward_def=[1.0, 1.0, 1.0],
                 penalty_def=[-1.0, -1.0, -1.0],
                 reward_att=[0.0, 1.0, 1.0],
                 penalty_att=[0.0, -1.0, -1.0],
             )
-            return TargetSpecificInstance(base, np.array([0.5, 0.9, 0.1]))
 
-        answer = check_consistent_ts(variant(1), FeasibilityQuery(0, 0.0, 0))
+        answer = check_consistent(variant(1), FeasibilityQuery(0, 0.0, 0))
         assert not answer.feasible
         # enumeration cross-check: villager on 1 leaves 0.4 on 2, villager on
         # 2 leaves 0.5 on 1 and 0.4 on 2; two villagers still leave >= 0.2
-        assert not check_consistent_ts(variant(2), FeasibilityQuery(0, 0.0, 0)).feasible
+        assert not check_consistent(variant(2), FeasibilityQuery(0, 0.0, 0)).feasible
         # six villagers pile 0.1 steps onto target 2 until both needs are met
-        assert check_consistent_ts(variant(6), FeasibilityQuery(0, 0.0, 0)).feasible
+        assert check_consistent(variant(6), FeasibilityQuery(0, 0.0, 0)).feasible
 
     def test_zero_needs_feasible_with_zero_resources(self):
-        base = Instance(0.0, 0, 0.5, 0.5, [1, 1], [-1, -1], [2.0, 1.0], [-1.0, -1.0])
-        ts = TargetSpecificInstance(base, np.array([0.5, 0.5]))
+        ts = Instance(0.0, 0, 0.5, [0.5, 0.5], [1, 1], [-1, -1], [2.0, 1.0], [-1.0, -1.0])
         # attacking the max-reward target needs nothing elsewhere
-        assert check_consistent_ts(ts, FeasibilityQuery(0, 0.0, 0)).feasible
+        assert check_consistent(ts, FeasibilityQuery(0, 0.0, 0)).feasible
 
     def test_ts_witness_sound(self):
         rng = np.random.default_rng(10)
         checked = 0
         for k in range(200):
             inst = random_instance(8000 + k, n=int(rng.integers(2, 6)), r_p=2, r_v=3)
-            ts = TargetSpecificInstance(
-                inst, rng.uniform(0.05, 0.95, inst.n).round(3)
-            )
+            ts = dataclasses.replace(inst, e_v=rng.uniform(0.05, 0.95, inst.n).round(3))
             query = FeasibilityQuery(
                 int(rng.integers(0, inst.n)),
                 float(rng.uniform(0, inst.ranger_budget)),
                 int(rng.integers(0, inst.villager_budget + 1)),
             )
-            answer = check_consistent_ts(ts, query)
+            answer = check_consistent(ts, query)
             if answer.feasible:
                 assert_witness_sound(ts, query, answer)
                 checked += 1
         assert checked > 50
+
+
+def _flavoured_instance(rng, k, n, r_p, r_v):
+    """A random instance with scalar, per-target, or tie-heavy effectiveness.
+
+    The tie flavour draws e_v from dyadic values and copies one payoff pair to
+    every target, so piece sizes and remainders are exactly equal across
+    targets and the greedy's index tie-break decides.
+    """
+    inst = random_instance(11_000 + k, n=n, r_p=r_p, r_v=r_v)
+    flavour = k % 3
+    if flavour == 1:
+        return dataclasses.replace(inst, e_v=rng.uniform(0.05, 0.95, n).round(3))
+    if flavour == 2:
+        return dataclasses.replace(
+            inst,
+            e_v=rng.choice([0.125, 0.25, 0.5], n),
+            reward_att=np.full(n, inst.reward_att[0]),
+            penalty_att=np.full(n, inst.penalty_att[0]),
+        )
+    return inst
+
+
+class TestAgainstReferences:
+    """The one check against the one-villager-at-a-time greedy and enumeration."""
+
+    def test_matches_reference_greedy(self):
+        rng = np.random.default_rng(13)
+        spare_exceeds_pieces = exact_counts = 0
+        for k in range(900):
+            n = int(rng.integers(2, 8))
+            # up to 20 villagers on few targets: often more than every piece
+            inst = _flavoured_instance(rng, k, n, int(rng.integers(0, 4)), int(rng.integers(0, 21)))
+            query = FeasibilityQuery(
+                int(rng.integers(0, n)),
+                float(rng.uniform(0, inst.ranger_budget)) if k % 4 else 0.0,
+                int(rng.integers(0, inst.villager_budget + 1)),
+            )
+            answer = check_consistent(inst, query)
+            feasible, counts, needs = greedy_villagers_ref(
+                inst, query.i_star, query.p_star, query.v_star
+            )
+            assert answer.feasible == feasible, (k, query)
+            if not feasible:
+                continue
+            others = np.arange(n) != query.i_star
+            covered = answer.witness.p[others].sum() * inst.e_p
+            assert covered == pytest.approx(sum(needs), abs=2e-9)
+            # A need within rounding of a whole number of villagers counts as
+            # that many whole pieces in the check; the reference may instead
+            # see a piece a hair smaller, which moves a tie-break but not the
+            # residual. Everywhere else the counts must match exactly.
+            ratio = np.array(needs_ref(inst, *dataclasses.astuple(query))) / inst.e_v
+            if np.all((ratio == 0) | (np.abs(ratio - np.round(ratio)) > 1e-8)):
+                assert answer.witness.v[others].tolist() == np.array(counts)[others].tolist()
+                exact_counts += 1
+            if sum(counts) < inst.villager_budget - query.v_star:
+                spare_exceeds_pieces += 1
+        assert spare_exceeds_pieces > 50
+        assert exact_counts > 200
+
+    def test_equal_pieces_go_to_lowest_index(self):
+        # Target 2 is pinned at utility 0, so targets 0 and 1 need coverage
+        # 0.75 and 0.25 exactly: target 0 splits into a 0.5 piece and a 0.25
+        # remainder, target 1 is one whole 0.25 piece. The second villager
+        # faces a tie between target 0's remainder and target 1's whole piece.
+        inst = Instance(
+            ranger_budget=1.0,
+            villager_budget=2,
+            e_p=0.5,
+            e_v=[0.5, 0.25, 0.5],
+            reward_def=[1.0, 1.0, 1.0],
+            penalty_def=[-1.0, -1.0, -1.0],
+            reward_att=[3.0, 1.0, 0.0],
+            penalty_att=[-1.0, -3.0, 0.0],
+        )
+        answer = check_consistent(inst, FeasibilityQuery(2, 0.0, 0))
+        _, counts, _ = greedy_villagers_ref(inst, 2, 0.0, 0)
+        assert answer.feasible
+        assert answer.witness.v.tolist() == counts == [2, 0, 0]
+
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(14)
+        for k in range(300):
+            n = int(rng.integers(2, 5))
+            inst = _flavoured_instance(rng, k, n, int(rng.integers(0, 3)), int(rng.integers(0, 5)))
+            for i_star in range(n):
+                query = FeasibilityQuery(
+                    i_star,
+                    float(rng.uniform(0, inst.ranger_budget)),
+                    int(rng.integers(0, inst.villager_budget + 1)),
+                )
+                got = check_consistent(inst, query).feasible
+                want = feasible_by_enumeration(inst, *dataclasses.astuple(query))
+                assert got == want, (k, query)
 
 
 class TestMaxFeasibleVillagers:

@@ -54,6 +54,29 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             inst.reward_att[0] = 2.0
 
+    def test_per_target_effectiveness(self):
+        inst = make(e_v=[0.25, 0.5])
+        assert inst.e_v.tolist() == [0.25, 0.5]
+        with pytest.raises(ValueError):
+            inst.e_v[0] = 1.0
+        assert compute_coverage(inst, StrategyProfile([0.0, 0.0], [1, 1])).tolist() == [0.25, 0.5]
+        with pytest.raises(GameDefinitionError):
+            make(e_v=[0.5, 0.5, 0.5])
+        with pytest.raises(GameDefinitionError):
+            make(e_v=[0.5, 0.0])
+        with pytest.raises(GameDefinitionError):
+            make(e_v=[[0.5, 0.5]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_rejected(self, bad):
+        for name in ("reward_def", "penalty_def", "reward_att", "penalty_att"):
+            with pytest.raises(GameDefinitionError):
+                make(**{name: [bad, -1.0 if name.startswith("penalty") else 1.0]})
+        with pytest.raises(GameDefinitionError):
+            make(e_v=bad)
+        with pytest.raises(GameDefinitionError):
+            make(e_v=[0.5, bad])
+
 
 class TestComputeCoverage:
     def test_direct_formula_with_clamp(self):

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from patrolgame.feasibility import TargetSpecificInstance
+from patrolgame import planner
 from patrolgame.model import (
     GameDefinitionError,
     StrategyProfile,
@@ -18,6 +18,7 @@ from patrolgame.planner import (
     case_study_scenario,
     compare_with_baseline,
     effectiveness_grid,
+    get_solver,
     load_instance,
     load_result,
     save_instance,
@@ -93,8 +94,24 @@ class TestFileRoundTrip:
         path = tmp_path / "ts.json"
         path.write_text(json.dumps(doc))
         loaded = load_instance(path)
-        assert isinstance(loaded.instance, TargetSpecificInstance)
+        assert isinstance(loaded.instance.e_v, np.ndarray)
         assert loaded.instance.e_v.tolist() == [0.2, 0.3, 0.4]
+        assert scenario_to_dict(loaded)["e_v"] == [0.2, 0.3, 0.4]
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_tokens_rejected(self, tmp_path, token):
+        doc = scenario_to_dict(ScenarioInstance(random_instance(66, n=3, r_p=1, r_v=1)))
+        doc["reward_attacker"][1] = 12345.5
+        text = json.dumps(doc).replace("12345.5", token)
+        path = tmp_path / "inst.json"
+        path.write_text(text)
+        with pytest.raises(InstanceFormatError, match=token):
+            load_instance(path)
+        result = tmp_path / "result.json"
+        result.write_text('{"p": [%s], "v": [0], "attacked": 0,'
+                          ' "defender_utility": 0.0, "attacker_utility": 0.0}' % token)
+        with pytest.raises(InstanceFormatError, match=token):
+            load_result(result)
 
 
 class TestCaseStudy:
@@ -197,9 +214,11 @@ class TestTerrainAdjust:
         inst = random_instance(75, n=3, r_p=1, r_v=1)
         scenario = ScenarioInstance(inst, slope_class=("high", "average", "low"))
         ts = terrain_adjust(scenario, e_p=0.7, e_v=0.5)
-        assert isinstance(ts, TargetSpecificInstance)
+        assert isinstance(ts.e_v, np.ndarray)
         assert ts.e_v.tolist() == pytest.approx([0.6, 0.5, 0.4])
         assert ts.e_p == 0.7
+        assert np.array_equal(ts.reward_att, inst.reward_att)
+        assert ts.villager_budget == inst.villager_budget
 
     def test_requires_slope_classes(self):
         with pytest.raises(GameDefinitionError):
@@ -214,3 +233,22 @@ class TestWithEffectiveness:
         assert swapped.instance.e_v == 0.2
         assert np.array_equal(swapped.instance.reward_att, scenario.instance.reward_att)
         assert swapped.baseline is scenario.baseline
+
+
+class TestSolverRegistry:
+    def test_names_resolve(self):
+        inst = random_instance(77, n=3, r_p=1, r_v=1)
+        for name in planner.SOLVER_NAMES:
+            result = get_solver(name)(inst)
+            assert validate_profile(inst, result.profile) == []
+        with pytest.raises(GameDefinitionError):
+            get_solver("simplex")
+
+    def test_solver_looked_up_at_call_time(self, monkeypatch):
+        # Wrapping planner.solve_hw must reach the comparisons and sweeps.
+        calls = []
+        monkeypatch.setattr(planner, "solve_hw", lambda inst: calls.append(inst) or solve_hw(inst))
+        scenario = ScenarioInstance(symmetric_instance(), baseline=StrategyProfile.zeros(2))
+        compare_with_baseline(scenario, solver="hw")
+        budget_sweep(scenario, max_extra=1, solver="hw")
+        assert len(calls) == 1 + 2

@@ -1,7 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from patrolgame.feasibility import TargetSpecificInstance
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
@@ -85,7 +86,7 @@ class TestSolveTdbs:
 
     def test_target_specific_dispatch(self):
         inst = random_instance(23_000, n=4, r_p=2, r_v=2)
-        ts = TargetSpecificInstance(inst, np.full(4, inst.e_v))
+        ts = dataclasses.replace(inst, e_v=np.full(4, inst.e_v))
         plain = solve_tdbs(inst, TdbsConfig(1e-4))
         via_ts = solve_tdbs(ts, TdbsConfig(1e-4))
         assert via_ts.defender_utility == pytest.approx(
@@ -96,7 +97,7 @@ class TestSolveTdbs:
         rng = np.random.default_rng(17)
         for k in range(15):
             inst = random_instance(24_000 + k, n=3, r_p=2, r_v=2)
-            ts = TargetSpecificInstance(inst, rng.uniform(0.05, 0.9, 3).round(3))
+            ts = dataclasses.replace(inst, e_v=rng.uniform(0.05, 0.9, 3).round(3))
             exact = solve_oracle(ts).defender_utility
             result = solve_tdbs(ts, TdbsConfig(1e-6))
-            assert exact - result.defender_utility < utility_gap_bound(ts.base, 1e-6)
+            assert exact - result.defender_utility < utility_gap_bound(ts, 1e-6)
