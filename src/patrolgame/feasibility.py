@@ -6,6 +6,23 @@ that the candidate stays an attacker best response, and produce a witness
 profile when they can. Villagers are placed greedily, each where it covers
 the most still-needed coverage; rangers fill whatever coverage remains.
 Villager effectiveness may be a scalar or vary per target.
+
+Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
+``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
+``best_response``'s tied set. Two slacks share that budget, at most half
+each:
+
+- the attacker-floor test accepts a utility up to ``tol / 2`` below a
+  target's penalty (full coverage then leaves that target at most
+  ``tol / 2`` above ``i_star``);
+- the ranger-coverage sum may exceed the ranger budget by the unitless
+  ``_COVERAGE_SLACK``. ``_witness`` trims that shortfall out of the effort,
+  lowering some targets' coverage by at most as much in total, and a
+  coverage drop of sigma raises a target's attacker utility by at most
+  ``sigma * (R_a - P_a) <= sigma * 2 * max|payoff| = tol / 2``.
+
+Ranger effort on the fixed target may exceed the budget by
+``REL_TOL * ranger_budget``, as in ``model.validate_profile``.
 """
 
 from __future__ import annotations
@@ -17,18 +34,15 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .model import (
-    BUDGET_TOL,
+    REL_TOL,
     GameDefinitionError,
     Instance,
     StrategyProfile,
 )
 
-# Slack on coverage-sum comparisons and attacker-floor checks; binary-search
-# callers probe exactly at the feasibility boundary.
-FEAS_TOL = 1e-9
-
-# Nudge before flooring c_min / e_v so exact multiples don't round down.
-_COUNT_EPS = 1e-9
+# Slack on the ranger-coverage sum: its trim lifts a utility by at most
+# tol / 2 (module docstring).
+_COVERAGE_SLACK = REL_TOL / 4
 
 
 @dataclass(frozen=True)
@@ -57,21 +71,21 @@ def TargetSpecificInstance(base: Instance, e_v) -> Instance:
     return dataclasses.replace(base, e_v=e_v)
 
 
-def _min_coverage_vec(
-    reward_att: np.ndarray, penalty_att: np.ndarray, u: float
-) -> Tuple[np.ndarray, np.ndarray]:
+def _min_coverage_vec(instance, u: float) -> Tuple[np.ndarray, np.ndarray]:
     """Per-target minimum coverage forcing attacker utility down to <= u.
 
-    Returns (c_min, achievable). Where the payoff spread is zero (reward and
-    penalty both zero by the sign constraints) the utility is 0 at any
-    coverage, so c_min is 0 and u < 0 is unachievable.
+    Returns (c_min, achievable). A target counts as achievable when u is at
+    most ``tol / 2`` below its penalty floor. Where the payoff spread is zero
+    (reward and penalty both zero by the sign constraints) the utility is 0
+    at any coverage, so c_min is 0 and the floor is 0.
     """
+    reward_att, penalty_att = instance.reward_att, instance.penalty_att
     spread = reward_att - penalty_att
     positive = spread > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = (reward_att - u) / spread
     c_min = np.where(positive, np.clip(raw, 0.0, 1.0), 0.0)
-    achievable = np.where(positive, u >= penalty_att - FEAS_TOL, u >= -FEAS_TOL)
+    achievable = u >= penalty_att - instance.tol / 2
     return c_min, achievable
 
 
@@ -80,7 +94,7 @@ def min_valid_coverage(instance, i: int, u: float) -> Optional[float]:
 
     None when no coverage achieves it (u below the attacker's penalty floor).
     """
-    c_min, achievable = _min_coverage_vec(instance.reward_att, instance.penalty_att, u)
+    c_min, achievable = _min_coverage_vec(instance, u)
     if not achievable[i]:
         return None
     return float(c_min[i])
@@ -89,7 +103,7 @@ def min_valid_coverage(instance, i: int, u: float) -> Optional[float]:
 def total_wasted_coverage(instance, v: np.ndarray, u: float, i_star: int) -> float:
     """Villager coverage in excess of the needed minimum, summed over i != i_star."""
     v = np.asarray(v)
-    c_min, achievable = _min_coverage_vec(instance.reward_att, instance.penalty_att, u)
+    c_min, achievable = _min_coverage_vec(instance, u)
     others = np.arange(instance.n) != i_star
     if not achievable[others].all():
         raise GameDefinitionError("utility %r is unachievable on some target" % (u,))
@@ -100,7 +114,7 @@ def total_wasted_coverage(instance, v: np.ndarray, u: float, i_star: int) -> flo
 def _validate_query(instance, query: FeasibilityQuery) -> None:
     if not 0 <= query.i_star < instance.n:
         raise GameDefinitionError("target index %d out of range" % query.i_star)
-    if not (0.0 <= query.p_star <= instance.ranger_budget + BUDGET_TOL):
+    if not (0.0 <= query.p_star <= instance.ranger_budget * (1.0 + REL_TOL)):
         raise GameDefinitionError("p_star %r outside the ranger budget" % (query.p_star,))
     if not (0 <= query.v_star <= instance.villager_budget):
         raise GameDefinitionError("v_star %r outside the villager budget" % (query.v_star,))
@@ -114,7 +128,7 @@ def _fixed_target_utility(instance, query: FeasibilityQuery) -> float:
 
 
 def _witness(instance, query, coverage_remaining, villagers) -> StrategyProfile:
-    """Assemble the profile built by the greedy fill, trimming tolerance slack."""
+    """Assemble the profile built by the greedy fill, trimming _COVERAGE_SLACK."""
     p = coverage_remaining / instance.e_p
     p[query.i_star] = 0.0
     remaining_budget = max(instance.ranger_budget - query.p_star, 0.0)
@@ -143,7 +157,7 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: int) -> Tuple[np.ndarray, np
     taken.
     """
     n = c_min.shape[0]
-    whole = np.floor(c_min / e_v + _COUNT_EPS)
+    whole = np.floor(c_min / e_v + REL_TOL)  # exact multiples must not round down
     remainder = np.maximum(c_min - whole * e_v, 0.0)
     has_remainder = remainder > 0.0
     n_whole = float(whole.sum())
@@ -185,7 +199,7 @@ def check_consistent(instance: Instance, query: FeasibilityQuery) -> Feasibility
     """
     _validate_query(instance, query)
     u = _fixed_target_utility(instance, query)
-    c_min, achievable = _min_coverage_vec(instance.reward_att, instance.penalty_att, u)
+    c_min, achievable = _min_coverage_vec(instance, u)
     achievable[query.i_star] = True
     if not achievable.all():
         return FeasibilityAnswer(False, None)
@@ -195,7 +209,7 @@ def check_consistent(instance: Instance, query: FeasibilityQuery) -> Feasibility
     spare = instance.villager_budget - query.v_star
     alloc, residual = _place_villagers(c_min, instance.e_v, spare)
     ranger_coverage = max(instance.ranger_budget - query.p_star, 0.0) * instance.e_p
-    if float(residual.sum()) > ranger_coverage + FEAS_TOL:
+    if float(residual.sum()) > ranger_coverage + _COVERAGE_SLACK:
         return FeasibilityAnswer(False, None)
     return FeasibilityAnswer(True, _witness(instance, query, residual, alloc))
 

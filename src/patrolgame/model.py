@@ -5,6 +5,16 @@ A game instance has two kinds of patrol resources: divisible ranger effort
 villagers (each pinned to a single target). The attacker observes the
 allocation and attacks the target with the highest expected utility,
 breaking ties in the defender's favour.
+
+Tolerances: the library has one relative constant, ``REL_TOL``, and every
+slack is derived from it and the instance's own scale, so results do not
+change when all payoffs are multiplied by a constant:
+
+- utilities compare within ``Instance.tol = REL_TOL * max|payoff|`` (the
+  best-response tie here, and the waterfilling level tests);
+- ranger effort compares within ``REL_TOL * ranger_budget``;
+- coverage and villager counts are unitless and compare within a multiple
+  of ``REL_TOL`` itself (see ``feasibility``).
 """
 
 from __future__ import annotations
@@ -14,12 +24,11 @@ from typing import Dict, List, Tuple, Union
 
 import numpy as np
 
-# Absolute slack allowed on the continuous ranger budget (solver outputs
-# accumulate rounding).
-BUDGET_TOL = 1e-9
+# The one tolerance constant; every slack is this times the scale of what it
+# compares (see the module docstring).
+REL_TOL = 1e-9
 
-# Absolute tolerance for attacker-utility ties in the best response.
-TIE_TOL = 1e-9
+_PAYOFFS = ("reward_def", "penalty_def", "reward_att", "penalty_att")
 
 
 class GameDefinitionError(ValueError):
@@ -51,6 +60,9 @@ class Instance:
     reward vectors are >= 0, penalty vectors are <= 0. Villager effectiveness
     ``e_v`` is a scalar or a read-only per-target vector (terrain can make a
     villager more effective on some targets than on others).
+
+    ``tol`` is derived, not set: the utility slack ``REL_TOL * max|payoff|``
+    over the four payoff vectors.
     """
 
     ranger_budget: float
@@ -61,14 +73,15 @@ class Instance:
     penalty_def: np.ndarray
     reward_att: np.ndarray
     penalty_att: np.ndarray
+    tol: float = field(init=False, repr=False)
 
     def __post_init__(self):
-        for name in ("reward_def", "penalty_def", "reward_att", "penalty_att"):
+        for name in _PAYOFFS:
             object.__setattr__(self, name, _frozen_array(getattr(self, name), float))
         n = self.reward_def.shape[0]
         if n == 0:
             raise GameDefinitionError("instance needs at least one target")
-        for name in ("reward_def", "penalty_def", "reward_att", "penalty_att"):
+        for name in _PAYOFFS:
             if getattr(self, name).shape[0] != n:
                 raise GameDefinitionError("payoff vectors disagree on target count")
             if not np.all(np.isfinite(getattr(self, name))):
@@ -91,7 +104,11 @@ class Instance:
             raise GameDefinitionError("ranger budget must be a nonnegative real")
         if self.villager_budget < 0 or int(self.villager_budget) != self.villager_budget:
             raise GameDefinitionError("villager budget must be a nonnegative integer")
+        if self.villager_budget > np.iinfo(np.int64).max:
+            raise GameDefinitionError("villager budget must fit in a 64-bit integer")
         object.__setattr__(self, "villager_budget", int(self.villager_budget))
+        scale = max(float(np.abs(getattr(self, name)).max()) for name in _PAYOFFS)
+        object.__setattr__(self, "tol", REL_TOL * scale)
 
     @property
     def n(self) -> int:
@@ -187,12 +204,12 @@ def target_utilities(instance, c_i: float, i: int) -> Tuple[float, float]:
 def best_response(instance, coverage: np.ndarray) -> BestResponse:
     """Attacker's target choice for a coverage vector.
 
-    Argmax of attacker utility; ties within TIE_TOL are broken in the
-    defender's favour, remaining ties by lowest target index.
+    Argmax of attacker utility; ties within ``instance.tol`` are broken in
+    the defender's favour, remaining ties by lowest target index.
     """
     u_a = attacker_utilities(instance, coverage)
     u_d = defender_utilities(instance, coverage)
-    tied = np.flatnonzero(u_a >= u_a.max() - TIE_TOL)
+    tied = np.flatnonzero(u_a >= u_a.max() - instance.tol)
     target = int(tied[np.argmax(u_d[tied])])
     return BestResponse(
         target=target,
@@ -217,7 +234,8 @@ def validate_profile(instance, profile: StrategyProfile) -> List[str]:
         violations.append("negative villager count")
     if not np.issubdtype(profile.v.dtype, np.integer):
         violations.append("non-integral villager count")
-    if np.all(np.isfinite(profile.p)) and profile.p.sum() > instance.ranger_budget + BUDGET_TOL:
+    budget = instance.ranger_budget * (1.0 + REL_TOL)
+    if np.all(np.isfinite(profile.p)) and profile.p.sum() > budget:
         violations.append("ranger budget exceeded")
     if np.issubdtype(profile.v.dtype, np.integer) and profile.v.sum() > instance.villager_budget:
         violations.append("villager budget exceeded")

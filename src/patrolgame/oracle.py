@@ -11,6 +11,12 @@ that residual fill exact, so the enumeration maximum is the true optimum.
 a scalar or vary per target. The villager-specific variant is a different
 model, in which each individual villager has their own effectiveness
 wherever they stand, so it keeps its own instance type.
+
+The oracle is the reference the library's tolerance policy (``model``) is
+tested against, so it keeps two tolerances of its own, both far tighter
+than the policy's: ``_BISECT_TOL`` on the effort bisection and
+``_FILL_SLACK`` on the residual-fill comparison. Its best response and
+attacker-floor test are the library's.
 """
 
 from __future__ import annotations
@@ -103,7 +109,7 @@ def _max_consistent_effort(instance, villager_coverage: np.ndarray, i_star: int)
     def residual_fill(p_star: float) -> Optional[np.ndarray]:
         c_star = min(e_p * p_star + c_v_star, 1.0)
         u = float(reward[i_star] * (1.0 - c_star) + penalty[i_star] * c_star)
-        c_min, achievable = _min_coverage_vec(reward, penalty, u)
+        c_min, achievable = _min_coverage_vec(instance, u)
         if not achievable[others].all():
             return None
         need = np.maximum(c_min - villager_coverage, 0.0)

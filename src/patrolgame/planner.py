@@ -32,6 +32,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .model import (
+    REL_TOL,
     GameDefinitionError,
     Instance,
     SolveResult,
@@ -142,13 +143,20 @@ def get_solver(name: str, epsilon: float = DEFAULT_EPSILON) -> Callable[[Instanc
 # File I/O
 
 
+def _to_float(value, where: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:
+        raise InstanceFormatError("field %r is too large for a float" % where) from None
+
+
 def _field(doc: dict, key: str, kind, path: str = ""):
     where = path + key
     if key not in doc:
         raise InstanceFormatError("missing field %r" % where)
     value = doc[key]
     if kind is float and isinstance(value, (int, float)) and not isinstance(value, bool):
-        return float(value)
+        return _to_float(value, where)
     if kind is int and isinstance(value, int) and not isinstance(value, bool):
         return value
     if kind is list and isinstance(value, list):
@@ -164,7 +172,7 @@ def _number_list(doc: dict, key: str, n: int) -> List[float]:
     for k, item in enumerate(values):
         if isinstance(item, bool) or not isinstance(item, (int, float)):
             raise InstanceFormatError("field %r[%d] should be a number" % (key, k))
-        out.append(float(item))
+        out.append(_to_float(item, "%s[%d]" % (key, k)))
     return out
 
 
@@ -317,9 +325,10 @@ def added_budgets(instance: Instance, rangers: int, villagers: int) -> Instance:
 def _recruit_splits(budget: int, cost_ranger: float, cost_villager: float):
     """All (rangers, villagers) a budget buys, spending the rest on villagers."""
     seen = set()
-    max_rangers = int(math.floor(budget / cost_ranger + 1e-9))
+    # Nudge before flooring so exact multiples of a cost don't round down.
+    max_rangers = int(math.floor(budget / cost_ranger + REL_TOL))
     for k in range(max_rangers + 1):
-        m = int(math.floor((budget - k * cost_ranger) / cost_villager + 1e-9))
+        m = int(math.floor((budget - k * cost_ranger) / cost_villager + REL_TOL))
         if (k, m) not in seen:
             seen.add((k, m))
             yield k, m
@@ -409,8 +418,8 @@ def effectiveness_grid(
                 with_effectiveness(scenario, e_p, e_v), solver=solver, epsilon=epsilon
             )
             settings.append(EffectivenessSetting(e_p, e_v, comparison))
-            increase += comparison.coverage_delta > 1e-9
-            decrease += comparison.coverage_delta < -1e-9
+            increase += comparison.coverage_delta > REL_TOL
+            decrease += comparison.coverage_delta < -REL_TOL
     return EffectivenessGrid(tuple(settings), increase, decrease)
 
 

@@ -37,24 +37,20 @@ def value_bound(instance) -> float:
     )
 
 
-def utility_gap_bound(instance, epsilon: float, bound: Optional[float] = None) -> float:
+def utility_gap_bound(instance, epsilon: float) -> float:
     """Guaranteed cap on (exact optimum - returned utility): e_p * 2 * M * epsilon."""
-    m = value_bound(instance) if bound is None else bound
-    return instance.e_p * 2.0 * m * epsilon
+    return instance.e_p * 2.0 * value_bound(instance) * epsilon
 
 
 @dataclass(frozen=True)
 class TdbsConfig:
-    """Search resolution and the input-value bound M (computed when omitted)."""
+    """Search resolution ``epsilon`` on the ranger effort of the attacked target."""
 
     epsilon: float = DEFAULT_EPSILON
-    value_bound: Optional[float] = None
 
     def __post_init__(self):
         if not self.epsilon > 0:
             raise GameDefinitionError("epsilon must be positive")
-        if self.value_bound is not None and not self.value_bound > 0:
-            raise GameDefinitionError("value bound must be positive")
 
 
 def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> SolveResult:
@@ -63,8 +59,6 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
     Works for a scalar and for a per-target villager effectiveness.
     """
     config = config or TdbsConfig()
-    if config.value_bound is not None and config.value_bound < value_bound(instance):
-        raise GameDefinitionError("value bound is below the instance's actual values")
     epsilon = config.epsilon
 
     best: Optional[SolveResult] = None

@@ -9,6 +9,10 @@ places with a critical target's ranger effort at no change in level; the
 trade (a swap) moves the villager to a wider target, shrinking the effort
 needed per unit of further lowering. Iterating to ranger exhaustion yields
 the waste-minimal, utility-optimal completion.
+
+Pours hit levels inexactly, so every level comparison (critical-set
+membership, pinned-at-floor tests, swap qualification) allows the
+instance's utility slack ``instance.tol`` (see ``model``).
 """
 
 from __future__ import annotations
@@ -26,10 +30,6 @@ from .model import (
     StrategyProfile,
     evaluate_profile,
 )
-
-# Absolute tolerance for critical-set membership and pinned-at-floor tests;
-# continuous pours hit levels inexactly.
-LEVEL_TOL = 1e-9
 
 
 @dataclass
@@ -133,8 +133,8 @@ def get_swap_line(state: WaterfillState) -> Optional[SwapCandidate]:
     drops = np.maximum(raw, 0.0)  # tolerance-level negatives mean "swap now"
     ok = (
         (diff > 0)
-        & (raw >= -LEVEL_TOL)  # critical points already passed never recur
-        & (state.sea_level - drops >= inst.penalty_att[donors][None, :] - LEVEL_TOL)
+        & (raw >= -inst.tol)  # critical points already passed never recur
+        & (state.sea_level - drops >= inst.penalty_att[donors][None, :] - inst.tol)
     )
     drops = np.where(ok, drops, np.inf)
     flat = int(np.argmin(drops))
@@ -169,7 +169,7 @@ def _greedy_villagers(inst, i_star: int, v_star: int):
     spare = inst.villager_budget - v_star
     placed = 0
     for _ in range(spare):
-        eligible = (idx != i_star) & (u_att - inst.penalty_att > LEVEL_TOL)
+        eligible = (idx != i_star) & (u_att - inst.penalty_att > inst.tol)
         if not eligible.any():
             break
         j = int(np.argmax(np.where(eligible, u_att, -np.inf)))
@@ -181,14 +181,15 @@ def _greedy_villagers(inst, i_star: int, v_star: int):
 
 def _refresh_levels(state: WaterfillState) -> bool:
     """Recompute sea level, next level, and critical set; False if all pinned."""
-    unpinned = np.abs(state.u_att - state.instance.penalty_att) > LEVEL_TOL
+    tol = state.instance.tol
+    unpinned = np.abs(state.u_att - state.instance.penalty_att) > tol
     if not unpinned.any():
         state.sea_level = None
         state.next_level = None
         state.critical = np.zeros(state.instance.n, dtype=bool)
         return False
     sea = float(state.u_att[unpinned].max())
-    critical = unpinned & (state.u_att >= sea - LEVEL_TOL)
+    critical = unpinned & (state.u_att >= sea - tol)
     below = unpinned & ~critical
     state.sea_level = sea
     state.next_level = float(state.u_att[below].max()) if below.any() else None
@@ -242,16 +243,17 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         unassigned_villagers=unassigned,
     )
 
+    tol = instance.tol
     max_iterations = 4 * (n * n + 2 * n) + 64
     while state.ranger_remaining > 0.0:
         if not _refresh_levels(state):
             break
         u_star = float(state.u_att[i_star])
-        pinned = np.abs(state.u_att - penalty) <= LEVEL_TOL
+        pinned = np.abs(state.u_att - penalty) <= tol
         # Terminal: the sea has reached the fixed target's level and some
         # penalty floor pins it there, so no further lowering is possible.
-        if state.sea_level <= u_star + LEVEL_TOL and bool(
-            np.any(pinned & (penalty >= u_star - LEVEL_TOL))
+        if state.sea_level <= u_star + tol and bool(
+            np.any(pinned & (penalty >= u_star - tol))
         ):
             break
         state.iterations += 1

@@ -36,7 +36,7 @@ from patrolgame.planner import (
     with_effectiveness,
 )
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound
-from patrolgame.waterfill import LEVEL_TOL, hw_subproblem, solve_hw
+from patrolgame.waterfill import hw_subproblem, solve_hw
 
 from conftest import (
     feasible_by_enumeration,
@@ -181,7 +181,7 @@ def test_criterion_3_invariant_suite():
             for s in snaps:
                 if s.sea_level is None:
                     continue
-                pinned = np.abs(s.u_att - inst.penalty_att) <= LEVEL_TOL
+                pinned = np.abs(s.u_att - inst.penalty_att) <= inst.tol
                 wet = (s.effort > 0) & ~pinned
                 if not np.all(np.abs(s.u_att[wet] - s.sea_level) <= 1e-8):
                     failures.append("sea level broken k=%d i*=%d" % (k, i_star))
@@ -191,7 +191,7 @@ def test_criterion_3_invariant_suite():
                     for j in range(inst.n):
                         if j == i_star or s.villagers[j] < 1:
                             continue
-                        if s.u_att[j] < level - LEVEL_TOL:
+                        if s.u_att[j] < level - inst.tol:
                             one_less = inst.reward_att[j] - inst.spread_att[
                                 j
                             ] * inst.e_v * (s.villagers[j] - 1)

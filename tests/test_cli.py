@@ -90,6 +90,25 @@ class TestSolve:
         assert token in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("reward_attacker", 10**400), ("ranger_budget", 10**400), ("villager_budget", 10**30)],
+    )
+    def test_oversized_number_is_validation_error(self, tmp_path, capsys, key, value):
+        doc = scenario_to_dict(ScenarioInstance(random_instance(84, n=3, r_p=1, r_v=1)))
+        if isinstance(doc[key], list):
+            doc[key][0] = value
+        else:
+            doc[key] = value
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        assert cli_dispatch(["solve", "--input", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+        assert not out.exists()
+
 
 class TestGen:
     def test_gen_then_solve(self, tmp_path, capsys):

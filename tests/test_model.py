@@ -1,7 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from patrolgame.model import (
+    REL_TOL,
     GameDefinitionError,
     Instance,
     ProfileValidationError,
@@ -66,6 +69,19 @@ class TestInstanceValidation:
             make(e_v=[0.5, 0.0])
         with pytest.raises(GameDefinitionError):
             make(e_v=[[0.5, 0.5]])
+
+    def test_villager_budget_must_fit_int64(self):
+        make(villager_budget=2**63 - 1)
+        with pytest.raises(GameDefinitionError):
+            make(villager_budget=2**63)
+
+    def test_tol_is_derived_from_payoffs_only(self):
+        inst = make(reward_def=[3.0, 1.0], penalty_att=[-1.0, -40.0], ranger_budget=500.0)
+        assert inst.tol == REL_TOL * 40.0
+        scaled = dataclasses.replace(inst, penalty_att=inst.penalty_att * 1e6)
+        assert scaled.tol == REL_TOL * 40.0e6
+        with pytest.raises(TypeError):
+            make(tol=1.0)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_rejected(self, bad):

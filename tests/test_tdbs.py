@@ -35,11 +35,6 @@ class TestConfig:
         assert m >= inst.ranger_budget
         assert m >= np.abs(inst.reward_att).max()
 
-    def test_understated_bound_rejected(self):
-        inst = random_instance(2, n=3, r_p=1, r_v=1)
-        with pytest.raises(GameDefinitionError):
-            solve_tdbs(inst, TdbsConfig(1e-3, value_bound=0.5))
-
 
 class TestSolveTdbs:
     def test_symmetric_within_guarantee(self):

@@ -12,7 +12,6 @@ from patrolgame.model import (
 from patrolgame.oracle import solve_oracle
 from patrolgame.tdbs import TdbsConfig, solve_tdbs
 from patrolgame.waterfill import (
-    LEVEL_TOL,
     WaterfillState,
     get_swap_line,
     hw_subproblem,
@@ -34,9 +33,9 @@ def make_state(inst, i_star, p, v):
     spread = inst.spread_att
     with np.errstate(divide="ignore"):
         width = np.where(spread > 0, 1.0 / spread, np.inf)
-    unpinned = np.abs(u_att - inst.penalty_att) > LEVEL_TOL
+    unpinned = np.abs(u_att - inst.penalty_att) > inst.tol
     sea = float(u_att[unpinned].max())
-    critical = unpinned & (u_att >= sea - LEVEL_TOL)
+    critical = unpinned & (u_att >= sea - inst.tol)
     below = unpinned & ~critical
     return WaterfillState(
         instance=inst,
@@ -359,7 +358,7 @@ class TestStateInvariants:
                         continue
                     # every target carrying ranger effort and not pinned sits
                     # at the sea level
-                    pinned = np.abs(s.u_att - inst.penalty_att) <= LEVEL_TOL
+                    pinned = np.abs(s.u_att - inst.penalty_att) <= inst.tol
                     wet = (s.effort > 0) & ~pinned
                     assert np.all(np.abs(s.u_att[wet] - s.sea_level) <= 1e-8)
                     # at most one wasted villager per below-sea target; the
@@ -373,7 +372,7 @@ class TestStateInvariants:
                     for j in range(inst.n):
                         if j == i_star or s.villagers[j] < 1:
                             continue
-                        if s.u_att[j] < level - LEVEL_TOL:
+                        if s.u_att[j] < level - inst.tol:
                             one_less = inst.reward_att[j] - inst.spread_att[
                                 j
                             ] * inst.e_v * (s.villagers[j] - 1)
