@@ -28,8 +28,9 @@ Ranger effort on the fixed target may exceed the budget by
 from __future__ import annotations
 
 import dataclasses
+from collections import Counter
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -37,7 +38,10 @@ from .model import (
     REL_TOL,
     GameDefinitionError,
     Instance,
+    SolveResult,
     StrategyProfile,
+    evaluate_profile,
+    target_utilities,
 )
 
 # Slack on the ranger-coverage sum: its trim lifts a utility by at most
@@ -124,7 +128,7 @@ def _fixed_target_utility(instance, query: FeasibilityQuery) -> float:
     i = query.i_star
     e_v = instance.e_v[i] if isinstance(instance.e_v, np.ndarray) else instance.e_v
     c_star = min(instance.e_p * query.p_star + e_v * query.v_star, 1.0)
-    return float(instance.reward_att[i] * (1.0 - c_star) + instance.penalty_att[i] * c_star)
+    return target_utilities(instance, c_star, i)[1]
 
 
 def _witness(instance, query, coverage_remaining, villagers) -> StrategyProfile:
@@ -237,3 +241,30 @@ def max_feasible_villagers(
         else:
             hi = mid - 1
     return best, witness, calls
+
+
+def best_candidate(instance: Instance, complete: Callable) -> SolveResult:
+    """Best profile over every target that can be attacked at all (both solvers' loop).
+
+    Each candidate gets the most villagers it can keep, then
+    ``complete(i_star, v_star, witness)`` returns ``(profile, counters)``.
+    Ties go to the lowest target index. ``diagnostics`` sums the loop's
+    ``feasibility_checks`` and ``candidates`` with every candidate's counters.
+    """
+    best: Optional[SolveResult] = None
+    counters = Counter({"feasibility_checks": 0, "candidates": 0})
+    for i_star in range(instance.n):
+        counters["feasibility_checks"] += 1
+        if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, 0)).feasible:
+            continue
+        counters["candidates"] += 1
+        v_star, witness, calls = max_feasible_villagers(instance, i_star)
+        counters["feasibility_checks"] += calls
+        profile, spent = complete(i_star, v_star, witness)
+        counters.update(spent)
+        result = evaluate_profile(instance, profile)
+        if best is None or result.defender_utility > best.defender_utility:
+            best = result
+    if best is None:
+        raise RuntimeError("no candidate target is consistent; this is a bug")
+    return dataclasses.replace(best, diagnostics=dict(counters))

@@ -19,6 +19,8 @@ change when all payoffs are multiplied by a constant:
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple, Union
 
@@ -44,11 +46,24 @@ class ProfileValidationError(ValueError):
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
-    arr = np.array(values, dtype=dtype)
+    try:
+        arr = np.array(values, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):
+        raise GameDefinitionError("expected a vector of real numbers") from None
     if arr.ndim != 1:
         raise GameDefinitionError("expected a 1-D vector, got shape %s" % (arr.shape,))
     arr.setflags(write=False)
     return arr
+
+
+def _finite(value, what: str) -> float:
+    """``value`` as a float; GameDefinitionError unless it is a finite real."""
+    try:
+        if isinstance(value, numbers.Real) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int too large for a float
+        pass
+    raise GameDefinitionError("%s must be a finite real number" % what)
 
 
 @dataclass(frozen=True)
@@ -90,23 +105,26 @@ class Instance:
             raise GameDefinitionError("rewards must be nonnegative")
         if np.any(self.penalty_def > 0) or np.any(self.penalty_att > 0):
             raise GameDefinitionError("penalties must be nonpositive")
+        object.__setattr__(self, "e_p", _finite(self.e_p, "ranger effectiveness"))
         if not (0.0 < self.e_p <= 1.0):
             raise GameDefinitionError("ranger effectiveness must lie in (0, 1]")
         if np.ndim(self.e_v) == 0:
-            object.__setattr__(self, "e_v", float(self.e_v))
+            object.__setattr__(self, "e_v", _finite(self.e_v, "villager effectiveness"))
         else:
             object.__setattr__(self, "e_v", _frozen_array(self.e_v, float))
             if self.e_v.shape[0] != n:
                 raise GameDefinitionError("per-target e_v must have one entry per target")
         if not np.all((0.0 < self.e_v) & (self.e_v <= 1.0)):
             raise GameDefinitionError("villager effectiveness must lie in (0, 1]")
-        if not (np.isfinite(self.ranger_budget) and self.ranger_budget >= 0):
+        object.__setattr__(self, "ranger_budget", _finite(self.ranger_budget, "ranger budget"))
+        if self.ranger_budget < 0:
             raise GameDefinitionError("ranger budget must be a nonnegative real")
-        if self.villager_budget < 0 or int(self.villager_budget) != self.villager_budget:
+        villagers = self.villager_budget  # range first: int() raises on inf and nan
+        if not (isinstance(villagers, numbers.Real) and 0 <= villagers <= np.iinfo(np.int64).max):
+            raise GameDefinitionError("villager budget must be a nonnegative 64-bit integer")
+        if int(villagers) != villagers:
             raise GameDefinitionError("villager budget must be a nonnegative integer")
-        if self.villager_budget > np.iinfo(np.int64).max:
-            raise GameDefinitionError("villager budget must fit in a 64-bit integer")
-        object.__setattr__(self, "villager_budget", int(self.villager_budget))
+        object.__setattr__(self, "villager_budget", int(villagers))
         scale = max(float(np.abs(getattr(self, name)).max()) for name in _PAYOFFS)
         object.__setattr__(self, "tol", REL_TOL * scale)
 

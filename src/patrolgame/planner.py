@@ -281,14 +281,11 @@ def load_result(path) -> SolveResult:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError("result document must be a JSON object")
-    for key in ("p", "v", "attacked", "defender_utility", "attacker_utility"):
-        if key not in doc:
-            raise InstanceFormatError("missing field %r" % key)
     return SolveResult(
-        profile=StrategyProfile(doc["p"], doc["v"]),
-        attacked=int(doc["attacked"]),
-        defender_utility=float(doc["defender_utility"]),
-        attacker_utility=float(doc["attacker_utility"]),
+        profile=StrategyProfile(_field(doc, "p", list), _field(doc, "v", list)),
+        attacked=_field(doc, "attacked", int),
+        defender_utility=_field(doc, "defender_utility", float),
+        attacker_utility=_field(doc, "attacker_utility", float),
         diagnostics={k: int(v) for k, v in doc.get("diagnostics", {}).items()},
     )
 

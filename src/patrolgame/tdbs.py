@@ -1,11 +1,11 @@
 """Approximate solver: two nested binary searches per candidate target.
 
-For each target that can be made the attacker's best response at all, first
-binary-search the largest villager count that can sit on it, then binary-
-search the ranger effort on it to within a resolution ``epsilon``, keeping
-the target a best response throughout. The returned profile's defender
-utility trails the exact optimum by less than ``e_p * 2 * M * epsilon``,
-where M bounds the absolute input values.
+The shared candidate loop (``feasibility.best_candidate``) binary-searches
+the largest villager count each attackable target can keep; this module's
+completion then binary-searches the ranger effort on that target to within
+a resolution ``epsilon``, keeping the target a best response throughout.
+The returned profile's defender utility trails the exact optimum by less
+than ``e_p * 2 * M * epsilon``, where M bounds the absolute input values.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ from typing import Optional
 
 import numpy as np
 
-from .feasibility import FeasibilityQuery, check_consistent, max_feasible_villagers
-from .model import GameDefinitionError, Instance, SolveResult, evaluate_profile
+from .feasibility import FeasibilityQuery, best_candidate, check_consistent
+from .model import GameDefinitionError, Instance, SolveResult
 
 # Search resolution used by the experiment harness.
 DEFAULT_EPSILON = 1e-3
@@ -58,20 +58,10 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
 
     Works for a scalar and for a per-target villager effectiveness.
     """
-    config = config or TdbsConfig()
-    epsilon = config.epsilon
+    epsilon = (config or TdbsConfig()).epsilon
 
-    best: Optional[SolveResult] = None
-    checks = 0
-    candidates = 0
-    for i_star in range(instance.n):
-        checks += 1
-        if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, 0)).feasible:
-            continue
-        candidates += 1
-        v_star, witness, calls = max_feasible_villagers(instance, i_star)
-        checks += calls
-
+    def complete(i_star, v_star, witness):
+        checks = 0
         left, right = 0.0, float(instance.ranger_budget)
         while right - left > epsilon:
             mid = (left + right) / 2.0
@@ -84,17 +74,6 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
                 witness = answer.witness
             else:
                 right = mid
+        return witness, {"feasibility_checks": checks}
 
-        result = evaluate_profile(instance, witness)
-        if best is None or result.defender_utility > best.defender_utility:
-            best = result
-
-    if best is None:
-        raise RuntimeError("no candidate target is consistent; this is a bug")
-    return SolveResult(
-        profile=best.profile,
-        attacked=best.attacked,
-        defender_utility=best.defender_utility,
-        attacker_utility=best.attacker_utility,
-        diagnostics={"feasibility_checks": checks, "candidates": candidates},
-    )
+    return best_candidate(instance, complete)

@@ -8,7 +8,8 @@ Pouring pauses at critical points where one villager below the sea can trade
 places with a critical target's ranger effort at no change in level; the
 trade (a swap) moves the villager to a wider target, shrinking the effort
 needed per unit of further lowering. Iterating to ranger exhaustion yields
-the waste-minimal, utility-optimal completion.
+the waste-minimal, utility-optimal completion; ``solve_hw`` runs it for each
+candidate of the shared loop ``feasibility.best_candidate``.
 
 Pours hit levels inexactly, so every level comparison (critical-set
 membership, pinned-at-floor tests, swap qualification) allows the
@@ -18,17 +19,18 @@ instance's utility slack ``instance.tol`` (see ``model``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
-from .feasibility import FeasibilityQuery, check_consistent, max_feasible_villagers
+from .feasibility import FeasibilityQuery, best_candidate, check_consistent
 from .model import (
     GameDefinitionError,
     Instance,
     SolveResult,
     StrategyProfile,
-    evaluate_profile,
+    attacker_utilities,
+    target_utilities,
 )
 
 
@@ -148,23 +150,12 @@ def get_swap_line(state: WaterfillState) -> Optional[SwapCandidate]:
     )
 
 
-def _coverage_utility(inst, i: int, effort: float, villagers: int) -> Tuple[float, float]:
-    """(current, villagers-only) attacker utility on one target."""
-    e_v = inst.e_v
-    c_full = min(inst.e_p * effort + e_v * villagers, 1.0)
-    c_v = min(e_v * villagers, 1.0)
-    r, p = inst.reward_att[i], inst.penalty_att[i]
-    return float(r * (1 - c_full) + p * c_full), float(r * (1 - c_v) + p * c_v)
-
-
 def _greedy_villagers(inst, i_star: int, v_star: int):
     """Place spare villagers on the max-attacker-utility unpinned targets."""
     n = inst.n
     villagers = np.zeros(n, dtype=np.int64)
     villagers[i_star] = v_star
-    u_att = np.empty(n)
-    for i in range(n):
-        u_att[i], _ = _coverage_utility(inst, i, 0.0, int(villagers[i]))
+    u_att = attacker_utilities(inst, np.minimum(inst.e_v * villagers, 1.0))
     idx = np.arange(n)
     spare = inst.villager_budget - v_star
     placed = 0
@@ -174,7 +165,7 @@ def _greedy_villagers(inst, i_star: int, v_star: int):
             break
         j = int(np.argmax(np.where(eligible, u_att, -np.inf)))
         villagers[j] += 1
-        u_att[j], _ = _coverage_utility(inst, j, 0.0, int(villagers[j]))
+        u_att[j] = target_utilities(inst, min(inst.e_v * villagers[j], 1.0), j)[1]
         placed += 1
     return villagers, u_att, spare - placed
 
@@ -207,19 +198,23 @@ def hw_subproblem(
 
     ``on_state`` is invoked with the live state at the top of every
     waterfilling iteration and once after termination (snapshot to keep).
+    Raises GameDefinitionError for a per-target ``e_v``, or when ``v_star``
+    villagers on ``i_star`` admit no consistent completion.
     """
+    _require_scalar_e_v(instance)
+    if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, v_star)).feasible:
+        raise GameDefinitionError("target %d cannot keep %d villagers" % (i_star, v_star))
     profile, _ = _run_subproblem(instance, i_star, v_star, on_state)
     return profile
 
 
-def _run_subproblem(instance, i_star, v_star, on_state=None):
+def _require_scalar_e_v(instance) -> None:
     if np.ndim(instance.e_v) != 0:
         raise GameDefinitionError("waterfilling requires uniform villager effectiveness")
-    if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, v_star)).feasible:
-        raise GameDefinitionError(
-            "no consistent completion for target %d with %d villagers" % (i_star, v_star)
-        )
 
+
+def _run_subproblem(instance, i_star, v_star, on_state=None):
+    """Waterfill from a consistent (i_star, v_star); returns (profile, final state)."""
     n = instance.n
     penalty = instance.penalty_att
     spread = instance.spread_att
@@ -302,11 +297,10 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
             state.effort[j] = state.effort[k]
             state.effort[k] = 0.0
             for t in (j, k):
-                current, villagers_only = _coverage_utility(
-                    instance, t, float(state.effort[t]), int(state.villagers[t])
-                )
-                state.u_att[t] = current
-                state.u_att_villagers[t] = villagers_only
+                c_v = instance.e_v * state.villagers[t]
+                c_full = min(instance.e_p * state.effort[t] + c_v, 1.0)
+                state.u_att[t] = target_utilities(instance, c_full, t)[1]
+                state.u_att_villagers[t] = target_utilities(instance, min(c_v, 1.0), t)[1]
             state.swaps += 1
 
     # A zero-spread fixed target keeps attacker utility 0 at any coverage,
@@ -329,36 +323,14 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
 def solve_hw(instance: Instance) -> SolveResult:
     """Exact optimum over all candidate attacked targets.
 
-    Per candidate: binary-search the maximum consistent villager count, run
-    the waterfilling subproblem, and keep the best evaluated profile. Needs
-    a scalar villager effectiveness.
+    Per candidate of the shared loop, run the waterfilling subproblem from
+    the maximum consistent villager count. Needs a scalar villager
+    effectiveness.
     """
-    best: Optional[SolveResult] = None
-    checks = 0
-    iterations = 0
-    swaps = 0
-    for i_star in range(instance.n):
-        checks += 1
-        if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, 0)).feasible:
-            continue
-        v_star, _, calls = max_feasible_villagers(instance, i_star)
-        checks += calls
+    _require_scalar_e_v(instance)
+
+    def complete(i_star, v_star, _witness):
         profile, state = _run_subproblem(instance, i_star, v_star)
-        iterations += state.iterations
-        swaps += state.swaps
-        result = evaluate_profile(instance, profile)
-        if best is None or result.defender_utility > best.defender_utility:
-            best = result
-    if best is None:
-        raise RuntimeError("no candidate target is consistent; this is a bug")
-    return SolveResult(
-        profile=best.profile,
-        attacked=best.attacked,
-        defender_utility=best.defender_utility,
-        attacker_utility=best.attacker_utility,
-        diagnostics={
-            "feasibility_checks": checks,
-            "iterations": iterations,
-            "swaps": swaps,
-        },
-    )
+        return profile, {"iterations": state.iterations, "swaps": state.swaps}
+
+    return best_candidate(instance, complete)

@@ -5,6 +5,7 @@ import pytest
 
 from patrolgame.feasibility import (
     FeasibilityQuery,
+    best_candidate,
     check_consistent,
     max_feasible_villagers,
     min_valid_coverage,
@@ -376,3 +377,19 @@ class TestMaxFeasibleVillagers:
                 )
                 assert best == scan
                 assert witness is not None
+
+
+class TestBestCandidate:
+    def test_first_candidate_wins_ties_and_counters_add_up(self):
+        seen = []
+
+        def complete(i_star, v_star, witness):
+            seen.append((i_star, v_star))
+            return witness, {"feasibility_checks": 1, "steps": 3}
+
+        result = best_candidate(symmetric_instance(), complete)
+        assert seen == [(0, 1), (1, 1)]
+        # both candidates reach utility 0; the first one's profile is kept
+        assert result.profile.v.tolist() == [1, 0]
+        # per candidate: the v = 0 check, two searches and one completion check
+        assert result.diagnostics == {"feasibility_checks": 8, "candidates": 2, "steps": 6}

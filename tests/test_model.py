@@ -83,7 +83,9 @@ class TestInstanceValidation:
         with pytest.raises(TypeError):
             make(tol=1.0)
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "bad", [np.nan, np.inf, -np.inf, pytest.param(10**400, id="400-digits")]
+    )
     def test_non_finite_rejected(self, bad):
         for name in ("reward_def", "penalty_def", "reward_att", "penalty_att"):
             with pytest.raises(GameDefinitionError):
@@ -92,6 +94,12 @@ class TestInstanceValidation:
             make(e_v=bad)
         with pytest.raises(GameDefinitionError):
             make(e_v=[0.5, bad])
+        with pytest.raises(GameDefinitionError):
+            make(ranger_budget=bad)
+        with pytest.raises(GameDefinitionError):
+            make(villager_budget=bad)
+        with pytest.raises(GameDefinitionError):
+            make(ranger_budget="3")
 
 
 class TestComputeCoverage:

@@ -113,6 +113,14 @@ class TestFileRoundTrip:
         with pytest.raises(InstanceFormatError, match=token):
             load_result(result)
 
+    @pytest.mark.parametrize("value", ["1" * 400, '"abc"'], ids=["400-digits", "string"])
+    def test_result_utility_must_be_a_float(self, tmp_path, value):
+        result = tmp_path / "result.json"
+        result.write_text('{"p": [0.0], "v": [0], "attacked": 0,'
+                          ' "defender_utility": %s, "attacker_utility": 0.0}' % value)
+        with pytest.raises(InstanceFormatError, match="defender_utility"):
+            load_result(result)
+
 
 class TestCaseStudy:
     def test_bundled_scenario_parses(self):

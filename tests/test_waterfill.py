@@ -1,6 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from patrolgame import feasibility, tdbs, waterfill
+from patrolgame.feasibility import FeasibilityQuery
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
@@ -259,6 +263,9 @@ class TestHwSubproblem:
         # all villagers on the weak target can't hold the strong one down
         with pytest.raises(GameDefinitionError):
             hw_subproblem(inst, 0, 2)
+        # (0, 0) is consistent, but waterfilling needs a scalar e_v
+        with pytest.raises(GameDefinitionError):
+            hw_subproblem(dataclasses.replace(inst, e_v=[0.5, 0.5]), 0, 0)
 
 
 class TestSolveHw:
@@ -287,6 +294,32 @@ class TestSolveHw:
         again = evaluate_profile(inst, result.profile)
         assert again.defender_utility == result.defender_utility
         assert again.attacked == result.attacked
+
+    def test_diagnostics_count_every_check(self, monkeypatch):
+        calls = []
+        check = feasibility.check_consistent
+
+        def recording(instance, query):
+            calls.append(query)
+            return check(instance, query)
+
+        for module in (feasibility, tdbs, waterfill):
+            monkeypatch.setattr(module, "check_consistent", recording)
+        unattackable = 0
+        for k in range(12):
+            inst = random_instance(12_000 + k, n=3 + k % 6, r_p=1 + k % 3, r_v=k % 4)
+            attackable = sum(
+                check(inst, FeasibilityQuery(i, 0.0, 0)).feasible for i in range(inst.n)
+            )
+            unattackable += inst.n - attackable
+            calls.clear()
+            hw = solve_hw(inst)
+            assert len(calls) == hw.diagnostics["feasibility_checks"], k
+            calls.clear()
+            td = solve_tdbs(inst)
+            assert len(calls) == td.diagnostics["feasibility_checks"], k
+            assert hw.diagnostics["candidates"] == td.diagnostics["candidates"] == attackable
+        assert unattackable > 0  # some targets are not candidates
 
     def test_dominates_tdbs_within_bound(self):
         for k in range(20):
