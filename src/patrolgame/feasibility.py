@@ -124,11 +124,11 @@ def _validate_query(instance, query: FeasibilityQuery) -> None:
         raise GameDefinitionError("v_star %r outside the villager budget" % (query.v_star,))
 
 
-def _fixed_target_utility(instance, query: FeasibilityQuery) -> float:
-    i = query.i_star
-    e_v = instance.e_v[i] if isinstance(instance.e_v, np.ndarray) else instance.e_v
-    c_star = min(instance.e_p * query.p_star + e_v * query.v_star, 1.0)
-    return target_utilities(instance, c_star, i)[1]
+def fixed_target_utilities(instance, i_star: int, p_star: float, v_star: int) -> Tuple[float, float]:
+    """(defender, attacker) utility on ``i_star`` with ``p_star`` effort and ``v_star`` villagers."""
+    e_v = instance.e_v[i_star] if isinstance(instance.e_v, np.ndarray) else instance.e_v
+    c_star = min(instance.e_p * p_star + e_v * v_star, 1.0)
+    return target_utilities(instance, c_star, i_star)
 
 
 def _witness(instance, query, coverage_remaining, villagers) -> StrategyProfile:
@@ -202,7 +202,7 @@ def check_consistent(instance: Instance, query: FeasibilityQuery) -> Feasibility
     rest. Works for a scalar and for a per-target ``e_v``.
     """
     _validate_query(instance, query)
-    u = _fixed_target_utility(instance, query)
+    u = fixed_target_utilities(instance, query.i_star, query.p_star, query.v_star)[1]
     c_min, achievable = _min_coverage_vec(instance, u)
     achievable[query.i_star] = True
     if not achievable.all():
@@ -246,13 +246,18 @@ def max_feasible_villagers(
 def best_candidate(instance: Instance, complete: Callable) -> SolveResult:
     """Best profile over every target that can be attacked at all (both solvers' loop).
 
-    Each candidate gets the most villagers it can keep, then
-    ``complete(i_star, v_star, witness)`` returns ``(profile, counters)``.
-    Ties go to the lowest target index. ``diagnostics`` sums the loop's
-    ``feasibility_checks`` and ``candidates`` with every candidate's counters.
+    Each candidate first gets the most villagers it can keep. Then, in index
+    order, ``complete(i_star, v_star, witness, incumbent)`` returns
+    ``(profile, counters)``, or ``(None, counters)`` when it proves the
+    candidate cannot beat ``incumbent``. The incumbent is the best defender
+    utility known to be reachable: it starts at the best candidate's utility
+    with no ranger effort on it (its witness reaches that much) and rises to
+    every evaluated profile's. Ties go to the lowest target index.
+    ``diagnostics`` sums the loop's ``feasibility_checks`` and ``candidates``
+    with every candidate's counters.
     """
-    best: Optional[SolveResult] = None
     counters = Counter({"feasibility_checks": 0, "candidates": 0})
+    candidates = []
     for i_star in range(instance.n):
         counters["feasibility_checks"] += 1
         if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, 0)).feasible:
@@ -260,11 +265,22 @@ def best_candidate(instance: Instance, complete: Callable) -> SolveResult:
         counters["candidates"] += 1
         v_star, witness, calls = max_feasible_villagers(instance, i_star)
         counters["feasibility_checks"] += calls
-        profile, spent = complete(i_star, v_star, witness)
+        candidates.append((i_star, v_star, witness))
+
+    incumbent = max(
+        (fixed_target_utilities(instance, i, 0.0, v)[0] for i, v, _ in candidates),
+        default=-np.inf,
+    )
+    best: Optional[SolveResult] = None
+    for i_star, v_star, witness in candidates:
+        profile, spent = complete(i_star, v_star, witness, incumbent)
         counters.update(spent)
+        if profile is None:
+            continue
         result = evaluate_profile(instance, profile)
+        incumbent = max(incumbent, result.defender_utility)
         if best is None or result.defender_utility > best.defender_utility:
             best = result
     if best is None:
-        raise RuntimeError("no candidate target is consistent; this is a bug")
+        raise RuntimeError("no candidate target was completed; this is a bug")
     return dataclasses.replace(best, diagnostics=dict(counters))

@@ -286,8 +286,16 @@ def load_result(path) -> SolveResult:
         attacked=_field(doc, "attacked", int),
         defender_utility=_field(doc, "defender_utility", float),
         attacker_utility=_field(doc, "attacker_utility", float),
-        diagnostics={k: int(v) for k, v in doc.get("diagnostics", {}).items()},
+        diagnostics=_diagnostics(doc),
     )
+
+
+def _diagnostics(doc: dict) -> dict:
+    """The result's optional counters object; every value must be a JSON integer."""
+    counters = doc.get("diagnostics", {})
+    if not isinstance(counters, dict):
+        raise InstanceFormatError("field 'diagnostics' should be an object")
+    return {key: _field(counters, key, int, "diagnostics.") for key in counters}
 
 
 def case_study_scenario() -> ScenarioInstance:

@@ -8,8 +8,28 @@ Pouring pauses at critical points where one villager below the sea can trade
 places with a critical target's ranger effort at no change in level; the
 trade (a swap) moves the villager to a wider target, shrinking the effort
 needed per unit of further lowering. Iterating to ranger exhaustion yields
-the waste-minimal, utility-optimal completion; ``solve_hw`` runs it for each
-candidate of the shared loop ``feasibility.best_candidate``.
+the waste-minimal, utility-optimal completion; ``solve_hw`` runs it for the
+candidates of the shared loop ``feasibility.best_candidate`` that can still
+win.
+
+Bracket pruning: the loop hands each candidate the incumbent, the best
+defender utility some profile is known to reach. Before waterfilling,
+``solve_hw`` bisects the ranger effort on the candidate, with its villager
+count fixed, over a bracket ``[left, right]`` that starts at no effort and
+at the effort that fully covers the target (or the whole budget, if less).
+Consistency is monotone in effort, so the candidate's own defender utility
+never exceeds its value at ``right``; once that upper bound falls more than
+``instance.tol`` below the incumbent, the candidate is pruned. A bisection
+step is taken only while an infeasible midpoint would prune, and every
+waterfilled candidate raises the incumbent to its evaluated utility. This is
+sound for a scalar ``e_v``, the only kind ``hw`` accepts: a candidate whose
+profile evaluates above its own bound does so through a tie with a target
+whose exact completion reaches at least as much, and that target is never
+pruned. On exactly tied payoffs the two may be different co-optimal
+profiles, so the attacked target can differ from an unpruned solve while
+the utility does not. ``diagnostics`` counts the bisection steps in
+``feasibility_checks`` and the pruned candidates in ``pruned``, so
+``candidates - pruned`` subproblems ran.
 
 Pours hit levels inexactly, so every level comparison (critical-set
 membership, pinned-at-floor tests, swap qualification) allows the
@@ -23,7 +43,12 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .feasibility import FeasibilityQuery, best_candidate, check_consistent
+from .feasibility import (
+    FeasibilityQuery,
+    best_candidate,
+    check_consistent,
+    fixed_target_utilities,
+)
 from .model import (
     GameDefinitionError,
     Instance,
@@ -320,17 +345,56 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
     return StrategyProfile(state.effort, state.villagers), state
 
 
+def _bracket_prunes(instance, i_star: int, v_star: int, incumbent: float):
+    """Whether bisecting the effort on ``i_star`` proves it cannot beat ``incumbent``.
+
+    Returns ``(pruned, checks)``. The largest consistent effort, capped at
+    full coverage, lies in ``[left, right]``, so the defender utility at
+    ``right`` bounds the candidate's own. A step is taken only while an
+    infeasible midpoint would prune, so a feasible one never lifts the
+    utility at ``left`` past the incumbent.
+    """
+    def below(effort):
+        u_def = fixed_target_utilities(instance, i_star, effort, v_star)[0]
+        return u_def < incumbent - instance.tol
+
+    # Effort past full coverage gains nothing, so the bracket ends there.
+    saturated = max(1.0 - instance.e_v * v_star, 0.0) / instance.e_p
+    left, right = 0.0, min(instance.ranger_budget, saturated)
+    checks = 0
+    while not below(right):
+        mid = (left + right) / 2.0
+        if mid == left or mid == right or not below(mid):
+            return False, checks
+        checks += 1
+        if check_consistent(instance, FeasibilityQuery(i_star, mid, v_star)).feasible:
+            left = mid
+        else:
+            right = mid
+    return True, checks
+
+
 def solve_hw(instance: Instance) -> SolveResult:
     """Exact optimum over all candidate attacked targets.
 
     Per candidate of the shared loop, run the waterfilling subproblem from
-    the maximum consistent villager count. Needs a scalar villager
+    the maximum consistent villager count, unless its effort bracket proves
+    it cannot beat the incumbent (module docstring). Needs a scalar villager
     effectiveness.
     """
     _require_scalar_e_v(instance)
 
-    def complete(i_star, v_star, _witness):
-        profile, state = _run_subproblem(instance, i_star, v_star)
-        return profile, {"iterations": state.iterations, "swaps": state.swaps}
+    def complete(i_star, v_star, _witness, incumbent):
+        pruned, checks = _bracket_prunes(instance, i_star, v_star, incumbent)
+        profile, iterations, swaps = None, 0, 0
+        if not pruned:
+            profile, state = _run_subproblem(instance, i_star, v_star)
+            iterations, swaps = state.iterations, state.swaps
+        return profile, {
+            "feasibility_checks": checks,
+            "iterations": iterations,
+            "swaps": swaps,
+            "pruned": int(pruned),
+        }
 
     return best_candidate(instance, complete)

@@ -5,14 +5,29 @@ code paths (plain-Python loops, direct enumeration) so that agreement is
 meaningful.
 """
 
+import dataclasses
+
 import numpy as np
 
+from patrolgame import waterfill
 from patrolgame.bench import GenParams, generate_instance
+from patrolgame.feasibility import best_candidate
 from patrolgame.model import Instance
 
 
 def random_instance(seed, n, r_p, r_v):
     return generate_instance(GenParams(n=n, r_p=float(r_p), r_v=int(r_v), seed=seed))
+
+
+def scaled(inst, factor):
+    """``inst`` with every payoff multiplied by ``factor``."""
+    return dataclasses.replace(
+        inst,
+        reward_def=inst.reward_def * factor,
+        penalty_def=inst.penalty_def * factor,
+        reward_att=inst.reward_att * factor,
+        penalty_att=inst.penalty_att * factor,
+    )
 
 
 def symmetric_instance():
@@ -128,3 +143,17 @@ def greedy_villagers_ref(inst, i_star, p_star, v_star, tol=1e-9):
         needs[j] -= gains[j]
     ranger_coverage = max(inst.ranger_budget - p_star, 0.0) * inst.e_p
     return sum(needs) <= ranger_coverage + tol, counts, needs
+
+
+def solve_hw_unpruned(inst):
+    """``solve_hw`` without bracket pruning: the waterfill runs for every candidate.
+
+    The reference the pruned solver must match; it shares the candidate loop
+    and the subproblem and leaves out only the bracket.
+    """
+
+    def complete(i_star, v_star, _witness, _incumbent):
+        profile, state = waterfill._run_subproblem(inst, i_star, v_star)
+        return profile, {"iterations": state.iterations, "swaps": state.swaps}
+
+    return best_candidate(inst, complete)

@@ -383,7 +383,7 @@ class TestBestCandidate:
     def test_first_candidate_wins_ties_and_counters_add_up(self):
         seen = []
 
-        def complete(i_star, v_star, witness):
+        def complete(i_star, v_star, witness, _incumbent):
             seen.append((i_star, v_star))
             return witness, {"feasibility_checks": 1, "steps": 3}
 
@@ -393,3 +393,16 @@ class TestBestCandidate:
         assert result.profile.v.tolist() == [1, 0]
         # per candidate: the v = 0 check, two searches and one completion check
         assert result.diagnostics == {"feasibility_checks": 8, "candidates": 2, "steps": 6}
+
+    def test_pruned_candidates_are_skipped(self):
+        incumbents = []
+
+        def complete(i_star, v_star, witness, incumbent):
+            incumbents.append(incumbent)
+            return (None if i_star == 0 else witness), {"pruned": int(i_star == 0)}
+
+        result = best_candidate(symmetric_instance(), complete)
+        # one villager covers half of either target: defender utility 0
+        assert incumbents == [0.0, 0.0]
+        assert result.profile.v.tolist() == [0, 1]
+        assert result.diagnostics["pruned"] == 1

@@ -6,8 +6,6 @@ instance's own scale, so neither the tdbs resolution nor the unit the
 payoffs are written in may change which target is attacked.
 """
 
-import dataclasses
-
 import pytest
 
 from patrolgame import feasibility, tdbs
@@ -16,6 +14,8 @@ from patrolgame.model import attacker_utilities, compute_coverage, validate_prof
 from patrolgame.oracle import solve_oracle
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound
 from patrolgame.waterfill import solve_hw
+
+from conftest import scaled
 
 EPSILONS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-10, 1e-11, 1e-13)
 
@@ -32,16 +32,6 @@ def scale_family():
         yield generate_instance(
             GenParams(n=2 + k % 6, r_p=float(1 + k % 3), r_v=k % 4, seed=80_000 + k)
         )
-
-
-def scaled(inst, factor):
-    return dataclasses.replace(
-        inst,
-        reward_def=inst.reward_def * factor,
-        penalty_def=inst.penalty_def * factor,
-        reward_att=inst.reward_att * factor,
-        penalty_att=inst.penalty_att * factor,
-    )
 
 
 @pytest.fixture(scope="module")

@@ -65,6 +65,7 @@ class TestFileRoundTrip:
         assert np.array_equal(loaded.profile.p, result.profile.p)
         assert np.array_equal(loaded.profile.v, result.profile.v)
         assert loaded.defender_utility == result.defender_utility
+        assert loaded.diagnostics == result.diagnostics
         # re-validation on load: the profile still checks out and the
         # utilities recompute identically
         assert validate_profile(inst, loaded.profile) == []
@@ -119,6 +120,19 @@ class TestFileRoundTrip:
         result.write_text('{"p": [0.0], "v": [0], "attacked": 0,'
                           ' "defender_utility": %s, "attacker_utility": 0.0}' % value)
         with pytest.raises(InstanceFormatError, match="defender_utility"):
+            load_result(result)
+
+    @pytest.mark.parametrize(
+        "diagnostics, field",
+        [('[1]', "'diagnostics'"), ('{"candidates": "abc"}', "diagnostics.candidates"),
+         ('{"pruned": 2.5}', "diagnostics.pruned"), ('{"swaps": true}', "diagnostics.swaps")],
+        ids=["not-an-object", "string", "non-integral-float", "bool"],
+    )
+    def test_result_diagnostics_must_be_integers(self, tmp_path, diagnostics, field):
+        result = tmp_path / "result.json"
+        result.write_text('{"p": [0.0], "v": [0], "attacked": 0, "defender_utility": 0.0,'
+                          ' "attacker_utility": 0.0, "diagnostics": %s}' % diagnostics)
+        with pytest.raises(InstanceFormatError, match=field):
             load_result(result)
 
 

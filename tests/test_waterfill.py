@@ -23,7 +23,14 @@ from patrolgame.waterfill import (
     solve_hw,
 )
 
-from conftest import min_coverage_ref, placements, random_instance, symmetric_instance
+from conftest import (
+    min_coverage_ref,
+    placements,
+    random_instance,
+    scaled,
+    solve_hw_unpruned,
+    symmetric_instance,
+)
 
 
 def make_state(inst, i_star, p, v):
@@ -298,13 +305,20 @@ class TestSolveHw:
     def test_diagnostics_count_every_check(self, monkeypatch):
         calls = []
         check = feasibility.check_consistent
+        subproblems = []
+        run_subproblem = waterfill._run_subproblem
 
         def recording(instance, query):
             calls.append(query)
             return check(instance, query)
 
+        def recording_subproblem(instance, i_star, v_star, on_state=None):
+            subproblems.append(i_star)
+            return run_subproblem(instance, i_star, v_star, on_state)
+
         for module in (feasibility, tdbs, waterfill):
             monkeypatch.setattr(module, "check_consistent", recording)
+        monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
         unattackable = 0
         for k in range(12):
             inst = random_instance(12_000 + k, n=3 + k % 6, r_p=1 + k % 3, r_v=k % 4)
@@ -313,8 +327,10 @@ class TestSolveHw:
             )
             unattackable += inst.n - attackable
             calls.clear()
+            subproblems.clear()
             hw = solve_hw(inst)
             assert len(calls) == hw.diagnostics["feasibility_checks"], k
+            assert len(subproblems) == hw.diagnostics["candidates"] - hw.diagnostics["pruned"], k
             calls.clear()
             td = solve_tdbs(inst)
             assert len(calls) == td.diagnostics["feasibility_checks"], k
@@ -365,6 +381,45 @@ class TestSolveHw:
         orc = solve_oracle(inst)
         assert hw.defender_utility == pytest.approx(orc.defender_utility, abs=1e-6)
         assert hw.profile.p.sum() == pytest.approx(1.0)
+
+
+class TestBracketPruning:
+    SIZES = (2, 3, 4, 5, 6, 8, 12, 20, 35, 50, 100)
+
+    def family(self):
+        """One instance per size at the benchmark's budgets, then small ones at budgets from 0 up."""
+        for k, n in enumerate(self.SIZES):
+            yield random_instance(13_000 + k, n=n, r_p=n / 2, r_v=n // 2)
+        for k in range(150):
+            n = 2 + k % 7
+            yield random_instance(13_200 + k, n=n, r_p=(k % 5) * n / 4, r_v=(k // 5) % (n + 1))
+
+    def assert_matches_unpruned(self, inst, label):
+        got = solve_hw(inst)
+        ref = solve_hw_unpruned(inst)
+        assert got.attacked == ref.attacked, label
+        assert abs(got.defender_utility - ref.defender_utility) <= inst.tol, label
+        assert got.diagnostics["candidates"] == ref.diagnostics["candidates"], label
+        # the reference runs one subproblem per candidate
+        subproblems = got.diagnostics["candidates"] - got.diagnostics["pruned"]
+        assert 1 <= subproblems <= ref.diagnostics["candidates"], label
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-9, 1e6])
+    def test_matches_unpruned_reference(self, factor):
+        for k, base in enumerate(self.family()):
+            self.assert_matches_unpruned(scaled(base, factor), k)
+
+    def test_matches_unpruned_reference_mid_size(self):
+        for k in range(30):
+            n = 9 + (k * 7) % 52
+            inst = random_instance(13_400 + k, n=n, r_p=(1 + k % 4) * n / 5, r_v=(k * 5) % (n + 1))
+            self.assert_matches_unpruned(inst, k)
+
+    def test_prunes_most_candidates(self):
+        # a silently disabled prune would run all 50 subproblems
+        inst = random_instance(13_100, n=50, r_p=25, r_v=25)
+        diagnostics = solve_hw(inst).diagnostics
+        assert diagnostics["pruned"] >= 0.75 * diagnostics["candidates"]
 
 
 class TestStateInvariants:
