@@ -7,6 +7,16 @@ profile when they can. Villagers are placed greedily, each where it covers
 the most still-needed coverage; rangers fill whatever coverage remains.
 Villager effectiveness may be a scalar or vary per target.
 
+Rows: the greedy works on many queries at once, one row of targets per
+query, and each row's answer is the one it would get alone.
+``feasible_rows`` decides an array of queries with one array operation per
+block of ``_BLOCK_CELLS`` cells (rows times targets), so its memory stays
+O(block × n) however many rows it gets, and it keeps no witness.
+``check_consistent`` is the one-row case plus the witness. The shared
+candidate loop ``best_candidate`` searches every candidate in lockstep: all
+n targets' v = 0 tests are one call, and each round of the villager binary
+search (``most_villagers``) decides one row per candidate still searching.
+
 Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
 ``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
 ``best_response``'s tied set. Two slacks share that budget, at most half
@@ -30,7 +40,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -40,13 +50,18 @@ from .model import (
     Instance,
     SolveResult,
     StrategyProfile,
+    best_response,
+    coverage_of,
     evaluate_profile,
-    target_utilities,
 )
 
 # Slack on the ranger-coverage sum: its trim lifts a utility by at most
 # tol / 2 (module docstring).
 _COVERAGE_SLACK = REL_TOL / 4
+
+# Cells (query rows times targets) the greedy handles in one array
+# operation; bounds the transient memory of a batched check at O(block × n).
+_BLOCK_CELLS = 2**13
 
 
 @dataclass(frozen=True)
@@ -75,22 +90,38 @@ def TargetSpecificInstance(base: Instance, e_v) -> Instance:
     return dataclasses.replace(base, e_v=e_v)
 
 
-def _min_coverage_vec(instance, u: float) -> Tuple[np.ndarray, np.ndarray]:
+def _min_coverage(instance, u) -> np.ndarray:
     """Per-target minimum coverage forcing attacker utility down to <= u.
 
-    Returns (c_min, achievable). A target counts as achievable when u is at
-    most ``tol / 2`` below its penalty floor. Where the payoff spread is zero
-    (reward and penalty both zero by the sign constraints) the utility is 0
-    at any coverage, so c_min is 0 and the floor is 0.
+    ``u`` is a number, or a column of them for one row each. Where the
+    payoff spread is zero (reward and penalty both zero by the sign
+    constraints) the utility is 0 at any coverage, so c_min is 0.
     """
-    reward_att, penalty_att = instance.reward_att, instance.penalty_att
-    spread = reward_att - penalty_att
-    positive = spread > 0
+    spread = instance.reward_att - instance.penalty_att
     with np.errstate(divide="ignore", invalid="ignore"):
-        raw = (reward_att - u) / spread
-    c_min = np.where(positive, np.clip(raw, 0.0, 1.0), 0.0)
-    achievable = u >= penalty_att - instance.tol / 2
-    return c_min, achievable
+        c_min = (instance.reward_att - u) / spread
+    np.clip(c_min, 0.0, 1.0, out=c_min)
+    c_min[..., ~(spread > 0)] = 0.0
+    return c_min
+
+
+def _min_coverage_vec(instance, u: float) -> Tuple[np.ndarray, np.ndarray]:
+    """(c_min, achievable): ``_min_coverage`` and the attacker-floor test.
+
+    A target counts as achievable when u is at most ``tol / 2`` below its
+    penalty floor.
+    """
+    return _min_coverage(instance, u), u >= instance.penalty_att - instance.tol / 2
+
+
+def _floor_of_others(instance) -> np.ndarray:
+    """Per target i, the lowest utility the attacker-floor test accepts on
+    every other target: the largest ``P_a[j] - tol / 2`` over j != i."""
+    floor = instance.penalty_att - instance.tol / 2
+    top = int(np.argmax(floor))
+    others = np.full(instance.n, floor[top])
+    others[top] = max(floor[:top].max(initial=-np.inf), floor[top + 1 :].max(initial=-np.inf))
+    return others
 
 
 def min_valid_coverage(instance, i: int, u: float) -> Optional[float]:
@@ -115,24 +146,43 @@ def total_wasted_coverage(instance, v: np.ndarray, u: float, i_star: int) -> flo
     return float(waste[others].sum())
 
 
-def _validate_query(instance, query: FeasibilityQuery) -> None:
-    if not 0 <= query.i_star < instance.n:
-        raise GameDefinitionError("target index %d out of range" % query.i_star)
-    if not (0.0 <= query.p_star <= instance.ranger_budget * (1.0 + REL_TOL)):
-        raise GameDefinitionError("p_star %r outside the ranger budget" % (query.p_star,))
-    if not (0 <= query.v_star <= instance.villager_budget):
-        raise GameDefinitionError("v_star %r outside the villager budget" % (query.v_star,))
+def _query_rows(instance, i_star, p_star, v_star):
+    """The query arrays as (int, float, int) vectors of one length.
+
+    GameDefinitionError unless every query names a target and stays within
+    the budgets (effort within ``REL_TOL * ranger_budget`` of its budget, as
+    in ``model.validate_profile``).
+    """
+    i_star, v_star = np.asarray(i_star), np.asarray(v_star)
+    p_star = np.asarray(p_star, dtype=float)
+    if not (i_star.ndim == 1 and i_star.shape == p_star.shape == v_star.shape):
+        raise GameDefinitionError("query rows must be 1-D arrays of one length")
+    if i_star.dtype.kind not in "iu" or v_star.dtype.kind not in "iu":
+        raise GameDefinitionError("target indices and villager counts must be integers")
+    if not np.all((0 <= i_star) & (i_star < instance.n)):
+        raise GameDefinitionError("target index out of range")
+    if not np.all((0.0 <= p_star) & (p_star <= instance.ranger_budget * (1.0 + REL_TOL))):
+        raise GameDefinitionError("p_star outside the ranger budget")
+    if not np.all((0 <= v_star) & (v_star <= instance.villager_budget)):
+        raise GameDefinitionError("v_star outside the villager budget")
+    return i_star, p_star, v_star
 
 
-def fixed_target_utilities(instance, i_star: int, p_star: float, v_star: int) -> Tuple[float, float]:
-    """(defender, attacker) utility on ``i_star`` with ``p_star`` effort and ``v_star`` villagers."""
+def fixed_target_utilities(instance, i_star, p_star, v_star):
+    """(defender, attacker) utility on ``i_star`` with ``p_star`` effort and ``v_star`` villagers.
+
+    Each argument may instead be an array with one entry per query; the
+    utilities are then arrays too.
+    """
     e_v = instance.e_v[i_star] if isinstance(instance.e_v, np.ndarray) else instance.e_v
-    c_star = min(instance.e_p * p_star + e_v * v_star, 1.0)
-    return target_utilities(instance, c_star, i_star)
+    c_star = np.minimum(instance.e_p * p_star + e_v * v_star, 1.0)
+    u_def = instance.reward_def[i_star] * c_star + instance.penalty_def[i_star] * (1.0 - c_star)
+    u_att = instance.reward_att[i_star] * (1.0 - c_star) + instance.penalty_att[i_star] * c_star
+    return u_def, u_att
 
 
-def _witness(instance, query, coverage_remaining, villagers) -> StrategyProfile:
-    """Assemble the profile built by the greedy fill, trimming _COVERAGE_SLACK."""
+def _witness(instance, query, coverage_remaining, villagers):
+    """The (p, v) the greedy fill builds, trimming _COVERAGE_SLACK."""
     p = coverage_remaining / instance.e_p
     p[query.i_star] = 0.0
     remaining_budget = max(instance.ranger_budget - query.p_star, 0.0)
@@ -142,56 +192,148 @@ def _witness(instance, query, coverage_remaining, villagers) -> StrategyProfile:
     p[query.i_star] = query.p_star
     v = villagers.copy()
     v[query.i_star] = query.v_star
-    return StrategyProfile(p, v)
+    return p, v
 
 
-def _fill_in_order(counts: np.ndarray, spare: int) -> np.ndarray:
-    """How much of each entry of ``counts`` a budget of ``spare`` covers, in array order."""
-    before = np.cumsum(counts) - counts
-    return np.minimum(np.maximum(spare - before, 0.0), counts)
+def _fill_in_order(counts: np.ndarray, spare: np.ndarray) -> np.ndarray:
+    """How much of each entry of a row of ``counts`` its row's budget ``spare`` covers, in order."""
+    before = np.cumsum(counts, axis=1)
+    before -= counts
+    np.subtract(spare[:, None], before, out=before)
+    np.maximum(before, 0.0, out=before)
+    return np.minimum(before, counts, out=before)
 
 
-def _place_villagers(c_min: np.ndarray, e_v, spare: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Greedy villager counts and the residual need they leave uncovered.
+def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Greedy villager counts and the residual need they leave uncovered, per row.
 
-    Target j's need splits into whole-villager pieces of size e_v[j] and one
-    smaller remainder; placing villagers one at a time where the next one
-    covers the most is the same as taking the ``spare`` largest pieces
-    overall, ties to the lowest target index. Zero-size remainders are never
-    taken.
+    ``c_min`` holds one row of needs per query and ``spare`` that query's
+    villagers. Target j's need splits into whole-villager pieces of size
+    e_v[j] and one smaller remainder; placing villagers one at a time where
+    the next one covers the most is the same as taking the ``spare`` largest
+    pieces overall, ties to the lowest target index. Zero-size remainders
+    are never taken. Temporaries are updated in place, to keep a block's
+    memory small.
     """
-    n = c_min.shape[0]
-    whole = np.floor(c_min / e_v + REL_TOL)  # exact multiples must not round down
-    remainder = np.maximum(c_min - whole * e_v, 0.0)
+    n = c_min.shape[1]
+    whole = np.divide(c_min, e_v)
+    whole += REL_TOL  # exact multiples must not round down
+    np.floor(whole, out=whole)
+    remainder = np.multiply(whole, e_v)
+    np.subtract(c_min, remainder, out=remainder)
+    np.maximum(remainder, 0.0, out=remainder)
     has_remainder = remainder > 0.0
-    n_whole = float(whole.sum())
-    if n_whole + np.count_nonzero(has_remainder) <= spare:  # every piece fits
-        return (whole + has_remainder).astype(np.int64), np.zeros(n)
+    n_whole = whole.sum(axis=1)
+    short = np.flatnonzero(n_whole + np.count_nonzero(has_remainder, axis=1) > spare)
+    # From here on c_min, remainder and spare hold the rows that are short
+    # of villagers for some piece; whole becomes the counts of every row.
+    c_min, whole_s, remainder, spare = c_min[short], whole[short], remainder[short], spare[short]
+    alloc = whole
+    alloc += has_remainder  # right where every piece fits
+    if short.size == 0:
+        return alloc.astype(np.int64), np.zeros(alloc.shape)
 
     if isinstance(e_v, np.ndarray):
         # Pieces interleaved as (whole_0, remainder_0, whole_1, ...), so one
         # stable sort by size orders equal pieces by target index.
-        sizes = np.empty(2 * n)
-        sizes[0::2], sizes[1::2] = e_v, remainder
-        counts = np.empty(2 * n)
-        counts[0::2], counts[1::2] = whole, has_remainder
-        order = np.argsort(-sizes, kind="stable")
-        taken = np.empty(2 * n)
-        taken[order] = _fill_in_order(counts[order], spare)
-        residual = np.maximum(c_min - taken[0::2] * e_v, 0.0)
-        residual[taken[1::2] > 0.0] = 0.0
-        return (taken[0::2] + taken[1::2]).astype(np.int64), residual
+        sizes = np.empty((short.size, 2 * n))
+        np.negative(e_v, out=sizes[:, 0::2])
+        np.negative(remainder, out=sizes[:, 1::2])
+        order = np.argsort(sizes, axis=1, kind="stable")
+        sizes[:, 0::2], sizes[:, 1::2] = whole_s, has_remainder[short]  # now the piece counts
+        del whole_s, remainder
+        filled = _fill_in_order(np.take_along_axis(sizes, order, axis=1), spare)
+        np.put_along_axis(sizes, order, filled, axis=1)  # now the pieces taken
+        del order, filled
+        left = np.multiply(sizes[:, 0::2], e_v)
+        np.subtract(c_min, left, out=left)
+        np.maximum(left, 0.0, out=left)
+        left[sizes[:, 1::2] > 0.0] = 0.0
+        alloc[short] = sizes[:, 0::2] + sizes[:, 1::2]
+    else:
+        # Scalar e_v: whole pieces are all the same size and larger than any
+        # remainder, so they go in target order and no sort is needed unless
+        # villagers are left over for the remainders.
+        left = remainder
+        in_order = n_whole[short] >= spare
+        filled = _fill_in_order(whole_s[in_order], spare[in_order])
+        alloc[short[in_order]] = filled
+        np.multiply(filled, e_v, out=filled)
+        np.subtract(c_min[in_order], filled, out=filled)
+        left[in_order] = np.maximum(filled, 0.0, out=filled)
+        del filled
+        extra = ~in_order
+        if extra.any():
+            order = np.argsort(-left[extra], axis=1, kind="stable")
+            top = np.empty(order.shape, dtype=bool)
+            ranked = np.arange(n) < (spare[extra] - n_whole[short[extra]])[:, None]
+            np.put_along_axis(top, order, ranked, axis=1)
+            del order, ranked
+            remainders = left[extra]
+            remainders[top] = 0.0
+            left[extra] = remainders
+            alloc[short[extra]] = whole_s[extra] + top
+    residual = np.zeros(alloc.shape)
+    residual[short] = left
+    return alloc.astype(np.int64), residual
 
-    # Scalar e_v: whole pieces are all the same size and larger than any
-    # remainder, so they go in target order and no sort is needed unless
-    # villagers are left over for the remainders.
-    if n_whole >= spare:
-        alloc = _fill_in_order(whole, spare).astype(np.int64)
-        return alloc, np.maximum(c_min - alloc * e_v, 0.0)
-    top = np.argsort(-remainder, kind="stable")[: spare - int(n_whole)]
-    remainder[top] = 0.0
-    whole[top] += 1
-    return whole.astype(np.int64), remainder
+
+def _fill(instance, i_star, p_star, v_star):
+    """Greedy fill of rows of queries: (rows, feasible, alloc, residual).
+
+    ``rows`` indexes the queries passing the attacker-floor test (every
+    other target can be pushed down to the fixed target's utility); for each
+    of them, ``feasible`` says whether the rangers can cover the residual
+    need the greedy villager counts ``alloc`` leave.
+    """
+    u = fixed_target_utilities(instance, i_star, p_star, v_star)[1]
+    rows = np.flatnonzero(u >= _floor_of_others(instance)[i_star])
+    c_min = _min_coverage(instance, u[rows, None])
+    c_min[np.arange(rows.size), i_star[rows]] = 0.0
+    spare = instance.villager_budget - v_star[rows]
+    alloc, residual = _place_villagers(c_min, instance.e_v, spare)
+    ranger_coverage = np.maximum(instance.ranger_budget - p_star[rows], 0.0) * instance.e_p
+    feasible = residual.sum(axis=1) <= ranger_coverage + _COVERAGE_SLACK
+    return rows, feasible, alloc, residual
+
+
+def _blocks(instance, count: int):
+    """Slices of ``count`` query rows, ``_BLOCK_CELLS`` cells at a time."""
+    step = max(1, _BLOCK_CELLS // instance.n)
+    return (slice(start, start + step) for start in range(0, count, step))
+
+
+def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
+    """``check_consistent(instance, FeasibilityQuery(i, p, v)).feasible`` for every row.
+
+    ``i_star``, ``p_star`` and ``v_star`` are arrays with one entry per
+    query. No witness is built.
+    """
+    i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
+    feasible = np.zeros(i_star.shape[0], dtype=bool)
+    for block in _blocks(instance, i_star.shape[0]):
+        rows, ok, _, _ = _fill(instance, i_star[block], p_star[block], v_star[block])
+        feasible[block.start + rows] = ok
+    return feasible
+
+
+def greedy_profiles(instance: Instance, i_star, p_star, v_star) -> Iterator:
+    """The witness ``(p, v)`` of every row's query in turn, or None where it is infeasible.
+
+    Takes the arrays ``feasible_rows`` takes and fills them block by
+    block, so only one block of rows is held at a time.
+    """
+    i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
+    for block in _blocks(instance, i_star.shape[0]):
+        rows, ok, alloc, residual = _fill(instance, i_star[block], p_star[block], v_star[block])
+        filled_row = np.full(len(i_star[block]), -1)  # row of alloc/residual per query
+        filled_row[rows[ok]] = np.flatnonzero(ok)
+        for k, j in enumerate(filled_row.tolist(), start=block.start):
+            if j < 0:
+                yield None
+                continue
+            query = FeasibilityQuery(int(i_star[k]), float(p_star[k]), int(v_star[k]))
+            yield _witness(instance, query, residual[j], alloc[j])
 
 
 def check_consistent(instance: Instance, query: FeasibilityQuery) -> FeasibilityAnswer:
@@ -201,86 +343,84 @@ def check_consistent(instance: Instance, query: FeasibilityQuery) -> Feasibility
     still-needed coverage (see _place_villagers), and rangers must cover the
     rest. Works for a scalar and for a per-target ``e_v``.
     """
-    _validate_query(instance, query)
-    u = fixed_target_utilities(instance, query.i_star, query.p_star, query.v_star)[1]
-    c_min, achievable = _min_coverage_vec(instance, u)
-    achievable[query.i_star] = True
-    if not achievable.all():
+    witness = next(greedy_profiles(instance, [query.i_star], [query.p_star], [query.v_star]))
+    if witness is None:
         return FeasibilityAnswer(False, None)
-    c_min = c_min.copy()
-    c_min[query.i_star] = 0.0
-
-    spare = instance.villager_budget - query.v_star
-    alloc, residual = _place_villagers(c_min, instance.e_v, spare)
-    ranger_coverage = max(instance.ranger_budget - query.p_star, 0.0) * instance.e_p
-    if float(residual.sum()) > ranger_coverage + _COVERAGE_SLACK:
-        return FeasibilityAnswer(False, None)
-    return FeasibilityAnswer(True, _witness(instance, query, residual, alloc))
+    return FeasibilityAnswer(True, StrategyProfile(*witness))
 
 
-def max_feasible_villagers(
-    instance: Instance, i_star: int
-) -> Tuple[Optional[int], Optional[StrategyProfile], int]:
-    """Largest v with check_consistent(i_star, 0, v) feasible, via binary search.
+def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
+    """Largest v with (i, 0, v) consistent, for each target i of ``i_stars``.
 
-    Monotone by the resource-reduction property: lowering the count on the
-    attacked target never breaks consistency. Returns (count, witness, calls);
-    count is None when even v = 0 is infeasible.
+    One binary search per target, all in lockstep: each round decides one
+    ``feasible_rows`` row per search still open, and every search probes the
+    midpoints it would probe alone. Monotone by the resource-reduction
+    property: lowering the count on the attacked target never breaks
+    consistency. Each target must be consistent at v = 0. Returns (counts,
+    rows checked).
     """
-    lo, hi = 0, instance.villager_budget
-    best: Optional[int] = None
-    witness: Optional[StrategyProfile] = None
-    calls = 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        answer = check_consistent(instance, FeasibilityQuery(i_star, 0.0, mid))
-        calls += 1
-        if answer.feasible:
-            best, witness = mid, answer.witness
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best, witness, calls
+    i_stars = np.asarray(i_stars)
+    lo = np.zeros(i_stars.shape[0], dtype=np.int64)
+    hi = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
+    best = np.zeros(i_stars.shape[0], dtype=np.int64)
+    searching = np.ones(i_stars.shape[0], dtype=bool)
+    checks = 0
+    while searching.any():
+        rows = np.flatnonzero(searching)
+        mid = lo[rows] + (hi[rows] - lo[rows]) // 2
+        ok = feasible_rows(instance, i_stars[rows], np.zeros(rows.size), mid)
+        checks += rows.size
+        best[rows[ok]] = mid[ok]
+        lo[rows[ok]] = mid[ok] + 1  # wraps only at mid == hi, which ends the search
+        hi[rows[~ok]] = mid[~ok] - 1
+        searching[rows] = np.where(ok, mid < hi[rows], mid > lo[rows])
+    return best, checks
+
+
+def _defender_utility(instance, p, v) -> float:
+    """Defender utility of the profile (p, v), as ``evaluate_profile`` finds it."""
+    return best_response(instance, coverage_of(instance, p, v)).defender_utility
 
 
 def best_candidate(instance: Instance, complete: Callable) -> SolveResult:
     """Best profile over every target that can be attacked at all (both solvers' loop).
 
-    Each candidate first gets the most villagers it can keep. Then, in index
-    order, ``complete(i_star, v_star, witness, incumbent)`` returns
-    ``(profile, counters)``, or ``(None, counters)`` when it proves the
-    candidate cannot beat ``incumbent``. The incumbent is the best defender
-    utility known to be reachable: it starts at the best candidate's utility
-    with no ranger effort on it (its witness reaches that much) and rises to
-    every evaluated profile's. Ties go to the lowest target index.
-    ``diagnostics`` sums the loop's ``feasibility_checks`` and ``candidates``
-    with every candidate's counters.
+    The candidates are the targets consistent with no resources on them,
+    each with the most villagers it can keep; both are found for every
+    target in lockstep (``feasible_rows``, ``most_villagers``).
+    ``complete(i_stars, v_stars)`` then sees every candidate at once and
+    returns ``(finish, counters)``. In index order, ``finish(k, incumbent)``
+    returns candidate k's profile as ``(p, v)`` with its counters, or
+    ``(None, counters)`` when it proves the candidate cannot beat
+    ``incumbent``. The incumbent is the best defender utility known to be
+    reachable: it starts at the best candidate's utility with no ranger
+    effort on it (its greedy fill reaches that much) and rises to every
+    completed profile's. The best profile wins, ties to the lowest target
+    index, and only it goes through ``evaluate_profile``. ``diagnostics``
+    sums the loop's ``feasibility_checks`` (one per query row) and
+    ``candidates`` with the completion's counters.
     """
-    counters = Counter({"feasibility_checks": 0, "candidates": 0})
-    candidates = []
-    for i_star in range(instance.n):
-        counters["feasibility_checks"] += 1
-        if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, 0)).feasible:
-            continue
-        counters["candidates"] += 1
-        v_star, witness, calls = max_feasible_villagers(instance, i_star)
-        counters["feasibility_checks"] += calls
-        candidates.append((i_star, v_star, witness))
+    n = instance.n
+    attackable = feasible_rows(instance, np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64))
+    i_stars = np.flatnonzero(attackable)
+    v_stars, checks = most_villagers(instance, i_stars)
+    counters = Counter({"feasibility_checks": n + checks, "candidates": int(i_stars.size)})
+    finish, spent = complete(i_stars, v_stars)
+    counters.update(spent)
 
-    incumbent = max(
-        (fixed_target_utilities(instance, i, 0.0, v)[0] for i, v, _ in candidates),
-        default=-np.inf,
-    )
-    best: Optional[SolveResult] = None
-    for i_star, v_star, witness in candidates:
-        profile, spent = complete(i_star, v_star, witness, incumbent)
+    at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
+    incumbent = float(np.max(at_no_effort, initial=-np.inf))
+    best = None
+    for k in range(i_stars.size):
+        profile, spent = finish(k, incumbent)
         counters.update(spent)
         if profile is None:
             continue
-        result = evaluate_profile(instance, profile)
-        incumbent = max(incumbent, result.defender_utility)
-        if best is None or result.defender_utility > best.defender_utility:
-            best = result
+        utility = _defender_utility(instance, *profile)
+        incumbent = max(incumbent, utility)
+        if best is None or utility > best[0]:
+            best = (utility, profile)
     if best is None:
         raise RuntimeError("no candidate target was completed; this is a bug")
-    return dataclasses.replace(best, diagnostics=dict(counters))
+    result = evaluate_profile(instance, StrategyProfile(*best[1]))
+    return dataclasses.replace(result, diagnostics=dict(counters))

@@ -196,8 +196,12 @@ def compute_coverage(instance, profile: StrategyProfile) -> np.ndarray:
             "profile has %d/%d entries for %d targets"
             % (profile.p.shape[0], profile.v.shape[0], instance.n)
         )
-    raw = instance.e_p * profile.p + np.asarray(instance.e_v) * profile.v
-    return np.minimum(raw, 1.0)
+    return coverage_of(instance, profile.p, profile.v)
+
+
+def coverage_of(instance, p: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``compute_coverage`` of the effort ``p`` and villagers ``v``, unchecked."""
+    return np.minimum(instance.e_p * p + np.asarray(instance.e_v) * v, 1.0)
 
 
 def attacker_utilities(instance, coverage: np.ndarray) -> np.ndarray:

@@ -2,10 +2,15 @@
 
 The shared candidate loop (``feasibility.best_candidate``) binary-searches
 the largest villager count each attackable target can keep; this module's
-completion then binary-searches the ranger effort on that target to within
-a resolution ``epsilon``, keeping the target a best response throughout.
-The returned profile's defender utility trails the exact optimum by less
-than ``e_p * 2 * M * epsilon``, where M bounds the absolute input values.
+completion then bisects the ranger effort on that target to within a
+resolution ``epsilon``, keeping the target a best response throughout.
+Both dimensions run every candidate's search in lockstep: each round is one
+batched ``feasibility.feasible_rows`` call with one row per search still
+open, and no witness is kept while searching. Each candidate's final
+witness is then built and evaluated one row at a time, and only the winner
+becomes a ``StrategyProfile``. The returned profile's defender utility
+trails the exact optimum by less than ``e_p * 2 * M * epsilon``, where M
+bounds the absolute input values.
 
 That bound is proven for a scalar villager effectiveness only. The proof
 keeps the most villagers each candidate can hold, then the most effort; with
@@ -29,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .feasibility import FeasibilityQuery, best_candidate, check_consistent
-from .model import GameDefinitionError, Instance, SolveResult
+from .feasibility import best_candidate, feasible_rows, greedy_profiles
+from .model import GameDefinitionError, Instance, SolveResult, _finite
 
 # Search resolution used by the experiment harness.
 DEFAULT_EPSILON = 1e-3
@@ -63,8 +68,33 @@ class TdbsConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        if not self.epsilon > 0:
+        epsilon = _finite(self.epsilon, "epsilon")
+        if not epsilon > 0:
             raise GameDefinitionError("epsilon must be positive")
+        object.__setattr__(self, "epsilon", epsilon)
+
+
+def most_effort(instance: Instance, i_stars, v_stars, epsilon: float):
+    """Bisect the ranger effort on every candidate to within ``epsilon``, in lockstep.
+
+    Candidate k keeps ``v_stars[k]`` villagers on target ``i_stars[k]``.
+    Each round decides one ``feasible_rows`` row per bisection still open,
+    and every bisection probes the midpoints it would probe alone. Returns
+    (the largest effort found consistent per candidate, rows checked).
+    """
+    left = np.zeros(len(i_stars))
+    right = np.full(len(i_stars), float(instance.ranger_budget))
+    checks = 0
+    while True:
+        mid = (left + right) / 2.0
+        # a bisection ends within epsilon, or narrower than one float step
+        rows = np.flatnonzero((right - left > epsilon) & (mid != left) & (mid != right))
+        if rows.size == 0:
+            return left, checks
+        ok = feasible_rows(instance, i_stars[rows], mid[rows], v_stars[rows])
+        checks += rows.size
+        left[rows[ok]] = mid[rows[ok]]
+        right[rows[~ok]] = mid[rows[~ok]]
 
 
 def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> SolveResult:
@@ -74,20 +104,16 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
     """
     epsilon = (config or TdbsConfig()).epsilon
 
-    def complete(i_star, v_star, witness, _incumbent):
-        checks = 0
-        left, right = 0.0, float(instance.ranger_budget)
-        while right - left > epsilon:
-            mid = (left + right) / 2.0
-            if mid == left or mid == right:
-                break  # interval narrower than one float step
-            answer = check_consistent(instance, FeasibilityQuery(i_star, mid, v_star))
-            checks += 1
-            if answer.feasible:
-                left = mid
-                witness = answer.witness
-            else:
-                right = mid
-        return witness, {"feasibility_checks": checks}
+    def complete(i_stars, v_stars):
+        p_stars, checks = most_effort(instance, i_stars, v_stars, epsilon)
+        witnesses = greedy_profiles(instance, i_stars, p_stars, v_stars)
+
+        def finish(_k, _incumbent):  # called once per candidate, in order
+            profile = next(witnesses)
+            if profile is None:
+                raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
+            return profile, {}
+
+        return finish, {"feasibility_checks": checks}
 
     return best_candidate(instance, complete)

@@ -384,17 +384,21 @@ def solve_hw(instance: Instance) -> SolveResult:
     """
     _require_scalar_e_v(instance)
 
-    def complete(i_star, v_star, _witness, incumbent):
-        pruned, checks = _bracket_prunes(instance, i_star, v_star, incumbent)
-        profile, iterations, swaps = None, 0, 0
-        if not pruned:
-            profile, state = _run_subproblem(instance, i_star, v_star)
-            iterations, swaps = state.iterations, state.swaps
-        return profile, {
-            "feasibility_checks": checks,
-            "iterations": iterations,
-            "swaps": swaps,
-            "pruned": int(pruned),
-        }
+    def complete(i_stars, v_stars):
+        def finish(k, incumbent):
+            i_star, v_star = int(i_stars[k]), int(v_stars[k])
+            pruned, checks = _bracket_prunes(instance, i_star, v_star, incumbent)
+            profile, iterations, swaps = None, 0, 0
+            if not pruned:
+                profile, state = _run_subproblem(instance, i_star, v_star)
+                profile, iterations, swaps = (profile.p, profile.v), state.iterations, state.swaps
+            return profile, {
+                "feasibility_checks": checks,
+                "iterations": iterations,
+                "swaps": swaps,
+                "pruned": int(pruned),
+            }
+
+        return finish, {}
 
     return best_candidate(instance, complete)

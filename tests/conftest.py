@@ -6,13 +6,19 @@ meaningful.
 """
 
 import dataclasses
+from collections import Counter
 
 import numpy as np
 
 from patrolgame import waterfill
 from patrolgame.bench import GenParams, generate_instance
-from patrolgame.feasibility import best_candidate
-from patrolgame.model import Instance
+from patrolgame.feasibility import (
+    FeasibilityQuery,
+    best_candidate,
+    check_consistent,
+    fixed_target_utilities,
+)
+from patrolgame.model import Instance, evaluate_profile
 
 
 def random_instance(seed, n, r_p, r_v):
@@ -152,8 +158,109 @@ def solve_hw_unpruned(inst):
     and the subproblem and leaves out only the bracket.
     """
 
-    def complete(i_star, v_star, _witness, _incumbent):
-        profile, state = waterfill._run_subproblem(inst, i_star, v_star)
-        return profile, {"iterations": state.iterations, "swaps": state.swaps}
+    def complete(i_stars, v_stars):
+        def finish(k, _incumbent):
+            profile, state = waterfill._run_subproblem(inst, int(i_stars[k]), int(v_stars[k]))
+            return (profile.p, profile.v), {"iterations": state.iterations, "swaps": state.swaps}
+
+        return finish, {}
 
     return best_candidate(inst, complete)
+
+
+def max_feasible_villagers_ref(inst, i_star):
+    """Largest v with (i_star, 0, v) consistent: (count, witness, calls).
+
+    One binary search, one ``check_consistent`` call per probe.
+    """
+    lo, hi = 0, inst.villager_budget
+    best = witness = None
+    calls = 0
+    while lo <= hi:
+        mid = (lo + hi) // 2
+        answer = check_consistent(inst, FeasibilityQuery(i_star, 0.0, mid))
+        calls += 1
+        if answer.feasible:
+            best, witness = mid, answer.witness
+            lo = mid + 1
+        else:
+            hi = mid - 1
+    return best, witness, calls
+
+
+def best_candidate_sequential(inst, complete):
+    """The candidate loop one ``check_consistent`` call at a time.
+
+    The reference for ``feasibility.best_candidate``: every candidate's
+    searches run one after the other and keep each candidate's witness, and
+    every completed profile goes through ``evaluate_profile``.
+    ``complete(i_star, v_star, witness, incumbent)`` returns
+    ``(profile, counters)``, the profile None when pruned.
+    """
+    counters = Counter({"feasibility_checks": 0, "candidates": 0})
+    candidates = []
+    for i_star in range(inst.n):
+        counters["feasibility_checks"] += 1
+        if not check_consistent(inst, FeasibilityQuery(i_star, 0.0, 0)).feasible:
+            continue
+        counters["candidates"] += 1
+        v_star, witness, calls = max_feasible_villagers_ref(inst, i_star)
+        counters["feasibility_checks"] += calls
+        candidates.append((i_star, v_star, witness))
+
+    incumbent = max(
+        (fixed_target_utilities(inst, i, 0.0, v)[0] for i, v, _ in candidates),
+        default=-np.inf,
+    )
+    best = None
+    for i_star, v_star, witness in candidates:
+        profile, spent = complete(i_star, v_star, witness, incumbent)
+        counters.update(spent)
+        if profile is None:
+            continue
+        result = evaluate_profile(inst, profile)
+        incumbent = max(incumbent, result.defender_utility)
+        if best is None or result.defender_utility > best.defender_utility:
+            best = result
+    return dataclasses.replace(best, diagnostics=dict(counters))
+
+
+def solve_tdbs_sequential(inst, epsilon=1e-3):
+    """``solve_tdbs`` with one effort bisection per candidate, one check per probe."""
+
+    def complete(i_star, v_star, witness, _incumbent):
+        checks = 0
+        left, right = 0.0, float(inst.ranger_budget)
+        while right - left > epsilon:
+            mid = (left + right) / 2.0
+            if mid == left or mid == right:
+                break
+            answer = check_consistent(inst, FeasibilityQuery(i_star, mid, v_star))
+            checks += 1
+            if answer.feasible:
+                left = mid
+                witness = answer.witness
+            else:
+                right = mid
+        return witness, {"feasibility_checks": checks}
+
+    return best_candidate_sequential(inst, complete)
+
+
+def solve_hw_sequential(inst):
+    """``solve_hw`` (bracket pruning included) on the sequential candidate loop."""
+
+    def complete(i_star, v_star, _witness, incumbent):
+        pruned, checks = waterfill._bracket_prunes(inst, i_star, v_star, incumbent)
+        profile, iterations, swaps = None, 0, 0
+        if not pruned:
+            profile, state = waterfill._run_subproblem(inst, i_star, v_star)
+            iterations, swaps = state.iterations, state.swaps
+        return profile, {
+            "feasibility_checks": checks,
+            "iterations": iterations,
+            "swaps": swaps,
+            "pruned": int(pruned),
+        }
+
+    return best_candidate_sequential(inst, complete)

@@ -15,7 +15,7 @@ from patrolgame.bench import GenParams, generate_instance, run_benchmark
 from patrolgame.feasibility import (
     FeasibilityQuery,
     check_consistent,
-    max_feasible_villagers,
+    most_villagers,
 )
 from patrolgame.model import (
     Instance,
@@ -171,10 +171,10 @@ def test_criterion_3_invariant_suite():
     enumeration_checked = 0
     for k in range(100):
         inst = random_instance(63_000 + k, n=2 + k % 5, r_p=1 + k % 3, r_v=k % 4)
-        for i_star in range(inst.n):
-            if not check_consistent(inst, FeasibilityQuery(i_star, 0.0, 0)).feasible:
-                continue
-            v_star, _, _ = max_feasible_villagers(inst, i_star)
+        attackable = [
+            i for i in range(inst.n) if check_consistent(inst, FeasibilityQuery(i, 0.0, 0)).feasible
+        ]
+        for i_star, v_star in zip(attackable, most_villagers(inst, attackable)[0].tolist()):
             snaps = []
             hw_subproblem(inst, i_star, v_star, on_state=lambda s: snaps.append(s.snapshot()))
             spare = inst.villager_budget - v_star

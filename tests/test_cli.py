@@ -90,6 +90,23 @@ class TestSolve:
         assert token in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["solve", "sweep", "compare"])
+    @pytest.mark.parametrize("epsilon", ["inf", "nan", "-1"])
+    def test_bad_epsilon_is_validation_error(
+        self, instance_file, tmp_path, capsys, command, epsilon
+    ):
+        out = tmp_path / "o.out"
+        args = {
+            "solve": ["solve", "--algorithm", "tdbs", "--input", str(instance_file)],
+            "sweep": ["sweep", "--algorithm", "tdbs", "--budget-max", "1"],
+            "compare": ["compare", "--algorithm", "tdbs"],
+        }[command]
+        assert cli_dispatch(args + ["--epsilon", epsilon, "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "epsilon" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "key, value",
         [("reward_attacker", 10**400), ("ranger_budget", 10**400), ("villager_budget", 10**30)],

@@ -1,16 +1,22 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from patrolgame import feasibility
 from patrolgame.feasibility import (
     FeasibilityQuery,
     best_candidate,
     check_consistent,
-    max_feasible_villagers,
+    feasible_rows,
+    greedy_profiles,
     min_valid_coverage,
+    most_villagers,
     total_wasted_coverage,
 )
+from patrolgame.tdbs import TdbsConfig, solve_tdbs
+from patrolgame.waterfill import solve_hw
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
@@ -22,8 +28,12 @@ from patrolgame.model import (
 from conftest import (
     feasible_by_enumeration,
     greedy_villagers_ref,
+    max_feasible_villagers_ref,
     needs_ref,
     random_instance,
+    scaled,
+    solve_hw_sequential,
+    solve_tdbs_sequential,
     symmetric_instance,
 )
 
@@ -361,48 +371,176 @@ class TestAgainstReferences:
                 assert got == want, (k, query)
 
 
+class TestFeasibleRows:
+    """The batched decision against the one-row check, row by row."""
+
+    @pytest.mark.parametrize("block_cells", [feasibility._BLOCK_CELLS, 16])
+    def test_matches_check_consistent(self, monkeypatch, block_cells):
+        # 16 cells put at most a few rows in a block, so rows cross blocks
+        monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(15)
+        kinds = Counter()
+        rows = 0
+        for k in range(120):
+            n = int(rng.integers(2, 9))
+            # up to 24 villagers on few targets: often more than every piece
+            inst = _flavoured_instance(rng, k, n, int(rng.integers(0, 4)), int(rng.integers(0, 25)))
+            m = 20
+            i_star = rng.integers(0, n, m)
+            p_star = np.where(rng.random(m) < 0.3, 0.0, rng.uniform(0, inst.ranger_budget, m))
+            v_star = rng.integers(0, inst.villager_budget + 1, m)
+            v_star[:4] = inst.villager_budget  # spare = 0
+            got = feasible_rows(inst, i_star, p_star, v_star)
+            witnesses = list(greedy_profiles(inst, i_star, p_star, v_star))
+            assert len(witnesses) == m
+            for row in range(m):
+                query = FeasibilityQuery(int(i_star[row]), float(p_star[row]), int(v_star[row]))
+                answer = check_consistent(inst, query)
+                assert got[row] == answer.feasible, (k, query)
+                assert (witnesses[row] is None) == (not answer.feasible), (k, query)
+                if answer.feasible:
+                    assert witnesses[row][0].tolist() == answer.witness.p.tolist()
+                    assert witnesses[row][1].tolist() == answer.witness.v.tolist()
+                _, counts, needs = greedy_villagers_ref(inst, *dataclasses.astuple(query))
+                if needs is None:
+                    kinds["floor fails"] += 1
+                elif max(needs) <= 0.0:
+                    kinds["every piece fits"] += 1
+                if query.v_star == inst.villager_budget:
+                    kinds["spare = 0"] += 1
+                kinds["feasible" if answer.feasible else "infeasible"] += 1
+                rows += 1
+        assert rows >= 2000
+        assert min(kinds.values()) > 100 and len(kinds) == 5, kinds
+
+    def test_rejects_rows_outside_the_instance(self):
+        inst = make()
+        for i_star, p_star, v_star in (([2], [0.0], [0]), ([0], [5.0], [0]), ([0], [0.0], [7]),
+                                        ([0, 1], [0.0], [0]), ([0.0], [0.0], [0])):
+            with pytest.raises(GameDefinitionError):
+                feasible_rows(inst, np.array(i_star), np.array(p_star), np.array(v_star))
+
+
 class TestMaxFeasibleVillagers:
+    """``most_villagers``: the largest feasible villager count per target."""
+
     def test_matches_linear_scan(self):
         rng = np.random.default_rng(12)
         for k in range(100):
             inst = random_instance(9000 + k, n=int(rng.integers(2, 5)), r_p=2, r_v=4)
-            for i_star in range(inst.n):
-                if not check_consistent(inst, FeasibilityQuery(i_star, 0.0, 0)).feasible:
-                    continue
-                best, witness, _ = max_feasible_villagers(inst, i_star)
+            attackable = [
+                i for i in range(inst.n)
+                if check_consistent(inst, FeasibilityQuery(i, 0.0, 0)).feasible
+            ]
+            counts, checks = most_villagers(inst, attackable)
+            assert checks == sum(max_feasible_villagers_ref(inst, i)[2] for i in attackable)
+            for i_star, best in zip(attackable, counts.tolist()):
                 scan = max(
                     v
                     for v in range(inst.villager_budget + 1)
                     if check_consistent(inst, FeasibilityQuery(i_star, 0.0, v)).feasible
                 )
                 assert best == scan
-                assert witness is not None
+
+
+def _row(witness):
+    return witness.p, witness.v
 
 
 class TestBestCandidate:
     def test_first_candidate_wins_ties_and_counters_add_up(self):
+        inst = symmetric_instance()
         seen = []
 
-        def complete(i_star, v_star, witness, _incumbent):
-            seen.append((i_star, v_star))
-            return witness, {"feasibility_checks": 1, "steps": 3}
+        def complete(i_stars, v_stars):
+            def finish(k, _incumbent):
+                seen.append((int(i_stars[k]), int(v_stars[k])))
+                query = FeasibilityQuery(int(i_stars[k]), 0.0, int(v_stars[k]))
+                witness = check_consistent(inst, query).witness
+                return _row(witness), {"feasibility_checks": 1, "steps": 3}
 
-        result = best_candidate(symmetric_instance(), complete)
+            return finish, {"steps": 1}
+
+        result = best_candidate(inst, complete)
         assert seen == [(0, 1), (1, 1)]
         # both candidates reach utility 0; the first one's profile is kept
         assert result.profile.v.tolist() == [1, 0]
-        # per candidate: the v = 0 check, two searches and one completion check
-        assert result.diagnostics == {"feasibility_checks": 8, "candidates": 2, "steps": 6}
+        # per candidate: the v = 0 row, two search rows and one completion check
+        assert result.diagnostics == {"feasibility_checks": 8, "candidates": 2, "steps": 7}
 
     def test_pruned_candidates_are_skipped(self):
+        inst = symmetric_instance()
         incumbents = []
 
-        def complete(i_star, v_star, witness, incumbent):
-            incumbents.append(incumbent)
-            return (None if i_star == 0 else witness), {"pruned": int(i_star == 0)}
+        def complete(i_stars, v_stars):
+            def finish(k, incumbent):
+                incumbents.append(incumbent)
+                if k == 0:
+                    return None, {"pruned": 1}
+                query = FeasibilityQuery(int(i_stars[k]), 0.0, int(v_stars[k]))
+                return _row(check_consistent(inst, query).witness), {"pruned": 0}
 
-        result = best_candidate(symmetric_instance(), complete)
+            return finish, {}
+
+        result = best_candidate(inst, complete)
         # one villager covers half of either target: defender utility 0
         assert incumbents == [0.0, 0.0]
         assert result.profile.v.tolist() == [0, 1]
         assert result.diagnostics["pruned"] == 1
+
+    def test_strictly_better_later_candidate_wins(self):
+        inst = symmetric_instance()
+
+        def complete(i_stars, v_stars):
+            def finish(k, _incumbent):
+                # candidate 0 stacks both resources on target 0 (utility -1),
+                # candidate 1 covers each target half (utility 0)
+                return (np.array([1.0, 0.0]), np.array([1 - k, k])), {}
+
+            return finish, {}
+
+        result = best_candidate(inst, complete)
+        assert result.profile.v.tolist() == [0, 1] and result.defender_utility == 0.0
+
+
+def _family(j, k):
+    """Seeded instance k of the lockstep family at payoff scale j: n from 2 to 100."""
+    n = (40, 70, 100)[j] if k == 15 else 2 + k % 19
+    return random_instance(14_000 + 16 * j + k, n=n, r_p=1 + (k * 7) % n, r_v=(k * 3) % (n + 2))
+
+
+def _outputs(result):
+    return (
+        result.attacked,
+        result.defender_utility,
+        result.attacker_utility,
+        result.profile.p.tolist(),
+        result.profile.v.tolist(),
+        list(result.diagnostics.items()),
+    )
+
+
+class TestLockstepAgainstSequential:
+    """The lockstep searches give what one search per candidate gives, bit for bit."""
+
+    @pytest.mark.parametrize("j, factor", [(0, 1.0), (1, 1e-9), (2, 1e6)])
+    def test_solvers_match_sequential_loop(self, j, factor):
+        rng = np.random.default_rng(16 + j)
+        for k in range(16):
+            inst = scaled(_family(j, k), factor)
+            assert _outputs(solve_hw(inst)) == _outputs(solve_hw_sequential(inst)), k
+            per_target = dataclasses.replace(
+                inst, e_v=rng.uniform(0.05, 1.0, inst.n).round(3) * inst.e_p
+            )
+            epsilon = (1e-3, 1e-7, 1e-13)[(j + k) % 3]
+            for case in (inst, per_target):
+                lockstep = solve_tdbs(case, TdbsConfig(epsilon))
+                assert _outputs(lockstep) == _outputs(solve_tdbs_sequential(case, epsilon)), k
+
+    def test_bisection_ends_below_float_spacing(self):
+        # an epsilon under the float step between efforts: each bisection
+        # stops where its midpoint no longer moves
+        for k in range(6):
+            inst = random_instance(14_100 + k, n=2 + k, r_p=1 + k, r_v=k)
+            lockstep = solve_tdbs(inst, TdbsConfig(1e-300))
+            assert _outputs(lockstep) == _outputs(solve_tdbs_sequential(inst, 1e-300)), k

@@ -6,9 +6,11 @@ instance's own scale, so neither the tdbs resolution nor the unit the
 payoffs are written in may change which target is attacked.
 """
 
+import numpy as np
 import pytest
 
-from patrolgame import feasibility, tdbs
+from patrolgame import feasibility, tdbs, waterfill
+from patrolgame.feasibility import FeasibilityQuery
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.model import attacker_utilities, compute_coverage, validate_profile
 from patrolgame.oracle import solve_oracle
@@ -37,9 +39,10 @@ def scale_family():
 @pytest.fixture(scope="module")
 def epsilon_sweep():
     """tdbs gaps to solve_hw per (instance, epsilon), plus every feasible
-    check_consistent answer those solves received."""
+    answer those solves received: single checks and batched rows."""
     answers = []
     check = feasibility.check_consistent
+    rows_of = feasibility.feasible_rows
 
     def recording(instance, query):
         answer = check(instance, query)
@@ -47,12 +50,23 @@ def epsilon_sweep():
             answers.append((instance, query.i_star, answer.witness))
         return answer
 
+    def recording_rows(instance, i_star, p_star, v_star):
+        feasible = rows_of(instance, i_star, p_star, v_star)
+        for row in np.flatnonzero(feasible):
+            # the witness the row stands for, rebuilt by the one-row check
+            query = FeasibilityQuery(int(i_star[row]), float(p_star[row]), int(v_star[row]))
+            answer = check(instance, query)
+            assert answer.feasible, query
+            answers.append((instance, query.i_star, answer.witness))
+        return feasible
+
     gaps = []
     with pytest.MonkeyPatch.context() as mp:
-        # max_feasible_villagers looks the check up in feasibility, the
-        # effort bisection in tdbs.
-        mp.setattr(feasibility, "check_consistent", recording)
-        mp.setattr(tdbs, "check_consistent", recording)
+        # the candidate loop looks the batched check up in feasibility, the
+        # effort bisection in tdbs, and hw's bracket the single check in waterfill
+        mp.setattr(waterfill, "check_consistent", recording)
+        mp.setattr(feasibility, "feasible_rows", recording_rows)
+        mp.setattr(tdbs, "feasible_rows", recording_rows)
         for k, inst in enumerate(epsilon_family()):
             exact = solve_hw(inst).defender_utility
             for epsilon in EPSILONS:

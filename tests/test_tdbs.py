@@ -1,8 +1,10 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from patrolgame.bench import GenParams, generate_instance
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
@@ -24,6 +26,12 @@ class TestConfig:
     def test_epsilon_must_be_positive(self):
         with pytest.raises(GameDefinitionError):
             TdbsConfig(epsilon=0.0)
+
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), "0.1", 10**400])
+    def test_epsilon_must_be_a_finite_real(self, epsilon):
+        # an infinite epsilon used to end every effort bisection at once
+        with pytest.raises(GameDefinitionError):
+            TdbsConfig(epsilon=epsilon)
 
     def test_value_bound_floor(self):
         inst = Instance(0.5, 0, 0.3, 0.2, [0.1], [-0.1], [0.2], [-0.2])
@@ -96,3 +104,16 @@ class TestSolveTdbs:
             exact = solve_oracle(ts).defender_utility
             result = solve_tdbs(ts, TdbsConfig(1e-6))
             assert exact - result.defender_utility < utility_gap_bound(ts, 1e-6)
+
+
+def test_search_memory_stays_bounded():
+    # The lockstep searches hold O(block x n) temporaries and no witnesses;
+    # keeping every candidate's witness peaked at 15.8 MB here.
+    inst = generate_instance(GenParams(n=1000, r_p=500, r_v=500, seed=7))
+    tracemalloc.start()
+    try:
+        solve_tdbs(inst)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20, peak

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from patrolgame import feasibility, tdbs, waterfill
-from patrolgame.feasibility import FeasibilityQuery
+from patrolgame.feasibility import FeasibilityQuery, check_consistent, most_villagers
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
@@ -305,6 +305,7 @@ class TestSolveHw:
     def test_diagnostics_count_every_check(self, monkeypatch):
         calls = []
         check = feasibility.check_consistent
+        rows_of = feasibility.feasible_rows
         subproblems = []
         run_subproblem = waterfill._run_subproblem
 
@@ -312,12 +313,18 @@ class TestSolveHw:
             calls.append(query)
             return check(instance, query)
 
+        def recording_rows(instance, i_star, p_star, v_star):
+            calls.extend(zip(i_star, p_star, v_star))  # one check per row
+            return rows_of(instance, i_star, p_star, v_star)
+
         def recording_subproblem(instance, i_star, v_star, on_state=None):
             subproblems.append(i_star)
             return run_subproblem(instance, i_star, v_star, on_state)
 
-        for module in (feasibility, tdbs, waterfill):
+        for module in (feasibility, waterfill):
             monkeypatch.setattr(module, "check_consistent", recording)
+        for module in (feasibility, tdbs):
+            monkeypatch.setattr(module, "feasible_rows", recording_rows)
         monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
         unattackable = 0
         for k in range(12):
@@ -425,13 +432,10 @@ class TestBracketPruning:
 class TestStateInvariants:
     def collect(self, inst):
         runs = []
-        for i_star in range(inst.n):
-            from patrolgame.feasibility import FeasibilityQuery, check_consistent
-            from patrolgame.feasibility import max_feasible_villagers
-
-            if not check_consistent(inst, FeasibilityQuery(i_star, 0.0, 0)).feasible:
-                continue
-            v_star, _, _ = max_feasible_villagers(inst, i_star)
+        attackable = [
+            i for i in range(inst.n) if check_consistent(inst, FeasibilityQuery(i, 0.0, 0)).feasible
+        ]
+        for i_star, v_star in zip(attackable, most_villagers(inst, attackable)[0].tolist()):
             snaps = []
             hw_subproblem(inst, i_star, v_star, on_state=lambda s: snaps.append(s.snapshot()))
             runs.append((i_star, v_star, snaps))
