@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .model import GameDefinitionError, Instance
-from .planner import get_solver
+from .planner import csv_text, get_solver
 
 # Timeout convention: runs longer than the cap are recorded at the cap.
 DEFAULT_TIMEOUT = 7200.0
@@ -86,24 +86,7 @@ class BenchReport:
     CSV_HEADER = "algorithm,n,rp,rv,runs,mean_s,std_s,min_s,p97_s,timeouts"
 
     def to_csv(self) -> str:
-        lines = [self.CSV_HEADER]
-        for r in self.rows:
-            lines.append(
-                "%s,%d,%r,%d,%d,%r,%r,%r,%r,%d"
-                % (
-                    r.algorithm,
-                    r.n,
-                    r.r_p,
-                    r.r_v,
-                    r.runs,
-                    r.mean_s,
-                    r.std_s,
-                    r.min_s,
-                    r.p97_s,
-                    r.timeouts,
-                )
-            )
-        return "\n".join(lines) + "\n"
+        return csv_text(self.CSV_HEADER, (astuple(r) for r in self.rows))
 
     def write_csv(self, path) -> None:
         with open(path, "w") as fh:
@@ -121,8 +104,13 @@ def run_benchmark(
     Timing wraps the solve call only; the same ``runs`` instances (seeds
     seed, seed+1, ...) are shared by every algorithm in a cell, sequentially
     on one worker. Runs exceeding ``timeout`` seconds are recorded at the cap
-    and counted, not dropped.
+    and counted, not dropped. GameDefinitionError unless ``runs`` is at
+    least 1 and ``timeout`` is a nonnegative number.
     """
+    if runs < 1:
+        raise GameDefinitionError("runs must be at least 1")
+    if not timeout >= 0:  # also rejects NaN
+        raise GameDefinitionError("timeout must be a nonnegative number of seconds")
     solvers = {name: get_solver(name) for name in algorithms}
     rows: List[BenchRow] = []
     for params in grid:

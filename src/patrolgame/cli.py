@@ -23,6 +23,7 @@ from .planner import (
     budget_sweep,
     case_study_scenario,
     compare_with_baseline,
+    csv_text,
     effectiveness_grid,
     get_solver,
     grid_csv,
@@ -166,11 +167,8 @@ def _cmd_compare(args) -> int:
         print("wrote %d settings to %s" % (len(grid.settings), args.output))
         return 0
     comparison = compare_with_baseline(scenario, solver=args.algorithm, epsilon=args.epsilon)
-    lines = ["target,coverage_delta"]
-    for i, delta in enumerate(comparison.coverage_delta):
-        lines.append("%d,%r" % (i, float(delta)))
     with open(args.output, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(csv_text("target,coverage_delta", enumerate(comparison.coverage_delta)))
     print(
         "defender utility %.6f vs baseline %.6f (improvement %.4f); wrote %s"
         % (

@@ -53,6 +53,7 @@ from .model import (
     best_response,
     coverage_of,
     evaluate_profile,
+    utilities_of,
 )
 
 # Slack on the ranger-coverage sum: its trim lifts a utility by at most
@@ -97,7 +98,7 @@ def _min_coverage(instance, u) -> np.ndarray:
     payoff spread is zero (reward and penalty both zero by the sign
     constraints) the utility is 0 at any coverage, so c_min is 0.
     """
-    spread = instance.reward_att - instance.penalty_att
+    spread = instance.spread_att
     with np.errstate(divide="ignore", invalid="ignore"):
         c_min = (instance.reward_att - u) / spread
     np.clip(c_min, 0.0, 1.0, out=c_min)
@@ -175,10 +176,7 @@ def fixed_target_utilities(instance, i_star, p_star, v_star):
     utilities are then arrays too.
     """
     e_v = instance.e_v[i_star] if isinstance(instance.e_v, np.ndarray) else instance.e_v
-    c_star = np.minimum(instance.e_p * p_star + e_v * v_star, 1.0)
-    u_def = instance.reward_def[i_star] * c_star + instance.penalty_def[i_star] * (1.0 - c_star)
-    u_att = instance.reward_att[i_star] * (1.0 - c_star) + instance.penalty_att[i_star] * c_star
-    return u_def, u_att
+    return utilities_of(instance, np.minimum(instance.e_p * p_star + e_v * v_star, 1.0), i_star)
 
 
 def _witness(instance, query, coverage_remaining, villagers):
@@ -253,7 +251,10 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray) -> Tuple[np.ndar
     else:
         # Scalar e_v: whole pieces are all the same size and larger than any
         # remainder, so they go in target order and no sort is needed unless
-        # villagers are left over for the remainders.
+        # villagers are left over for the remainders. The general sort above
+        # gives the same bits for a scalar too, but this branch stays: sending
+        # scalars through it cut tdbs-synthetic from about 34 to about 21
+        # solves per second (2-vCPU VM).
         left = remainder
         in_order = n_whole[short] >= spare
         filled = _fill_in_order(whole_s[in_order], spare[in_order])

@@ -76,8 +76,9 @@ class Instance:
     ``e_v`` is a scalar or a read-only per-target vector (terrain can make a
     villager more effective on some targets than on others).
 
-    ``tol`` is derived, not set: the utility slack ``REL_TOL * max|payoff|``
-    over the four payoff vectors.
+    ``tol`` and ``spread_att`` are derived, not set: the utility slack
+    ``REL_TOL * max|payoff|`` over the four payoff vectors, and the read-only
+    per-target attacker payoff spread R_a - P_a (>= 0).
     """
 
     ranger_budget: float
@@ -89,6 +90,7 @@ class Instance:
     reward_att: np.ndarray
     penalty_att: np.ndarray
     tol: float = field(init=False, repr=False)
+    spread_att: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in _PAYOFFS:
@@ -127,15 +129,13 @@ class Instance:
         object.__setattr__(self, "villager_budget", int(villagers))
         scale = max(float(np.abs(getattr(self, name)).max()) for name in _PAYOFFS)
         object.__setattr__(self, "tol", REL_TOL * scale)
+        spread = self.reward_att - self.penalty_att
+        spread.setflags(write=False)
+        object.__setattr__(self, "spread_att", spread)
 
     @property
     def n(self) -> int:
         return self.reward_def.shape[0]
-
-    @property
-    def spread_att(self) -> np.ndarray:
-        """Per-target attacker payoff spread R_a - P_a (>= 0)."""
-        return self.reward_att - self.penalty_att
 
 
 @dataclass(frozen=True)
@@ -204,22 +204,32 @@ def coverage_of(instance, p: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.minimum(instance.e_p * p + np.asarray(instance.e_v) * v, 1.0)
 
 
+def utilities_of(instance, coverage, i):
+    """``target_utilities`` unchecked: (R_d * c + P_d * (1 - c), R_a * (1 - c) + P_a * c).
+
+    ``coverage`` and the target index ``i`` may each be a number or an array
+    (``i`` also a slice); they broadcast, and the utilities are arrays then.
+    """
+    u_d = instance.reward_def[i] * coverage + instance.penalty_def[i] * (1.0 - coverage)
+    u_a = instance.reward_att[i] * (1.0 - coverage) + instance.penalty_att[i] * coverage
+    return u_d, u_a
+
+
 def attacker_utilities(instance, coverage: np.ndarray) -> np.ndarray:
     """Vector of attacker expected utilities R_a * (1 - c) + P_a * c."""
-    return instance.reward_att * (1.0 - coverage) + instance.penalty_att * coverage
+    return utilities_of(instance, coverage, slice(None))[1]
 
 
 def defender_utilities(instance, coverage: np.ndarray) -> np.ndarray:
     """Vector of defender expected utilities R_d * c + P_d * (1 - c)."""
-    return instance.reward_def * coverage + instance.penalty_def * (1.0 - coverage)
+    return utilities_of(instance, coverage, slice(None))[0]
 
 
 def target_utilities(instance, c_i: float, i: int) -> Tuple[float, float]:
     """(defender, attacker) expected utility on target ``i`` at coverage ``c_i``."""
     if not 0.0 <= c_i <= 1.0:
         raise GameDefinitionError("coverage %r outside [0, 1]" % (c_i,))
-    u_d = instance.reward_def[i] * c_i + instance.penalty_def[i] * (1.0 - c_i)
-    u_a = instance.reward_att[i] * (1.0 - c_i) + instance.penalty_att[i] * c_i
+    u_d, u_a = utilities_of(instance, c_i, i)
     return float(u_d), float(u_a)
 
 
@@ -229,8 +239,7 @@ def best_response(instance, coverage: np.ndarray) -> BestResponse:
     Argmax of attacker utility; ties within ``instance.tol`` are broken in
     the defender's favour, remaining ties by lowest target index.
     """
-    u_a = attacker_utilities(instance, coverage)
-    u_d = defender_utilities(instance, coverage)
+    u_d, u_a = utilities_of(instance, coverage, slice(None))
     tied = np.flatnonzero(u_a >= u_a.max() - instance.tol)
     target = int(tied[np.argmax(u_d[tied])])
     return BestResponse(

@@ -37,6 +37,7 @@ from .model import (
     Instance,
     SolveResult,
     StrategyProfile,
+    _finite,
     compute_coverage,
     evaluate_profile,
 )
@@ -329,14 +330,10 @@ def added_budgets(instance: Instance, rangers: int, villagers: int) -> Instance:
 
 def _recruit_splits(budget: int, cost_ranger: float, cost_villager: float):
     """All (rangers, villagers) a budget buys, spending the rest on villagers."""
-    seen = set()
     # Nudge before flooring so exact multiples of a cost don't round down.
     max_rangers = int(math.floor(budget / cost_ranger + REL_TOL))
     for k in range(max_rangers + 1):
-        m = int(math.floor((budget - k * cost_ranger) / cost_villager + REL_TOL))
-        if (k, m) not in seen:
-            seen.add((k, m))
-            yield k, m
+        yield k, int(math.floor((budget - k * cost_ranger) / cost_villager + REL_TOL))
 
 
 def budget_sweep(
@@ -348,6 +345,8 @@ def budget_sweep(
     epsilon: float = DEFAULT_EPSILON,
 ) -> List[BudgetSweepRow]:
     """Best (rangers, villagers) recruitment split per extra budget 0..max_extra."""
+    cost_ranger = _finite(cost_ranger, "ranger cost")
+    cost_villager = _finite(cost_villager, "villager cost")
     if cost_ranger <= 0 or cost_villager <= 0:
         raise GameDefinitionError("recruit costs must be positive")
     solve = get_solver(solver, epsilon)
@@ -363,13 +362,20 @@ def budget_sweep(
     return rows
 
 
-def sweep_csv(rows: Sequence[BudgetSweepRow]) -> str:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            "%d,%d,%d,%r" % (r.extra_budget, r.rangers_added, r.villagers_added, r.defender_utility)
-        )
+def csv_text(header: str, rows) -> str:
+    """CSV lines: ``header``, then one line per row of cells.
+
+    Floats are written by shortest repr, so reading a cell back with
+    ``float()`` gives the same value; every other cell is written with ``str``.
+    """
+    lines = [header]
+    for row in rows:
+        lines.append(",".join(repr(float(x)) if isinstance(x, float) else str(x) for x in row))
     return "\n".join(lines) + "\n"
+
+
+def sweep_csv(rows: Sequence[BudgetSweepRow]) -> str:
+    return csv_text(SWEEP_CSV_HEADER, (dataclasses.astuple(r) for r in rows))
 
 
 def compare_with_baseline(
@@ -429,26 +435,26 @@ def effectiveness_grid(
 
 
 def grid_csv(grid: EffectivenessGrid) -> str:
-    lines = ["e_p,e_v,defender_utility,baseline_utility,improvement"]
-    for s in grid.settings:
-        lines.append(
-            "%r,%r,%r,%r,%r"
-            % (
+    return csv_text(
+        "e_p,e_v,defender_utility,baseline_utility,improvement",
+        (
+            (
                 s.e_p,
                 s.e_v,
                 s.comparison.optimal.defender_utility,
                 s.comparison.baseline_utility,
                 s.comparison.improvement,
             )
-        )
-    return "\n".join(lines) + "\n"
+            for s in grid.settings
+        ),
+    )
 
 
 def tally_csv(grid: EffectivenessGrid) -> str:
-    lines = ["target,increase_settings,decrease_settings"]
-    for i in range(grid.increase_count.shape[0]):
-        lines.append("%d,%d,%d" % (i, grid.increase_count[i], grid.decrease_count[i]))
-    return "\n".join(lines) + "\n"
+    return csv_text(
+        "target,increase_settings,decrease_settings",
+        zip(range(len(grid.increase_count)), grid.increase_count, grid.decrease_count),
+    )
 
 
 def shift_effectiveness(value: float, slope_class: str) -> float:

@@ -38,7 +38,7 @@ instance's utility slack ``instance.tol`` (see ``model``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -55,7 +55,7 @@ from .model import (
     SolveResult,
     StrategyProfile,
     attacker_utilities,
-    target_utilities,
+    utilities_of,
 )
 
 
@@ -74,27 +74,18 @@ class WaterfillState:
     next_level: Optional[float]
     critical: np.ndarray         # bool mask of the critical set
     ranger_remaining: float
-    unassigned_villagers: int
     swaps: int = 0
     iterations: int = 0
 
     def snapshot(self) -> "WaterfillState":
         """Deep-enough copy for invariant checks across iterations."""
-        return WaterfillState(
-            instance=self.instance,
-            i_star=self.i_star,
+        return replace(
+            self,
             u_att=self.u_att.copy(),
             u_att_villagers=self.u_att_villagers.copy(),
             effort=self.effort.copy(),
             villagers=self.villagers.copy(),
-            width=self.width,
-            sea_level=self.sea_level,
-            next_level=self.next_level,
             critical=self.critical.copy(),
-            ranger_remaining=self.ranger_remaining,
-            unassigned_villagers=self.unassigned_villagers,
-            swaps=self.swaps,
-            iterations=self.iterations,
         )
 
 
@@ -107,21 +98,32 @@ class SwapCandidate:
     i_outv: int  # below-sea target giving up one villager
 
 
-def min_drop_before_swap(state: WaterfillState, i: int, j: int) -> float:
+def _drop(state: WaterfillState, i, j, spread_gap):
     """Sea-level drop from u_att[i] until the (i, j) critical point.
 
     At the critical level, the ranger coverage on ``i`` equals the above-sea
-    part of the last villager's coverage on ``j``. Requires i in the critical
-    set, j outside it with a villager, and differing payoff spreads.
+    part of the last villager's coverage on ``j``. ``spread_gap`` is the
+    divisor, the payoff spread of ``j`` less that of ``i``. Index arrays
+    broadcast: a column of ``i`` and a row of ``j`` give a matrix of drops.
     """
     inst = state.instance
     spread = inst.spread_att
-    s_i, s_j = float(spread[i]), float(spread[j])
-    if s_i == s_j:
+    one_less = inst.reward_att[j] - spread[j] * inst.e_v * (state.villagers[j] - 1)
+    villagers_only = state.u_att_villagers[i]
+    ranger_dip = state.u_att[i] - villagers_only
+    return ranger_dip + (one_less - villagers_only) * spread[i] / spread_gap
+
+
+def min_drop_before_swap(state: WaterfillState, i: int, j: int) -> float:
+    """Sea-level drop from u_att[i] until the (i, j) critical point.
+
+    Requires i in the critical set, j outside it with a villager, and
+    differing payoff spreads.
+    """
+    spread = state.instance.spread_att
+    if spread[i] == spread[j]:
         raise GameDefinitionError("equal payoff spreads admit no critical point")
-    one_less = inst.reward_att[j] - s_j * inst.e_v * (state.villagers[j] - 1)
-    ranger_dip = state.u_att[i] - state.u_att_villagers[i]
-    return float(ranger_dip + (one_less - state.u_att_villagers[i]) * s_i / (s_j - s_i))
+    return float(_drop(state, i, j, spread[j] - spread[i]))
 
 
 def get_swap_line(state: WaterfillState) -> Optional[SwapCandidate]:
@@ -145,33 +147,24 @@ def get_swap_line(state: WaterfillState) -> Optional[SwapCandidate]:
     if members.size == 0 or donors.size == 0:
         return None
 
+    members, donors = members[:, None], donors[None, :]
     spread = inst.spread_att
-    s_i = spread[members][:, None]
-    s_j = spread[donors][None, :]
-    diff = s_j - s_i  # > 0 means the donor is strictly narrower
-    one_less = inst.reward_att[donors] - spread[donors] * inst.e_v * (
-        state.villagers[donors] - 1
-    )
-    villagers_only = state.u_att_villagers[members][:, None]
-    ranger_dip = (state.u_att[members] - state.u_att_villagers[members])[:, None]
-    raw = ranger_dip + (one_less[None, :] - villagers_only) * s_i / np.where(
-        diff > 0, diff, np.inf
-    )
+    diff = spread[donors] - spread[members]  # > 0 means the donor is strictly narrower
+    raw = _drop(state, members, donors, np.where(diff > 0, diff, np.inf))
     drops = np.maximum(raw, 0.0)  # tolerance-level negatives mean "swap now"
     ok = (
         (diff > 0)
         & (raw >= -inst.tol)  # critical points already passed never recur
-        & (state.sea_level - drops >= inst.penalty_att[donors][None, :] - inst.tol)
+        & (state.sea_level - drops >= inst.penalty_att[donors] - inst.tol)
     )
     drops = np.where(ok, drops, np.inf)
-    flat = int(np.argmin(drops))
-    mi, dj = divmod(flat, donors.size)
+    mi, dj = divmod(int(np.argmin(drops)), donors.size)
     if not np.isfinite(drops[mi, dj]):
         return None
     return SwapCandidate(
         u_change=float(drops[mi, dj]),
-        i_outp=int(members[mi]),
-        i_outv=int(donors[dj]),
+        i_outp=int(members[mi, 0]),
+        i_outv=int(donors[0, dj]),
     )
 
 
@@ -182,35 +175,37 @@ def _greedy_villagers(inst, i_star: int, v_star: int):
     villagers[i_star] = v_star
     u_att = attacker_utilities(inst, np.minimum(inst.e_v * villagers, 1.0))
     idx = np.arange(n)
-    spare = inst.villager_budget - v_star
-    placed = 0
-    for _ in range(spare):
+    for _ in range(inst.villager_budget - v_star):
         eligible = (idx != i_star) & (u_att - inst.penalty_att > inst.tol)
         if not eligible.any():
             break
         j = int(np.argmax(np.where(eligible, u_att, -np.inf)))
         villagers[j] += 1
-        u_att[j] = target_utilities(inst, min(inst.e_v * villagers[j], 1.0), j)[1]
-        placed += 1
-    return villagers, u_att, spare - placed
+        u_att[j] = utilities_of(inst, min(inst.e_v * villagers[j], 1.0), j)[1]
+    return villagers, u_att
 
 
-def _refresh_levels(state: WaterfillState) -> bool:
-    """Recompute sea level, next level, and critical set; False if all pinned."""
+def _refresh_levels(state: WaterfillState) -> np.ndarray:
+    """Recompute sea level, next level, and critical set; returns the pinned mask.
+
+    A target is pinned when its attacker utility sits at its penalty floor;
+    when all are, ``sea_level`` becomes None.
+    """
     tol = state.instance.tol
-    unpinned = np.abs(state.u_att - state.instance.penalty_att) > tol
-    if not unpinned.any():
+    pinned = np.abs(state.u_att - state.instance.penalty_att) <= tol
+    if pinned.all():
         state.sea_level = None
         state.next_level = None
         state.critical = np.zeros(state.instance.n, dtype=bool)
-        return False
+        return pinned
+    unpinned = ~pinned
     sea = float(state.u_att[unpinned].max())
     critical = unpinned & (state.u_att >= sea - tol)
     below = unpinned & ~critical
     state.sea_level = sea
     state.next_level = float(state.u_att[below].max()) if below.any() else None
     state.critical = critical
-    return True
+    return pinned
 
 
 def hw_subproblem(
@@ -247,7 +242,7 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         width = np.where(spread > 0, 1.0 / spread, np.inf)
     width.setflags(write=False)
 
-    villagers, u_att, unassigned = _greedy_villagers(instance, i_star, v_star)
+    villagers, u_att = _greedy_villagers(instance, i_star, v_star)
     state = WaterfillState(
         instance=instance,
         i_star=i_star,
@@ -260,16 +255,15 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         next_level=None,
         critical=np.zeros(n, dtype=bool),
         ranger_remaining=float(instance.ranger_budget),
-        unassigned_villagers=unassigned,
     )
 
     tol = instance.tol
     max_iterations = 4 * (n * n + 2 * n) + 64
     while state.ranger_remaining > 0.0:
-        if not _refresh_levels(state):
+        pinned = _refresh_levels(state)
+        if state.sea_level is None:
             break
         u_star = float(state.u_att[i_star])
-        pinned = np.abs(state.u_att - penalty) <= tol
         # Terminal: the sea has reached the fixed target's level and some
         # penalty floor pins it there, so no further lowering is possible.
         if state.sea_level <= u_star + tol and bool(
@@ -285,21 +279,19 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         swap = get_swap_line(state)
         do_swap = swap is not None
         u_delta = swap.u_change if swap is not None else np.inf
+        # The pour stops at the highest of: the critical set's penalty floor
+        # (every floor once the fixed target is critical), the next level
+        # down, and the fixed target's own level. The last duplicates the
+        # next level when the fixed target is unpinned, but a pinned one
+        # (zero spread) never enters the critical set to stop the pour.
         if state.critical[i_star]:
-            floor = float(penalty.max())
+            stop = float(penalty.max())
         else:
-            floor = float(penalty[state.critical].max())
-        if state.sea_level - u_delta < floor:
-            u_delta = state.sea_level - floor
-            do_swap = False
-        if state.next_level is not None and state.sea_level - u_delta < state.next_level:
-            u_delta = state.sea_level - state.next_level
-            do_swap = False
-        # Never pour other targets below the fixed target's level; when that
-        # target is unpinned this duplicates the next-level cap, but a pinned
-        # one (zero spread) never enters the critical set to stop the pour.
-        if not state.critical[i_star] and state.sea_level - u_delta < u_star:
-            u_delta = state.sea_level - u_star
+            stop = max(float(penalty[state.critical].max()), u_star)
+        if state.next_level is not None:
+            stop = max(stop, state.next_level)
+        if state.sea_level - u_delta < stop:
+            u_delta = state.sea_level - stop
             do_swap = False
         u_delta = max(u_delta, 0.0)
 
@@ -324,8 +316,8 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
             for t in (j, k):
                 c_v = instance.e_v * state.villagers[t]
                 c_full = min(instance.e_p * state.effort[t] + c_v, 1.0)
-                state.u_att[t] = target_utilities(instance, c_full, t)[1]
-                state.u_att_villagers[t] = target_utilities(instance, min(c_v, 1.0), t)[1]
+                state.u_att[t] = utilities_of(instance, c_full, t)[1]
+                state.u_att_villagers[t] = utilities_of(instance, min(c_v, 1.0), t)[1]
             state.swaps += 1
 
     # A zero-spread fixed target keeps attacker utility 0 at any coverage,

@@ -55,6 +55,13 @@ class TestRunBenchmark:
         assert row.timeouts == 3
         assert row.mean_s == 0.0 and row.min_s == 0.0
 
+    @pytest.mark.parametrize(
+        "runs, timeout", [(0, 100.0), (-2, 100.0), (2, -1.0), (2, float("nan"))]
+    )
+    def test_degenerate_arguments_rejected(self, runs, timeout):
+        with pytest.raises(GameDefinitionError):
+            run_benchmark([GenParams(n=2, r_p=1.0, r_v=1, seed=0)], ["tdbs"], runs=runs, timeout=timeout)
+
     def test_unknown_algorithm(self):
         with pytest.raises(GameDefinitionError):
             run_benchmark([GenParams(n=2, r_p=1.0, r_v=1, seed=0)], ["simplex"], runs=1)
@@ -68,6 +75,18 @@ class TestRunBenchmark:
         assert lines[0] == "algorithm,n,rp,rv,runs,mean_s,std_s,min_s,p97_s,timeouts"
         assert len(lines) == 2
         assert lines[1].startswith("oracle,2,")
+
+    def test_csv_cells_read_back_exactly(self):
+        grid = [GenParams(n=n, r_p=1.5, r_v=1, seed=5) for n in (2, 3)]
+        report = run_benchmark(grid, ["tdbs", "hw"], runs=3, timeout=100.0)
+        lines = report.to_csv().split("\n")
+        assert lines[-1] == "" and len(lines) == len(report.rows) + 2
+        for line, row in zip(lines[1:], report.rows):
+            cells = line.split(",")
+            assert cells[0] == row.algorithm
+            assert [int(cells[k]) for k in (1, 3, 4, 9)] == [row.n, row.r_v, row.runs, row.timeouts]
+            assert [float(c) for c in cells[5:9]] == [row.mean_s, row.std_s, row.min_s, row.p97_s]
+            assert float(cells[2]) == row.r_p
 
 
 class TestScalingShape:

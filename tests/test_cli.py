@@ -6,6 +6,8 @@ from patrolgame.cli import build_parser, cli_dispatch
 from patrolgame.model import evaluate_profile, validate_profile
 from patrolgame.planner import (
     ScenarioInstance,
+    case_study_scenario,
+    compare_with_baseline,
     load_instance,
     load_result,
     save_instance,
@@ -150,6 +152,17 @@ class TestBench:
         assert len(lines) == 3
         capsys.readouterr()
 
+    @pytest.mark.parametrize(
+        "flags", [["--runs", "0"], ["--runs", "-2"], ["--timeout", "-1"], ["--timeout", "nan"]]
+    )
+    def test_degenerate_arguments_are_validation_errors(self, tmp_path, capsys, flags):
+        out = tmp_path / "bench.csv"
+        code = cli_dispatch(["bench", "--n", "3", "--runs", "2", "--output", str(out)] + flags)
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestSweepCompare:
     def test_sweep_on_bundled_case_study(self, tmp_path, capsys):
@@ -168,6 +181,35 @@ class TestSweepCompare:
         assert cli_dispatch(["compare", "--algorithm", "tdbs", "--output", str(out)]) == 0
         assert out.read_text().startswith("target,coverage_delta")
         capsys.readouterr()
+
+    def test_compare_cells_read_back_exactly(self, tmp_path, capsys):
+        out = tmp_path / "compare.csv"
+        assert cli_dispatch(["compare", "--algorithm", "hw", "--output", str(out)]) == 0
+        capsys.readouterr()
+        delta = compare_with_baseline(case_study_scenario(), solver="hw").coverage_delta
+        lines = out.read_text().split("\n")
+        assert lines[0] == "target,coverage_delta"
+        assert lines[-1] == "" and len(lines) == delta.size + 2
+        for i, line in enumerate(lines[1:-1]):
+            target, value = line.split(",")
+            assert int(target) == i and float(value) == delta[i]
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--cost-ranger", "nan"),
+            ("--cost-ranger", "inf"),
+            ("--cost-villager", "nan"),
+            ("--cost-villager", "inf"),
+        ],
+    )
+    def test_non_finite_cost_is_validation_error(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "sweep.csv"
+        code = cli_dispatch(["sweep", "--budget-max", "2", flag, value, "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "cost" in err and "Traceback" not in err
+        assert not out.exists()
 
     def test_usage_error_without_subcommand(self, capsys):
         assert cli_dispatch([]) == 2

@@ -83,6 +83,20 @@ class TestInstanceValidation:
         with pytest.raises(TypeError):
             make(tol=1.0)
 
+    def test_spread_is_derived_and_read_only(self):
+        inst = make(reward_att=[3.0, 0.0], penalty_att=[-1.0, 0.0])
+        assert inst.spread_att.tolist() == [4.0, 0.0]
+        assert inst.spread_att is inst.spread_att  # a field, not rebuilt per read
+        with pytest.raises(ValueError):
+            inst.spread_att[0] = 1.0
+        scaled = dataclasses.replace(inst, reward_att=[5.0, 2.0])
+        assert scaled.spread_att.tolist() == [6.0, 2.0]
+        assert inst.spread_att.tolist() == [4.0, 0.0]
+        with pytest.raises(TypeError):
+            make(spread_att=[1.0, 1.0])
+        with pytest.raises(ValueError):
+            dataclasses.replace(inst, spread_att=np.ones(2))
+
     @pytest.mark.parametrize(
         "bad", [np.nan, np.inf, -np.inf, pytest.param(10**400, id="400-digits")]
     )

@@ -19,6 +19,7 @@ from patrolgame.planner import (
     compare_with_baseline,
     effectiveness_grid,
     get_solver,
+    grid_csv,
     load_instance,
     load_result,
     save_instance,
@@ -26,6 +27,7 @@ from patrolgame.planner import (
     scenario_to_dict,
     shift_effectiveness,
     sweep_csv,
+    tally_csv,
     terrain_adjust,
     with_effectiveness,
 )
@@ -188,6 +190,48 @@ class TestBudgetSweep:
         text = sweep_csv(rows)
         assert text.startswith("extra_budget,rangers_added,villagers_added,defender_utility\n")
         assert len(text.strip().split("\n")) == 3
+
+    def test_csv_cells_read_back_exactly(self):
+        rows = budget_sweep(ScenarioInstance(random_instance(71, n=5, r_p=1.3, r_v=2)), max_extra=5)
+        cells = read_csv(sweep_csv(rows), len(rows))
+        for line, row in zip(cells, rows):
+            assert [int(c) for c in line[:3]] == [
+                row.extra_budget, row.rangers_added, row.villagers_added
+            ]
+            assert float(line[3]) == row.defender_utility
+
+    @pytest.mark.parametrize("cost", [np.nan, np.inf, -np.inf, 0.0, -1.0, "3"])
+    def test_costs_must_be_finite_and_positive(self, cost):
+        with pytest.raises(GameDefinitionError):
+            budget_sweep(self.scenario(), max_extra=1, cost_ranger=cost)
+        with pytest.raises(GameDefinitionError):
+            budget_sweep(self.scenario(), max_extra=1, cost_villager=cost)
+
+
+def read_csv(text, rows):
+    """The cells of every line after the header, checking the line count."""
+    lines = text.split("\n")
+    assert lines[-1] == "" and len(lines) == rows + 2
+    return [line.split(",") for line in lines[1:-1]]
+
+
+class TestGridCsv:
+    def test_cells_read_back_exactly(self):
+        grid = effectiveness_grid(case_study_scenario(), solver="hw", values=(0.3, 0.55, 0.9))
+        assert len(grid.settings) == 6
+        for line, s in zip(read_csv(grid_csv(grid), 6), grid.settings):
+            assert [float(c) for c in line] == [
+                s.e_p,
+                s.e_v,
+                s.comparison.optimal.defender_utility,
+                s.comparison.baseline_utility,
+                s.comparison.improvement,
+            ]
+        tally = read_csv(tally_csv(grid), 21)
+        assert [[int(c) for c in line] for line in tally] == [
+            [i, int(up), int(down)]
+            for i, (up, down) in enumerate(zip(grid.increase_count, grid.decrease_count))
+        ]
 
 
 class TestCompareWithBaseline:

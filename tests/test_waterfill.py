@@ -60,7 +60,6 @@ def make_state(inst, i_star, p, v):
         next_level=float(u_att[below].max()) if below.any() else None,
         critical=critical,
         ranger_remaining=float(inst.ranger_budget - p.sum()),
-        unassigned_villagers=0,
     )
 
 
