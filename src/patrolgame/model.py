@@ -46,6 +46,19 @@ class ProfileValidationError(ValueError):
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
+    """``values`` as a read-only 1-D array of ``dtype``.
+
+    An array that already is one, and owns its data, is returned as it is,
+    so instances made by ``dataclasses.replace`` share their vectors.
+    """
+    if (
+        type(values) is np.ndarray
+        and values.dtype == dtype
+        and values.ndim == 1
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     try:
         arr = np.array(values, dtype=dtype)
     except (TypeError, ValueError, OverflowError):
@@ -66,7 +79,7 @@ def _finite(value, what: str) -> float:
     raise GameDefinitionError("%s must be a finite real number" % what)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     """One game: budgets, effectiveness, and per-target payoff vectors.
 
@@ -138,7 +151,7 @@ class Instance:
         return self.reward_def.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrategyProfile:
     """Ranger effort vector (continuous) plus villager count vector (integral)."""
 
@@ -170,7 +183,7 @@ class BestResponse:
     defender_utility: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SolveResult:
     """A solver's answer: the profile, the attacked target, and utilities.
 

@@ -345,6 +345,8 @@ def budget_sweep(
     epsilon: float = DEFAULT_EPSILON,
 ) -> List[BudgetSweepRow]:
     """Best (rangers, villagers) recruitment split per extra budget 0..max_extra."""
+    if max_extra < 0:
+        raise GameDefinitionError("extra budget must be nonnegative")
     cost_ranger = _finite(cost_ranger, "ranger cost")
     cost_villager = _finite(cost_villager, "villager cost")
     if cost_ranger <= 0 or cost_villager <= 0:

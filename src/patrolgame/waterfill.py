@@ -1,9 +1,11 @@
 """Exact solver: greedy villager placement, ranger waterfilling, and swaps.
 
 For a fixed attacked target and villager count on it, remaining villagers go
-greedily to whichever other target currently offers the attacker the most.
+greedily to whichever other target currently offers the attacker the most
+(one stable sort of every target's utility after each further villager).
 Ranger effort is then poured onto the set of targets tied at the highest
-attacker utility (the critical set), lowering that "sea level" uniformly.
+attacker utility (the critical set), lowering that "sea level" uniformly;
+a target below the sea merges into the set when the sea reaches it.
 Pouring pauses at critical points where one villager below the sea can trade
 places with a critical target's ranger effort at no change in level; the
 trade (a swap) moves the villager to a wider target, shrinking the effort
@@ -11,6 +13,13 @@ needed per unit of further lowering. Iterating to ranger exhaustion yields
 the waste-minimal, utility-optimal completion; ``solve_hw`` runs it for the
 candidates of the shared loop ``feasibility.best_candidate`` that can still
 win.
+
+Events: one iteration of the pour loop is one event. Merges are not events:
+the pour runs past any number of them, with running sums over the targets
+below the sea, straight to the highest of the next swap, the next penalty
+floor (or the fixed target's level) and the level where the ranger budget
+runs out (``_next_event``). ``diagnostics["iterations"]`` counts these
+events, and ``get_swap_line`` is called once per iteration.
 
 Bracket pruning: the loop hands each candidate the incumbent, the best
 defender utility some profile is known to reach. Before waterfilling,
@@ -38,6 +47,7 @@ instance's utility slack ``instance.tol`` (see ``model``).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -57,6 +67,10 @@ from .model import (
     attacker_utilities,
     utilities_of,
 )
+
+# Heads (a target's utility after one more villager) ``_greedy_villagers``
+# ranks in its first sort; a target gets more only when it fills its share.
+_GREEDY_CELLS = 2**16
 
 
 @dataclass
@@ -127,17 +141,26 @@ def min_drop_before_swap(state: WaterfillState, i: int, j: int) -> float:
 
 
 def get_swap_line(state: WaterfillState) -> Optional[SwapCandidate]:
-    """Smallest qualifying drop over all (critical, donor) target pairs.
+    """The highest qualifying swap event on the sea's descent.
 
-    Donors must sit outside the critical set with a villager, no ranger
-    effort, and strictly smaller width; pairs whose critical point lies below
-    the donor's penalty floor, or behind the current level, don't qualify.
+    A (critical, donor) pair's critical point is a level that depends only on
+    the two targets' villager counts, so it holds for the whole descent: the
+    first target may be critical now or merge into the critical set on the
+    way down (members are every unpinned target but the fixed one), and the
+    donor must still sit below the sea when it gets there. Donors sit
+    outside the critical set with a villager, no ranger effort, and strictly
+    smaller width; pairs whose critical point lies below the donor's penalty
+    floor, or behind the current level, don't qualify. ``u_change`` is the
+    sea's drop to the event.
     """
     if state.sea_level is None:
         return None
     inst = state.instance
+    sea = state.sea_level
     idx = np.arange(inst.n)
-    members = np.flatnonzero(state.critical & (idx != state.i_star))
+    pinned = np.abs(state.u_att - inst.penalty_att) <= inst.tol
+    joins = np.where(state.critical, sea, state.u_att)  # sea level at which each target is critical
+    members = np.flatnonzero(~pinned & (idx != state.i_star))
     donors = np.flatnonzero(
         ~state.critical
         & (idx != state.i_star)
@@ -151,37 +174,67 @@ def get_swap_line(state: WaterfillState) -> Optional[SwapCandidate]:
     spread = inst.spread_att
     diff = spread[donors] - spread[members]  # > 0 means the donor is strictly narrower
     raw = _drop(state, members, donors, np.where(diff > 0, diff, np.inf))
-    drops = np.maximum(raw, 0.0)  # tolerance-level negatives mean "swap now"
+    # The sea level at the event; tolerance-level negative drops mean "swap now".
+    level = joins[members] - np.maximum(raw, 0.0)
     ok = (
         (diff > 0)
         & (raw >= -inst.tol)  # critical points already passed never recur
-        & (state.sea_level - drops >= inst.penalty_att[donors] - inst.tol)
+        & (level >= inst.penalty_att[donors] - inst.tol)
+        & (pinned[donors] | (state.u_att[donors] <= level))  # the donor has not merged
     )
-    drops = np.where(ok, drops, np.inf)
-    mi, dj = divmod(int(np.argmin(drops)), donors.size)
-    if not np.isfinite(drops[mi, dj]):
+    level = np.where(ok, level, -np.inf)
+    mi, dj = divmod(int(np.argmax(level)), donors.size)
+    if not ok[mi, dj]:
         return None
     return SwapCandidate(
-        u_change=float(drops[mi, dj]),
+        u_change=sea - float(level[mi, dj]),
         i_outp=int(members[mi, 0]),
         i_outv=int(donors[0, dj]),
     )
 
 
 def _greedy_villagers(inst, i_star: int, v_star: int):
-    """Place spare villagers on the max-attacker-utility unpinned targets."""
+    """Place spare villagers on the max-attacker-utility unpinned targets.
+
+    One villager at a time, each going where the attacker's utility is
+    highest (ties to the lowest target) while that target stays more than
+    ``tol`` above its penalty floor. A target's utilities after 0, 1, 2, ...
+    villagers (its heads) fall strictly while it stays eligible, so this is
+    one stable sort of every eligible head, taking the ``spare`` largest.
+    No target takes more than min(spare, ceil(1 / e_v) + 1) villagers. The
+    sort ranks a window of heads per target, ``_GREEDY_CELLS`` heads in all
+    at first; a target that fills its window gets a wider one and the sort
+    runs again, so memory follows the villagers placed, not targets times
+    villagers.
+    """
     n = inst.n
     villagers = np.zeros(n, dtype=np.int64)
     villagers[i_star] = v_star
     u_att = attacker_utilities(inst, np.minimum(inst.e_v * villagers, 1.0))
-    idx = np.arange(n)
-    for _ in range(inst.villager_budget - v_star):
-        eligible = (idx != i_star) & (u_att - inst.penalty_att > inst.tol)
-        if not eligible.any():
+    spare = inst.villager_budget - v_star
+    eligible = np.flatnonzero((np.arange(n) != i_star) & (u_att - inst.penalty_att > inst.tol))
+    if spare == 0 or eligible.size == 0:
+        return villagers, u_att
+    depth = min(spare, math.ceil(1.0 / inst.e_v) + 1)
+    window = np.full(eligible.size, min(depth, max(1, _GREEDY_CELLS // eligible.size)))
+    while True:
+        # Heads in (target, count) order, so the stable sort breaks ties to
+        # the lower target.
+        row = np.repeat(np.arange(eligible.size), window)
+        count = np.arange(row.size) - np.repeat(np.cumsum(window) - window, window)
+        target = eligible[row]
+        heads = utilities_of(inst, np.minimum(inst.e_v * count, 1.0), target)[1]
+        heads[~(heads - inst.penalty_att[target] > inst.tol)] = -np.inf
+        taken = np.argsort(-heads, kind="stable")[:spare]
+        counts = np.bincount(row[taken[heads[taken] > -np.inf]], minlength=eligible.size)
+        full = (counts == window) & (window < depth)
+        if not full.any():
             break
-        j = int(np.argmax(np.where(eligible, u_att, -np.inf)))
-        villagers[j] += 1
-        u_att[j] = utilities_of(inst, min(inst.e_v * villagers[j], 1.0), j)[1]
+        # A target short of its window never needs a deeper one: heads added
+        # for the others only raise the cutoff.
+        window = np.where(full, np.minimum(4 * window, depth), np.minimum(counts + 1, window))
+    villagers[eligible] = counts
+    u_att[eligible] = utilities_of(inst, np.minimum(inst.e_v * counts, 1.0), eligible)[1]
     return villagers, u_att
 
 
@@ -208,6 +261,54 @@ def _refresh_levels(state: WaterfillState) -> np.ndarray:
     return pinned
 
 
+def _next_event(state: WaterfillState, pinned: np.ndarray, u_star: float):
+    """Where the next pour stops: ``(level, budget_spent, swap)``.
+
+    The sea descends from its level; each unpinned target below it merges
+    into the critical set when the sea reaches that target's level, so
+    between two merge levels the set is fixed and running sums give what a
+    pour to any level L costs, ``sum(width * (top - L)) / e_p``, with ``top``
+    the sea for the current critical set and a merged target's own level.
+    The pour stops at the highest of three events:
+
+    - a floor: the highest penalty floor in the set (every floor once the
+      fixed target is critical) and, while it is not, the fixed target's own
+      level, which a pinned fixed target never reaches by merging;
+    - the budget: the level at which the ranger budget is spent
+      (``budget_spent``);
+    - a swap: the highest critical point ``get_swap_line`` finds, if it is
+      at or above the other two (``swap``, else None). Ties go to the swap.
+    """
+    inst = state.instance
+    penalty = inst.penalty_att
+    sea, critical, u_att = state.sea_level, state.critical, state.u_att
+    if critical[state.i_star]:
+        floor = float(penalty.max())
+    else:
+        floor = max(float(penalty[critical].max()), u_star)
+    # Targets at or below the first floor stop never merge.
+    merging = np.flatnonzero(~pinned & ~critical & (u_att > floor))
+    merging = merging[np.argsort(-u_att[merging], kind="stable")]
+    levels = u_att[merging]
+    # Segment k runs from the sea (k = 0) or the k-th merge level down to the
+    # next one, with the critical set and the first k merged targets wet.
+    widths = state.width[merging]
+    width_sum = np.cumsum(np.concatenate(([state.width[critical].sum()], widths)))
+    top_sum = np.cumsum(np.concatenate(([sea * width_sum[0]], widths * levels)))
+    bottom = np.append(levels, -np.inf)
+    floors = np.maximum.accumulate(np.concatenate(([floor], penalty[merging])))
+    k = int(np.argmax(floors >= bottom))
+    floor_level = min(float(floors[k]), sea)
+    budget = state.ranger_remaining * inst.e_p
+    k = int(np.argmax(top_sum - bottom * width_sum > budget))
+    budget_level = float((top_sum[k] - budget) / width_sum[k])
+    lowest = max(floor_level, budget_level)
+    swap = get_swap_line(state)
+    if swap is not None and sea - swap.u_change >= lowest:
+        return sea - swap.u_change, False, swap
+    return lowest, budget_level >= floor_level, None
+
+
 def hw_subproblem(
     instance: Instance,
     i_star: int,
@@ -217,7 +318,10 @@ def hw_subproblem(
     """Optimal completion for a fixed attacked target and villager count on it.
 
     ``on_state`` is invoked with the live state at the top of every
-    waterfilling iteration and once after termination (snapshot to keep).
+    waterfilling iteration, each of which pours to one event (a swap, a
+    penalty floor or the fixed target's level, or the end of the ranger
+    budget) past any merges on the way, and once after termination
+    (snapshot to keep).
     Raises GameDefinitionError for a per-target ``e_v``, or when ``v_star``
     villagers on ``i_star`` admit no consistent completion.
     """
@@ -276,36 +380,25 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         if on_state is not None:
             on_state(state)
 
-        swap = get_swap_line(state)
+        level, budget_spent, swap = _next_event(state, pinned, u_star)
         do_swap = swap is not None
-        u_delta = swap.u_change if swap is not None else np.inf
-        # The pour stops at the highest of: the critical set's penalty floor
-        # (every floor once the fixed target is critical), the next level
-        # down, and the fixed target's own level. The last duplicates the
-        # next level when the fixed target is unpinned, but a pinned one
-        # (zero spread) never enters the critical set to stop the pour.
-        if state.critical[i_star]:
-            stop = float(penalty.max())
-        else:
-            stop = max(float(penalty[state.critical].max()), u_star)
-        if state.next_level is not None:
-            stop = max(stop, state.next_level)
-        if state.sea_level - u_delta < stop:
-            u_delta = state.sea_level - stop
-            do_swap = False
-        u_delta = max(u_delta, 0.0)
-
-        width_sum = float(state.width[state.critical].sum())
-        pour = width_sum * u_delta / instance.e_p
-        if pour > state.ranger_remaining:
-            pour = state.ranger_remaining
-            do_swap = False
-        u_delta = pour * instance.e_p / width_sum
-        if u_delta <= 0.0 and not do_swap:
+        sea = state.sea_level
+        if level >= sea and not do_swap:
             break  # floor reached within tolerance; nothing left to lower
-        state.ranger_remaining -= pour
-        state.u_att[state.critical] -= u_delta
-        state.effort[state.critical] += u_delta * state.width[state.critical] / instance.e_p
+        critical = state.critical
+        merged = np.flatnonzero(~pinned & ~critical & (state.u_att > level))
+        drop = sea - level
+        poured_critical = drop * state.width[critical] / instance.e_p
+        poured_merged = (state.u_att[merged] - level) * state.width[merged] / instance.e_p
+        if budget_spent:
+            state.ranger_remaining = 0.0
+        else:
+            pour = float(poured_critical.sum() + poured_merged.sum())
+            state.ranger_remaining = max(state.ranger_remaining - pour, 0.0)
+        state.u_att[critical] -= drop
+        state.effort[critical] += poured_critical
+        state.u_att[merged] = level
+        state.effort[merged] += poured_merged
 
         if do_swap:
             j, k = swap.i_outv, swap.i_outp

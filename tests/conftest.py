@@ -18,7 +18,14 @@ from patrolgame.feasibility import (
     check_consistent,
     fixed_target_utilities,
 )
-from patrolgame.model import Instance, evaluate_profile
+from patrolgame.model import (
+    Instance,
+    StrategyProfile,
+    attacker_utilities,
+    evaluate_profile,
+    utilities_of,
+)
+from patrolgame.waterfill import WaterfillState
 
 
 def random_instance(seed, n, r_p, r_v):
@@ -264,3 +271,173 @@ def solve_hw_sequential(inst):
         }
 
     return best_candidate_sequential(inst, complete)
+
+
+# ---------------------------------------------------------------------------
+# The waterfilling subproblem one merge at a time: the former pour loop,
+# kept as the reference for the event-driven one in ``waterfill``. Every
+# iteration stops when the sea reaches one more target's level, and swaps
+# are looked for among the critical targets only.
+
+
+def swap_line_per_merge(state):
+    """Smallest qualifying drop over all (critical, donor) target pairs.
+
+    Donors must sit outside the critical set with a villager, no ranger
+    effort, and strictly smaller width; pairs whose critical point lies below
+    the donor's penalty floor, or behind the current level, don't qualify.
+    """
+    if state.sea_level is None:
+        return None
+    inst = state.instance
+    idx = np.arange(inst.n)
+    members = np.flatnonzero(state.critical & (idx != state.i_star))
+    donors = np.flatnonzero(
+        ~state.critical
+        & (idx != state.i_star)
+        & (state.villagers > 0)
+        & (state.effort == 0.0)
+    )
+    if members.size == 0 or donors.size == 0:
+        return None
+
+    members, donors = members[:, None], donors[None, :]
+    spread = inst.spread_att
+    diff = spread[donors] - spread[members]  # > 0 means the donor is strictly narrower
+    raw = waterfill._drop(state, members, donors, np.where(diff > 0, diff, np.inf))
+    drops = np.maximum(raw, 0.0)  # tolerance-level negatives mean "swap now"
+    ok = (
+        (diff > 0)
+        & (raw >= -inst.tol)  # critical points already passed never recur
+        & (state.sea_level - drops >= inst.penalty_att[donors] - inst.tol)
+    )
+    drops = np.where(ok, drops, np.inf)
+    mi, dj = divmod(int(np.argmin(drops)), donors.size)
+    if not np.isfinite(drops[mi, dj]):
+        return None
+    return waterfill.SwapCandidate(
+        u_change=float(drops[mi, dj]),
+        i_outp=int(members[mi, 0]),
+        i_outv=int(donors[0, dj]),
+    )
+
+
+def greedy_villagers_loop(inst, i_star: int, v_star: int):
+    """Place spare villagers on the max-attacker-utility unpinned targets."""
+    n = inst.n
+    villagers = np.zeros(n, dtype=np.int64)
+    villagers[i_star] = v_star
+    u_att = attacker_utilities(inst, np.minimum(inst.e_v * villagers, 1.0))
+    idx = np.arange(n)
+    for _ in range(inst.villager_budget - v_star):
+        eligible = (idx != i_star) & (u_att - inst.penalty_att > inst.tol)
+        if not eligible.any():
+            break
+        j = int(np.argmax(np.where(eligible, u_att, -np.inf)))
+        villagers[j] += 1
+        u_att[j] = utilities_of(inst, min(inst.e_v * villagers[j], 1.0), j)[1]
+    return villagers, u_att
+
+
+def run_subproblem_per_merge(instance, i_star, v_star, on_state=None):
+    """Waterfill from a consistent (i_star, v_star); returns (profile, final state)."""
+    n = instance.n
+    penalty = instance.penalty_att
+    spread = instance.spread_att
+    with np.errstate(divide="ignore"):
+        width = np.where(spread > 0, 1.0 / spread, np.inf)
+    width.setflags(write=False)
+
+    villagers, u_att = greedy_villagers_loop(instance, i_star, v_star)
+    state = WaterfillState(
+        instance=instance,
+        i_star=i_star,
+        u_att=u_att,
+        u_att_villagers=u_att.copy(),
+        effort=np.zeros(n),
+        villagers=villagers,
+        width=width,
+        sea_level=None,
+        next_level=None,
+        critical=np.zeros(n, dtype=bool),
+        ranger_remaining=float(instance.ranger_budget),
+    )
+
+    tol = instance.tol
+    max_iterations = 4 * (n * n + 2 * n) + 64
+    while state.ranger_remaining > 0.0:
+        pinned = waterfill._refresh_levels(state)
+        if state.sea_level is None:
+            break
+        u_star = float(state.u_att[i_star])
+        # Terminal: the sea has reached the fixed target's level and some
+        # penalty floor pins it there, so no further lowering is possible.
+        if state.sea_level <= u_star + tol and bool(
+            np.any(pinned & (penalty >= u_star - tol))
+        ):
+            break
+        state.iterations += 1
+        if state.iterations > max_iterations:
+            raise RuntimeError("waterfilling failed to terminate; this is a bug")
+        if on_state is not None:
+            on_state(state)
+
+        swap = swap_line_per_merge(state)
+        do_swap = swap is not None
+        u_delta = swap.u_change if swap is not None else np.inf
+        # The pour stops at the highest of: the critical set's penalty floor
+        # (every floor once the fixed target is critical), the next level
+        # down, and the fixed target's own level. The last duplicates the
+        # next level when the fixed target is unpinned, but a pinned one
+        # (zero spread) never enters the critical set to stop the pour.
+        if state.critical[i_star]:
+            stop = float(penalty.max())
+        else:
+            stop = max(float(penalty[state.critical].max()), u_star)
+        if state.next_level is not None:
+            stop = max(stop, state.next_level)
+        if state.sea_level - u_delta < stop:
+            u_delta = state.sea_level - stop
+            do_swap = False
+        u_delta = max(u_delta, 0.0)
+
+        width_sum = float(state.width[state.critical].sum())
+        pour = width_sum * u_delta / instance.e_p
+        if pour > state.ranger_remaining:
+            pour = state.ranger_remaining
+            do_swap = False
+        u_delta = pour * instance.e_p / width_sum
+        if u_delta <= 0.0 and not do_swap:
+            break  # floor reached within tolerance; nothing left to lower
+        state.ranger_remaining -= pour
+        state.u_att[state.critical] -= u_delta
+        state.effort[state.critical] += u_delta * state.width[state.critical] / instance.e_p
+
+        if do_swap:
+            j, k = swap.i_outv, swap.i_outp
+            state.villagers[j] -= 1
+            state.villagers[k] += 1
+            state.effort[j] = state.effort[k]
+            state.effort[k] = 0.0
+            for t in (j, k):
+                c_v = instance.e_v * state.villagers[t]
+                c_full = min(instance.e_p * state.effort[t] + c_v, 1.0)
+                state.u_att[t] = utilities_of(instance, c_full, t)[1]
+                state.u_att_villagers[t] = utilities_of(instance, min(c_v, 1.0), t)[1]
+            state.swaps += 1
+
+    # A zero-spread fixed target keeps attacker utility 0 at any coverage,
+    # so leftover effort raises the defender's side for free.
+    if spread[i_star] == 0.0 and state.ranger_remaining > 0.0:
+        have = (
+            instance.e_p * state.effort[i_star]
+            + instance.e_v * state.villagers[i_star]
+        )
+        top_up = min(state.ranger_remaining, max(1.0 - have, 0.0) / instance.e_p)
+        state.effort[i_star] += top_up
+        state.ranger_remaining -= top_up
+
+    waterfill._refresh_levels(state)
+    if on_state is not None:
+        on_state(state)
+    return StrategyProfile(state.effort, state.villagers), state

@@ -211,6 +211,14 @@ class TestSweepCompare:
         assert err.startswith("error:") and "cost" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_budget_max_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = cli_dispatch(["sweep", "--budget-max", "-3", "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
     def test_usage_error_without_subcommand(self, capsys):
         assert cli_dispatch([]) == 2
         capsys.readouterr()

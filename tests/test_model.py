@@ -57,6 +57,28 @@ class TestInstanceValidation:
         with pytest.raises(ValueError):
             inst.reward_att[0] = 2.0
 
+    def test_replaced_instance_shares_its_vectors(self):
+        inst = make(e_v=[0.25, 0.5])
+        moved = dataclasses.replace(inst, e_p=0.75, ranger_budget=3.0)
+        for name in ("reward_def", "penalty_def", "reward_att", "penalty_att", "e_v"):
+            assert getattr(moved, name) is getattr(inst, name)
+            with pytest.raises(ValueError):
+                getattr(moved, name)[0] = 0.0
+        # a writable array, or a read-only view of one, is still copied
+        values = np.array([2.0, 3.0])
+        fresh = make(reward_att=values)
+        values[0] = 9.0
+        assert fresh.reward_att.tolist() == [2.0, 3.0]
+        view = values[:]
+        view.setflags(write=False)
+        assert make(reward_att=view).reward_att is not view
+
+    def test_results_carry_no_instance_dict(self):
+        inst = make()
+        result = evaluate_profile(inst, StrategyProfile.zeros(2))
+        for obj in (inst, result.profile, result):
+            assert not hasattr(obj, "__dict__")
+
     def test_per_target_effectiveness(self):
         inst = make(e_v=[0.25, 0.5])
         assert inst.e_v.tolist() == [0.25, 0.5]

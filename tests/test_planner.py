@@ -200,6 +200,11 @@ class TestBudgetSweep:
             ]
             assert float(line[3]) == row.defender_utility
 
+    @pytest.mark.parametrize("max_extra", [-1, -3])
+    def test_negative_extra_budget_rejected(self, max_extra):
+        with pytest.raises(GameDefinitionError):
+            budget_sweep(self.scenario(), max_extra=max_extra)
+
     @pytest.mark.parametrize("cost", [np.nan, np.inf, -np.inf, 0.0, -1.0, "3"])
     def test_costs_must_be_finite_and_positive(self, cost):
         with pytest.raises(GameDefinitionError):

@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from patrolgame.model import (
     validate_profile,
 )
 from patrolgame.oracle import solve_oracle
+from patrolgame.planner import case_study_scenario
 from patrolgame.tdbs import TdbsConfig, solve_tdbs
 from patrolgame.waterfill import (
     WaterfillState,
@@ -24,9 +26,11 @@ from patrolgame.waterfill import (
 )
 
 from conftest import (
+    greedy_villagers_loop,
     min_coverage_ref,
     placements,
     random_instance,
+    run_subproblem_per_merge,
     scaled,
     solve_hw_unpruned,
     symmetric_instance,
@@ -196,6 +200,28 @@ class TestGetSwapLine:
         # the swap then actually executes during the solve
         final = snapshots[-1]
         assert final.swaps >= 1
+
+    def test_pairs_see_merges_on_the_descent(self):
+        # the three-target example plus a wide target 3 on top of the sea:
+        # target 1 is below the sea but merges at 2.4, before its (1, 2)
+        # critical point at 2.0; the (3, 1) point at 0.0 does not count,
+        # because donor 1 merges before the sea gets there
+        inst = Instance(
+            ranger_budget=2.0,
+            villager_budget=4,
+            e_p=0.5,
+            e_v=0.2,
+            reward_def=[1.0, 1.0, 1.0, 1.0],
+            penalty_def=[-1.0, -1.0, -1.0, -1.0],
+            reward_att=[1.0, 4.0, 6.0, 3.0],
+            penalty_att=[-1.0, -4.0, -10.0, -3.0],
+        )
+        state = make_state(inst, 0, np.zeros(4), [1, 1, 2, 0])
+        assert state.u_att.tolist() == pytest.approx([0.6, 2.4, -0.4, 3.0])
+        assert list(np.flatnonzero(state.critical)) == [3]
+        swap = get_swap_line(state)
+        assert (swap.i_outp, swap.i_outv) == (1, 2)
+        assert swap.u_change == pytest.approx(1.0)
 
     def test_pair_below_donor_floor_is_filtered(self):
         # the (1, 2) critical point sits at level -14.4, far below target 2's
@@ -389,6 +415,12 @@ class TestSolveHw:
         assert hw.profile.p.sum() == pytest.approx(1.0)
 
 
+def mid_size_family():
+    for k in range(30):
+        n = 9 + (k * 7) % 52
+        yield random_instance(13_400 + k, n=n, r_p=(1 + k % 4) * n / 5, r_v=(k * 5) % (n + 1))
+
+
 class TestBracketPruning:
     SIZES = (2, 3, 4, 5, 6, 8, 12, 20, 35, 50, 100)
 
@@ -416,9 +448,7 @@ class TestBracketPruning:
             self.assert_matches_unpruned(scaled(base, factor), k)
 
     def test_matches_unpruned_reference_mid_size(self):
-        for k in range(30):
-            n = 9 + (k * 7) % 52
-            inst = random_instance(13_400 + k, n=n, r_p=(1 + k % 4) * n / 5, r_v=(k * 5) % (n + 1))
+        for k, inst in enumerate(mid_size_family()):
             self.assert_matches_unpruned(inst, k)
 
     def test_prunes_most_candidates(self):
@@ -428,13 +458,113 @@ class TestBracketPruning:
         assert diagnostics["pruned"] >= 0.75 * diagnostics["candidates"]
 
 
+def case_study_grid():
+    """The case study at every effectiveness setting of the planner's grid."""
+    base = case_study_scenario().instance
+    values = [round(0.1 * k, 1) for k in range(1, 10)]
+    for e_p in values:
+        for e_v in values:
+            if e_p >= e_v:
+                yield dataclasses.replace(base, e_p=e_p, e_v=e_v)
+
+
+def subproblems(inst):
+    """Every candidate (i_star, v_star) ``solve_hw`` would waterfill unpruned."""
+    attackable = [
+        i for i in range(inst.n) if check_consistent(inst, FeasibilityQuery(i, 0.0, 0)).feasible
+    ]
+    return zip(attackable, most_villagers(inst, attackable)[0].tolist())
+
+
+class TestEventDrivenPour:
+    """The event-driven pour and the one-sort greedy against the loops they replaced."""
+
+    def assert_greedy_matches_loop(self, inst, label):
+        step = max(1, inst.villager_budget // 4)
+        for i_star in range(inst.n):
+            for v_star in range(0, inst.villager_budget + 1, step):
+                got = waterfill._greedy_villagers(inst, i_star, v_star)
+                want = greedy_villagers_loop(inst, i_star, v_star)
+                for a, b in zip(got, want):
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), label
+
+    def assert_pour_matches_per_merge(self, inst, label):
+        for i_star, v_star in subproblems(inst):
+            profile, state = waterfill._run_subproblem(inst, i_star, v_star)
+            ref_profile, ref_state = run_subproblem_per_merge(inst, i_star, v_star)
+            got = evaluate_profile(inst, profile).defender_utility
+            want = evaluate_profile(inst, ref_profile).defender_utility
+            assert abs(got - want) <= inst.tol, (label, i_star)
+            assert state.swaps == ref_state.swaps, (label, i_star)
+            assert state.iterations <= ref_state.iterations, (label, i_star)
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-9, 1e6])
+    def test_bracket_pruning_family(self, factor):
+        for k, base in enumerate(TestBracketPruning().family()):
+            inst = scaled(base, factor)
+            self.assert_greedy_matches_loop(inst, k)
+            self.assert_pour_matches_per_merge(inst, k)
+
+    def test_mid_size_family(self):
+        for k, inst in enumerate(mid_size_family()):
+            self.assert_greedy_matches_loop(inst, k)
+            self.assert_pour_matches_per_merge(inst, k)
+
+    def test_case_study_grid(self):
+        for k, inst in enumerate(case_study_grid()):
+            self.assert_greedy_matches_loop(inst, k)
+            self.assert_pour_matches_per_merge(inst, k)
+
+    def test_greedy_window_widens(self, monkeypatch):
+        # a one-cell first window makes every placement with a target taking
+        # two or more villagers widen it
+        monkeypatch.setattr(waterfill, "_GREEDY_CELLS", 1)
+        for k, inst in enumerate(mid_size_family()):
+            self.assert_greedy_matches_loop(inst, k)
+        # one wide target takes over a hundred villagers, far past the window
+        inst = Instance(
+            ranger_budget=1.0,
+            villager_budget=300,
+            e_p=0.5,
+            e_v=0.004,
+            reward_def=np.ones(40),
+            penalty_def=-np.ones(40),
+            reward_att=np.r_[100.0, np.linspace(1.0, 2.0, 39)],
+            penalty_att=np.r_[-100.0, -np.ones(39)],
+        )
+        self.assert_greedy_matches_loop(inst, "wide")
+        assert waterfill._greedy_villagers(inst, 1, 0)[0][0] > 100
+
+    def test_greedy_memory_follows_villagers_placed(self):
+        # one of 1,000 targets takes all 20,000 spare villagers; a window that
+        # deep for every target would rank 2e7 heads, 160 MB a copy
+        n = 1000
+        inst = Instance(
+            ranger_budget=1.0,
+            villager_budget=20_000,
+            e_p=0.5,
+            e_v=1e-5,
+            reward_def=np.ones(n),
+            penalty_def=-np.ones(n),
+            reward_att=np.r_[1000.0, np.linspace(1.0, 2.0, n - 1)],
+            penalty_att=np.r_[-1000.0, -np.ones(n - 1)],
+        )
+        tracemalloc.start()
+        try:
+            got = waterfill._greedy_villagers(inst, 1, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got[0][0] == 20_000
+        assert peak < 16 * 2**20
+        for a, b in zip(got, greedy_villagers_loop(inst, 1, 0)):
+            assert a.tobytes() == b.tobytes()
+
+
 class TestStateInvariants:
     def collect(self, inst):
         runs = []
-        attackable = [
-            i for i in range(inst.n) if check_consistent(inst, FeasibilityQuery(i, 0.0, 0)).feasible
-        ]
-        for i_star, v_star in zip(attackable, most_villagers(inst, attackable)[0].tolist()):
+        for i_star, v_star in subproblems(inst):
             snaps = []
             hw_subproblem(inst, i_star, v_star, on_state=lambda s: snaps.append(s.snapshot()))
             runs.append((i_star, v_star, snaps))
@@ -491,13 +621,18 @@ class TestStateInvariants:
                     assert after.u_att[i_outp] == pytest.approx(
                         after.u_att_villagers[i_outp], abs=1e-12
                     )
-                    # untouched targets outside the critical set keep their
-                    # utility through the pour-plus-swap step
-                    untouched = ~before.critical
+                    # targets outside the critical set both before and after
+                    # the pour-plus-swap step keep their utility; those the
+                    # pour merged into it end on the new sea
+                    untouched = ~before.critical & ~after.critical
                     untouched[[i_outp, i_outv, i_star]] = False
                     assert np.all(
                         before.u_att[untouched] == after.u_att[untouched]
                     )
+                    merged = ~before.critical & after.critical
+                    merged[[i_outp, i_outv]] = False
+                    if after.sea_level is not None:
+                        assert np.all(np.abs(after.u_att[merged] - after.sea_level) <= 1e-8)
                 # swap count stays within the quadratic budget
                 assert snaps[-1].swaps <= inst.n**2
 
