@@ -233,11 +233,6 @@ def attacker_utilities(instance, coverage: np.ndarray) -> np.ndarray:
     return utilities_of(instance, coverage, slice(None))[1]
 
 
-def defender_utilities(instance, coverage: np.ndarray) -> np.ndarray:
-    """Vector of defender expected utilities R_d * c + P_d * (1 - c)."""
-    return utilities_of(instance, coverage, slice(None))[0]
-
-
 def target_utilities(instance, c_i: float, i: int) -> Tuple[float, float]:
     """(defender, attacker) expected utility on target ``i`` at coverage ``c_i``."""
     if not 0.0 <= c_i <= 1.0:

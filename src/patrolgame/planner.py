@@ -328,10 +328,16 @@ def added_budgets(instance: Instance, rangers: int, villagers: int) -> Instance:
     )
 
 
-def _recruit_splits(budget: int, cost_ranger: float, cost_villager: float):
-    """All (rangers, villagers) a budget buys, spending the rest on villagers."""
+def _recruit_splits(instance, budget: int, cost_ranger: float, cost_villager: float):
+    """All (rangers, villagers) a budget buys, spending the rest on villagers.
+
+    Rangers stop at the first count whose whole ranger budget covers every
+    target fully: every coverage vector is reachable there, so more rangers
+    cannot do better.
+    """
+    covering = max(math.ceil(instance.n / instance.e_p - instance.ranger_budget), 0)
     # Nudge before flooring so exact multiples of a cost don't round down.
-    max_rangers = int(math.floor(budget / cost_ranger + REL_TOL))
+    max_rangers = math.floor(min(budget / cost_ranger + REL_TOL, covering))
     for k in range(max_rangers + 1):
         yield k, int(math.floor((budget - k * cost_ranger) / cost_villager + REL_TOL))
 
@@ -356,7 +362,7 @@ def budget_sweep(
     rows: List[BudgetSweepRow] = []
     for budget in range(max_extra + 1):
         best: Optional[BudgetSweepRow] = None
-        for rangers, villagers in _recruit_splits(budget, cost_ranger, cost_villager):
+        for rangers, villagers in _recruit_splits(instance, budget, cost_ranger, cost_villager):
             result = solve(added_budgets(instance, rangers, villagers))
             if best is None or result.defender_utility > best.defender_utility:
                 best = BudgetSweepRow(budget, rangers, villagers, result.defender_utility)

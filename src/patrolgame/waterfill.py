@@ -2,7 +2,7 @@
 
 For a fixed attacked target and villager count on it, remaining villagers go
 greedily to whichever other target currently offers the attacker the most
-(one stable sort of every target's utility after each further villager).
+(a heap of every target's current utility, popped once per villager).
 Ranger effort is then poured onto the set of targets tied at the highest
 attacker utility (the critical set), lowering that "sea level" uniformly;
 a target below the sea merges into the set when the sea reaches it.
@@ -47,7 +47,7 @@ instance's utility slack ``instance.tol`` (see ``model``).
 
 from __future__ import annotations
 
-import math
+import heapq
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -65,13 +65,7 @@ from .model import (
     SolveResult,
     StrategyProfile,
     attacker_utilities,
-    utilities_of,
 )
-
-# Heads (a target's utility after one more villager) ``_greedy_villagers``
-# ranks in its first sort; a target gets more only when it fills its share.
-_GREEDY_CELLS = 2**16
-
 
 @dataclass
 class WaterfillState:
@@ -85,7 +79,6 @@ class WaterfillState:
     villagers: np.ndarray        # villager count per target
     width: np.ndarray            # 1 / (R_a - P_a), inf on zero-spread targets
     sea_level: Optional[float]
-    next_level: Optional[float]
     critical: np.ndarray         # bool mask of the critical set
     ranger_remaining: float
     swaps: int = 0
@@ -198,48 +191,35 @@ def _greedy_villagers(inst, i_star: int, v_star: int):
 
     One villager at a time, each going where the attacker's utility is
     highest (ties to the lowest target) while that target stays more than
-    ``tol`` above its penalty floor. A target's utilities after 0, 1, 2, ...
-    villagers (its heads) fall strictly while it stays eligible, so this is
-    one stable sort of every eligible head, taking the ``spare`` largest.
-    No target takes more than min(spare, ceil(1 / e_v) + 1) villagers. The
-    sort ranks a window of heads per target, ``_GREEDY_CELLS`` heads in all
-    at first; a target that fills its window gets a wider one and the sort
-    runs again, so memory follows the villagers placed, not targets times
-    villagers.
+    ``tol`` above its penalty floor. A heap holds each eligible target's
+    current utility, keyed ``(-u, target)``; each pop places one villager,
+    and the target goes back with its next utility while it stays eligible,
+    so memory is O(n) however many villagers one target takes.
     """
-    n = inst.n
-    villagers = np.zeros(n, dtype=np.int64)
+    villagers = np.zeros(inst.n, dtype=np.int64)
     villagers[i_star] = v_star
     u_att = attacker_utilities(inst, np.minimum(inst.e_v * villagers, 1.0))
     spare = inst.villager_budget - v_star
-    eligible = np.flatnonzero((np.arange(n) != i_star) & (u_att - inst.penalty_att > inst.tol))
-    if spare == 0 or eligible.size == 0:
-        return villagers, u_att
-    depth = min(spare, math.ceil(1.0 / inst.e_v) + 1)
-    window = np.full(eligible.size, min(depth, max(1, _GREEDY_CELLS // eligible.size)))
-    while True:
-        # Heads in (target, count) order, so the stable sort breaks ties to
-        # the lower target.
-        row = np.repeat(np.arange(eligible.size), window)
-        count = np.arange(row.size) - np.repeat(np.cumsum(window) - window, window)
-        target = eligible[row]
-        heads = utilities_of(inst, np.minimum(inst.e_v * count, 1.0), target)[1]
-        heads[~(heads - inst.penalty_att[target] > inst.tol)] = -np.inf
-        taken = np.argsort(-heads, kind="stable")[:spare]
-        counts = np.bincount(row[taken[heads[taken] > -np.inf]], minlength=eligible.size)
-        full = (counts == window) & (window < depth)
-        if not full.any():
-            break
-        # A target short of its window never needs a deeper one: heads added
-        # for the others only raise the cutoff.
-        window = np.where(full, np.minimum(4 * window, depth), np.minimum(counts + 1, window))
-    villagers[eligible] = counts
-    u_att[eligible] = utilities_of(inst, np.minimum(inst.e_v * counts, 1.0), eligible)[1]
-    return villagers, u_att
+    reward, penalty = inst.reward_att.tolist(), inst.penalty_att.tolist()
+    counts, u = villagers.tolist(), u_att.tolist()
+    heap = [(-u[j], j) for j in range(inst.n) if j != i_star and u[j] - penalty[j] > inst.tol]
+    heapq.heapify(heap)
+    while spare > 0 and heap:
+        j = heap[0][1]
+        counts[j] += 1
+        spare -= 1
+        # model.utilities_of, restated on floats: a numpy call per villager is slower
+        c = min(inst.e_v * counts[j], 1.0)
+        u[j] = reward[j] * (1.0 - c) + penalty[j] * c
+        if u[j] - penalty[j] > inst.tol:
+            heapq.heapreplace(heap, (-u[j], j))
+        else:
+            heapq.heappop(heap)
+    return np.array(counts, dtype=np.int64), np.array(u)
 
 
 def _refresh_levels(state: WaterfillState) -> np.ndarray:
-    """Recompute sea level, next level, and critical set; returns the pinned mask.
+    """Recompute sea level and critical set; returns the pinned mask.
 
     A target is pinned when its attacker utility sits at its penalty floor;
     when all are, ``sea_level`` becomes None.
@@ -248,16 +228,12 @@ def _refresh_levels(state: WaterfillState) -> np.ndarray:
     pinned = np.abs(state.u_att - state.instance.penalty_att) <= tol
     if pinned.all():
         state.sea_level = None
-        state.next_level = None
         state.critical = np.zeros(state.instance.n, dtype=bool)
         return pinned
     unpinned = ~pinned
     sea = float(state.u_att[unpinned].max())
-    critical = unpinned & (state.u_att >= sea - tol)
-    below = unpinned & ~critical
     state.sea_level = sea
-    state.next_level = float(state.u_att[below].max()) if below.any() else None
-    state.critical = critical
+    state.critical = unpinned & (state.u_att >= sea - tol)
     return pinned
 
 
@@ -356,7 +332,6 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         villagers=villagers,
         width=width,
         sea_level=None,
-        next_level=None,
         critical=np.zeros(n, dtype=bool),
         ranger_remaining=float(instance.ranger_budget),
     )
@@ -407,10 +382,9 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
             state.effort[j] = state.effort[k]
             state.effort[k] = 0.0
             for t in (j, k):
-                c_v = instance.e_v * state.villagers[t]
-                c_full = min(instance.e_p * state.effort[t] + c_v, 1.0)
-                state.u_att[t] = utilities_of(instance, c_full, t)[1]
-                state.u_att_villagers[t] = utilities_of(instance, min(c_v, 1.0), t)[1]
+                v_t = state.villagers[t]
+                state.u_att[t] = fixed_target_utilities(instance, t, state.effort[t], v_t)[1]
+                state.u_att_villagers[t] = fixed_target_utilities(instance, t, 0.0, v_t)[1]
             state.swaps += 1
 
     # A zero-spread fixed target keeps attacker utility 0 at any coverage,

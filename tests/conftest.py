@@ -358,7 +358,6 @@ def run_subproblem_per_merge(instance, i_star, v_star, on_state=None):
         villagers=villagers,
         width=width,
         sea_level=None,
-        next_level=None,
         critical=np.zeros(n, dtype=bool),
         ranger_remaining=float(instance.ranger_budget),
     )
@@ -394,8 +393,9 @@ def run_subproblem_per_merge(instance, i_star, v_star, on_state=None):
             stop = float(penalty.max())
         else:
             stop = max(float(penalty[state.critical].max()), u_star)
-        if state.next_level is not None:
-            stop = max(stop, state.next_level)
+        below = ~pinned & ~state.critical
+        if below.any():
+            stop = max(stop, float(state.u_att[below].max()))
         if state.sea_level - u_delta < stop:
             u_delta = state.sea_level - stop
             do_swap = False

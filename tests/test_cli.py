@@ -211,6 +211,16 @@ class TestSweepCompare:
         assert err.startswith("error:") and "cost" in err and "Traceback" not in err
         assert not out.exists()
 
+    def test_sweep_with_tiny_ranger_cost_finishes(self, tmp_path, capsys):
+        # a budget of 1 buys a million rangers; past full coverage none is solved
+        out = tmp_path / "sweep.csv"
+        code = cli_dispatch(
+            ["sweep", "--budget-max", "1", "--cost-ranger", "1e-6", "--output", str(out)]
+        )
+        assert code == 0
+        assert len(out.read_text().strip().split("\n")) == 3
+        capsys.readouterr()
+
     def test_negative_budget_max_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = cli_dispatch(["sweep", "--budget-max", "-3", "--output", str(out)])

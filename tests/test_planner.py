@@ -5,6 +5,7 @@ import pytest
 
 from patrolgame import planner
 from patrolgame.model import (
+    REL_TOL,
     GameDefinitionError,
     StrategyProfile,
     evaluate_profile,
@@ -211,6 +212,27 @@ class TestBudgetSweep:
             budget_sweep(self.scenario(), max_extra=1, cost_ranger=cost)
         with pytest.raises(GameDefinitionError):
             budget_sweep(self.scenario(), max_extra=1, cost_villager=cost)
+
+    def test_rangers_stop_once_they_cover_every_target(self, monkeypatch):
+        # the case study needs ceil(21 / 0.6 - 4) = 31 more rangers for full
+        # coverage; a million-ranger budget must not mean a million solves
+        calls = []
+        monkeypatch.setattr(planner, "solve_hw", lambda inst: calls.append(inst) or solve_hw(inst))
+        rows = budget_sweep(case_study_scenario(), 1, cost_ranger=1e-6)
+        assert len(calls) <= 33
+        assert rows[1].rangers_added <= 31
+
+    def test_ranger_cap_keeps_the_best_split(self):
+        # at 0.05 a ranger, a budget of 2 buys up to 40; the sweep stops at 31
+        scenario = case_study_scenario()
+        rows = budget_sweep(scenario, max_extra=2, cost_ranger=0.05)
+        best = None
+        for k in range(41):
+            villagers = int(np.floor((2 - k * 0.05) / 1.0 + REL_TOL))
+            u = solve_hw(planner.added_budgets(scenario.instance, k, villagers)).defender_utility
+            if best is None or u > best.defender_utility:
+                best = BudgetSweepRow(2, k, villagers, u)
+        assert rows[2] == best
 
 
 def read_csv(text, rows):

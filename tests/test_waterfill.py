@@ -51,7 +51,6 @@ def make_state(inst, i_star, p, v):
     unpinned = np.abs(u_att - inst.penalty_att) > inst.tol
     sea = float(u_att[unpinned].max())
     critical = unpinned & (u_att >= sea - inst.tol)
-    below = unpinned & ~critical
     return WaterfillState(
         instance=inst,
         i_star=i_star,
@@ -61,7 +60,6 @@ def make_state(inst, i_star, p, v):
         villagers=v,
         width=width,
         sea_level=sea,
-        next_level=float(u_att[below].max()) if below.any() else None,
         critical=critical,
         ranger_remaining=float(inst.ranger_budget - p.sum()),
     )
@@ -515,13 +513,8 @@ class TestEventDrivenPour:
             self.assert_greedy_matches_loop(inst, k)
             self.assert_pour_matches_per_merge(inst, k)
 
-    def test_greedy_window_widens(self, monkeypatch):
-        # a one-cell first window makes every placement with a target taking
-        # two or more villagers widen it
-        monkeypatch.setattr(waterfill, "_GREEDY_CELLS", 1)
-        for k, inst in enumerate(mid_size_family()):
-            self.assert_greedy_matches_loop(inst, k)
-        # one wide target takes over a hundred villagers, far past the window
+    def test_greedy_window_widens(self):
+        # one wide target takes over a hundred villagers
         inst = Instance(
             ranger_budget=1.0,
             villager_budget=300,
@@ -536,8 +529,8 @@ class TestEventDrivenPour:
         assert waterfill._greedy_villagers(inst, 1, 0)[0][0] > 100
 
     def test_greedy_memory_follows_villagers_placed(self):
-        # one of 1,000 targets takes all 20,000 spare villagers; a window that
-        # deep for every target would rank 2e7 heads, 160 MB a copy
+        # one of 1,000 targets takes all 20,000 spare villagers; ranking that
+        # many heads for every target would take 2e7 cells, 160 MB a copy
         n = 1000
         inst = Instance(
             ranger_budget=1.0,
@@ -556,9 +549,26 @@ class TestEventDrivenPour:
         finally:
             tracemalloc.stop()
         assert got[0][0] == 20_000
-        assert peak < 16 * 2**20
+        assert peak < 2 * 2**20
         for a, b in zip(got, greedy_villagers_loop(inst, 1, 0)):
             assert a.tobytes() == b.tobytes()
+
+    def test_greedy_runs_out_of_targets_before_villagers(self):
+        # every target reaches its floor long before the budget is spent; ten
+        # villagers leave a target within tol of its floor, not at it
+        inst = Instance(
+            ranger_budget=1.0,
+            villager_budget=2**62,
+            e_p=0.5,
+            e_v=0.1 - 1e-12,
+            reward_def=np.ones(6),
+            penalty_def=-np.ones(6),
+            reward_att=np.array([3.0, 1.0, 2.5, 1.0, 0.5, 4.0]),
+            penalty_att=np.array([-1.0, -2.0, -1.0, -3.0, -0.5, -2.0]),
+        )
+        self.assert_greedy_matches_loop(inst, "unbounded")
+        u_att = waterfill._greedy_villagers(inst, 0, 0)[1]
+        assert np.all(np.abs(u_att - inst.penalty_att)[1:] <= inst.tol)
 
 
 class TestStateInvariants:
