@@ -8,14 +8,24 @@ the most still-needed coverage; rangers fill whatever coverage remains.
 Villager effectiveness may be a scalar or vary per target.
 
 Rows: the greedy works on many queries at once, one row of targets per
-query, and each row's answer is the one it would get alone.
-``feasible_rows`` decides an array of queries with one array operation per
-block of ``_BLOCK_CELLS`` cells (rows times targets), so its memory stays
-O(block × n) however many rows it gets, and it keeps no witness.
-``check_consistent`` is the one-row case plus the witness. The shared
-candidate loop ``best_candidate`` searches every candidate in lockstep: all
-n targets' v = 0 tests are one call, and each round of the villager binary
-search (``most_villagers``) decides one row per candidate still searching.
+query, and each row's answer is the one it would get alone. Each array
+operation covers one block of ``_BLOCK_CELLS`` cells (rows times targets),
+so memory stays O(block × n) however many rows come in. There are two
+kinds of row:
+
+- answer-only rows (``feasible_rows``) sum each row's residual need
+  straight from the piece arithmetic, with no villager counts and no
+  witness; rows where every piece fits need no greedy at all;
+- witness rows run the same greedy with counts and build each feasible
+  row's profile (p, v): ``greedy_profiles`` yields them,
+  ``check_consistent`` is the one-row case, and ``witness_utilities``
+  scores a block of them at once with ``best_response``'s arithmetic and
+  keeps none.
+
+The shared candidate loop ``best_candidate`` searches every candidate in
+lockstep: all n targets' v = 0 tests are one call, and each round of the
+villager binary search (``most_villagers``) decides one row per candidate
+still searching.
 
 Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
 ``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
@@ -26,8 +36,8 @@ each:
   target's penalty (full coverage then leaves that target at most
   ``tol / 2`` above ``i_star``);
 - the ranger-coverage sum may exceed the ranger budget by the unitless
-  ``_COVERAGE_SLACK``. ``_witness`` trims that shortfall out of the effort,
-  lowering some targets' coverage by at most as much in total, and a
+  ``_COVERAGE_SLACK``. ``_witness_blocks`` trims that shortfall out of the
+  effort, lowering some targets' coverage by at most as much in total, and a
   coverage drop of sigma raises a target's attacker utility by at most
   ``sigma * (R_a - P_a) <= sigma * 2 * max|payoff| = tol / 2``.
 
@@ -102,7 +112,9 @@ def _min_coverage(instance, u) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore"):
         c_min = (instance.reward_att - u) / spread
     np.clip(c_min, 0.0, 1.0, out=c_min)
-    c_min[..., ~(spread > 0)] = 0.0
+    flat = ~(spread > 0)
+    if flat.any():
+        c_min[..., flat] = 0.0
     return c_min
 
 
@@ -179,20 +191,6 @@ def fixed_target_utilities(instance, i_star, p_star, v_star):
     return utilities_of(instance, np.minimum(instance.e_p * p_star + e_v * v_star, 1.0), i_star)
 
 
-def _witness(instance, query, coverage_remaining, villagers):
-    """The (p, v) the greedy fill builds, trimming _COVERAGE_SLACK."""
-    p = coverage_remaining / instance.e_p
-    p[query.i_star] = 0.0
-    remaining_budget = max(instance.ranger_budget - query.p_star, 0.0)
-    total = float(p.sum())
-    if total > remaining_budget and total > 0.0:
-        p *= remaining_budget / total
-    p[query.i_star] = query.p_star
-    v = villagers.copy()
-    v[query.i_star] = query.v_star
-    return p, v
-
-
 def _fill_in_order(counts: np.ndarray, spare: np.ndarray) -> np.ndarray:
     """How much of each entry of a row of ``counts`` its row's budget ``spare`` covers, in order."""
     before = np.cumsum(counts, axis=1)
@@ -202,16 +200,42 @@ def _fill_in_order(counts: np.ndarray, spare: np.ndarray) -> np.ndarray:
     return np.minimum(before, counts, out=before)
 
 
-def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Greedy villager counts and the residual need they leave uncovered, per row.
+def _descending(sizes: np.ndarray) -> np.ndarray:
+    """Each row's cells of ``sizes`` by decreasing size, ties by column.
+
+    Returned as positions in ``sizes.ravel()``, one row of them per row, as
+    flat indexing is the faster gather and scatter. Zero sizes stand for no
+    piece and may come last in any order. A plain sort gives this order
+    wherever no two nonzero sizes tie; the rows where some do are sorted
+    again, stably. The stable sort alone took about twice as long on the
+    benchmark's per-target rows.
+    """
+    keys = np.negative(sizes)
+    order = np.argsort(keys, axis=1)
+    starts = np.arange(0, keys.size, keys.shape[1])[:, None]
+    order += starts
+    ranked = keys.ravel()[order]
+    tied = ranked[:, 1:] == ranked[:, :-1]
+    tied &= ranked[:, 1:] < 0.0
+    rows = np.flatnonzero(tied.any(axis=1))
+    if rows.size:
+        order[rows] = np.argsort(keys[rows], axis=1, kind="stable") + starts[rows]
+    return order
+
+
+def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = False):
+    """Residual need the greedy villagers leave per row; with ``counts``, their counts too.
 
     ``c_min`` holds one row of needs per query and ``spare`` that query's
     villagers. Target j's need splits into whole-villager pieces of size
     e_v[j] and one smaller remainder; placing villagers one at a time where
     the next one covers the most is the same as taking the ``spare`` largest
     pieces overall, ties to the lowest target index. Zero-size remainders
-    are never taken. Temporaries are updated in place, to keep a block's
-    memory small.
+    are never taken. Returns ``(short, left, alloc)``: ``short`` indexes the
+    rows with fewer villagers than pieces (every other row covers its whole
+    need), ``left`` holds those rows' residual need, and ``alloc`` every
+    row's villager counts, or None without ``counts``. Temporaries are
+    updated in place, to keep a block's memory small.
     """
     n = c_min.shape[1]
     whole = np.divide(c_min, e_v)
@@ -223,31 +247,31 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray) -> Tuple[np.ndar
     has_remainder = remainder > 0.0
     n_whole = whole.sum(axis=1)
     short = np.flatnonzero(n_whole + np.count_nonzero(has_remainder, axis=1) > spare)
-    # From here on c_min, remainder and spare hold the rows that are short
-    # of villagers for some piece; whole becomes the counts of every row.
-    c_min, whole_s, remainder, spare = c_min[short], whole[short], remainder[short], spare[short]
-    alloc = whole
-    alloc += has_remainder  # right where every piece fits
+    # counts are right where every piece fits
+    alloc = (whole + has_remainder).astype(np.int64) if counts else None
     if short.size == 0:
-        return alloc.astype(np.int64), np.zeros(alloc.shape)
+        return short, np.empty((0, n)), alloc
+    if short.size < c_min.shape[0]:  # from here on every array holds the short rows only
+        c_min, whole, remainder = c_min[short], whole[short], remainder[short]
+        has_remainder, spare, n_whole = has_remainder[short], spare[short], n_whole[short]
 
     if isinstance(e_v, np.ndarray):
-        # Pieces interleaved as (whole_0, remainder_0, whole_1, ...), so one
-        # stable sort by size orders equal pieces by target index.
+        # Pieces interleaved as (whole_0, remainder_0, whole_1, ...), so
+        # sorting by size with ties by column orders equal pieces by target.
         sizes = np.empty((short.size, 2 * n))
-        np.negative(e_v, out=sizes[:, 0::2])
-        np.negative(remainder, out=sizes[:, 1::2])
-        order = np.argsort(sizes, axis=1, kind="stable")
-        sizes[:, 0::2], sizes[:, 1::2] = whole_s, has_remainder[short]  # now the piece counts
-        del whole_s, remainder
-        filled = _fill_in_order(np.take_along_axis(sizes, order, axis=1), spare)
-        np.put_along_axis(sizes, order, filled, axis=1)  # now the pieces taken
-        del order, filled
+        sizes[:, 0::2], sizes[:, 1::2] = e_v, remainder
+        order = _descending(sizes)
+        sizes[:, 0::2], sizes[:, 1::2] = whole, has_remainder  # now the piece counts
+        del whole, remainder
+        pieces = sizes.ravel()
+        pieces[order] = _fill_in_order(pieces[order], spare)  # now the pieces taken
+        del order
         left = np.multiply(sizes[:, 0::2], e_v)
         np.subtract(c_min, left, out=left)
         np.maximum(left, 0.0, out=left)
         left[sizes[:, 1::2] > 0.0] = 0.0
-        alloc[short] = sizes[:, 0::2] + sizes[:, 1::2]
+        if counts:
+            alloc[short] = sizes[:, 0::2] + sizes[:, 1::2]
     else:
         # Scalar e_v: whole pieces are all the same size and larger than any
         # remainder, so they go in target order and no sort is needed unless
@@ -256,46 +280,49 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray) -> Tuple[np.ndar
         # scalars through it cut tdbs-synthetic from about 34 to about 21
         # solves per second (2-vCPU VM).
         left = remainder
-        in_order = n_whole[short] >= spare
-        filled = _fill_in_order(whole_s[in_order], spare[in_order])
-        alloc[short[in_order]] = filled
+        extra = n_whole < spare
+        in_order = ~extra if extra.any() else slice(None)
+        filled = _fill_in_order(whole[in_order], spare[in_order])
+        if counts:
+            alloc[short[in_order]] = filled
         np.multiply(filled, e_v, out=filled)
         np.subtract(c_min[in_order], filled, out=filled)
         left[in_order] = np.maximum(filled, 0.0, out=filled)
         del filled
-        extra = ~in_order
         if extra.any():
-            order = np.argsort(-left[extra], axis=1, kind="stable")
+            order = _descending(left[extra])
             top = np.empty(order.shape, dtype=bool)
-            ranked = np.arange(n) < (spare[extra] - n_whole[short[extra]])[:, None]
-            np.put_along_axis(top, order, ranked, axis=1)
-            del order, ranked
+            top.ravel()[order] = np.arange(n) < (spare[extra] - n_whole[extra])[:, None]
+            del order
             remainders = left[extra]
             remainders[top] = 0.0
             left[extra] = remainders
-            alloc[short[extra]] = whole_s[extra] + top
-    residual = np.zeros(alloc.shape)
-    residual[short] = left
-    return alloc.astype(np.int64), residual
+            if counts:
+                alloc[short[extra]] = whole[extra] + top
+    return short, left, alloc
 
 
-def _fill(instance, i_star, p_star, v_star):
-    """Greedy fill of rows of queries: (rows, feasible, alloc, residual).
+def _fill(instance, floor, i_star, p_star, v_star, counts: bool = False):
+    """Greedy fill of rows of queries: (rows, feasible, short, left, alloc).
 
     ``rows`` indexes the queries passing the attacker-floor test (every
-    other target can be pushed down to the fixed target's utility); for each
-    of them, ``feasible`` says whether the rangers can cover the residual
-    need the greedy villager counts ``alloc`` leave.
+    other target can be pushed down to the fixed target's utility, at least
+    ``floor``, the instance's ``_floor_of_others``); for each of them,
+    ``feasible`` says whether the rangers can cover the residual need the
+    greedy villagers leave. Rows where every piece fits leave none and are
+    feasible; ``short``, ``left`` and ``alloc`` are as ``_place_villagers``
+    returns them.
     """
     u = fixed_target_utilities(instance, i_star, p_star, v_star)[1]
-    rows = np.flatnonzero(u >= _floor_of_others(instance)[i_star])
+    rows = np.flatnonzero(u >= floor[i_star])
     c_min = _min_coverage(instance, u[rows, None])
     c_min[np.arange(rows.size), i_star[rows]] = 0.0
     spare = instance.villager_budget - v_star[rows]
-    alloc, residual = _place_villagers(c_min, instance.e_v, spare)
-    ranger_coverage = np.maximum(instance.ranger_budget - p_star[rows], 0.0) * instance.e_p
-    feasible = residual.sum(axis=1) <= ranger_coverage + _COVERAGE_SLACK
-    return rows, feasible, alloc, residual
+    short, left, alloc = _place_villagers(c_min, instance.e_v, spare, counts)
+    ranger_coverage = np.maximum(instance.ranger_budget - p_star[rows[short]], 0.0) * instance.e_p
+    feasible = np.ones(rows.size, dtype=bool)
+    feasible[short] = left.sum(axis=1) <= ranger_coverage + _COVERAGE_SLACK
+    return rows, feasible, short, left, alloc
 
 
 def _blocks(instance, count: int):
@@ -308,14 +335,47 @@ def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
     """``check_consistent(instance, FeasibilityQuery(i, p, v)).feasible`` for every row.
 
     ``i_star``, ``p_star`` and ``v_star`` are arrays with one entry per
-    query. No witness is built.
+    query. Only the answer is computed: no villager counts, no witness.
     """
     i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
+    floor = _floor_of_others(instance)
     feasible = np.zeros(i_star.shape[0], dtype=bool)
     for block in _blocks(instance, i_star.shape[0]):
-        rows, ok, _, _ = _fill(instance, i_star[block], p_star[block], v_star[block])
+        rows, ok, _, _, _ = _fill(instance, floor, i_star[block], p_star[block], v_star[block])
         feasible[block.start + rows] = ok
     return feasible
+
+
+def _witness_blocks(instance, i_star, p_star, v_star):
+    """Per block of query rows: ``(block, feasible, p, v)``.
+
+    ``feasible`` marks the block's feasible queries, and row j of ``p`` and
+    ``v`` is the witness of the j-th of them: the greedy fill's villagers,
+    and ranger effort covering the residual need, its total trimmed to the
+    budget left (the ``_COVERAGE_SLACK`` shortfall), with the query's own
+    ``(p_star, v_star)`` on ``i_star``.
+    """
+    i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
+    floor = _floor_of_others(instance)
+    for block in _blocks(instance, i_star.shape[0]):
+        fixed, p_fixed, v_fixed = i_star[block], p_star[block], v_star[block]
+        rows, ok, short, left, alloc = _fill(instance, floor, fixed, p_fixed, v_fixed, counts=True)
+        residual = np.zeros(alloc.shape)
+        residual[short] = left
+        kept = rows[ok]
+        at = np.arange(kept.size), fixed[kept]
+        p = residual[ok] / instance.e_p
+        p[at] = 0.0
+        remaining_budget = np.maximum(instance.ranger_budget - p_fixed[kept], 0.0)
+        total = p.sum(axis=1)
+        over = (total > remaining_budget) & (total > 0.0)
+        p[over] *= (remaining_budget[over] / total[over])[:, None]
+        p[at] = p_fixed[kept]
+        v = alloc[ok]
+        v[at] = v_fixed[kept]
+        feasible = np.zeros(fixed.shape[0], dtype=bool)
+        feasible[kept] = True
+        yield block, feasible, p, v
 
 
 def greedy_profiles(instance: Instance, i_star, p_star, v_star) -> Iterator:
@@ -324,17 +384,27 @@ def greedy_profiles(instance: Instance, i_star, p_star, v_star) -> Iterator:
     Takes the arrays ``feasible_rows`` takes and fills them block by
     block, so only one block of rows is held at a time.
     """
-    i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
-    for block in _blocks(instance, i_star.shape[0]):
-        rows, ok, alloc, residual = _fill(instance, i_star[block], p_star[block], v_star[block])
-        filled_row = np.full(len(i_star[block]), -1)  # row of alloc/residual per query
-        filled_row[rows[ok]] = np.flatnonzero(ok)
-        for k, j in enumerate(filled_row.tolist(), start=block.start):
-            if j < 0:
-                yield None
-                continue
-            query = FeasibilityQuery(int(i_star[k]), float(p_star[k]), int(v_star[k]))
-            yield _witness(instance, query, residual[j], alloc[j])
+    for _, feasible, p, v in _witness_blocks(instance, i_star, p_star, v_star):
+        witnesses = zip(p, v)
+        for ok in feasible.tolist():
+            yield next(witnesses) if ok else None
+
+
+def witness_utilities(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
+    """The defender utility of every row's witness, NaN where the row is infeasible.
+
+    Each equals ``_defender_utility`` of the witness ``greedy_profiles``
+    yields, bit for bit: the witnesses of a block are scored together with
+    ``best_response``'s per-target arithmetic (coverage, utilities, the
+    attacker's tied set within ``instance.tol``, the defender's best in it),
+    and no witness is kept.
+    """
+    utilities = np.full(np.shape(i_star)[0], np.nan)
+    for block, feasible, p, v in _witness_blocks(instance, i_star, p_star, v_star):
+        u_d, u_a = utilities_of(instance, coverage_of(instance, p, v), slice(None))
+        u_d[u_a < u_a.max(axis=1, keepdims=True) - instance.tol] = -np.inf
+        utilities[block.start + np.flatnonzero(feasible)] = u_d.max(axis=1)
+    return utilities
 
 
 def check_consistent(instance: Instance, query: FeasibilityQuery) -> FeasibilityAnswer:
@@ -391,15 +461,18 @@ def best_candidate(instance: Instance, complete: Callable) -> SolveResult:
     target in lockstep (``feasible_rows``, ``most_villagers``).
     ``complete(i_stars, v_stars)`` then sees every candidate at once and
     returns ``(finish, counters)``. In index order, ``finish(k, incumbent)``
-    returns candidate k's profile as ``(p, v)`` with its counters, or
+    returns ``((utility, build), counters)`` for candidate k, or
     ``(None, counters)`` when it proves the candidate cannot beat
-    ``incumbent``. The incumbent is the best defender utility known to be
-    reachable: it starts at the best candidate's utility with no ranger
-    effort on it (its greedy fill reaches that much) and rises to every
-    completed profile's. The best profile wins, ties to the lowest target
-    index, and only it goes through ``evaluate_profile``. ``diagnostics``
-    sums the loop's ``feasibility_checks`` (one per query row) and
-    ``candidates`` with the completion's counters.
+    ``incumbent``: ``utility`` is the defender utility of the candidate's
+    profile as ``evaluate_profile`` finds it, and ``build()`` returns that
+    profile as a ``StrategyProfile``. The incumbent is the best defender
+    utility known to be reachable: it starts at the best candidate's utility
+    with no ranger effort on it (its greedy fill reaches that much) and rises
+    to every completed candidate's. The best utility wins, ties to the lowest
+    target index, and only its profile is built and goes through
+    ``evaluate_profile``. ``diagnostics`` sums the loop's
+    ``feasibility_checks`` (one per query row) and ``candidates`` with the
+    completion's counters.
     """
     n = instance.n
     attackable = feasible_rows(instance, np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64))
@@ -413,15 +486,14 @@ def best_candidate(instance: Instance, complete: Callable) -> SolveResult:
     incumbent = float(np.max(at_no_effort, initial=-np.inf))
     best = None
     for k in range(i_stars.size):
-        profile, spent = finish(k, incumbent)
+        scored, spent = finish(k, incumbent)
         counters.update(spent)
-        if profile is None:
+        if scored is None:
             continue
-        utility = _defender_utility(instance, *profile)
-        incumbent = max(incumbent, utility)
-        if best is None or utility > best[0]:
-            best = (utility, profile)
+        incumbent = max(incumbent, scored[0])
+        if best is None or scored[0] > best[0]:
+            best = scored
     if best is None:
         raise RuntimeError("no candidate target was completed; this is a bug")
-    result = evaluate_profile(instance, StrategyProfile(*best[1]))
+    result = evaluate_profile(instance, best[1]())
     return dataclasses.replace(result, diagnostics=dict(counters))

@@ -333,13 +333,30 @@ def _recruit_splits(instance, budget: int, cost_ranger: float, cost_villager: fl
 
     Rangers stop at the first count whose whole ranger budget covers every
     target fully: every coverage vector is reachable there, so more rangers
-    cannot do better.
+    cannot do better. Villagers stop likewise at the first count that can
+    fill every target on its own: any placement of more villagers covers no
+    more than one of that many. GameDefinitionError when the budget buys
+    unboundedly many of either (a cost and an effectiveness both too small
+    for a float).
     """
-    covering = max(math.ceil(instance.n / instance.e_p - instance.ranger_budget), 0)
+    # Both caps are floats: an effectiveness too small for one leaves no cap.
+    covering = max(np.ceil(instance.n / instance.e_p - instance.ranger_budget), 0.0)
+    e_v = np.broadcast_to(instance.e_v, (instance.n,))
+    with np.errstate(over="ignore"):
+        filling = np.ceil(1.0 / e_v)
+    filling += filling * e_v < 1.0  # the fewest villagers filling each target (coverage_of)
+    covering_villagers = max(filling.sum() - instance.villager_budget, 0.0)
     # Nudge before flooring so exact multiples of a cost don't round down.
-    max_rangers = math.floor(min(budget / cost_ranger + REL_TOL, covering))
+    max_rangers = _whole(min(budget / cost_ranger + REL_TOL, covering))
     for k in range(max_rangers + 1):
-        yield k, int(math.floor((budget - k * cost_ranger) / cost_villager + REL_TOL))
+        villagers = min((budget - k * cost_ranger) / cost_villager + REL_TOL, covering_villagers)
+        yield k, _whole(villagers)
+
+
+def _whole(count: float) -> int:
+    if count == math.inf:
+        raise GameDefinitionError("the budget buys unboundedly many recruits")
+    return math.floor(count)
 
 
 def budget_sweep(

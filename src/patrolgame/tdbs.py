@@ -6,11 +6,11 @@ completion then bisects the ranger effort on that target to within a
 resolution ``epsilon``, keeping the target a best response throughout.
 Both dimensions run every candidate's search in lockstep: each round is one
 batched ``feasibility.feasible_rows`` call with one row per search still
-open, and no witness is kept while searching. Each candidate's final
-witness is then built and evaluated one row at a time, and only the winner
-becomes a ``StrategyProfile``. The returned profile's defender utility
-trails the exact optimum by less than ``e_p * 2 * M * epsilon``, where M
-bounds the absolute input values.
+open, and no witness is built while searching. Every candidate's final
+witness is then scored block by block (``feasibility.witness_utilities``),
+and only the winner's is built again as a ``StrategyProfile``. The returned
+profile's defender utility trails the exact optimum by less than
+``e_p * 2 * M * epsilon``, where M bounds the absolute input values.
 
 That bound is proven for a scalar villager effectiveness only. The proof
 keeps the most villagers each candidate can hold, then the most effort; with
@@ -34,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .feasibility import best_candidate, feasible_rows, greedy_profiles
-from .model import GameDefinitionError, Instance, SolveResult, _finite
+from .feasibility import best_candidate, feasible_rows, greedy_profiles, witness_utilities
+from .model import GameDefinitionError, Instance, SolveResult, StrategyProfile, _finite
 
 # Search resolution used by the experiment harness.
 DEFAULT_EPSILON = 1e-3
@@ -106,13 +106,18 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
 
     def complete(i_stars, v_stars):
         p_stars, checks = most_effort(instance, i_stars, v_stars, epsilon)
-        witnesses = greedy_profiles(instance, i_stars, p_stars, v_stars)
+        utilities = witness_utilities(instance, i_stars, p_stars, v_stars)
+        if np.isnan(utilities).any():
+            raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
+        utilities = utilities.tolist()
 
-        def finish(_k, _incumbent):  # called once per candidate, in order
-            profile = next(witnesses)
-            if profile is None:
-                raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
-            return profile, {}
+        def finish(k, _incumbent):
+            def build():
+                one = slice(k, k + 1)
+                witness = greedy_profiles(instance, i_stars[one], p_stars[one], v_stars[one])
+                return StrategyProfile(*next(witness))
+
+            return (utilities[k], build), {}
 
         return finish, {"feasibility_checks": checks}
 

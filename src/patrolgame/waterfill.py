@@ -55,8 +55,10 @@ import numpy as np
 
 from .feasibility import (
     FeasibilityQuery,
+    _defender_utility,
     best_candidate,
     check_consistent,
+    feasible_rows,
     fixed_target_utilities,
 )
 from .model import (
@@ -426,7 +428,7 @@ def _bracket_prunes(instance, i_star: int, v_star: int, incumbent: float):
         if mid == left or mid == right or not below(mid):
             return False, checks
         checks += 1
-        if check_consistent(instance, FeasibilityQuery(i_star, mid, v_star)).feasible:
+        if feasible_rows(instance, [i_star], [mid], [v_star])[0]:
             left = mid
         else:
             right = mid
@@ -447,11 +449,12 @@ def solve_hw(instance: Instance) -> SolveResult:
         def finish(k, incumbent):
             i_star, v_star = int(i_stars[k]), int(v_stars[k])
             pruned, checks = _bracket_prunes(instance, i_star, v_star, incumbent)
-            profile, iterations, swaps = None, 0, 0
+            scored, iterations, swaps = None, 0, 0
             if not pruned:
                 profile, state = _run_subproblem(instance, i_star, v_star)
-                profile, iterations, swaps = (profile.p, profile.v), state.iterations, state.swaps
-            return profile, {
+                utility = _defender_utility(instance, profile.p, profile.v)
+                scored, iterations, swaps = (utility, lambda: profile), state.iterations, state.swaps
+            return scored, {
                 "feasibility_checks": checks,
                 "iterations": iterations,
                 "swaps": swaps,

@@ -168,7 +168,8 @@ def solve_hw_unpruned(inst):
     def complete(i_stars, v_stars):
         def finish(k, _incumbent):
             profile, state = waterfill._run_subproblem(inst, int(i_stars[k]), int(v_stars[k]))
-            return (profile.p, profile.v), {"iterations": state.iterations, "swaps": state.swaps}
+            utility = evaluate_profile(inst, profile).defender_utility
+            return (utility, lambda: profile), {"iterations": state.iterations, "swaps": state.swaps}
 
         return finish, {}
 

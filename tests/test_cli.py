@@ -221,6 +221,17 @@ class TestSweepCompare:
         assert len(out.read_text().strip().split("\n")) == 3
         capsys.readouterr()
 
+    def test_sweep_with_tiny_villager_cost_finishes(self, tmp_path, capsys):
+        # a budget of 1 buys infinitely many villagers; the sweep stops at the
+        # count that fills every target
+        out = tmp_path / "sweep.csv"
+        code = cli_dispatch(
+            ["sweep", "--budget-max", "1", "--cost-villager", "5e-324", "--output", str(out)]
+        )
+        assert code == 0
+        assert out.read_text().split("\n")[2].startswith("1,0,55,")
+        capsys.readouterr()
+
     def test_negative_budget_max_is_validation_error(self, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         code = cli_dispatch(["sweep", "--budget-max", "-3", "--output", str(out)])

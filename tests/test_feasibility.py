@@ -14,14 +14,18 @@ from patrolgame.feasibility import (
     min_valid_coverage,
     most_villagers,
     total_wasted_coverage,
+    witness_utilities,
 )
-from patrolgame.tdbs import TdbsConfig, solve_tdbs
+from patrolgame.planner import case_study_scenario, terrain_adjust, with_effectiveness
+from patrolgame.tdbs import TdbsConfig, most_effort, solve_tdbs
 from patrolgame.waterfill import solve_hw
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
+    StrategyProfile,
     compute_coverage,
     attacker_utilities,
+    evaluate_profile,
     validate_profile,
 )
 
@@ -421,6 +425,78 @@ class TestFeasibleRows:
                 feasible_rows(inst, np.array(i_star), np.array(p_star), np.array(v_star))
 
 
+def test_descending_is_a_stable_sort_of_the_nonzero_sizes():
+    # _descending returns flat positions; each row's, less its start, are columns
+    rng = np.random.default_rng(19)
+    ties = 0
+    for k in range(300):
+        shape = (int(rng.integers(1, 6)), int(rng.integers(1, 60)))
+        # dyadic sizes tie often, uniform ones almost never
+        sizes = rng.choice([0.125, 0.25, 0.5, 1.0], shape) if k % 2 else rng.random(shape)
+        sizes[rng.random(shape) < 0.3] = 0.0
+        order = feasibility._descending(sizes) - np.arange(shape[0])[:, None] * shape[1]
+        stable = np.argsort(-sizes, axis=1, kind="stable")
+        for row in range(shape[0]):
+            pieces = np.count_nonzero(sizes[row])
+            assert order[row, :pieces].tolist() == stable[row, :pieces].tolist(), (k, row)
+            assert sorted(order[row, pieces:]) == sorted(stable[row, pieces:])
+            ties += pieces > np.unique(sizes[row][sizes[row] > 0]).size
+    assert ties > 100
+
+
+def _case_study_instances():
+    """The 45 grid settings of the case study, each scalar and terrain-adjusted."""
+    scenario = case_study_scenario()
+    values = [round(0.1 * k, 1) for k in range(1, 10)]
+    for e_p in values:
+        for e_v in values:
+            if e_p >= e_v:
+                yield with_effectiveness(scenario, e_p, e_v).instance
+                yield terrain_adjust(scenario, e_p, e_v)
+
+
+class TestWitnessUtilities:
+    """Block-wise scores of the greedy witnesses against one evaluation each."""
+
+    @pytest.mark.parametrize("block_cells", [feasibility._BLOCK_CELLS, 16])
+    def test_match_evaluate_profile(self, monkeypatch, block_cells):
+        # 16 cells hold at most 8 rows at n = 2 and one at n = 21, so scores
+        # cross blocks
+        monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(18)
+        random = [
+            _flavoured_instance(rng, k, int(rng.integers(2, 9)), int(rng.integers(0, 4)),
+                                int(rng.integers(0, 25)))
+            for k in range(60)
+        ]
+        kinds = Counter()
+        for inst in [*_case_study_instances(), *random]:
+            # tdbs's final queries, then random ones (some infeasible)
+            i_star = np.flatnonzero(feasible_rows(inst, np.arange(inst.n), np.zeros(inst.n),
+                                                  np.zeros(inst.n, dtype=np.int64)))
+            v_star = most_villagers(inst, i_star)[0]
+            p_star = most_effort(inst, i_star, v_star, 1e-3)[0]
+            m = 12
+            i_star = np.concatenate([i_star, rng.integers(0, inst.n, m)])
+            p_star = np.concatenate([p_star, rng.uniform(0, inst.ranger_budget, m)])
+            v_star = np.concatenate([v_star, rng.integers(0, inst.villager_budget + 1, m)])
+            got = witness_utilities(inst, i_star, p_star, v_star)
+            witnesses = list(greedy_profiles(inst, i_star, p_star, v_star))
+            assert got.shape == (len(witnesses),) == i_star.shape
+            for row, witness in enumerate(witnesses):
+                if witness is None:
+                    assert np.isnan(got[row])
+                    kinds["infeasible"] += 1
+                    continue
+                want = evaluate_profile(inst, StrategyProfile(*witness)).defender_utility
+                assert got[row] == want == feasibility._defender_utility(inst, *witness)
+                u_att = attacker_utilities(inst, compute_coverage(inst, StrategyProfile(*witness)))
+                tied = np.count_nonzero(u_att >= u_att.max() - inst.tol)
+                kinds["tied" if tied > 1 else "alone"] += 1
+                kinds["per-target" if np.ndim(inst.e_v) else "scalar"] += 1
+        assert min(kinds.values()) > 100 and len(kinds) == 5, kinds
+
+
 class TestMaxFeasibleVillagers:
     """``most_villagers``: the largest feasible villager count per target."""
 
@@ -443,8 +519,9 @@ class TestMaxFeasibleVillagers:
                 assert best == scan
 
 
-def _row(witness):
-    return witness.p, witness.v
+def _scored(inst, profile):
+    """A completed candidate as ``finish`` hands it back: (utility, build)."""
+    return evaluate_profile(inst, profile).defender_utility, lambda: profile
 
 
 class TestBestCandidate:
@@ -457,7 +534,7 @@ class TestBestCandidate:
                 seen.append((int(i_stars[k]), int(v_stars[k])))
                 query = FeasibilityQuery(int(i_stars[k]), 0.0, int(v_stars[k]))
                 witness = check_consistent(inst, query).witness
-                return _row(witness), {"feasibility_checks": 1, "steps": 3}
+                return _scored(inst, witness), {"feasibility_checks": 1, "steps": 3}
 
             return finish, {"steps": 1}
 
@@ -478,7 +555,7 @@ class TestBestCandidate:
                 if k == 0:
                     return None, {"pruned": 1}
                 query = FeasibilityQuery(int(i_stars[k]), 0.0, int(v_stars[k]))
-                return _row(check_consistent(inst, query).witness), {"pruned": 0}
+                return _scored(inst, check_consistent(inst, query).witness), {"pruned": 0}
 
             return finish, {}
 
@@ -495,7 +572,8 @@ class TestBestCandidate:
             def finish(k, _incumbent):
                 # candidate 0 stacks both resources on target 0 (utility -1),
                 # candidate 1 covers each target half (utility 0)
-                return (np.array([1.0, 0.0]), np.array([1 - k, k])), {}
+                profile = StrategyProfile(np.array([1.0, 0.0]), np.array([1 - k, k]))
+                return _scored(inst, profile), {}
 
             return finish, {}
 

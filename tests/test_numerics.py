@@ -39,16 +39,10 @@ def scale_family():
 @pytest.fixture(scope="module")
 def epsilon_sweep():
     """tdbs gaps to solve_hw per (instance, epsilon), plus every feasible
-    answer those solves received: single checks and batched rows."""
+    answer those solves received, each with its one-row witness."""
     answers = []
     check = feasibility.check_consistent
     rows_of = feasibility.feasible_rows
-
-    def recording(instance, query):
-        answer = check(instance, query)
-        if answer.feasible:
-            answers.append((instance, query.i_star, answer.witness))
-        return answer
 
     def recording_rows(instance, i_star, p_star, v_star):
         feasible = rows_of(instance, i_star, p_star, v_star)
@@ -63,10 +57,9 @@ def epsilon_sweep():
     gaps = []
     with pytest.MonkeyPatch.context() as mp:
         # the candidate loop looks the batched check up in feasibility, the
-        # effort bisection in tdbs, and hw's bracket the single check in waterfill
-        mp.setattr(waterfill, "check_consistent", recording)
-        mp.setattr(feasibility, "feasible_rows", recording_rows)
-        mp.setattr(tdbs, "feasible_rows", recording_rows)
+        # effort bisection in tdbs, and hw's bracket in waterfill
+        for module in (feasibility, tdbs, waterfill):
+            mp.setattr(module, "feasible_rows", recording_rows)
         for k, inst in enumerate(epsilon_family()):
             exact = solve_hw(inst).defender_utility
             for epsilon in EPSILONS:

@@ -234,6 +234,42 @@ class TestBudgetSweep:
                 best = BudgetSweepRow(2, k, villagers, u)
         assert rows[2] == best
 
+    def test_villagers_stop_once_they_fill_every_target(self, monkeypatch):
+        # 5e-324 a villager buys infinitely many; the case study fills each of
+        # its 21 targets with ceil(1 / 0.4) = 3 and holds 8, so 55 more do
+        calls = []
+        monkeypatch.setattr(planner, "solve_hw", lambda inst: calls.append(inst) or solve_hw(inst))
+        rows = budget_sweep(case_study_scenario(), 1, cost_villager=5e-324)
+        assert [inst.villager_budget for inst in calls] == [8, 8 + 55]
+        assert rows[1] == BudgetSweepRow(1, 0, 55, solve_hw(calls[1]).defender_utility)
+
+    def test_villager_cap_keeps_the_best_split(self):
+        # at 0.1 a villager a budget of 2 buys up to 20; three fill both
+        # targets of the symmetric instance, which already holds one
+        rows = budget_sweep(self.scenario(), max_extra=2, cost_ranger=1.0, cost_villager=0.1)
+        uncapped = max(
+            solve_hw(planner.added_budgets(symmetric_instance(), k, m)).defender_utility
+            for k, m in ((0, 20), (1, 10), (2, 0))
+        )
+        assert rows[2].villagers_added <= 3
+        assert rows[2].defender_utility == uncapped
+
+    def test_villager_cap_fills_by_the_coverage_product(self):
+        # 1 / e_v is exactly 5.0 here, but 5 * e_v < 1: each target takes 6
+        e_v = np.nextafter(0.2, 0.0)
+        assert 5 * e_v < 1.0
+        inst = planner.added_budgets(
+            with_effectiveness(ScenarioInstance(symmetric_instance()), 0.5, e_v).instance, 0, 1
+        )
+        assert list(planner._recruit_splits(inst, 1, 3.0, 1e-300)) == [(0, 2 * 6 - 2)]
+
+    def test_unbounded_recruits_rejected(self):
+        # 1 / 5e-324 overflows: no villager count fills a target, so no cap
+        tiny = with_effectiveness(case_study_scenario(), 0.6, 5e-324)
+        assert list(planner._recruit_splits(tiny.instance, 1, 3.0, 1.0)) == [(0, 1)]
+        with pytest.raises(GameDefinitionError, match="unboundedly many"):
+            list(planner._recruit_splits(tiny.instance, 1, 3.0, 5e-324))
+
 
 def read_csv(text, rows):
     """The cells of every line after the header, checking the line count."""

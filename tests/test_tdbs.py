@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from patrolgame import tdbs
 from patrolgame.bench import GenParams, generate_instance
+from patrolgame.feasibility import feasible_rows
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
@@ -104,6 +106,20 @@ class TestSolveTdbs:
             exact = solve_oracle(ts).defender_utility
             result = solve_tdbs(ts, TdbsConfig(1e-6))
             assert exact - result.defender_utility < utility_gap_bound(ts, 1e-6)
+
+
+def test_infeasible_final_witness_is_a_bug(monkeypatch):
+    # the whole ranger budget on either target, next to its villager, leaves
+    # the other target uncovered and more attractive
+    inst = symmetric_instance()
+
+    def full_effort(instance, i_stars, v_stars, epsilon):
+        return np.full(len(i_stars), instance.ranger_budget), 0
+
+    monkeypatch.setattr(tdbs, "most_effort", full_effort)
+    assert not feasible_rows(inst, [0, 1], [1.0, 1.0], [1, 1]).any()
+    with pytest.raises(RuntimeError, match="lost a candidate's witness"):
+        solve_tdbs(inst)
 
 
 def test_search_memory_stays_bounded():

@@ -346,7 +346,7 @@ class TestSolveHw:
 
         for module in (feasibility, waterfill):
             monkeypatch.setattr(module, "check_consistent", recording)
-        for module in (feasibility, tdbs):
+        for module in (feasibility, tdbs, waterfill):
             monkeypatch.setattr(module, "feasible_rows", recording_rows)
         monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
         unattackable = 0
