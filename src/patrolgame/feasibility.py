@@ -22,10 +22,9 @@ kinds of row:
   scores a block of them at once with ``best_response``'s arithmetic and
   keeps none.
 
-The shared candidate loop ``best_candidate`` searches every candidate in
-lockstep: all n targets' v = 0 tests are one call, and each round of the
-villager binary search (``most_villagers``) decides one row per candidate
-still searching.
+The shared candidate search ``candidates`` runs in lockstep: all n
+targets' v = 0 tests are one call, and each round of the villager binary
+search (``most_villagers``) decides one row per candidate still searching.
 
 Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
 ``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
@@ -50,7 +49,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -58,11 +57,9 @@ from .model import (
     REL_TOL,
     GameDefinitionError,
     Instance,
-    SolveResult,
     StrategyProfile,
     best_response,
     coverage_of,
-    evaluate_profile,
     utilities_of,
 )
 
@@ -244,11 +241,17 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
     remainder = np.multiply(whole, e_v)
     np.subtract(c_min, remainder, out=remainder)
     np.maximum(remainder, 0.0, out=remainder)
+    # More whole pieces on one target than any row has villagers leave that
+    # row short either way; the cap keeps the sums below finite at a tiny e_v.
+    np.minimum(whole, spare.max(initial=0) + 1.0, out=whole)
     has_remainder = remainder > 0.0
     n_whole = whole.sum(axis=1)
     short = np.flatnonzero(n_whole + np.count_nonzero(has_remainder, axis=1) > spare)
-    # counts are right where every piece fits
-    alloc = (whole + has_remainder).astype(np.int64) if counts else None
+    alloc = None
+    if counts:  # right where every piece fits; the short rows' counts are set below
+        alloc = whole + has_remainder
+        alloc[short] = 0.0
+        alloc = alloc.astype(np.int64)
     if short.size == 0:
         return short, np.empty((0, n)), alloc
     if short.size < c_min.shape[0]:  # from here on every array holds the short rows only
@@ -453,47 +456,19 @@ def _defender_utility(instance, p, v) -> float:
     return best_response(instance, coverage_of(instance, p, v)).defender_utility
 
 
-def best_candidate(instance: Instance, complete: Callable) -> SolveResult:
-    """Best profile over every target that can be attacked at all (both solvers' loop).
+def candidates(instance: Instance) -> Tuple[np.ndarray, np.ndarray, Counter]:
+    """The targets that can be attacked at all, each with the most villagers it can keep.
 
-    The candidates are the targets consistent with no resources on them,
-    each with the most villagers it can keep; both are found for every
-    target in lockstep (``feasible_rows``, ``most_villagers``).
-    ``complete(i_stars, v_stars)`` then sees every candidate at once and
-    returns ``(finish, counters)``. In index order, ``finish(k, incumbent)``
-    returns ``((utility, build), counters)`` for candidate k, or
-    ``(None, counters)`` when it proves the candidate cannot beat
-    ``incumbent``: ``utility`` is the defender utility of the candidate's
-    profile as ``evaluate_profile`` finds it, and ``build()`` returns that
-    profile as a ``StrategyProfile``. The incumbent is the best defender
-    utility known to be reachable: it starts at the best candidate's utility
-    with no ranger effort on it (its greedy fill reaches that much) and rises
-    to every completed candidate's. The best utility wins, ties to the lowest
-    target index, and only its profile is built and goes through
-    ``evaluate_profile``. ``diagnostics`` sums the loop's
-    ``feasibility_checks`` (one per query row) and ``candidates`` with the
-    completion's counters.
+    Both solvers start here. Every target's v = 0 test is one
+    ``feasible_rows`` call, and ``most_villagers`` searches every attackable
+    target in lockstep. Returns ``(i_stars, v_stars, counters)``: the
+    candidates in index order, their villager counts, and a ``Counter`` of
+    the ``feasibility_checks`` spent (one per query row) and the number of
+    ``candidates``.
     """
     n = instance.n
     attackable = feasible_rows(instance, np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64))
     i_stars = np.flatnonzero(attackable)
     v_stars, checks = most_villagers(instance, i_stars)
     counters = Counter({"feasibility_checks": n + checks, "candidates": int(i_stars.size)})
-    finish, spent = complete(i_stars, v_stars)
-    counters.update(spent)
-
-    at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
-    incumbent = float(np.max(at_no_effort, initial=-np.inf))
-    best = None
-    for k in range(i_stars.size):
-        scored, spent = finish(k, incumbent)
-        counters.update(spent)
-        if scored is None:
-            continue
-        incumbent = max(incumbent, scored[0])
-        if best is None or scored[0] > best[0]:
-            best = scored
-    if best is None:
-        raise RuntimeError("no candidate target was completed; this is a bug")
-    result = evaluate_profile(instance, best[1]())
-    return dataclasses.replace(result, diagnostics=dict(counters))
+    return i_stars, v_stars, counters

@@ -32,6 +32,9 @@ REL_TOL = 1e-9
 
 _PAYOFFS = ("reward_def", "penalty_def", "reward_att", "penalty_att")
 
+# 2**63 as a float: float counts below it in magnitude fit an int64.
+_INT64_END = 2.0**63
+
 
 class GameDefinitionError(ValueError):
     """Raised when an instance, query, or argument is structurally invalid."""
@@ -131,6 +134,8 @@ class Instance:
                 raise GameDefinitionError("per-target e_v must have one entry per target")
         if not np.all((0.0 < self.e_v) & (self.e_v <= 1.0)):
             raise GameDefinitionError("villager effectiveness must lie in (0, 1]")
+        if np.any(self.e_v < np.finfo(float).tiny):  # 1 / e_v would overflow
+            raise GameDefinitionError("villager effectiveness must not be subnormal")
         object.__setattr__(self, "ranger_budget", _finite(self.ranger_budget, "ranger budget"))
         if self.ranger_budget < 0:
             raise GameDefinitionError("ranger budget must be a nonnegative real")
@@ -163,9 +168,14 @@ class StrategyProfile:
         v = np.array(self.v)
         if v.ndim != 1:
             raise GameDefinitionError("villager vector must be 1-D")
-        # Keep non-integral counts as floats so validate_profile can report them.
-        if v.size and np.all(np.isfinite(v.astype(float))) and np.all(v == np.floor(v)):
+        if v.dtype.kind in "bi":
             v = v.astype(np.int64)
+        else:
+            # Keep counts that are not whole, or too large for an int64, as
+            # floats so validate_profile can report them.
+            v = v.astype(float)
+            if v.size and np.all(np.abs(v) < _INT64_END) and np.all(v == np.floor(v)):
+                v = v.astype(np.int64)
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
@@ -269,14 +279,20 @@ def validate_profile(instance, profile: StrategyProfile) -> List[str]:
         violations.append("non-finite ranger effort")
     if np.any(profile.p < 0):
         violations.append("negative ranger effort")
-    if np.any(profile.v < 0):
+    v = profile.v
+    if np.any(v < 0):
         violations.append("negative villager count")
-    if not np.issubdtype(profile.v.dtype, np.integer):
+    whole = np.issubdtype(v.dtype, np.integer)
+    if not whole and not np.all(np.isfinite(v) & (v == np.floor(v))):
         violations.append("non-integral villager count")
     budget = instance.ranger_budget * (1.0 + REL_TOL)
     if np.all(np.isfinite(profile.p)) and profile.p.sum() > budget:
         violations.append("ranger budget exceeded")
-    if np.issubdtype(profile.v.dtype, np.integer) and profile.v.sum() > instance.villager_budget:
+    if whole:
+        over = sum(v.tolist()) > instance.villager_budget  # exact, where an int64 sum can wrap
+    else:  # whole float counts are past int64 (StrategyProfile), so past any budget
+        over = bool(np.any(v >= _INT64_END))
+    if over:
         violations.append("villager budget exceeded")
     return violations
 

@@ -344,8 +344,8 @@ def _recruit_splits(instance, budget: int, cost_ranger: float, cost_villager: fl
     e_v = np.broadcast_to(instance.e_v, (instance.n,))
     with np.errstate(over="ignore"):
         filling = np.ceil(1.0 / e_v)
-    filling += filling * e_v < 1.0  # the fewest villagers filling each target (coverage_of)
-    covering_villagers = max(filling.sum() - instance.villager_budget, 0.0)
+        filling += filling * e_v < 1.0  # the fewest villagers filling each target (coverage_of)
+        covering_villagers = max(filling.sum() - instance.villager_budget, 0.0)
     # Nudge before flooring so exact multiples of a cost don't round down.
     max_rangers = _whole(min(budget / cost_ranger + REL_TOL, covering))
     for k in range(max_rangers + 1):

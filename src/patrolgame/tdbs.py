@@ -1,16 +1,17 @@
 """Approximate solver: two nested binary searches per candidate target.
 
-The shared candidate loop (``feasibility.best_candidate``) binary-searches
-the largest villager count each attackable target can keep; this module's
-completion then bisects the ranger effort on that target to within a
-resolution ``epsilon``, keeping the target a best response throughout.
-Both dimensions run every candidate's search in lockstep: each round is one
+The shared candidate search (``feasibility.candidates``) binary-searches the
+largest villager count each attackable target can keep; ``solve_tdbs`` then
+bisects the ranger effort on that target to within a resolution
+``epsilon``, keeping the target a best response throughout. Both
+dimensions run every candidate's search in lockstep: each round is one
 batched ``feasibility.feasible_rows`` call with one row per search still
 open, and no witness is built while searching. Every candidate's final
-witness is then scored block by block (``feasibility.witness_utilities``),
-and only the winner's is built again as a ``StrategyProfile``. The returned
-profile's defender utility trails the exact optimum by less than
-``e_p * 2 * M * epsilon``, where M bounds the absolute input values.
+witness is then scored block by block (``feasibility.witness_utilities``);
+the best wins, ties to the lowest target index, and only its witness is
+built again as a ``StrategyProfile``. The returned profile's defender
+utility trails the exact optimum by less than ``e_p * 2 * M * epsilon``,
+where M bounds the absolute input values.
 
 That bound is proven for a scalar villager effectiveness only. The proof
 keeps the most villagers each candidate can hold, then the most effort; with
@@ -20,8 +21,8 @@ r_p=2, r_v=3, seed=70022))`` with ``e_v = [0.537, 0.163, 0.37]``, the
 optimum holds 1 villager on the attacked target for 8.4573, while tdbs at
 ``epsilon = 1e-6`` keeps 2 for 8.3358, against a bound of 1.2e-5.
 
-This is also why the completion ignores the loop's incumbent and bracket
-pruning stays with ``solve_hw``: the pruning argument needs exact
+This is also why ``solve_tdbs`` keeps no incumbent and bracket pruning
+stays with ``solve_hw``'s incumbent loop: the pruning argument needs exact
 completions. Applied here, it lowered per-target answers past the bound (on
 300 per-target instances with n from 3 to 10, 8 answers, by up to 84 times
 the bound at ``epsilon = 1e-3``).
@@ -29,13 +30,20 @@ the bound at ``epsilon = 1e-3``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .feasibility import best_candidate, feasible_rows, greedy_profiles, witness_utilities
-from .model import GameDefinitionError, Instance, SolveResult, StrategyProfile, _finite
+from .feasibility import candidates, feasible_rows, greedy_profiles, witness_utilities
+from .model import (
+    GameDefinitionError,
+    Instance,
+    SolveResult,
+    StrategyProfile,
+    _finite,
+    evaluate_profile,
+)
 
 # Search resolution used by the experiment harness.
 DEFAULT_EPSILON = 1e-3
@@ -103,22 +111,14 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
     Works for a scalar and for a per-target villager effectiveness.
     """
     epsilon = (config or TdbsConfig()).epsilon
-
-    def complete(i_stars, v_stars):
-        p_stars, checks = most_effort(instance, i_stars, v_stars, epsilon)
-        utilities = witness_utilities(instance, i_stars, p_stars, v_stars)
-        if np.isnan(utilities).any():
-            raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
-        utilities = utilities.tolist()
-
-        def finish(k, _incumbent):
-            def build():
-                one = slice(k, k + 1)
-                witness = greedy_profiles(instance, i_stars[one], p_stars[one], v_stars[one])
-                return StrategyProfile(*next(witness))
-
-            return (utilities[k], build), {}
-
-        return finish, {"feasibility_checks": checks}
-
-    return best_candidate(instance, complete)
+    i_stars, v_stars, counters = candidates(instance)
+    p_stars, checks = most_effort(instance, i_stars, v_stars, epsilon)
+    counters["feasibility_checks"] += checks
+    utilities = witness_utilities(instance, i_stars, p_stars, v_stars)
+    if np.isnan(utilities).any():
+        raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
+    k = int(np.argmax(utilities))  # the first best: ties go to the lowest target
+    one = slice(k, k + 1)
+    witness = next(greedy_profiles(instance, i_stars[one], p_stars[one], v_stars[one]))
+    result = evaluate_profile(instance, StrategyProfile(*witness))
+    return replace(result, diagnostics=dict(counters))

@@ -10,8 +10,9 @@ Pouring pauses at critical points where one villager below the sea can trade
 places with a critical target's ranger effort at no change in level; the
 trade (a swap) moves the villager to a wider target, shrinking the effort
 needed per unit of further lowering. Iterating to ranger exhaustion yields
-the waste-minimal, utility-optimal completion; ``solve_hw`` runs it for the
-candidates of the shared loop ``feasibility.best_candidate`` that can still
+the waste-minimal, utility-optimal completion. ``solve_hw`` takes the
+candidates of the shared candidate search (``feasibility.candidates``) and
+runs its incumbent loop over them, waterfilling each one that can still
 win.
 
 Events: one iteration of the pour loop is one event. Merges are not events:
@@ -21,8 +22,9 @@ floor (or the fixed target's level) and the level where the ranger budget
 runs out (``_next_event``). ``diagnostics["iterations"]`` counts these
 events, and ``get_swap_line`` is called once per iteration.
 
-Bracket pruning: the loop hands each candidate the incumbent, the best
-defender utility some profile is known to reach. Before waterfilling,
+Bracket pruning: ``solve_hw``'s incumbent loop keeps the incumbent, the best
+defender utility some profile is known to reach. It starts at the best
+candidate's utility with no ranger effort on it. Before waterfilling,
 ``solve_hw`` bisects the ranger effort on the candidate, with its villager
 count fixed, over a bracket ``[left, right]`` that starts at no effort and
 at the effort that fully covers the target (or the whole budget, if less).
@@ -56,7 +58,7 @@ import numpy as np
 from .feasibility import (
     FeasibilityQuery,
     _defender_utility,
-    best_candidate,
+    candidates,
     check_consistent,
     feasible_rows,
     fixed_target_utilities,
@@ -67,6 +69,7 @@ from .model import (
     SolveResult,
     StrategyProfile,
     attacker_utilities,
+    evaluate_profile,
 )
 
 @dataclass
@@ -438,29 +441,31 @@ def _bracket_prunes(instance, i_star: int, v_star: int, incumbent: float):
 def solve_hw(instance: Instance) -> SolveResult:
     """Exact optimum over all candidate attacked targets.
 
-    Per candidate of the shared loop, run the waterfilling subproblem from
-    the maximum consistent villager count, unless its effort bracket proves
-    it cannot beat the incumbent (module docstring). Needs a scalar villager
+    For each candidate of the shared candidate search
+    (``feasibility.candidates``), in index order, run the waterfilling
+    subproblem from its villager count, unless its effort bracket proves it
+    cannot beat the incumbent (module docstring). The best evaluated utility
+    wins, ties to the lowest target index. Needs a scalar villager
     effectiveness.
     """
     _require_scalar_e_v(instance)
-
-    def complete(i_stars, v_stars):
-        def finish(k, incumbent):
-            i_star, v_star = int(i_stars[k]), int(v_stars[k])
-            pruned, checks = _bracket_prunes(instance, i_star, v_star, incumbent)
-            scored, iterations, swaps = None, 0, 0
-            if not pruned:
-                profile, state = _run_subproblem(instance, i_star, v_star)
-                utility = _defender_utility(instance, profile.p, profile.v)
-                scored, iterations, swaps = (utility, lambda: profile), state.iterations, state.swaps
-            return scored, {
-                "feasibility_checks": checks,
-                "iterations": iterations,
-                "swaps": swaps,
-                "pruned": int(pruned),
-            }
-
-        return finish, {}
-
-    return best_candidate(instance, complete)
+    i_stars, v_stars, counters = candidates(instance)
+    counters.update(iterations=0, swaps=0, pruned=0)
+    # The best candidate with no ranger effort on it: its greedy fill reaches that much.
+    at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
+    incumbent = float(np.max(at_no_effort, initial=-np.inf))
+    best_utility, best = -np.inf, None
+    for i_star, v_star in zip(i_stars.tolist(), v_stars.tolist()):
+        pruned, checks = _bracket_prunes(instance, i_star, v_star, incumbent)
+        counters.update(feasibility_checks=checks, pruned=int(pruned))
+        if pruned:
+            continue
+        profile, state = _run_subproblem(instance, i_star, v_star)
+        counters.update(iterations=state.iterations, swaps=state.swaps)
+        utility = _defender_utility(instance, profile.p, profile.v)
+        incumbent = max(incumbent, utility)
+        if utility > best_utility:
+            best_utility, best = utility, profile
+    if best is None:
+        raise RuntimeError("no candidate target was completed; this is a bug")
+    return replace(evaluate_profile(instance, best), diagnostics=dict(counters))

@@ -14,7 +14,7 @@ from patrolgame import waterfill
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.feasibility import (
     FeasibilityQuery,
-    best_candidate,
+    candidates,
     check_consistent,
     fixed_target_utilities,
 )
@@ -161,19 +161,18 @@ def greedy_villagers_ref(inst, i_star, p_star, v_star, tol=1e-9):
 def solve_hw_unpruned(inst):
     """``solve_hw`` without bracket pruning: the waterfill runs for every candidate.
 
-    The reference the pruned solver must match; it shares the candidate loop
-    and the subproblem and leaves out only the bracket.
+    The reference the pruned solver must match; it shares the candidate
+    search and the subproblem and leaves out only the bracket.
     """
-
-    def complete(i_stars, v_stars):
-        def finish(k, _incumbent):
-            profile, state = waterfill._run_subproblem(inst, int(i_stars[k]), int(v_stars[k]))
-            utility = evaluate_profile(inst, profile).defender_utility
-            return (utility, lambda: profile), {"iterations": state.iterations, "swaps": state.swaps}
-
-        return finish, {}
-
-    return best_candidate(inst, complete)
+    i_stars, v_stars, counters = candidates(inst)
+    best = None
+    for i_star, v_star in zip(i_stars.tolist(), v_stars.tolist()):
+        profile, state = waterfill._run_subproblem(inst, i_star, v_star)
+        counters.update(iterations=state.iterations, swaps=state.swaps)
+        result = evaluate_profile(inst, profile)
+        if best is None or result.defender_utility > best.defender_utility:
+            best = result
+    return dataclasses.replace(best, diagnostics=dict(counters))
 
 
 def max_feasible_villagers_ref(inst, i_star):
@@ -199,9 +198,10 @@ def max_feasible_villagers_ref(inst, i_star):
 def best_candidate_sequential(inst, complete):
     """The candidate loop one ``check_consistent`` call at a time.
 
-    The reference for ``feasibility.best_candidate``: every candidate's
-    searches run one after the other and keep each candidate's witness, and
-    every completed profile goes through ``evaluate_profile``.
+    The reference for ``feasibility.candidates`` and the solvers' choice of
+    winner: every candidate's searches run one after the other and keep each
+    candidate's witness, and every completed profile goes through
+    ``evaluate_profile``.
     ``complete(i_star, v_star, witness, incumbent)`` returns
     ``(profile, counters)``, the profile None when pruned.
     """

@@ -129,6 +129,18 @@ class TestSolve:
         assert not out.exists()
 
 
+    def test_subnormal_villager_effectiveness_is_validation_error(self, tmp_path, capsys):
+        doc = scenario_to_dict(ScenarioInstance(random_instance(85, n=3, r_p=1, r_v=1)))
+        doc["e_v"] = 5e-324
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        assert cli_dispatch(["solve", "--input", str(path), "--output", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "effectiveness" in err
+        assert not out.exists()
+
+
 class TestGen:
     def test_gen_then_solve(self, tmp_path, capsys):
         inst = tmp_path / "gen.json"
@@ -238,6 +250,20 @@ class TestSweepCompare:
         err = capsys.readouterr().err
         assert code == 1
         assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("count", [1e30, 2**70])
+    def test_oversized_baseline_count_is_validation_error(self, tmp_path, capsys, count):
+        doc = scenario_to_dict(case_study_scenario())
+        doc["baseline"]["v"][0] = count
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "compare.csv"
+        code = cli_dispatch(["compare", "--input", str(path), "--output", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error:") and "villager budget exceeded" in err
+        assert "negative" not in err
         assert not out.exists()
 
     def test_usage_error_without_subcommand(self, capsys):

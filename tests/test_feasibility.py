@@ -7,7 +7,7 @@ import pytest
 from patrolgame import feasibility
 from patrolgame.feasibility import (
     FeasibilityQuery,
-    best_candidate,
+    candidates,
     check_consistent,
     feasible_rows,
     greedy_profiles,
@@ -519,66 +519,27 @@ class TestMaxFeasibleVillagers:
                 assert best == scan
 
 
-def _scored(inst, profile):
-    """A completed candidate as ``finish`` hands it back: (utility, build)."""
-    return evaluate_profile(inst, profile).defender_utility, lambda: profile
+class TestCandidates:
+    def test_every_target_keeps_its_most_villagers(self):
+        # each target alone with the one villager: both are candidates
+        i_stars, v_stars, counters = candidates(symmetric_instance())
+        assert i_stars.tolist() == [0, 1] and v_stars.tolist() == [1, 1]
+        # per target: the v = 0 row and two search rows
+        assert list(counters.items()) == [("feasibility_checks", 6), ("candidates", 2)]
 
-
-class TestBestCandidate:
-    def test_first_candidate_wins_ties_and_counters_add_up(self):
-        inst = symmetric_instance()
-        seen = []
-
-        def complete(i_stars, v_stars):
-            def finish(k, _incumbent):
-                seen.append((int(i_stars[k]), int(v_stars[k])))
-                query = FeasibilityQuery(int(i_stars[k]), 0.0, int(v_stars[k]))
-                witness = check_consistent(inst, query).witness
-                return _scored(inst, witness), {"feasibility_checks": 1, "steps": 3}
-
-            return finish, {"steps": 1}
-
-        result = best_candidate(inst, complete)
-        assert seen == [(0, 1), (1, 1)]
+    @pytest.mark.parametrize(
+        "solve, diagnostics",
+        [
+            (solve_hw, {"feasibility_checks": 6, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0}),
+            (solve_tdbs, {"feasibility_checks": 26, "candidates": 2}),
+        ],
+        ids=["hw", "tdbs"],
+    )
+    def test_first_candidate_wins_ties_and_counters_add_up(self, solve, diagnostics):
         # both candidates reach utility 0; the first one's profile is kept
-        assert result.profile.v.tolist() == [1, 0]
-        # per candidate: the v = 0 row, two search rows and one completion check
-        assert result.diagnostics == {"feasibility_checks": 8, "candidates": 2, "steps": 7}
-
-    def test_pruned_candidates_are_skipped(self):
-        inst = symmetric_instance()
-        incumbents = []
-
-        def complete(i_stars, v_stars):
-            def finish(k, incumbent):
-                incumbents.append(incumbent)
-                if k == 0:
-                    return None, {"pruned": 1}
-                query = FeasibilityQuery(int(i_stars[k]), 0.0, int(v_stars[k]))
-                return _scored(inst, check_consistent(inst, query).witness), {"pruned": 0}
-
-            return finish, {}
-
-        result = best_candidate(inst, complete)
-        # one villager covers half of either target: defender utility 0
-        assert incumbents == [0.0, 0.0]
-        assert result.profile.v.tolist() == [0, 1]
-        assert result.diagnostics["pruned"] == 1
-
-    def test_strictly_better_later_candidate_wins(self):
-        inst = symmetric_instance()
-
-        def complete(i_stars, v_stars):
-            def finish(k, _incumbent):
-                # candidate 0 stacks both resources on target 0 (utility -1),
-                # candidate 1 covers each target half (utility 0)
-                profile = StrategyProfile(np.array([1.0, 0.0]), np.array([1 - k, k]))
-                return _scored(inst, profile), {}
-
-            return finish, {}
-
-        result = best_candidate(inst, complete)
-        assert result.profile.v.tolist() == [0, 1] and result.defender_utility == 0.0
+        result = solve(symmetric_instance())
+        assert result.attacked == 0 and result.profile.v.tolist() == [1, 0]
+        assert list(result.diagnostics.items()) == list(diagnostics.items())
 
 
 def _family(j, k):

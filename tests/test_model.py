@@ -92,6 +92,13 @@ class TestInstanceValidation:
         with pytest.raises(GameDefinitionError):
             make(e_v=[[0.5, 0.5]])
 
+    @pytest.mark.parametrize("e_v", [5e-324, [0.5, 1e-310]])
+    def test_subnormal_villager_effectiveness_is_rejected(self, e_v):
+        # 1 / e_v overflows below the smallest normal float
+        with pytest.raises(GameDefinitionError):
+            make(e_v=e_v)
+        make(e_v=np.finfo(float).tiny)
+
     def test_villager_budget_must_fit_int64(self):
         make(villager_budget=2**63 - 1)
         with pytest.raises(GameDefinitionError):
@@ -225,6 +232,15 @@ class TestValidateProfile:
     def test_non_integral_villagers(self):
         violations = validate_profile(make(), StrategyProfile([0.0, 0.0], [0.5, 0.0]))
         assert "non-integral villager count" in violations
+
+    @pytest.mark.parametrize("count", [1e30, 2.0**70, 2**70, 2**63])
+    def test_counts_past_int64_exceed_the_budget(self, count):
+        profile = StrategyProfile([0.0, 0.0], [count, 0])
+        assert validate_profile(make(), profile) == ["villager budget exceeded"]
+
+    def test_counts_summing_past_int64_exceed_the_budget(self):
+        profile = StrategyProfile([0.0, 0.0], [2**62, 2**62])
+        assert validate_profile(make(), profile) == ["villager budget exceeded"]
 
     def test_budget_tolerance(self):
         inst = make()

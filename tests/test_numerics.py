@@ -6,6 +6,9 @@ instance's own scale, so neither the tdbs resolution nor the unit the
 payoffs are written in may change which target is attacked.
 """
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from patrolgame.feasibility import FeasibilityQuery
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.model import attacker_utilities, compute_coverage, validate_profile
 from patrolgame.oracle import solve_oracle
+from patrolgame.planner import case_study_scenario
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound
 from patrolgame.waterfill import solve_hw
 
@@ -56,7 +60,7 @@ def epsilon_sweep():
 
     gaps = []
     with pytest.MonkeyPatch.context() as mp:
-        # the candidate loop looks the batched check up in feasibility, the
+        # the candidate search looks the batched check up in feasibility, the
         # effort bisection in tdbs, and hw's bracket in waterfill
         for module in (feasibility, tdbs, waterfill):
             mp.setattr(module, "feasible_rows", recording_rows)
@@ -115,3 +119,15 @@ def test_payoff_scale_invariance(unscaled_results, factor):
             if not u == pytest.approx(base.defender_utility, rel=1e-9):
                 failures.append("k=%d: %s utility %r vs %r" % (k, name, u, base.defender_utility))
     assert not failures, failures[:5]
+
+
+@pytest.mark.parametrize("e_v", [1e-200, np.finfo(float).tiny])
+def test_tiny_villager_effectiveness_solves_without_warnings(e_v):
+    # c_min / e_v reaches about 1e307 whole pieces per target: their sums
+    # overflowed, and the counts of rows short of villagers were cast to int64
+    inst = dataclasses.replace(case_study_scenario().instance, e_v=e_v)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        exact = solve_hw(inst).defender_utility
+        approx = solve_tdbs(inst).defender_utility
+    assert abs(exact - approx) < utility_gap_bound(inst, tdbs.DEFAULT_EPSILON)

@@ -264,8 +264,9 @@ class TestBudgetSweep:
         assert list(planner._recruit_splits(inst, 1, 3.0, 1e-300)) == [(0, 2 * 6 - 2)]
 
     def test_unbounded_recruits_rejected(self):
-        # 1 / 5e-324 overflows: no villager count fills a target, so no cap
-        tiny = with_effectiveness(case_study_scenario(), 0.6, 5e-324)
+        # the villagers filling all 21 targets at the smallest normal e_v
+        # overflow a float, so there is no cap
+        tiny = with_effectiveness(case_study_scenario(), 0.6, np.finfo(float).tiny)
         assert list(planner._recruit_splits(tiny.instance, 1, 3.0, 1.0)) == [(0, 1)]
         with pytest.raises(GameDefinitionError, match="unboundedly many"):
             list(planner._recruit_splits(tiny.instance, 1, 3.0, 5e-324))
