@@ -15,40 +15,39 @@ from .planner import csv_text, get_solver
 DEFAULT_TIMEOUT = 7200.0
 DEFAULT_RUNS = 30
 
+# Payoff ranges of the synthetic instances (see GenParams).
+REWARD_HIGH = 10.0
+PENALTY_LOW = -10.0
+
 
 @dataclass(frozen=True)
 class GenParams:
-    """Shape and value ranges for one random instance family.
+    """Shape and budgets of one random instance family.
 
-    Defaults mirror the synthetic evaluation setup: rewards uniform in
-    [0, 10), penalties uniform in [-10, 0), and 0 < e_v < e_p < 1.
+    Instances follow the synthetic evaluation setup: rewards uniform in
+    [0, REWARD_HIGH), penalties uniform in [PENALTY_LOW, 0), and
+    0 < e_v < e_p < 1.
     """
 
     n: int
     r_p: float
     r_v: int
     seed: int
-    reward_high: float = 10.0
-    penalty_low: float = -10.0
 
     def __post_init__(self):
         if self.n < 1:
             raise GameDefinitionError("need at least one target")
         if self.r_p < 0 or self.r_v < 0:
             raise GameDefinitionError("budgets must be nonnegative")
-        if not self.reward_high > 0:
-            raise GameDefinitionError("reward range must be positive")
-        if not self.penalty_low < 0:
-            raise GameDefinitionError("penalty range must be negative")
 
 
 def generate_instance(params: GenParams) -> Instance:
     """Deterministic instance for the given seed."""
     rng = np.random.default_rng(params.seed)
-    reward_def = rng.uniform(0.0, params.reward_high, params.n)
-    penalty_def = rng.uniform(params.penalty_low, 0.0, params.n)
-    reward_att = rng.uniform(0.0, params.reward_high, params.n)
-    penalty_att = rng.uniform(params.penalty_low, 0.0, params.n)
+    reward_def = rng.uniform(0.0, REWARD_HIGH, params.n)
+    penalty_def = rng.uniform(PENALTY_LOW, 0.0, params.n)
+    reward_att = rng.uniform(0.0, REWARD_HIGH, params.n)
+    penalty_att = rng.uniform(PENALTY_LOW, 0.0, params.n)
     while True:
         pair = rng.uniform(0.0, 1.0, 2)
         if pair.min() > 0.0 and pair[0] != pair[1]:

@@ -156,6 +156,9 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    if args.tally_output and not args.grid:
+        print("error: --tally-output needs --grid", file=sys.stderr)
+        return _USAGE_ERROR
     scenario = _load_scenario(args.input)
     if args.grid:
         grid = effectiveness_grid(scenario, solver=args.algorithm, epsilon=args.epsilon)

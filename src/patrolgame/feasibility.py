@@ -17,10 +17,9 @@ kinds of row:
   straight from the piece arithmetic, with no villager counts and no
   witness; rows where every piece fits need no greedy at all;
 - witness rows run the same greedy with counts and build each feasible
-  row's profile (p, v): ``greedy_profiles`` yields them,
-  ``check_consistent`` is the one-row case, and ``witness_utilities``
-  scores a block of them at once with ``best_response``'s arithmetic and
-  keeps none.
+  row's profile (p, v), one block at a time. ``witness_blocks`` is the one
+  witness builder: ``check_consistent`` reads its first block, and
+  ``tdbs`` scores its blocks as they come.
 
 The shared candidate search ``candidates`` runs in lockstep: all n
 targets' v = 0 tests are one call, and each round of the villager binary
@@ -28,14 +27,14 @@ search (``most_villagers``) decides one row per candidate still searching.
 
 Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
 ``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
-``best_response``'s tied set. Two slacks share that budget, at most half
-each:
+the attacker's tied set (``model.tied_defender_utilities``). Two slacks
+share that budget, at most half each:
 
 - the attacker-floor test accepts a utility up to ``tol / 2`` below a
   target's penalty (full coverage then leaves that target at most
   ``tol / 2`` above ``i_star``);
 - the ranger-coverage sum may exceed the ranger budget by the unitless
-  ``_COVERAGE_SLACK``. ``_witness_blocks`` trims that shortfall out of the
+  ``_COVERAGE_SLACK``. ``witness_blocks`` trims that shortfall out of the
   effort, lowering some targets' coverage by at most as much in total, and a
   coverage drop of sigma raises a target's attacker utility by at most
   ``sigma * (R_a - P_a) <= sigma * 2 * max|payoff| = tol / 2``.
@@ -49,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -58,8 +57,7 @@ from .model import (
     GameDefinitionError,
     Instance,
     StrategyProfile,
-    best_response,
-    coverage_of,
+    _target_index,
     utilities_of,
 )
 
@@ -115,19 +113,16 @@ def _min_coverage(instance, u) -> np.ndarray:
     return c_min
 
 
-def _min_coverage_vec(instance, u: float) -> Tuple[np.ndarray, np.ndarray]:
-    """(c_min, achievable): ``_min_coverage`` and the attacker-floor test.
-
-    A target counts as achievable when u is at most ``tol / 2`` below its
-    penalty floor.
-    """
-    return _min_coverage(instance, u), u >= instance.penalty_att - instance.tol / 2
+def _attacker_floor(instance) -> np.ndarray:
+    """Per target, the lowest utility the attacker-floor test accepts there:
+    its penalty less the ``tol / 2`` slack (module docstring)."""
+    return instance.penalty_att - instance.tol / 2
 
 
 def _floor_of_others(instance) -> np.ndarray:
     """Per target i, the lowest utility the attacker-floor test accepts on
-    every other target: the largest ``P_a[j] - tol / 2`` over j != i."""
-    floor = instance.penalty_att - instance.tol / 2
+    every other target: the largest ``_attacker_floor`` over j != i."""
+    floor = _attacker_floor(instance)
     top = int(np.argmax(floor))
     others = np.full(instance.n, floor[top])
     others[top] = max(floor[:top].max(initial=-np.inf), floor[top + 1 :].max(initial=-np.inf))
@@ -139,21 +134,22 @@ def min_valid_coverage(instance, i: int, u: float) -> Optional[float]:
 
     None when no coverage achieves it (u below the attacker's penalty floor).
     """
-    c_min, achievable = _min_coverage_vec(instance, u)
-    if not achievable[i]:
+    i = _target_index(instance, i)
+    if not u >= _attacker_floor(instance)[i]:
         return None
-    return float(c_min[i])
+    return float(_min_coverage(instance, u)[i])
 
 
 def total_wasted_coverage(instance, v: np.ndarray, u: float, i_star: int) -> float:
     """Villager coverage in excess of the needed minimum, summed over i != i_star."""
+    i_star = _target_index(instance, i_star)
     v = np.asarray(v)
-    c_min, achievable = _min_coverage_vec(instance, u)
-    others = np.arange(instance.n) != i_star
-    if not achievable[others].all():
+    if v.shape != (instance.n,):
+        raise GameDefinitionError("expected %d villager counts, got shape %s" % (instance.n, v.shape))
+    if not u >= _floor_of_others(instance)[i_star]:
         raise GameDefinitionError("utility %r is unachievable on some target" % (u,))
-    waste = np.maximum(v * np.asarray(instance.e_v) - c_min, 0.0)
-    return float(waste[others].sum())
+    waste = np.maximum(v * np.asarray(instance.e_v) - _min_coverage(instance, u), 0.0)
+    return float(waste[np.arange(instance.n) != i_star].sum())
 
 
 def _query_rows(instance, i_star, p_star, v_star):
@@ -349,14 +345,16 @@ def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
     return feasible
 
 
-def _witness_blocks(instance, i_star, p_star, v_star):
+def witness_blocks(instance: Instance, i_star, p_star, v_star):
     """Per block of query rows: ``(block, feasible, p, v)``.
 
-    ``feasible`` marks the block's feasible queries, and row j of ``p`` and
-    ``v`` is the witness of the j-th of them: the greedy fill's villagers,
-    and ranger effort covering the residual need, its total trimmed to the
-    budget left (the ``_COVERAGE_SLACK`` shortfall), with the query's own
-    ``(p_star, v_star)`` on ``i_star``.
+    Takes the arrays ``feasible_rows`` takes and fills them block by block,
+    so only one block of rows is held at a time. ``block`` is the slice of
+    the queries it covers, ``feasible`` marks the block's feasible queries,
+    and row j of ``p`` and ``v`` is the witness of the j-th of them: the
+    greedy fill's villagers, and ranger effort covering the residual need,
+    its total trimmed to the budget left (the ``_COVERAGE_SLACK``
+    shortfall), with the query's own ``(p_star, v_star)`` on ``i_star``.
     """
     i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
     floor = _floor_of_others(instance)
@@ -381,35 +379,6 @@ def _witness_blocks(instance, i_star, p_star, v_star):
         yield block, feasible, p, v
 
 
-def greedy_profiles(instance: Instance, i_star, p_star, v_star) -> Iterator:
-    """The witness ``(p, v)`` of every row's query in turn, or None where it is infeasible.
-
-    Takes the arrays ``feasible_rows`` takes and fills them block by
-    block, so only one block of rows is held at a time.
-    """
-    for _, feasible, p, v in _witness_blocks(instance, i_star, p_star, v_star):
-        witnesses = zip(p, v)
-        for ok in feasible.tolist():
-            yield next(witnesses) if ok else None
-
-
-def witness_utilities(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
-    """The defender utility of every row's witness, NaN where the row is infeasible.
-
-    Each equals ``_defender_utility`` of the witness ``greedy_profiles``
-    yields, bit for bit: the witnesses of a block are scored together with
-    ``best_response``'s per-target arithmetic (coverage, utilities, the
-    attacker's tied set within ``instance.tol``, the defender's best in it),
-    and no witness is kept.
-    """
-    utilities = np.full(np.shape(i_star)[0], np.nan)
-    for block, feasible, p, v in _witness_blocks(instance, i_star, p_star, v_star):
-        u_d, u_a = utilities_of(instance, coverage_of(instance, p, v), slice(None))
-        u_d[u_a < u_a.max(axis=1, keepdims=True) - instance.tol] = -np.inf
-        utilities[block.start + np.flatnonzero(feasible)] = u_d.max(axis=1)
-    return utilities
-
-
 def check_consistent(instance: Instance, query: FeasibilityQuery) -> FeasibilityAnswer:
     """Decide whether ``query`` extends to a full profile keeping ``i_star`` attacked.
 
@@ -417,10 +386,10 @@ def check_consistent(instance: Instance, query: FeasibilityQuery) -> Feasibility
     still-needed coverage (see _place_villagers), and rangers must cover the
     rest. Works for a scalar and for a per-target ``e_v``.
     """
-    witness = next(greedy_profiles(instance, [query.i_star], [query.p_star], [query.v_star]))
-    if witness is None:
+    _, feasible, p, v = next(witness_blocks(instance, [query.i_star], [query.p_star], [query.v_star]))
+    if not feasible[0]:
         return FeasibilityAnswer(False, None)
-    return FeasibilityAnswer(True, StrategyProfile(*witness))
+    return FeasibilityAnswer(True, StrategyProfile(p[0], v[0]))
 
 
 def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
@@ -449,11 +418,6 @@ def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
         hi[rows[~ok]] = mid[~ok] - 1
         searching[rows] = np.where(ok, mid < hi[rows], mid > lo[rows])
     return best, checks
-
-
-def _defender_utility(instance, p, v) -> float:
-    """Defender utility of the profile (p, v), as ``evaluate_profile`` finds it."""
-    return best_response(instance, coverage_of(instance, p, v)).defender_utility
 
 
 def candidates(instance: Instance) -> Tuple[np.ndarray, np.ndarray, Counter]:

@@ -4,7 +4,9 @@ A game instance has two kinds of patrol resources: divisible ranger effort
 (a budget that may be spread fractionally over targets) and indivisible
 villagers (each pinned to a single target). The attacker observes the
 allocation and attacks the target with the highest expected utility,
-breaking ties in the defender's favour.
+breaking ties in the defender's favour. ``tied_defender_utilities`` is the
+one home of that rule: ``best_response`` applies it to one coverage vector,
+and ``tdbs`` to a block of witnesses at once.
 
 Tolerances: the library has one relative constant, ``REL_TOL``, and every
 slack is derived from it and the instance's own scale, so results do not
@@ -243,27 +245,49 @@ def attacker_utilities(instance, coverage: np.ndarray) -> np.ndarray:
     return utilities_of(instance, coverage, slice(None))[1]
 
 
+def _target_index(instance, i) -> int:
+    """``i`` as an int; GameDefinitionError unless it indexes a target of ``instance``."""
+    if not (isinstance(i, numbers.Integral) and 0 <= i < instance.n):
+        raise GameDefinitionError("target index %r out of range for %d targets" % (i, instance.n))
+    return int(i)
+
+
 def target_utilities(instance, c_i: float, i: int) -> Tuple[float, float]:
     """(defender, attacker) expected utility on target ``i`` at coverage ``c_i``."""
+    i = _target_index(instance, i)
     if not 0.0 <= c_i <= 1.0:
         raise GameDefinitionError("coverage %r outside [0, 1]" % (c_i,))
     u_d, u_a = utilities_of(instance, c_i, i)
     return float(u_d), float(u_a)
 
 
+def tied_defender_utilities(instance, coverage: np.ndarray) -> np.ndarray:
+    """Each target's defender utility where the attacker may attack it, -inf elsewhere.
+
+    The attacker may attack any target whose utility is within
+    ``instance.tol`` of its best; among those it breaks ties in the
+    defender's favour, so each row's maximum is the defender utility of its
+    best response. ``coverage`` is one coverage vector or a block of them,
+    one row per profile.
+    """
+    u_d, u_a = utilities_of(instance, coverage, slice(None))
+    u_d[u_a < u_a.max(axis=-1, keepdims=True) - instance.tol] = -np.inf
+    return u_d
+
+
 def best_response(instance, coverage: np.ndarray) -> BestResponse:
     """Attacker's target choice for a coverage vector.
 
-    Argmax of attacker utility; ties within ``instance.tol`` are broken in
-    the defender's favour, remaining ties by lowest target index.
+    The defender's best target among the attacker's tied set
+    (``tied_defender_utilities``); remaining ties go to the lowest target
+    index.
     """
-    u_d, u_a = utilities_of(instance, coverage, slice(None))
-    tied = np.flatnonzero(u_a >= u_a.max() - instance.tol)
-    target = int(tied[np.argmax(u_d[tied])])
+    target = int(np.argmax(tied_defender_utilities(instance, coverage)))
+    u_d, u_a = utilities_of(instance, coverage[target], target)
     return BestResponse(
         target=target,
-        attacker_utility=float(u_a[target]),
-        defender_utility=float(u_d[target]),
+        attacker_utility=float(u_a),
+        defender_utility=float(u_d),
     )
 
 

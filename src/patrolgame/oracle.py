@@ -28,7 +28,7 @@ from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
-from .feasibility import _min_coverage_vec
+from .feasibility import _floor_of_others, _min_coverage
 from .model import (
     GameDefinitionError,
     Instance,
@@ -104,15 +104,14 @@ def _max_consistent_effort(instance, villager_coverage: np.ndarray, i_star: int)
     e_p = instance.e_p
     r_p = float(instance.ranger_budget)
     c_v_star = float(villager_coverage[i_star])
-    others = np.arange(instance.n) != i_star
+    floor = _floor_of_others(instance)[i_star]
 
     def residual_fill(p_star: float) -> Optional[np.ndarray]:
         c_star = min(e_p * p_star + c_v_star, 1.0)
         u = float(reward[i_star] * (1.0 - c_star) + penalty[i_star] * c_star)
-        c_min, achievable = _min_coverage_vec(instance, u)
-        if not achievable[others].all():
+        if not u >= floor:
             return None
-        need = np.maximum(c_min - villager_coverage, 0.0)
+        need = np.maximum(_min_coverage(instance, u) - villager_coverage, 0.0)
         need[i_star] = 0.0
         if float(need.sum()) > (r_p - p_star) * e_p + _FILL_SLACK:
             return None

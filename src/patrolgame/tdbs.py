@@ -6,10 +6,11 @@ bisects the ranger effort on that target to within a resolution
 ``epsilon``, keeping the target a best response throughout. Both
 dimensions run every candidate's search in lockstep: each round is one
 batched ``feasibility.feasible_rows`` call with one row per search still
-open, and no witness is built while searching. Every candidate's final
-witness is then scored block by block (``feasibility.witness_utilities``);
-the best wins, ties to the lowest target index, and only its witness is
-built again as a ``StrategyProfile``. The returned profile's defender
+open, and no witness is built while searching. The candidates' final
+witnesses are then built once, block by block
+(``feasibility.witness_blocks``), and scored with the attacker's tied set
+(``model.tied_defender_utilities``); the best wins, ties to the lowest
+target index, and only its row is kept. The returned profile's defender
 utility trails the exact optimum by less than ``e_p * 2 * M * epsilon``,
 where M bounds the absolute input values.
 
@@ -35,14 +36,16 @@ from typing import Optional
 
 import numpy as np
 
-from .feasibility import candidates, feasible_rows, greedy_profiles, witness_utilities
+from .feasibility import candidates, feasible_rows, witness_blocks
 from .model import (
     GameDefinitionError,
     Instance,
     SolveResult,
     StrategyProfile,
     _finite,
+    coverage_of,
     evaluate_profile,
+    tied_defender_utilities,
 )
 
 # Search resolution used by the experiment harness.
@@ -114,11 +117,13 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
     i_stars, v_stars, counters = candidates(instance)
     p_stars, checks = most_effort(instance, i_stars, v_stars, epsilon)
     counters["feasibility_checks"] += checks
-    utilities = witness_utilities(instance, i_stars, p_stars, v_stars)
-    if np.isnan(utilities).any():
-        raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
-    k = int(np.argmax(utilities))  # the first best: ties go to the lowest target
-    one = slice(k, k + 1)
-    witness = next(greedy_profiles(instance, i_stars[one], p_stars[one], v_stars[one]))
-    result = evaluate_profile(instance, StrategyProfile(*witness))
+    best_utility, best = -np.inf, None
+    for _, feasible, p, v in witness_blocks(instance, i_stars, p_stars, v_stars):
+        if not feasible.all():
+            raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
+        utilities = tied_defender_utilities(instance, coverage_of(instance, p, v)).max(axis=1)
+        k = int(np.argmax(utilities))  # the first best: ties go to the lowest target
+        if utilities[k] > best_utility:
+            best_utility, best = utilities[k], StrategyProfile(p[k], v[k])
+    result = evaluate_profile(instance, best)
     return replace(result, diagnostics=dict(counters))

@@ -57,7 +57,6 @@ import numpy as np
 
 from .feasibility import (
     FeasibilityQuery,
-    _defender_utility,
     candidates,
     check_consistent,
     feasible_rows,
@@ -69,6 +68,8 @@ from .model import (
     SolveResult,
     StrategyProfile,
     attacker_utilities,
+    best_response,
+    compute_coverage,
     evaluate_profile,
 )
 
@@ -462,7 +463,7 @@ def solve_hw(instance: Instance) -> SolveResult:
             continue
         profile, state = _run_subproblem(instance, i_star, v_star)
         counters.update(iterations=state.iterations, swaps=state.swaps)
-        utility = _defender_utility(instance, profile.p, profile.v)
+        utility = best_response(instance, compute_coverage(instance, profile)).defender_utility
         incumbent = max(incumbent, utility)
         if utility > best_utility:
             best_utility, best = utility, profile

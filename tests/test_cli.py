@@ -194,6 +194,13 @@ class TestSweepCompare:
         assert out.read_text().startswith("target,coverage_delta")
         capsys.readouterr()
 
+    def test_tally_output_without_grid_is_usage_error(self, tmp_path, capsys):
+        out, tally = tmp_path / "compare.csv", tmp_path / "tally.csv"
+        code = cli_dispatch(["compare", "--output", str(out), "--tally-output", str(tally)])
+        assert code == 2
+        assert "--grid" in capsys.readouterr().err
+        assert not out.exists() and not tally.exists()
+
     def test_compare_cells_read_back_exactly(self, tmp_path, capsys):
         out = tmp_path / "compare.csv"
         assert cli_dispatch(["compare", "--algorithm", "hw", "--output", str(out)]) == 0

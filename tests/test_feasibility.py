@@ -10,11 +10,10 @@ from patrolgame.feasibility import (
     candidates,
     check_consistent,
     feasible_rows,
-    greedy_profiles,
     min_valid_coverage,
     most_villagers,
     total_wasted_coverage,
-    witness_utilities,
+    witness_blocks,
 )
 from patrolgame.planner import case_study_scenario, terrain_adjust, with_effectiveness
 from patrolgame.tdbs import TdbsConfig, most_effort, solve_tdbs
@@ -23,9 +22,12 @@ from patrolgame.model import (
     GameDefinitionError,
     Instance,
     StrategyProfile,
+    best_response,
     compute_coverage,
+    coverage_of,
     attacker_utilities,
     evaluate_profile,
+    tied_defender_utilities,
     validate_profile,
 )
 
@@ -66,6 +68,25 @@ def assert_witness_sound(inst, query, answer, tol=2e-8):
     assert u_a[query.i_star] >= u_a.max() - tol
 
 
+def block_witnesses(inst, i_star, p_star, v_star):
+    """``witness_blocks`` flattened: each row's witness (p, v), or None where it is infeasible."""
+    witnesses = []
+    for _, feasible, p, v in witness_blocks(inst, i_star, p_star, v_star):
+        rows = iter(zip(p, v))
+        witnesses += [next(rows) if ok else None for ok in feasible.tolist()]
+        assert next(rows, None) is None
+    return witnesses
+
+
+def readme_instance():
+    """The README's example instance."""
+    return Instance(
+        ranger_budget=2.0, villager_budget=3, e_p=0.7, e_v=0.3,
+        reward_def=[5.0, 4.0, 8.0], penalty_def=[-2.0, -3.0, -1.0],
+        reward_att=[6.0, 3.0, 7.0], penalty_att=[-4.0, -2.0, -5.0],
+    )
+
+
 class TestMinValidCoverage:
     def test_symmetric_spread_midpoint(self):
         inst = make(reward_att=[10.0, 10.0], penalty_att=[-10.0, -10.0])
@@ -84,6 +105,11 @@ class TestMinValidCoverage:
         inst = make(reward_att=[0.0, 1.0], penalty_att=[0.0, -1.0])
         assert min_valid_coverage(inst, 0, 0.5) == 0.0
         assert min_valid_coverage(inst, 0, -0.5) is None
+
+    @pytest.mark.parametrize("i", [-1, 3, 1.0])
+    def test_rejects_a_target_outside_the_instance(self, i):
+        with pytest.raises(GameDefinitionError):
+            min_valid_coverage(readme_instance(), i, 0.0)
 
 
 class TestTotalWastedCoverage:
@@ -106,6 +132,25 @@ class TestTotalWastedCoverage:
         inst = make()
         with pytest.raises(GameDefinitionError):
             total_wasted_coverage(inst, np.zeros(2, dtype=int), -2.0, 0)
+
+    def test_floor_is_tested_on_the_other_targets_only(self):
+        # u is below target 1's floor only, so only i_star = 1 reaches it
+        inst = make(penalty_att=[-1.0, -0.5])
+        assert total_wasted_coverage(inst, np.zeros(2, dtype=int), -0.75, 1) == 0.0
+        with pytest.raises(GameDefinitionError):
+            total_wasted_coverage(inst, np.zeros(2, dtype=int), -0.75, 0)
+
+    @pytest.mark.parametrize("i_star", [-1, 3, 7])
+    def test_rejects_a_target_outside_the_instance(self, i_star):
+        inst = readme_instance()
+        assert total_wasted_coverage(inst, [0, 0, 3], 0.0, 2) == 0.0
+        with pytest.raises(GameDefinitionError):
+            total_wasted_coverage(inst, [0, 0, 3], 0.0, i_star)
+
+    @pytest.mark.parametrize("v", [[0, 3], [0, 0, 3, 0], [[0, 0, 3]]])
+    def test_rejects_villager_counts_of_another_length(self, v):
+        with pytest.raises(GameDefinitionError):
+            total_wasted_coverage(readme_instance(), v, 0.0, 2)
 
 
 class TestCheckConsistent:
@@ -395,7 +440,7 @@ class TestFeasibleRows:
             v_star = rng.integers(0, inst.villager_budget + 1, m)
             v_star[:4] = inst.villager_budget  # spare = 0
             got = feasible_rows(inst, i_star, p_star, v_star)
-            witnesses = list(greedy_profiles(inst, i_star, p_star, v_star))
+            witnesses = block_witnesses(inst, i_star, p_star, v_star)
             assert len(witnesses) == m
             for row in range(m):
                 query = FeasibilityQuery(int(i_star[row]), float(p_star[row]), int(v_star[row]))
@@ -456,7 +501,8 @@ def _case_study_instances():
 
 
 class TestWitnessUtilities:
-    """Block-wise scores of the greedy witnesses against one evaluation each."""
+    """Block-wise scores of the greedy witnesses, as ``solve_tdbs`` takes them,
+    against one evaluation each."""
 
     @pytest.mark.parametrize("block_cells", [feasibility._BLOCK_CELLS, 16])
     def test_match_evaluate_profile(self, monkeypatch, block_cells):
@@ -480,20 +526,23 @@ class TestWitnessUtilities:
             i_star = np.concatenate([i_star, rng.integers(0, inst.n, m)])
             p_star = np.concatenate([p_star, rng.uniform(0, inst.ranger_budget, m)])
             v_star = np.concatenate([v_star, rng.integers(0, inst.villager_budget + 1, m)])
-            got = witness_utilities(inst, i_star, p_star, v_star)
-            witnesses = list(greedy_profiles(inst, i_star, p_star, v_star))
-            assert got.shape == (len(witnesses),) == i_star.shape
-            for row, witness in enumerate(witnesses):
-                if witness is None:
-                    assert np.isnan(got[row])
-                    kinds["infeasible"] += 1
-                    continue
-                want = evaluate_profile(inst, StrategyProfile(*witness)).defender_utility
-                assert got[row] == want == feasibility._defender_utility(inst, *witness)
-                u_att = attacker_utilities(inst, compute_coverage(inst, StrategyProfile(*witness)))
-                tied = np.count_nonzero(u_att >= u_att.max() - inst.tol)
-                kinds["tied" if tied > 1 else "alone"] += 1
-                kinds["per-target" if np.ndim(inst.e_v) else "scalar"] += 1
+            rows = 0
+            for block, feasible, p, v in witness_blocks(inst, i_star, p_star, v_star):
+                assert block.start == rows
+                rows += feasible.size
+                kinds["infeasible"] += int(np.count_nonzero(~feasible))
+                scores = tied_defender_utilities(inst, coverage_of(inst, p, v)).max(axis=1)
+                assert scores.shape == (np.count_nonzero(feasible),)
+                for score, witness in zip(scores.tolist(), zip(p, v)):
+                    profile = StrategyProfile(*witness)
+                    want = evaluate_profile(inst, profile).defender_utility
+                    coverage = compute_coverage(inst, profile)
+                    assert score == want == best_response(inst, coverage).defender_utility
+                    u_att = attacker_utilities(inst, coverage)
+                    tied = np.count_nonzero(u_att >= u_att.max() - inst.tol)
+                    kinds["tied" if tied > 1 else "alone"] += 1
+                    kinds["per-target" if np.ndim(inst.e_v) else "scalar"] += 1
+            assert rows == i_star.size
         assert min(kinds.values()) > 100 and len(kinds) == 5, kinds
 
 

@@ -13,6 +13,7 @@ from patrolgame.model import (
     compute_coverage,
     evaluate_profile,
     target_utilities,
+    tied_defender_utilities,
     validate_profile,
 )
 
@@ -186,6 +187,11 @@ class TestTargetUtilities:
         with pytest.raises(GameDefinitionError):
             target_utilities(make(), 1.2, 0)
 
+    @pytest.mark.parametrize("i", [-1, 3, 1.0])
+    def test_rejects_a_target_outside_the_instance(self, i):
+        with pytest.raises(GameDefinitionError):
+            target_utilities(make(n=3), 0.5, i)
+
 
 class TestBestResponse:
     def test_strict_argmax(self):
@@ -214,6 +220,42 @@ class TestBestResponse:
             br = best_response(inst, cov)
             u_a = inst.reward_att * (1 - cov) + inst.penalty_att * cov
             assert br.attacker_utility >= u_a.max() - 1e-9
+
+
+class TestTiedDefenderUtilities:
+    def test_block_matches_best_response_row_by_row(self):
+        # Dyadic payoffs and coverages tie exactly; coverages nudged by just
+        # under or over tol tie, or not, within the slack.
+        rng = np.random.default_rng(4)
+        kinds = {"tied": 0, "defender picks a later target": 0, "slack decides": 0}
+        for k in range(200):
+            n = int(rng.integers(1, 7))
+            inst = make(
+                n=n,
+                reward_def=rng.choice([0.0, 1.0, 2.0], n),
+                penalty_def=rng.choice([-2.0, -1.0], n),
+                reward_att=rng.choice([1.0, 2.0], n),
+                penalty_att=rng.choice([-2.0, -1.0], n),
+            )
+            coverage = rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], (20, n))
+            nudge = rng.choice([-1.1, -0.9, 0.0, 0.9, 1.1], (20, n)) * inst.tol / inst.spread_att
+            nudged = np.clip(coverage + nudge, 0.0, 1.0)
+            coverage[5:] = nudged[5:]
+            block = tied_defender_utilities(inst, coverage)
+            assert block.shape == coverage.shape
+            for row, cov in zip(block, coverage):
+                br = best_response(inst, cov)
+                assert row.tolist() == tied_defender_utilities(inst, cov).tolist()
+                assert int(np.argmax(row)) == br.target
+                assert row.max() == br.defender_utility
+                assert (br.target, br.attacker_utility, br.defender_utility) == scalar_best_response(
+                    inst, cov, inst.tol
+                )
+                u_a = inst.reward_att * (1 - cov) + inst.penalty_att * cov
+                kinds["tied"] += int(np.count_nonzero(np.isfinite(row)) > 1)
+                kinds["defender picks a later target"] += int(br.target > np.argmax(np.isfinite(row)))
+                kinds["slack decides"] += int(np.any((u_a < u_a.max()) & np.isfinite(row)))
+        assert min(kinds.values()) > 100, kinds
 
 
 class TestValidateProfile:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from patrolgame import tdbs
+from patrolgame import feasibility, tdbs
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.feasibility import feasible_rows
 from patrolgame.model import (
@@ -16,6 +16,7 @@ from patrolgame.model import (
     validate_profile,
 )
 from patrolgame.oracle import solve_oracle
+from patrolgame.planner import case_study_scenario
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound, value_bound
 
 from conftest import random_instance, symmetric_instance
@@ -120,6 +121,26 @@ def test_infeasible_final_witness_is_a_bug(monkeypatch):
     assert not feasible_rows(inst, [0, 1], [1.0, 1.0], [1, 1]).any()
     with pytest.raises(RuntimeError, match="lost a candidate's witness"):
         solve_tdbs(inst)
+
+
+@pytest.mark.parametrize("block_cells", [feasibility._BLOCK_CELLS, 16])
+def test_builds_one_witness_row_per_candidate(monkeypatch, block_cells):
+    # 16 cells put one row of the n = 21 case study in each block
+    monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
+    fill = feasibility._fill
+    witness_rows = []
+
+    def counting_fill(instance, floor, i_star, p_star, v_star, counts=False):
+        if counts:
+            witness_rows.append(len(i_star))
+        return fill(instance, floor, i_star, p_star, v_star, counts)
+
+    monkeypatch.setattr(feasibility, "_fill", counting_fill)
+    for inst in (symmetric_instance(), case_study_scenario().instance,
+                 generate_instance(GenParams(n=40, r_p=20, r_v=20, seed=3))):
+        witness_rows.clear()
+        result = solve_tdbs(inst)
+        assert sum(witness_rows) == result.diagnostics["candidates"] > 1
 
 
 def test_search_memory_stays_bounded():
