@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 import time
 from dataclasses import astuple, dataclass, replace
 from typing import List, Sequence, Tuple
@@ -35,6 +36,8 @@ class GenParams:
     seed: int
 
     def __post_init__(self):
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in (self.n, self.r_v)):
+            raise GameDefinitionError("n and r_v must be integers")
         if self.n < 1:
             raise GameDefinitionError("need at least one target")
         if self.r_p < 0 or self.r_v < 0:

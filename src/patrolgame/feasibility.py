@@ -399,14 +399,14 @@ def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
     ``feasible_rows`` row per search still open, and every search probes the
     midpoints it would probe alone. Monotone by the resource-reduction
     property: lowering the count on the attacked target never breaks
-    consistency. Each target must be consistent at v = 0. Returns (counts,
-    rows checked).
+    consistency. Each target must be consistent at v = 0, so the searches
+    start at v = 1. Returns (counts, rows checked).
     """
     i_stars = np.asarray(i_stars)
-    lo = np.zeros(i_stars.shape[0], dtype=np.int64)
+    lo = np.ones(i_stars.shape[0], dtype=np.int64)
     hi = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
     best = np.zeros(i_stars.shape[0], dtype=np.int64)
-    searching = np.ones(i_stars.shape[0], dtype=bool)
+    searching = lo <= hi
     checks = 0
     while searching.any():
         rows = np.flatnonzero(searching)

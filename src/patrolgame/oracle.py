@@ -64,7 +64,7 @@ class VillagerSpecificInstance:
         e_v = np.array(self.e_v, dtype=float)
         if e_v.ndim != 1 or e_v.shape[0] != self.base.villager_budget:
             raise GameDefinitionError("need one effectiveness entry per villager")
-        if np.any(e_v <= 0) or np.any(e_v > 1):
+        if not np.all((0 < e_v) & (e_v <= 1)):  # also rejects NaN
             raise GameDefinitionError("villager effectiveness must lie in (0, 1]")
         e_v.setflags(write=False)
         object.__setattr__(self, "e_v", e_v)

@@ -22,11 +22,11 @@ r_p=2, r_v=3, seed=70022))`` with ``e_v = [0.537, 0.163, 0.37]``, the
 optimum holds 1 villager on the attacked target for 8.4573, while tdbs at
 ``epsilon = 1e-6`` keeps 2 for 8.3358, against a bound of 1.2e-5.
 
-This is also why ``solve_tdbs`` keeps no incumbent and bracket pruning
-stays with ``solve_hw``'s incumbent loop: the pruning argument needs exact
-completions. Applied here, it lowered per-target answers past the bound (on
-300 per-target instances with n from 3 to 10, 8 answers, by up to 84 times
-the bound at ``epsilon = 1e-3``).
+This is also why ``solve_tdbs`` prunes no candidate and pruning stays
+with ``solve_hw``: its break-even argument needs exact completions. Applied
+here, the former bracket pruning lowered per-target answers past the bound
+(on 300 per-target instances with n from 3 to 10, 8 answers, by up to 84
+times the bound at ``epsilon = 1e-3``).
 """
 
 from __future__ import annotations

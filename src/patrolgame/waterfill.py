@@ -11,9 +11,8 @@ places with a critical target's ranger effort at no change in level; the
 trade (a swap) moves the villager to a wider target, shrinking the effort
 needed per unit of further lowering. Iterating to ranger exhaustion yields
 the waste-minimal, utility-optimal completion. ``solve_hw`` takes the
-candidates of the shared candidate search (``feasibility.candidates``) and
-runs its incumbent loop over them, waterfilling each one that can still
-win.
+candidates of the shared candidate search (``feasibility.candidates``),
+prunes those that cannot win and waterfills the rest.
 
 Events: one iteration of the pour loop is one event. Merges are not events:
 the pour runs past any number of them, with running sums over the targets
@@ -22,24 +21,24 @@ floor (or the fixed target's level) and the level where the ranger budget
 runs out (``_next_event``). ``diagnostics["iterations"]`` counts these
 events, and ``get_swap_line`` is called once per iteration.
 
-Bracket pruning: ``solve_hw``'s incumbent loop keeps the incumbent, the best
-defender utility some profile is known to reach. It starts at the best
-candidate's utility with no ranger effort on it. Before waterfilling,
-``solve_hw`` bisects the ranger effort on the candidate, with its villager
-count fixed, over a bracket ``[left, right]`` that starts at no effort and
-at the effort that fully covers the target (or the whole budget, if less).
-Consistency is monotone in effort, so the candidate's own defender utility
-never exceeds its value at ``right``; once that upper bound falls more than
-``instance.tol`` below the incumbent, the candidate is pruned. A bisection
-step is taken only while an infeasible midpoint would prune, and every
-waterfilled candidate raises the incumbent to its evaluated utility. This is
-sound for a scalar ``e_v``, the only kind ``hw`` accepts: a candidate whose
-profile evaluates above its own bound does so through a tie with a target
-whose exact completion reaches at least as much, and that target is never
-pruned. On exactly tied payoffs the two may be different co-optimal
-profiles, so the attacked target can differ from an unpruned solve while
-the utility does not. ``diagnostics`` counts the bisection steps in
-``feasibility_checks`` and the pruned candidates in ``pruned``, so
+Break-even pruning: the seed is the best candidate's defender utility with
+its villagers and no ranger effort; that candidate's completion reaches at
+least as much. A candidate's defender utility rises with the effort on it,
+and consistency is monotone in effort, so it can reach ``seed - tol`` only
+if its break-even effort, where its utility equals ``seed - tol``, is
+consistent. ``solve_hw`` checks every candidate below ``seed - tol`` at its
+break-even effort in one batched ``feasible_rows`` call, and prunes those
+that fail or whose break-even lies past full coverage or the ranger budget.
+The seed candidate is never checked, so it survives. So does the optimal
+candidate when its profile is attacked on its own target: that profile
+reaches at least the seed with a consistent effort, at least the
+break-even. This is sound for a scalar ``e_v``, the only kind ``hw``
+accepts: a candidate whose profile evaluates above its own target's utility
+does so through a tie with a target whose exact completion reaches at
+least as much, and that target is never pruned. On exactly tied payoffs the two may be different
+co-optimal profiles, so the attacked target can differ from an unpruned
+solve while the utility does not. ``diagnostics`` counts the break-even
+rows in ``feasibility_checks`` and the pruned candidates in ``pruned``, so
 ``candidates - pruned`` subproblems ran.
 
 Pours hit levels inexactly, so every level comparison (critical-set
@@ -410,61 +409,36 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
     return StrategyProfile(state.effort, state.villagers), state
 
 
-def _bracket_prunes(instance, i_star: int, v_star: int, incumbent: float):
-    """Whether bisecting the effort on ``i_star`` proves it cannot beat ``incumbent``.
-
-    Returns ``(pruned, checks)``. The largest consistent effort, capped at
-    full coverage, lies in ``[left, right]``, so the defender utility at
-    ``right`` bounds the candidate's own. A step is taken only while an
-    infeasible midpoint would prune, so a feasible one never lifts the
-    utility at ``left`` past the incumbent.
-    """
-    def below(effort):
-        u_def = fixed_target_utilities(instance, i_star, effort, v_star)[0]
-        return u_def < incumbent - instance.tol
-
-    # Effort past full coverage gains nothing, so the bracket ends there.
-    saturated = max(1.0 - instance.e_v * v_star, 0.0) / instance.e_p
-    left, right = 0.0, min(instance.ranger_budget, saturated)
-    checks = 0
-    while not below(right):
-        mid = (left + right) / 2.0
-        if mid == left or mid == right or not below(mid):
-            return False, checks
-        checks += 1
-        if feasible_rows(instance, [i_star], [mid], [v_star])[0]:
-            left = mid
-        else:
-            right = mid
-    return True, checks
-
-
 def solve_hw(instance: Instance) -> SolveResult:
     """Exact optimum over all candidate attacked targets.
 
-    For each candidate of the shared candidate search
-    (``feasibility.candidates``), in index order, run the waterfilling
-    subproblem from its villager count, unless its effort bracket proves it
-    cannot beat the incumbent (module docstring). The best evaluated utility
-    wins, ties to the lowest target index. Needs a scalar villager
-    effectiveness.
+    Every candidate of the shared candidate search
+    (``feasibility.candidates``) that its break-even check does not prune
+    (module docstring) is waterfilled from its villager count, in index
+    order. The best evaluated utility wins, ties to the lowest target index.
+    Needs a scalar villager effectiveness.
     """
     _require_scalar_e_v(instance)
     i_stars, v_stars, counters = candidates(instance)
     counters.update(iterations=0, swaps=0, pruned=0)
-    # The best candidate with no ranger effort on it: its greedy fill reaches that much.
     at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
-    incumbent = float(np.max(at_no_effort, initial=-np.inf))
+    # The seed less tol: a candidate that cannot reach it cannot win (module docstring).
+    bar = np.max(at_no_effort, initial=-np.inf) - instance.tol
+    keep = at_no_effort >= bar
+    # Coverage, then effort, at which each candidate's defender utility reaches the bar.
+    spread = instance.reward_def[i_stars] - instance.penalty_def[i_stars]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coverage = (bar - instance.penalty_def[i_stars]) / spread
+    effort = (coverage - instance.e_v * v_stars) / instance.e_p
+    rows = np.flatnonzero(~keep & (spread > 0) & (coverage <= 1.0) & (effort <= instance.ranger_budget))
+    # Rounding can put the break-even a hair below zero effort.
+    keep[rows] = feasible_rows(instance, i_stars[rows], np.maximum(effort[rows], 0.0), v_stars[rows])
+    counters.update(feasibility_checks=rows.size, pruned=int(keep.size - keep.sum()))
     best_utility, best = -np.inf, None
-    for i_star, v_star in zip(i_stars.tolist(), v_stars.tolist()):
-        pruned, checks = _bracket_prunes(instance, i_star, v_star, incumbent)
-        counters.update(feasibility_checks=checks, pruned=int(pruned))
-        if pruned:
-            continue
+    for i_star, v_star in zip(i_stars[keep].tolist(), v_stars[keep].tolist()):
         profile, state = _run_subproblem(instance, i_star, v_star)
         counters.update(iterations=state.iterations, swaps=state.swaps)
         utility = best_response(instance, compute_coverage(instance, profile)).defender_utility
-        incumbent = max(incumbent, utility)
         if utility > best_utility:
             best_utility, best = utility, profile
     if best is None:

@@ -6,6 +6,7 @@ meaningful.
 """
 
 import dataclasses
+import math
 from collections import Counter
 
 import numpy as np
@@ -175,13 +176,15 @@ def solve_hw_unpruned(inst):
     return dataclasses.replace(best, diagnostics=dict(counters))
 
 
-def max_feasible_villagers_ref(inst, i_star):
+def max_feasible_villagers_ref(inst, i_star, witness=None):
     """Largest v with (i_star, 0, v) consistent: (count, witness, calls).
 
-    One binary search, one ``check_consistent`` call per probe.
+    One binary search from v = 1, one ``check_consistent`` call per probe;
+    v = 0 must be consistent, and ``witness`` is its witness, returned when
+    no probe succeeds.
     """
-    lo, hi = 0, inst.villager_budget
-    best = witness = None
+    lo, hi = 1, inst.villager_budget
+    best = 0
     calls = 0
     while lo <= hi:
         mid = (lo + hi) // 2
@@ -202,32 +205,33 @@ def best_candidate_sequential(inst, complete):
     winner: every candidate's searches run one after the other and keep each
     candidate's witness, and every completed profile goes through
     ``evaluate_profile``.
-    ``complete(i_star, v_star, witness, incumbent)`` returns
-    ``(profile, counters)``, the profile None when pruned.
+    ``complete(i_star, v_star, witness, seed)`` returns
+    ``(profile, counters)``, the profile None when pruned; ``seed`` is the
+    best candidate's defender utility with its villagers and no effort.
     """
     counters = Counter({"feasibility_checks": 0, "candidates": 0})
     candidates = []
     for i_star in range(inst.n):
         counters["feasibility_checks"] += 1
-        if not check_consistent(inst, FeasibilityQuery(i_star, 0.0, 0)).feasible:
+        answer = check_consistent(inst, FeasibilityQuery(i_star, 0.0, 0))
+        if not answer.feasible:
             continue
         counters["candidates"] += 1
-        v_star, witness, calls = max_feasible_villagers_ref(inst, i_star)
+        v_star, witness, calls = max_feasible_villagers_ref(inst, i_star, answer.witness)
         counters["feasibility_checks"] += calls
         candidates.append((i_star, v_star, witness))
 
-    incumbent = max(
+    seed = max(
         (fixed_target_utilities(inst, i, 0.0, v)[0] for i, v, _ in candidates),
         default=-np.inf,
     )
     best = None
     for i_star, v_star, witness in candidates:
-        profile, spent = complete(i_star, v_star, witness, incumbent)
+        profile, spent = complete(i_star, v_star, witness, seed)
         counters.update(spent)
         if profile is None:
             continue
         result = evaluate_profile(inst, profile)
-        incumbent = max(incumbent, result.defender_utility)
         if best is None or result.defender_utility > best.defender_utility:
             best = result
     return dataclasses.replace(best, diagnostics=dict(counters))
@@ -236,7 +240,7 @@ def best_candidate_sequential(inst, complete):
 def solve_tdbs_sequential(inst, epsilon=1e-3):
     """``solve_tdbs`` with one effort bisection per candidate, one check per probe."""
 
-    def complete(i_star, v_star, witness, _incumbent):
+    def complete(i_star, v_star, witness, _seed):
         checks = 0
         left, right = 0.0, float(inst.ranger_budget)
         while right - left > epsilon:
@@ -256,10 +260,25 @@ def solve_tdbs_sequential(inst, epsilon=1e-3):
 
 
 def solve_hw_sequential(inst):
-    """``solve_hw`` (bracket pruning included) on the sequential candidate loop."""
+    """``solve_hw`` (break-even pruning included) on the sequential candidate loop.
 
-    def complete(i_star, v_star, _witness, incumbent):
-        pruned, checks = waterfill._bracket_prunes(inst, i_star, v_star, incumbent)
+    A candidate below ``seed - tol`` with no effort survives only if one
+    ``check_consistent`` call finds its break-even effort, where its defender
+    utility reaches ``seed - tol``, consistent.
+    """
+
+    def complete(i_star, v_star, _witness, seed):
+        bar = seed - inst.tol
+        r_d, p_d = float(inst.reward_def[i_star]), float(inst.penalty_def[i_star])
+        checks, pruned = 0, False
+        if fixed_target_utilities(inst, i_star, 0.0, v_star)[0] < bar:
+            coverage = (bar - p_d) / (r_d - p_d) if r_d > p_d else math.inf
+            effort = (coverage - inst.e_v * v_star) / inst.e_p
+            pruned = coverage > 1.0 or effort > inst.ranger_budget
+            if not pruned:
+                checks = 1
+                query = FeasibilityQuery(i_star, max(effort, 0.0), v_star)
+                pruned = not check_consistent(inst, query).feasible
         profile, iterations, swaps = None, 0, 0
         if not pruned:
             profile, state = waterfill._run_subproblem(inst, i_star, v_star)

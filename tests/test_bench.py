@@ -35,6 +35,18 @@ class TestGenerateInstance:
         with pytest.raises(GameDefinitionError):
             GenParams(n=2, r_p=-1.0, r_v=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, r_v", [(4, 2.7), (4, 2.0), (2.5, 1), (4.0, 1), (True, 1), (4, False)]
+    )
+    def test_sizes_must_be_integers(self, n, r_v):
+        # a float r_v used to build int(r_v) villagers while reports named r_v
+        with pytest.raises(GameDefinitionError):
+            GenParams(n=n, r_p=1.0, r_v=r_v, seed=1)
+
+    def test_numpy_integer_sizes_accepted(self):
+        inst = generate_instance(GenParams(n=np.int64(4), r_p=1.0, r_v=np.int32(2), seed=1))
+        assert inst.n == 4 and inst.villager_budget == 2
+
 
 class TestRunBenchmark:
     def test_row_count(self):

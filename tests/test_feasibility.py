@@ -573,14 +573,14 @@ class TestCandidates:
         # each target alone with the one villager: both are candidates
         i_stars, v_stars, counters = candidates(symmetric_instance())
         assert i_stars.tolist() == [0, 1] and v_stars.tolist() == [1, 1]
-        # per target: the v = 0 row and two search rows
-        assert list(counters.items()) == [("feasibility_checks", 6), ("candidates", 2)]
+        # per target: the v = 0 row and one search row
+        assert list(counters.items()) == [("feasibility_checks", 4), ("candidates", 2)]
 
     @pytest.mark.parametrize(
         "solve, diagnostics",
         [
-            (solve_hw, {"feasibility_checks": 6, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0}),
-            (solve_tdbs, {"feasibility_checks": 26, "candidates": 2}),
+            (solve_hw, {"feasibility_checks": 4, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0}),
+            (solve_tdbs, {"feasibility_checks": 24, "candidates": 2}),
         ],
         ids=["hw", "tdbs"],
     )

@@ -135,6 +135,13 @@ class TestVillagerSpecific:
         with pytest.raises(GameDefinitionError):
             VillagerSpecificInstance(base, [0.5])
 
+    @pytest.mark.parametrize("e_v", [[np.nan, 0.5], [0.5, np.inf], [0.0, 0.5], [0.5, 1.5]])
+    def test_effectiveness_outside_unit_interval_rejected(self, e_v):
+        # NaN fails every comparison, so it must not pass as in range
+        base = Instance(0.0, 2, 0.5, 0.5, [1.0], [-1.0], [1.0], [-1.0])
+        with pytest.raises(GameDefinitionError):
+            VillagerSpecificInstance(base, e_v)
+
     def test_balanced_partitions_win_generally(self):
         # whenever a balanced split exists (symmetric payoffs, total < 2),
         # the optimum equals the balanced-split utility

@@ -5,7 +5,12 @@ import numpy as np
 import pytest
 
 from patrolgame import feasibility, tdbs, waterfill
-from patrolgame.feasibility import FeasibilityQuery, check_consistent, most_villagers
+from patrolgame.feasibility import (
+    FeasibilityQuery,
+    check_consistent,
+    fixed_target_utilities,
+    most_villagers,
+)
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
@@ -454,6 +459,54 @@ class TestBracketPruning:
         inst = random_instance(13_100, n=50, r_p=25, r_v=25)
         diagnostics = solve_hw(inst).diagnostics
         assert diagnostics["pruned"] >= 0.75 * diagnostics["candidates"]
+
+
+class TestBreakEvenCheck:
+    """``solve_hw`` prunes with one batched check, and only candidates that cannot win."""
+
+    def test_one_batched_check_after_candidates(self, monkeypatch):
+        calls = []
+        rows_of = waterfill.feasible_rows
+
+        def recording_rows(instance, i_star, p_star, v_star):
+            calls.append(len(i_star))
+            return rows_of(instance, i_star, p_star, v_star)
+
+        monkeypatch.setattr(waterfill, "feasible_rows", recording_rows)
+        checked = 0
+        for k, inst in enumerate(TestBracketPruning().family()):
+            calls.clear()
+            solve_hw(inst)
+            assert len(calls) <= 1, k
+            checked += sum(calls)
+        assert checked > 0  # some candidates were checked at all
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-9, 1e6])
+    def test_pruned_candidates_fall_short_of_the_seed(self, monkeypatch, factor):
+        run_subproblem = waterfill._run_subproblem
+        waterfilled = []
+
+        def recording_subproblem(instance, i_star, v_star, on_state=None):
+            waterfilled.append(i_star)
+            return run_subproblem(instance, i_star, v_star, on_state)
+
+        monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
+        pruned = 0
+        for k, base in enumerate(TestBracketPruning().family()):
+            inst = scaled(base, factor)
+            waterfilled.clear()
+            solve_hw(inst)
+            i_stars, v_stars, _ = feasibility.candidates(inst)
+            seed = fixed_target_utilities(inst, i_stars, 0.0, v_stars)[0].max()
+            for i_star, v_star in zip(i_stars.tolist(), v_stars.tolist()):
+                if i_star in waterfilled:
+                    continue
+                pruned += 1
+                profile, _ = run_subproblem(inst, i_star, v_star)
+                p, v = profile.p[i_star], profile.v[i_star]
+                own = fixed_target_utilities(inst, i_star, p, v)[0]
+                assert own < seed - inst.tol, (k, i_star)
+        assert pruned > 100
 
 
 def case_study_grid():
