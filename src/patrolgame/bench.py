@@ -36,12 +36,13 @@ class GenParams:
     seed: int
 
     def __post_init__(self):
-        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in (self.n, self.r_v)):
-            raise GameDefinitionError("n and r_v must be integers")
+        integers = (self.n, self.r_v, self.seed)
+        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in integers):
+            raise GameDefinitionError("n, r_v and seed must be integers")
         if self.n < 1:
             raise GameDefinitionError("need at least one target")
-        if self.r_p < 0 or self.r_v < 0:
-            raise GameDefinitionError("budgets must be nonnegative")
+        if self.r_p < 0 or self.r_v < 0 or self.seed < 0:
+            raise GameDefinitionError("budgets and seed must be nonnegative")
 
 
 def generate_instance(params: GenParams) -> Instance:

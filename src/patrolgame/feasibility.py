@@ -227,8 +227,9 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
     are never taken. Returns ``(short, left, alloc)``: ``short`` indexes the
     rows with fewer villagers than pieces (every other row covers its whole
     need), ``left`` holds those rows' residual need, and ``alloc`` every
-    row's villager counts, or None without ``counts``. Temporaries are
-    updated in place, to keep a block's memory small.
+    row's villager counts, or None without ``counts``. Only the ranking of
+    the pieces forks on the type of ``e_v``. Temporaries are updated in
+    place, to keep a block's memory small.
     """
     n = c_min.shape[1]
     whole = np.divide(c_min, e_v)
@@ -265,39 +266,28 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
         pieces = sizes.ravel()
         pieces[order] = _fill_in_order(pieces[order], spare)  # now the pieces taken
         del order
-        left = np.multiply(sizes[:, 0::2], e_v)
-        np.subtract(c_min, left, out=left)
-        np.maximum(left, 0.0, out=left)
-        left[sizes[:, 1::2] > 0.0] = 0.0
-        if counts:
-            alloc[short] = sizes[:, 0::2] + sizes[:, 1::2]
+        whole_taken, remainder_taken = sizes[:, 0::2], sizes[:, 1::2] > 0.0
     else:
         # Scalar e_v: whole pieces are all the same size and larger than any
-        # remainder, so they go in target order and no sort is needed unless
-        # villagers are left over for the remainders. The general sort above
-        # gives the same bits for a scalar too, but this branch stays: sending
-        # scalars through it cut tdbs-synthetic from about 34 to about 21
-        # solves per second (2-vCPU VM).
-        left = remainder
-        extra = n_whole < spare
-        in_order = ~extra if extra.any() else slice(None)
-        filled = _fill_in_order(whole[in_order], spare[in_order])
-        if counts:
-            alloc[short[in_order]] = filled
-        np.multiply(filled, e_v, out=filled)
-        np.subtract(c_min[in_order], filled, out=filled)
-        left[in_order] = np.maximum(filled, 0.0, out=filled)
-        del filled
-        if extra.any():
-            order = _descending(left[extra])
+        # remainder, so they go in target order, and only a row with
+        # villagers to spare after all of them ranks its remainders. The
+        # general sort above gives the same bits for a scalar too, but this
+        # branch stays: sending scalars through it cut tdbs-synthetic's
+        # solves_per_s from about 53 to about 19 (2-vCPU VM).
+        whole_taken = _fill_in_order(whole, spare)
+        remainder_taken = np.zeros(whole.shape, dtype=bool)
+        extra = np.flatnonzero(n_whole < spare)
+        if extra.size:
+            order = _descending(remainder[extra])
             top = np.empty(order.shape, dtype=bool)
             top.ravel()[order] = np.arange(n) < (spare[extra] - n_whole[extra])[:, None]
-            del order
-            remainders = left[extra]
-            remainders[top] = 0.0
-            left[extra] = remainders
-            if counts:
-                alloc[short[extra]] = whole[extra] + top
+            remainder_taken[extra] = top
+    left = np.multiply(whole_taken, e_v)
+    np.subtract(c_min, left, out=left)
+    np.maximum(left, 0.0, out=left)
+    left[remainder_taken] = 0.0
+    if counts:
+        alloc[short] = whole_taken + remainder_taken
     return short, left, alloc
 
 
@@ -366,7 +356,6 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
         kept = rows[ok]
         at = np.arange(kept.size), fixed[kept]
         p = residual[ok] / instance.e_p
-        p[at] = 0.0
         remaining_budget = np.maximum(instance.ranger_budget - p_fixed[kept], 0.0)
         total = p.sum(axis=1)
         over = (total > remaining_budget) & (total > 0.0)

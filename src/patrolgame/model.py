@@ -125,6 +125,11 @@ class Instance:
             raise GameDefinitionError("rewards must be nonnegative")
         if np.any(self.penalty_def > 0) or np.any(self.penalty_att > 0):
             raise GameDefinitionError("penalties must be nonpositive")
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            spread = self.reward_att - self.penalty_att
+            spread_def = self.reward_def - self.penalty_def
+        if not (np.all(np.isfinite(spread)) and np.all(np.isfinite(spread_def))):
+            raise GameDefinitionError("every payoff spread (reward - penalty) must be finite")
         object.__setattr__(self, "e_p", _finite(self.e_p, "ranger effectiveness"))
         if not (0.0 < self.e_p <= 1.0):
             raise GameDefinitionError("ranger effectiveness must lie in (0, 1]")
@@ -149,7 +154,6 @@ class Instance:
         object.__setattr__(self, "villager_budget", int(villagers))
         scale = max(float(np.abs(getattr(self, name)).max()) for name in _PAYOFFS)
         object.__setattr__(self, "tol", REL_TOL * scale)
-        spread = self.reward_att - self.penalty_att
         spread.setflags(write=False)
         object.__setattr__(self, "spread_att", spread)
 

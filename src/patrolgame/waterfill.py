@@ -123,7 +123,10 @@ def _drop(state: WaterfillState, i, j, spread_gap):
     one_less = inst.reward_att[j] - spread[j] * inst.e_v * (state.villagers[j] - 1)
     villagers_only = state.u_att_villagers[i]
     ranger_dip = state.u_att[i] - villagers_only
-    return ranger_dip + (one_less - villagers_only) * spread[i] / spread_gap
+    # The spreads divide first, so no product of two payoffs is formed. Past
+    # about 1e306 near-equal spreads still overflow; an infinite drop is no swap.
+    with np.errstate(over="ignore"):
+        return ranger_dip + (one_less - villagers_only) * (spread[i] / spread_gap)
 
 
 def min_drop_before_swap(state: WaterfillState, i: int, j: int) -> float:

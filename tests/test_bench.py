@@ -47,6 +47,17 @@ class TestGenerateInstance:
         inst = generate_instance(GenParams(n=np.int64(4), r_p=1.0, r_v=np.int32(2), seed=1))
         assert inst.n == 4 and inst.villager_budget == 2
 
+    @pytest.mark.parametrize("seed", [-1, -(2**70), 1.0, 2.5, True, False, "3", None])
+    def test_seed_must_be_a_nonnegative_integer(self, seed):
+        # numpy's generator rejects a negative seed with a plain ValueError
+        with pytest.raises(GameDefinitionError, match="seed"):
+            GenParams(n=4, r_p=1.0, r_v=2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        ours = generate_instance(GenParams(n=4, r_p=1.0, r_v=2, seed=np.uint64(7)))
+        theirs = generate_instance(GenParams(n=4, r_p=1.0, r_v=2, seed=7))
+        assert np.array_equal(ours.reward_att, theirs.reward_att)
+
 
 class TestRunBenchmark:
     def test_row_count(self):

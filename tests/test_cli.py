@@ -5,16 +5,32 @@ import pytest
 from patrolgame.cli import build_parser, cli_dispatch
 from patrolgame.model import evaluate_profile, validate_profile
 from patrolgame.planner import (
+    SOLVER_NAMES,
     ScenarioInstance,
+    budget_sweep,
     case_study_scenario,
     compare_with_baseline,
+    effectiveness_grid,
+    grid_csv,
     load_instance,
     load_result,
     save_instance,
     scenario_to_dict,
+    sweep_csv,
+    tally_csv,
+    with_effectiveness,
 )
 
 from conftest import random_instance
+
+
+def assert_validation_error(code, capsys, out, message=""):
+    """Exit 1 with an ``error:`` line naming ``message``, no traceback, no output file."""
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err.startswith("error:") and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.fixture
@@ -140,6 +156,53 @@ class TestSolve:
         assert err.startswith("error:") and "effectiveness" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("algorithm", SOLVER_NAMES)
+    def test_overflowing_payoff_spread_is_validation_error(self, tmp_path, capsys, algorithm):
+        # R - P overflows to inf on target 0
+        doc = {
+            "n": 2, "ranger_budget": 1.0, "villager_budget": 1, "e_p": 0.5, "e_v": 0.5,
+            "reward_defender": [1e308, 1e308], "penalty_defender": [-1e308, -1e308],
+            "reward_attacker": [1e308, 5e307], "penalty_attacker": [-1e308, -1e308],
+        }
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        code = cli_dispatch(["solve", "--algorithm", algorithm, "--input", str(path), "--output", str(out)])
+        assert_validation_error(code, capsys, out, "spread")
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("n", 0, "field 'n' should be a positive integer"),
+            ("reward_attacker", [0.0, "x"] + [0.0] * 19, "field 'reward_attacker'[1] should be a number"),
+            ("ranger_budget", -1.0, "ranger budget must be a nonnegative real"),
+            ("labels", ["only one"], "labels must have one entry per target"),
+            ("slope_class", ["high"], "slope classes must have one entry per target"),
+            ("slope_class", ["steep"] * 21, "unknown slope class 'steep'"),
+            ("baseline", [0.0] * 21, "field 'baseline' should be an object"),
+        ],
+    )
+    def test_malformed_instance_is_validation_error(self, tmp_path, capsys, key, value, message):
+        doc = scenario_to_dict(case_study_scenario())
+        assert doc["n"] == 21
+        doc[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        code = cli_dispatch(["solve", "--input", str(path), "--output", str(out)])
+        assert_validation_error(code, capsys, out, message)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [("[1, 2]", "instance document must be a JSON object"), ('{"n": 2,', "not valid JSON")],
+    )
+    def test_unreadable_document_is_validation_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        out = tmp_path / "o.json"
+        code = cli_dispatch(["solve", "--input", str(path), "--output", str(out)])
+        assert_validation_error(code, capsys, out, message)
+
 
 class TestGen:
     def test_gen_then_solve(self, tmp_path, capsys):
@@ -150,6 +213,12 @@ class TestGen:
         out = tmp_path / "sol.json"
         assert cli_dispatch(["solve", "--algorithm", "oracle", "--input", str(inst), "--output", str(out)]) == 0
         capsys.readouterr()
+
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        # numpy's generator rejects it with a ValueError the CLI does not catch
+        out = tmp_path / "x.json"
+        code = cli_dispatch(["gen", "--n", "3", "--rp", "1", "--rv", "1", "--seed", "-1", "--output", str(out)])
+        assert_validation_error(code, capsys, out, "seed")
 
 
 class TestBench:
@@ -175,6 +244,11 @@ class TestBench:
         assert err.startswith("error:") and "Traceback" not in err
         assert not out.exists()
 
+    def test_negative_seed_is_validation_error(self, tmp_path, capsys):
+        out = tmp_path / "b.csv"
+        code = cli_dispatch(["bench", "--n", "3", "--runs", "1", "--seed", "-5", "--output", str(out)])
+        assert_validation_error(code, capsys, out, "seed")
+
 
 class TestSweepCompare:
     def test_sweep_on_bundled_case_study(self, tmp_path, capsys):
@@ -187,6 +261,29 @@ class TestSweepCompare:
         assert lines[0] == "extra_budget,rangers_added,villagers_added,defender_utility"
         assert len(lines) == 4
         capsys.readouterr()
+
+    def test_sweep_effectiveness_override(self, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        code = cli_dispatch(
+            ["sweep", "--budget-max", "2", "--ep", "0.5", "--ev", "0.2", "--output", str(out)]
+        )
+        assert code == 0
+        capsys.readouterr()
+        scenario = case_study_scenario()
+        expected = sweep_csv(budget_sweep(with_effectiveness(scenario, 0.5, 0.2), max_extra=2))
+        assert out.read_bytes() == expected.encode()
+        assert expected != sweep_csv(budget_sweep(scenario, max_extra=2))
+
+    def test_compare_grid_writes_settings_and_tallies(self, tmp_path, capsys):
+        out, tally = tmp_path / "grid.csv", tmp_path / "tally.csv"
+        code = cli_dispatch(["compare", "--grid", "--output", str(out), "--tally-output", str(tally)])
+        assert code == 0
+        assert "wrote 45 settings" in capsys.readouterr().out
+        grid = effectiveness_grid(case_study_scenario())
+        assert out.read_bytes() == grid_csv(grid).encode()
+        assert tally.read_bytes() == tally_csv(grid).encode()
+        assert len(out.read_text().splitlines()) == 1 + 45
+        assert len(tally.read_text().splitlines()) == 1 + 21
 
     def test_compare_single_setting(self, tmp_path, capsys):
         out = tmp_path / "compare.csv"

@@ -145,6 +145,43 @@ class TestInstanceValidation:
         with pytest.raises(GameDefinitionError):
             make(ranger_budget="3")
 
+    @pytest.mark.parametrize(
+        "payoffs",
+        [
+            dict(reward_att=[1e308, 5e307], penalty_att=[-1e308, -1e308]),
+            dict(reward_def=[1e308, 5e307], penalty_def=[-1e308, -1e308]),
+            dict(
+                reward_def=[1e308, 1e308],
+                penalty_def=[-1e308, -1e308],
+                reward_att=[1e308, 5e307],
+                penalty_att=[-1e308, -1e308],
+            ),
+        ],
+        ids=["attacker", "defender", "both"],
+    )
+    def test_overflowing_payoff_spread_is_rejected(self, payoffs):
+        # R - P is inf on target 0, which the coverage arithmetic of every
+        # solver turns into inf or NaN utilities
+        with pytest.raises(GameDefinitionError, match="spread"):
+            make(ranger_budget=1, villager_budget=1, **payoffs)
+
+    def test_largest_finite_spread_is_accepted(self):
+        top = np.finfo(float).max / 2
+        inst = make(reward_att=[top, 1.0], penalty_att=[-top, -1.0])
+        assert inst.spread_att[0] == 2 * top
+
+    @pytest.mark.parametrize(
+        "kw, message",
+        [
+            (dict(n=0), "at least one target"),
+            (dict(ranger_budget=-1.0), "ranger budget"),
+            (dict(villager_budget=2.5), "villager budget must be a nonnegative integer"),
+        ],
+    )
+    def test_structural_rejections(self, kw, message):
+        with pytest.raises(GameDefinitionError, match=message):
+            make(**kw)
+
 
 class TestComputeCoverage:
     def test_direct_formula_with_clamp(self):
@@ -287,6 +324,25 @@ class TestValidateProfile:
     def test_budget_tolerance(self):
         inst = make()
         assert validate_profile(inst, StrategyProfile([1.0 + 5e-10, 0.0], [0, 0])) == []
+
+    @pytest.mark.parametrize(
+        "p, violation",
+        [
+            ([np.nan, 0.0], "non-finite ranger effort"),
+            ([np.inf, 0.0], "non-finite ranger effort"),
+            ([-0.25, 0.5], "negative ranger effort"),
+        ],
+    )
+    def test_bad_ranger_effort_is_listed(self, p, violation):
+        assert violation in validate_profile(make(), StrategyProfile(p, [0, 0]))
+
+    def test_profile_length_must_match(self):
+        with pytest.raises(GameDefinitionError, match="entries for 2 targets"):
+            validate_profile(make(), StrategyProfile.zeros(3))
+
+    def test_villager_vector_must_be_1d(self):
+        with pytest.raises(GameDefinitionError, match="1-D"):
+            StrategyProfile(np.zeros(2), np.zeros((2, 2), dtype=np.int64))
 
 
 class TestEvaluateProfile:

@@ -15,7 +15,7 @@ import pytest
 from patrolgame import feasibility, tdbs, waterfill
 from patrolgame.feasibility import FeasibilityQuery
 from patrolgame.bench import GenParams, generate_instance
-from patrolgame.model import attacker_utilities, compute_coverage, validate_profile
+from patrolgame.model import REL_TOL, attacker_utilities, compute_coverage, validate_profile
 from patrolgame.oracle import solve_oracle
 from patrolgame.planner import case_study_scenario
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound
@@ -119,6 +119,36 @@ def test_payoff_scale_invariance(unscaled_results, factor):
             if not u == pytest.approx(base.defender_utility, rel=1e-9):
                 failures.append("k=%d: %s utility %r vs %r" % (k, name, u, base.defender_utility))
     assert not failures, failures[:5]
+
+
+def swap_family():
+    for n, seed in ((30, 1), (50, 2), (40, 3), (20, 4), (60, 5)):
+        yield generate_instance(GenParams(n=n, r_p=n / 2, r_v=n // 2, seed=seed))
+
+
+@pytest.fixture(scope="module")
+def unscaled_swaps():
+    swaps = [solve_hw(inst).diagnostics["swaps"] for inst in swap_family()]
+    assert sum(swaps) > 0
+    return swaps
+
+
+@pytest.mark.parametrize("factor", [1e-300, 1e-160, 1e160, 1e300])
+def test_hw_swaps_do_not_depend_on_payoff_scale(unscaled_swaps, factor):
+    # a product of two payoff-scale numbers overflows past about 1e154 and
+    # underflows below about 1e-154, which loses or invents swaps
+    swaps = [solve_hw(scaled(inst, factor)).diagnostics["swaps"] for inst in swap_family()]
+    assert swaps == unscaled_swaps
+
+
+def test_largest_finite_spreads_solve_without_warnings():
+    # max|payoff| = 8.9e307 keeps every R - P below the largest float, but
+    # near-equal spreads overflow the critical-point drop of some swap pairs
+    for inst in swap_family():
+        big = scaled(inst, 8.9e307 * REL_TOL / inst.tol)  # tol is REL_TOL * max|payoff|
+        hw = solve_hw(big)
+        assert hw.attacked == solve_hw(inst).attacked
+        assert solve_tdbs(big).defender_utility <= hw.defender_utility + big.tol
 
 
 @pytest.mark.parametrize("e_v", [1e-200, np.finfo(float).tiny])

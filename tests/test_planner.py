@@ -138,6 +138,18 @@ class TestFileRoundTrip:
         with pytest.raises(InstanceFormatError, match=field):
             load_result(result)
 
+    def test_result_document_must_be_an_object(self, tmp_path):
+        result = tmp_path / "result.json"
+        result.write_text("[0.0, 0]")
+        with pytest.raises(InstanceFormatError, match="result document must be a JSON object"):
+            load_result(result)
+
+    def test_baseline_length_must_match(self):
+        # a file's baseline fails its own length check first; this is the direct route
+        inst = random_instance(77, n=3, r_p=1, r_v=1)
+        with pytest.raises(GameDefinitionError, match="baseline profile length mismatch"):
+            ScenarioInstance(inst, baseline=StrategyProfile.zeros(4))
+
 
 class TestCaseStudy:
     def test_bundled_scenario_parses(self):
@@ -339,6 +351,10 @@ class TestTerrainAdjust:
         assert shift_effectiveness(0.5, "high") == pytest.approx(0.6)
         assert shift_effectiveness(0.5, "average") == 0.5
         assert shift_effectiveness(0.05, "low") == 0.01  # clamped
+
+    def test_unknown_class_is_rejected(self):
+        with pytest.raises(GameDefinitionError, match="unknown slope class 'steep'"):
+            shift_effectiveness(0.5, "steep")
 
     def test_adjusted_instance(self):
         inst = random_instance(75, n=3, r_p=1, r_v=1)
