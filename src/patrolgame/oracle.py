@@ -1,16 +1,20 @@
 """Exact reference solvers by exhaustive enumeration.
 
 Desk-scale ground truth for testing the fast solvers: enumerate every
-integral villager placement (or, in the villager-specific variant, every
-villager-to-target assignment), and for each one find the most ranger effort
-that can sit on the candidate attacked target while the continuous remainder
-still covers every other target's minimum coverage. Divisible effort makes
-that residual fill exact, so the enumeration maximum is the true optimum.
+villager fill, and for each one and each candidate attacked target find the
+most ranger effort that can sit on that target while the continuous
+remainder still covers every other target's minimum coverage. Divisible
+effort makes that residual fill exact, so the enumeration maximum is the
+true optimum.
 
-``solve_oracle`` takes any ``Instance``, whose villager effectiveness may be
-a scalar or vary per target. The villager-specific variant is a different
-model, in which each individual villager has their own effectiveness
-wherever they stand, so it keeps its own instance type.
+Both oracles share that loop (``_best_fill``) and differ only in their
+fills. ``solve_oracle`` takes any ``Instance``, whose villager
+effectiveness may be a scalar or vary per target, and enumerates integral
+villager placements. The villager-specific variant is a different model, in
+which each individual villager has their own effectiveness wherever they
+stand, so it keeps its own instance type and enumerates villager-to-target
+assignments. Every completed profile is validated, and scored by the
+attacker's best response on the coverage its fill gives.
 
 The oracle is the reference the library's tolerance policy (``model``) is
 tested against, so it keeps two tolerances of its own, both far tighter
@@ -23,8 +27,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -32,10 +36,13 @@ from .feasibility import _floor_of_others, _min_coverage
 from .model import (
     GameDefinitionError,
     Instance,
+    ProfileValidationError,
     SolveResult,
     StrategyProfile,
     best_response,
     evaluate_profile,
+    utilities_of,
+    validate_profile,
 )
 
 # Refuse rather than truncate beyond this many enumerated placements.
@@ -69,10 +76,6 @@ class VillagerSpecificInstance:
         e_v.setflags(write=False)
         object.__setattr__(self, "e_v", e_v)
 
-    @property
-    def n(self) -> int:
-        return self.base.n
-
 
 @dataclass(frozen=True)
 class VillagerSpecificResult(SolveResult):
@@ -91,62 +94,79 @@ def _placements(n: int, budget: int) -> Iterator[Tuple[int, ...]]:
             yield (count,) + rest
 
 
-def _max_consistent_effort(instance, villager_coverage: np.ndarray, i_star: int):
-    """Largest p on i_star whose residual ranger fill stays within budget.
+def _completion(instance, v: np.ndarray, villager_coverage: np.ndarray, i_star: int):
+    """The profile with villagers ``v`` and the most ranger effort on ``i_star``.
 
-    Returns (p_star, residual coverage vector) or None when even p = 0 fails.
-    Feasibility is monotone in p (more effort on i_star lowers its utility,
-    raising every other minimum coverage, while shrinking the remainder), so
-    bisection applies.
+    That effort is the largest whose residual fill, the effort every other
+    target needs to keep the attacker's utility there at most that on
+    ``i_star``, stays within the budget. Feasibility is monotone in it (more
+    effort lowers the utility on ``i_star``, raising every other minimum
+    coverage, while shrinking the remainder), so bisection applies. None
+    when even no effort on ``i_star`` is feasible.
     """
-    reward = instance.reward_att
-    penalty = instance.penalty_att
-    e_p = instance.e_p
-    r_p = float(instance.ranger_budget)
+    e_p, r_p = instance.e_p, instance.ranger_budget
     c_v_star = float(villager_coverage[i_star])
     floor = _floor_of_others(instance)[i_star]
 
-    def residual_fill(p_star: float) -> Optional[np.ndarray]:
-        c_star = min(e_p * p_star + c_v_star, 1.0)
-        u = float(reward[i_star] * (1.0 - c_star) + penalty[i_star] * c_star)
+    def residual_fill(p: float) -> Optional[np.ndarray]:
+        c_star = min(e_p * p + c_v_star, 1.0)
+        u = float(utilities_of(instance, c_star, i_star)[1])
         if not u >= floor:
             return None
         need = np.maximum(_min_coverage(instance, u) - villager_coverage, 0.0)
         need[i_star] = 0.0
-        if float(need.sum()) > (r_p - p_star) * e_p + _FILL_SLACK:
+        if float(need.sum()) > (r_p - p) * e_p + _FILL_SLACK:
             return None
         return need
 
-    need = residual_fill(0.0)
+    p_star, need = 0.0, residual_fill(0.0)
     if need is None:
         return None
-    best_p, best_need = 0.0, need
-    need = residual_fill(r_p)
-    if need is not None:
-        return r_p, need
-    lo, hi = 0.0, r_p
-    while hi - lo > _BISECT_TOL:
-        mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:
-            break  # interval narrower than one float step
-        need = residual_fill(mid)
-        if need is None:
+    lo, hi, mid = 0.0, r_p, r_p  # the whole budget first, then bisect
+    while True:
+        found = residual_fill(mid)
+        if found is None:
             hi = mid
         else:
-            lo = mid
-            best_p, best_need = mid, need
-    return best_p, best_need
-
-
-def _profile_from(instance, i_star: int, p_star: float, need: np.ndarray, v: np.ndarray):
-    effort = need / instance.e_p
-    effort[i_star] = 0.0
-    remaining = max(instance.ranger_budget - p_star, 0.0)
+            lo = p_star = mid
+            need = found
+        mid = lo / 2.0 + hi / 2.0  # halves first: lo + hi can overflow
+        if not hi - lo > _BISECT_TOL or mid == lo or mid == hi:
+            break  # within tolerance, or narrower than one float step
+    effort = need / e_p
+    remaining = max(r_p - p_star, 0.0)
     total = float(effort.sum())
     if total > remaining and total > 0.0:
         effort *= remaining / total  # trim tolerance slack back into budget
     effort[i_star] = p_star
     return StrategyProfile(effort, v)
+
+
+def _best_fill(instance, fills: Iterable[Tuple[object, np.ndarray, np.ndarray]]):
+    """The best completion over every villager fill and attacked target.
+
+    ``fills`` yields ``(key, v, villager_coverage)``: a fill's label, its
+    villager counts and the coverage its villagers give. Every completion is
+    validated and scored by the attacker's best response on
+    ``min(e_p * p + villager_coverage, 1)``; the first best wins, so
+    ``fills`` order decides exact ties. Returns (key, profile, response).
+    """
+    best = None
+    for key, v, villager_coverage in fills:
+        for i_star in range(instance.n):
+            profile = _completion(instance, v, villager_coverage, i_star)
+            if profile is None:
+                continue
+            violations = validate_profile(instance, profile)
+            if violations:
+                raise ProfileValidationError(violations)
+            coverage = np.minimum(instance.e_p * profile.p + villager_coverage, 1.0)
+            response = best_response(instance, coverage)
+            if best is None or response.defender_utility > best[2].defender_utility:
+                best = key, profile, response
+    if best is None:
+        raise RuntimeError("no villager fill admits a best response; this is a bug")
+    return best
 
 
 def solve_oracle(instance, cap: int = ENUMERATION_CAP) -> SolveResult:
@@ -162,29 +182,14 @@ def solve_oracle(instance, cap: int = ENUMERATION_CAP) -> SolveResult:
             "%d placements exceed the cap of %d; use solve_hw instead" % (count, cap)
         )
     e_v = np.asarray(instance.e_v)
-    best: Optional[SolveResult] = None
-    for placement in _placements(n, r_v):
-        v = np.asarray(placement, dtype=np.int64)
-        villager_coverage = e_v * v
-        for i_star in range(n):
-            found = _max_consistent_effort(instance, villager_coverage, i_star)
-            if found is None:
-                continue
-            p_star, need = found
-            result = evaluate_profile(
-                instance, _profile_from(instance, i_star, p_star, need, v)
-            )
-            if best is None or result.defender_utility > best.defender_utility:
-                best = result
-    if best is None:
-        raise RuntimeError("no placement admits a best response; this is a bug")
-    return SolveResult(
-        profile=best.profile,
-        attacked=best.attacked,
-        defender_utility=best.defender_utility,
-        attacker_utility=best.attacker_utility,
-        diagnostics={"placements": count},
-    )
+
+    def fills():
+        for placement in _placements(n, r_v):
+            v = np.asarray(placement, dtype=np.int64)
+            yield placement, v, e_v * v
+
+    _, profile, _ = _best_fill(instance, fills())
+    return replace(evaluate_profile(instance, profile), diagnostics={"placements": count})
 
 
 def solve_oracle_villager_specific(
@@ -202,35 +207,19 @@ def solve_oracle_villager_specific(
     if count > cap:
         raise EnumerationLimitError("%d assignments exceed the cap of %d" % (count, cap))
 
-    best_result: Optional[SolveResult] = None
-    best_assignment: Tuple[int, ...] = ()
-    for assignment in itertools.product(range(n), repeat=r_v):
-        villager_coverage = np.zeros(n)
-        np.add.at(villager_coverage, list(assignment), vs.e_v)
-        v = np.bincount(np.asarray(assignment, dtype=np.int64), minlength=n)
-        for i_star in range(n):
-            found = _max_consistent_effort(instance, villager_coverage, i_star)
-            if found is None:
-                continue
-            p_star, need = found
-            profile = _profile_from(instance, i_star, p_star, need, v)
-            coverage = np.minimum(instance.e_p * profile.p + villager_coverage, 1.0)
-            response = best_response(instance, coverage)
-            if best_result is None or response.defender_utility > best_result.defender_utility:
-                best_result = SolveResult(
-                    profile=profile,
-                    attacked=response.target,
-                    defender_utility=response.defender_utility,
-                    attacker_utility=response.attacker_utility,
-                )
-                best_assignment = assignment
-    if best_result is None:
-        raise RuntimeError("no assignment admits a best response; this is a bug")
+    def fills():
+        for assignment in itertools.product(range(n), repeat=r_v):
+            villager_coverage = np.zeros(n)
+            np.add.at(villager_coverage, list(assignment), vs.e_v)
+            v = np.bincount(np.asarray(assignment, dtype=np.int64), minlength=n)
+            yield assignment, v, villager_coverage
+
+    assignment, profile, response = _best_fill(instance, fills())
     return VillagerSpecificResult(
-        profile=best_result.profile,
-        attacked=best_result.attacked,
-        defender_utility=best_result.defender_utility,
-        attacker_utility=best_result.attacker_utility,
+        profile=profile,
+        attacked=response.target,
+        defender_utility=response.defender_utility,
+        attacker_utility=response.attacker_utility,
         diagnostics={"assignments": count},
-        assignment=best_assignment,
+        assignment=assignment,
     )

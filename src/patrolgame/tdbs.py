@@ -69,7 +69,8 @@ def value_bound(instance) -> float:
 
 def utility_gap_bound(instance, epsilon: float) -> float:
     """Guaranteed cap on (exact optimum - returned utility): e_p * 2 * M * epsilon."""
-    return instance.e_p * 2.0 * value_bound(instance) * epsilon
+    # M * epsilon first: e_p * 2 * M overflows for M near the float maximum
+    return instance.e_p * 2.0 * (value_bound(instance) * epsilon)
 
 
 @dataclass(frozen=True)
@@ -97,7 +98,7 @@ def most_effort(instance: Instance, i_stars, v_stars, epsilon: float):
     right = np.full(len(i_stars), float(instance.ranger_budget))
     checks = 0
     while True:
-        mid = (left + right) / 2.0
+        mid = left / 2.0 + right / 2.0  # halves first: left + right can overflow
         # a bisection ends within epsilon, or narrower than one float step
         rows = np.flatnonzero((right - left > epsilon) & (mid != left) & (mid != right))
         if rows.size == 0:

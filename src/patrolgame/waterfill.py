@@ -62,6 +62,7 @@ from .feasibility import (
     fixed_target_utilities,
 )
 from .model import (
+    REL_TOL,
     GameDefinitionError,
     Instance,
     SolveResult,
@@ -285,7 +286,9 @@ def _next_event(state: WaterfillState, pinned: np.ndarray, u_star: float):
     floor_level = min(float(floors[k]), sea)
     budget = state.ranger_remaining * inst.e_p
     k = int(np.argmax(top_sum - bottom * width_sum > budget))
-    budget_level = float((top_sum[k] - budget) / width_sum[k])
+    # On Python floats a budget past every level overflows to -inf with no
+    # warning, and the floor wins; an np.errstate block per event costs more.
+    budget_level = (float(top_sum[k]) - budget) / float(width_sum[k])
     lowest = max(floor_level, budget_level)
     swap = get_swap_line(state)
     if swap is not None and sea - swap.u_change >= lowest:
@@ -373,10 +376,16 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         drop = sea - level
         poured_critical = drop * state.width[critical] / instance.e_p
         poured_merged = (state.u_att[merged] - level) * state.width[merged] / instance.e_p
+        pour = float(poured_critical.sum() + poured_merged.sum())
         if budget_spent:
+            # The budget level loses digits when the budget is tiny against
+            # the levels, and the pour can overshoot it. Past half the effort
+            # slack (model), scale the pour back to what is left.
+            if pour > state.ranger_remaining + REL_TOL / 2 * instance.ranger_budget:
+                poured_critical *= state.ranger_remaining / pour
+                poured_merged *= state.ranger_remaining / pour
             state.ranger_remaining = 0.0
         else:
-            pour = float(poured_critical.sum() + poured_merged.sum())
             state.ranger_remaining = max(state.ranger_remaining - pour, 0.0)
         state.u_att[critical] -= drop
         state.effort[critical] += poured_critical

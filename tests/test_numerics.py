@@ -7,6 +7,7 @@ payoffs are written in may change which target is attacked.
 """
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -161,3 +162,35 @@ def test_tiny_villager_effectiveness_solves_without_warnings(e_v):
         exact = solve_hw(inst).defender_utility
         approx = solve_tdbs(inst).defender_utility
     assert abs(exact - approx) < utility_gap_bound(inst, tdbs.DEFAULT_EPSILON)
+
+
+@pytest.mark.parametrize("r_p", [1e-7, 1e-9])
+def test_tiny_ranger_budgets_stay_within_budget(r_p):
+    # The budget level (top_sum - budget) / width_sum loses digits when
+    # e_p * budget is tiny against top_sum, and the pour used to overshoot
+    # the budget past validate_profile's slack: on 33 of these seeds at 1e-7
+    # and on 144 at 1e-9, solve_hw raised "ranger budget exceeded".
+    for seed in range(300):
+        inst = generate_instance(GenParams(n=6, r_p=r_p, r_v=3, seed=seed))
+        hw = solve_hw(inst)
+        assert validate_profile(inst, hw.profile) == [], seed
+        tdbs_utility = solve_tdbs(inst, TdbsConfig(1e-12)).defender_utility
+        assert hw.defender_utility >= tdbs_utility - inst.tol, seed
+    for seed in range(40):
+        inst = generate_instance(GenParams(n=4, r_p=r_p, r_v=2, seed=seed))
+        exact = solve_oracle(inst).defender_utility
+        assert solve_hw(inst).defender_utility == pytest.approx(exact, abs=10 * inst.tol), seed
+
+
+def test_ranger_budget_near_the_float_maximum():
+    # left + right overflowed in tdbs's effort bisection, which then probed
+    # inf; hw's budget level overflowed; e_p * 2 * M overflowed the bound
+    inst = generate_instance(GenParams(n=6, r_p=1e308, r_v=3, seed=2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hw = solve_hw(inst)
+        approx = solve_tdbs(inst)
+    bound = utility_gap_bound(inst, tdbs.DEFAULT_EPSILON)
+    assert math.isfinite(bound)
+    assert -inst.tol <= hw.defender_utility - approx.defender_utility < bound
+    assert validate_profile(inst, approx.profile) == []

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -38,6 +40,14 @@ class TestSolveOracle:
         inst = random_instance(4242, n=4, r_p=2, r_v=2)
         assert solve_oracle(inst).defender_utility == pytest.approx(
             solve_hw(inst).defender_utility, abs=1e-6
+        )
+
+    def test_bisection_stops_on_the_float_step(self):
+        # near an effort of 1e6 one float step is wider than the bisection
+        # tolerance, so a bisection that ends inside the budget stops there
+        inst = dataclasses.replace(random_instance(1, n=4, r_p=2, r_v=2), ranger_budget=1e6)
+        assert solve_oracle(inst).defender_utility == pytest.approx(
+            solve_hw(inst).defender_utility, abs=10 * inst.tol
         )
 
     def test_cap_refusal(self):

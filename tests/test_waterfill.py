@@ -169,6 +169,14 @@ class TestGetSwapLine:
         state = make_state(inst, 0, np.zeros(4), np.zeros(4, dtype=int))
         assert get_swap_line(state) is None
 
+    def test_every_target_pinned(self):
+        # effort enough to cover both targets fully pins each at its floor
+        inst = Instance(10.0, 0, 1.0, 0.5, [1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0])
+        states = []
+        hw_subproblem(inst, 0, 0, on_state=lambda state: states.append(state.snapshot()))
+        assert states[-1].sea_level is None
+        assert get_swap_line(states[-1]) is None
+
     def test_three_target_reconstruction(self):
         # after greedy placement the critical set is {1} and target 2 holds
         # the last-placed villagers; the first critical point occurs after a
