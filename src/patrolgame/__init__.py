@@ -1,15 +1,7 @@
 """Solvers and batch planner for mixed ranger/villager patrol allocation games."""
 
 from .bench import BenchReport, BenchRow, GenParams, generate_instance, run_benchmark
-from .feasibility import (
-    FeasibilityAnswer,
-    FeasibilityQuery,
-    check_consistent,
-    feasible_rows,
-    min_valid_coverage,
-    most_villagers,
-    total_wasted_coverage,
-)
+from .feasibility import feasible_rows, most_villagers
 from .model import (
     BestResponse,
     GameDefinitionError,
@@ -20,7 +12,6 @@ from .model import (
     best_response,
     compute_coverage,
     evaluate_profile,
-    target_utilities,
     validate_profile,
 )
 from .oracle import (
@@ -46,14 +37,7 @@ from .planner import (
     terrain_adjust,
 )
 from .tdbs import TdbsConfig, solve_tdbs, utility_gap_bound, value_bound
-from .waterfill import (
-    SwapCandidate,
-    WaterfillState,
-    get_swap_line,
-    hw_subproblem,
-    min_drop_before_swap,
-    solve_hw,
-)
+from .waterfill import SwapCandidate, WaterfillState, get_swap_line, solve_hw
 
 __all__ = [
     "BenchReport",
@@ -62,8 +46,6 @@ __all__ = [
     "BaselineComparison",
     "BudgetSweepRow",
     "EnumerationLimitError",
-    "FeasibilityAnswer",
-    "FeasibilityQuery",
     "GameDefinitionError",
     "GenParams",
     "Instance",
@@ -79,7 +61,6 @@ __all__ = [
     "best_response",
     "budget_sweep",
     "case_study_scenario",
-    "check_consistent",
     "compare_with_baseline",
     "compute_coverage",
     "effectiveness_grid",
@@ -88,11 +69,8 @@ __all__ = [
     "generate_instance",
     "get_solver",
     "get_swap_line",
-    "hw_subproblem",
     "load_instance",
     "load_result",
-    "min_drop_before_swap",
-    "min_valid_coverage",
     "most_villagers",
     "run_benchmark",
     "save_instance",
@@ -101,9 +79,7 @@ __all__ = [
     "solve_oracle",
     "solve_oracle_villager_specific",
     "solve_tdbs",
-    "target_utilities",
     "terrain_adjust",
-    "total_wasted_coverage",
     "utility_gap_bound",
     "validate_profile",
     "value_bound",

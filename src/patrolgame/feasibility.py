@@ -18,8 +18,7 @@ kinds of row:
   witness; rows where every piece fits need no greedy at all;
 - witness rows run the same greedy with counts and build each feasible
   row's profile (p, v), one block at a time. ``witness_blocks`` is the one
-  witness builder: ``check_consistent`` reads its first block, and
-  ``tdbs`` scores its blocks as they come.
+  witness builder; ``tdbs`` scores its blocks as they come.
 
 The shared candidate search ``candidates`` runs in lockstep: all n
 targets' v = 0 tests are one call, and each round of the villager binary
@@ -47,19 +46,11 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .model import (
-    REL_TOL,
-    GameDefinitionError,
-    Instance,
-    StrategyProfile,
-    _target_index,
-    utilities_of,
-)
+from .model import REL_TOL, GameDefinitionError, Instance, utilities_of
 
 # Slack on the ranger-coverage sum: its trim lifts a utility by at most
 # tol / 2 (module docstring).
@@ -68,21 +59,6 @@ _COVERAGE_SLACK = REL_TOL / 4
 # Cells (query rows times targets) the greedy handles in one array
 # operation; bounds the transient memory of a batched check at O(block × n).
 _BLOCK_CELLS = 2**13
-
-
-@dataclass(frozen=True)
-class FeasibilityQuery:
-    """Fixed allocation on a candidate attacked target."""
-
-    i_star: int
-    p_star: float = 0.0
-    v_star: int = 0
-
-
-@dataclass(frozen=True)
-class FeasibilityAnswer:
-    feasible: bool
-    witness: Optional[StrategyProfile]
 
 
 def TargetSpecificInstance(base: Instance, e_v) -> Instance:
@@ -127,29 +103,6 @@ def _floor_of_others(instance) -> np.ndarray:
     others = np.full(instance.n, floor[top])
     others[top] = max(floor[:top].max(initial=-np.inf), floor[top + 1 :].max(initial=-np.inf))
     return others
-
-
-def min_valid_coverage(instance, i: int, u: float) -> Optional[float]:
-    """Smallest coverage on target ``i`` with attacker utility <= ``u``.
-
-    None when no coverage achieves it (u below the attacker's penalty floor).
-    """
-    i = _target_index(instance, i)
-    if not u >= _attacker_floor(instance)[i]:
-        return None
-    return float(_min_coverage(instance, u)[i])
-
-
-def total_wasted_coverage(instance, v: np.ndarray, u: float, i_star: int) -> float:
-    """Villager coverage in excess of the needed minimum, summed over i != i_star."""
-    i_star = _target_index(instance, i_star)
-    v = np.asarray(v)
-    if v.shape != (instance.n,):
-        raise GameDefinitionError("expected %d villager counts, got shape %s" % (instance.n, v.shape))
-    if not u >= _floor_of_others(instance)[i_star]:
-        raise GameDefinitionError("utility %r is unachievable on some target" % (u,))
-    waste = np.maximum(v * np.asarray(instance.e_v) - _min_coverage(instance, u), 0.0)
-    return float(waste[np.arange(instance.n) != i_star].sum())
 
 
 def _query_rows(instance, i_star, p_star, v_star):
@@ -321,10 +274,14 @@ def _blocks(instance, count: int):
 
 
 def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
-    """``check_consistent(instance, FeasibilityQuery(i, p, v)).feasible`` for every row.
+    """Per query row, whether ``p_star`` effort and ``v_star`` villagers on
+    ``i_star`` extend to a full profile that keeps ``i_star`` attacked.
 
     ``i_star``, ``p_star`` and ``v_star`` are arrays with one entry per
-    query. Only the answer is computed: no villager counts, no witness.
+    query. The spare villagers go where each covers the most still-needed
+    coverage (``_place_villagers``), and the remaining rangers must cover
+    the rest; this works for a scalar and for a per-target ``e_v``. Only
+    the answer is computed: no villager counts, no witness.
     """
     i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
     floor = _floor_of_others(instance)
@@ -366,19 +323,6 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
         feasible = np.zeros(fixed.shape[0], dtype=bool)
         feasible[kept] = True
         yield block, feasible, p, v
-
-
-def check_consistent(instance: Instance, query: FeasibilityQuery) -> FeasibilityAnswer:
-    """Decide whether ``query`` extends to a full profile keeping ``i_star`` attacked.
-
-    Greedy fill: the spare villagers go where each covers the most
-    still-needed coverage (see _place_villagers), and rangers must cover the
-    rest. Works for a scalar and for a per-target ``e_v``.
-    """
-    _, feasible, p, v = next(witness_blocks(instance, [query.i_star], [query.p_star], [query.v_star]))
-    if not feasible[0]:
-        return FeasibilityAnswer(False, None)
-    return FeasibilityAnswer(True, StrategyProfile(p[0], v[0]))
 
 
 def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:

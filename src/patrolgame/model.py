@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Union
 
 import numpy as np
 
@@ -185,10 +185,6 @@ class StrategyProfile:
         v.setflags(write=False)
         object.__setattr__(self, "v", v)
 
-    @classmethod
-    def zeros(cls, n: int) -> "StrategyProfile":
-        return cls(np.zeros(n), np.zeros(n, dtype=np.int64))
-
 
 @dataclass(frozen=True)
 class BestResponse:
@@ -234,10 +230,11 @@ def coverage_of(instance, p: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def utilities_of(instance, coverage, i):
-    """``target_utilities`` unchecked: (R_d * c + P_d * (1 - c), R_a * (1 - c) + P_a * c).
+    """(defender, attacker) utility on target ``i`` at ``coverage`` c, unchecked.
 
-    ``coverage`` and the target index ``i`` may each be a number or an array
-    (``i`` also a slice); they broadcast, and the utilities are arrays then.
+    (R_d * c + P_d * (1 - c), R_a * (1 - c) + P_a * c). ``coverage`` and
+    the target index ``i`` may each be a number or an array (``i`` also a
+    slice); they broadcast, and the utilities are arrays then.
     """
     u_d = instance.reward_def[i] * coverage + instance.penalty_def[i] * (1.0 - coverage)
     u_a = instance.reward_att[i] * (1.0 - coverage) + instance.penalty_att[i] * coverage
@@ -247,22 +244,6 @@ def utilities_of(instance, coverage, i):
 def attacker_utilities(instance, coverage: np.ndarray) -> np.ndarray:
     """Vector of attacker expected utilities R_a * (1 - c) + P_a * c."""
     return utilities_of(instance, coverage, slice(None))[1]
-
-
-def _target_index(instance, i) -> int:
-    """``i`` as an int; GameDefinitionError unless it indexes a target of ``instance``."""
-    if not (isinstance(i, numbers.Integral) and 0 <= i < instance.n):
-        raise GameDefinitionError("target index %r out of range for %d targets" % (i, instance.n))
-    return int(i)
-
-
-def target_utilities(instance, c_i: float, i: int) -> Tuple[float, float]:
-    """(defender, attacker) expected utility on target ``i`` at coverage ``c_i``."""
-    i = _target_index(instance, i)
-    if not 0.0 <= c_i <= 1.0:
-        raise GameDefinitionError("coverage %r outside [0, 1]" % (c_i,))
-    u_d, u_a = utilities_of(instance, c_i, i)
-    return float(u_d), float(u_a)
 
 
 def tied_defender_utilities(instance, coverage: np.ndarray) -> np.ndarray:

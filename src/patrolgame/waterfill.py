@@ -50,17 +50,11 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
-from .feasibility import (
-    FeasibilityQuery,
-    candidates,
-    check_consistent,
-    feasible_rows,
-    fixed_target_utilities,
-)
+from .feasibility import candidates, feasible_rows, fixed_target_utilities
 from .model import (
     REL_TOL,
     GameDefinitionError,
@@ -90,17 +84,6 @@ class WaterfillState:
     swaps: int = 0
     iterations: int = 0
 
-    def snapshot(self) -> "WaterfillState":
-        """Deep-enough copy for invariant checks across iterations."""
-        return replace(
-            self,
-            u_att=self.u_att.copy(),
-            u_att_villagers=self.u_att_villagers.copy(),
-            effort=self.effort.copy(),
-            villagers=self.villagers.copy(),
-            critical=self.critical.copy(),
-        )
-
 
 @dataclass(frozen=True)
 class SwapCandidate:
@@ -128,18 +111,6 @@ def _drop(state: WaterfillState, i, j, spread_gap):
     # about 1e306 near-equal spreads still overflow; an infinite drop is no swap.
     with np.errstate(over="ignore"):
         return ranger_dip + (one_less - villagers_only) * (spread[i] / spread_gap)
-
-
-def min_drop_before_swap(state: WaterfillState, i: int, j: int) -> float:
-    """Sea-level drop from u_att[i] until the (i, j) critical point.
-
-    Requires i in the critical set, j outside it with a villager, and
-    differing payoff spreads.
-    """
-    spread = state.instance.spread_att
-    if spread[i] == spread[j]:
-        raise GameDefinitionError("equal payoff spreads admit no critical point")
-    return float(_drop(state, i, j, spread[j] - spread[i]))
 
 
 def get_swap_line(state: WaterfillState) -> Optional[SwapCandidate]:
@@ -296,36 +267,15 @@ def _next_event(state: WaterfillState, pinned: np.ndarray, u_star: float):
     return lowest, budget_level >= floor_level, None
 
 
-def hw_subproblem(
-    instance: Instance,
-    i_star: int,
-    v_star: int,
-    on_state: Optional[Callable[[WaterfillState], None]] = None,
-) -> StrategyProfile:
-    """Optimal completion for a fixed attacked target and villager count on it.
-
-    ``on_state`` is invoked with the live state at the top of every
-    waterfilling iteration, each of which pours to one event (a swap, a
-    penalty floor or the fixed target's level, or the end of the ranger
-    budget) past any merges on the way, and once after termination
-    (snapshot to keep).
-    Raises GameDefinitionError for a per-target ``e_v``, or when ``v_star``
-    villagers on ``i_star`` admit no consistent completion.
-    """
-    _require_scalar_e_v(instance)
-    if not check_consistent(instance, FeasibilityQuery(i_star, 0.0, v_star)).feasible:
-        raise GameDefinitionError("target %d cannot keep %d villagers" % (i_star, v_star))
-    profile, _ = _run_subproblem(instance, i_star, v_star, on_state)
-    return profile
-
-
-def _require_scalar_e_v(instance) -> None:
-    if np.ndim(instance.e_v) != 0:
-        raise GameDefinitionError("waterfilling requires uniform villager effectiveness")
-
-
 def _run_subproblem(instance, i_star, v_star, on_state=None):
-    """Waterfill from a consistent (i_star, v_star); returns (profile, final state)."""
+    """Waterfill from a consistent (i_star, v_star); returns (profile, final state).
+
+    ``on_state``, if given, is called with the live state at the top of
+    every iteration, each of which pours to one event (a swap, a penalty
+    floor or the fixed target's level, or the end of the ranger budget),
+    and once after termination. The state is mutated in place afterwards,
+    so a caller that keeps it must copy it.
+    """
     n = instance.n
     penalty = instance.penalty_att
     spread = instance.spread_att
@@ -430,7 +380,8 @@ def solve_hw(instance: Instance) -> SolveResult:
     order. The best evaluated utility wins, ties to the lowest target index.
     Needs a scalar villager effectiveness.
     """
-    _require_scalar_e_v(instance)
+    if np.ndim(instance.e_v) != 0:
+        raise GameDefinitionError("waterfilling requires uniform villager effectiveness")
     i_stars, v_stars, counters = candidates(instance)
     counters.update(iterations=0, swaps=0, pruned=0)
     at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]

@@ -13,12 +13,7 @@ import numpy as np
 
 from patrolgame import waterfill
 from patrolgame.bench import GenParams, generate_instance
-from patrolgame.feasibility import (
-    FeasibilityQuery,
-    candidates,
-    check_consistent,
-    fixed_target_utilities,
-)
+from patrolgame.feasibility import candidates, fixed_target_utilities, witness_blocks
 from patrolgame.model import (
     Instance,
     StrategyProfile,
@@ -42,6 +37,12 @@ def scaled(inst, factor):
         reward_att=inst.reward_att * factor,
         penalty_att=inst.penalty_att * factor,
     )
+
+
+def witness_of(inst, i_star, p_star, v_star):
+    """One query through ``witness_blocks``: its witness profile, None where it is infeasible."""
+    _, feasible, p, v = next(witness_blocks(inst, [i_star], [p_star], [v_star]))
+    return StrategyProfile(p[0], v[0]) if feasible[0] else None
 
 
 def symmetric_instance():
@@ -179,7 +180,7 @@ def solve_hw_unpruned(inst):
 def max_feasible_villagers_ref(inst, i_star, witness=None):
     """Largest v with (i_star, 0, v) consistent: (count, witness, calls).
 
-    One binary search from v = 1, one ``check_consistent`` call per probe;
+    One binary search from v = 1, one ``witness_of`` call per probe;
     v = 0 must be consistent, and ``witness`` is its witness, returned when
     no probe succeeds.
     """
@@ -188,10 +189,10 @@ def max_feasible_villagers_ref(inst, i_star, witness=None):
     calls = 0
     while lo <= hi:
         mid = (lo + hi) // 2
-        answer = check_consistent(inst, FeasibilityQuery(i_star, 0.0, mid))
+        answer = witness_of(inst, i_star, 0.0, mid)
         calls += 1
-        if answer.feasible:
-            best, witness = mid, answer.witness
+        if answer is not None:
+            best, witness = mid, answer
             lo = mid + 1
         else:
             hi = mid - 1
@@ -199,7 +200,7 @@ def max_feasible_villagers_ref(inst, i_star, witness=None):
 
 
 def best_candidate_sequential(inst, complete):
-    """The candidate loop one ``check_consistent`` call at a time.
+    """The candidate loop one ``witness_of`` call at a time.
 
     The reference for ``feasibility.candidates`` and the solvers' choice of
     winner: every candidate's searches run one after the other and keep each
@@ -213,11 +214,11 @@ def best_candidate_sequential(inst, complete):
     candidates = []
     for i_star in range(inst.n):
         counters["feasibility_checks"] += 1
-        answer = check_consistent(inst, FeasibilityQuery(i_star, 0.0, 0))
-        if not answer.feasible:
+        answer = witness_of(inst, i_star, 0.0, 0)
+        if answer is None:
             continue
         counters["candidates"] += 1
-        v_star, witness, calls = max_feasible_villagers_ref(inst, i_star, answer.witness)
+        v_star, witness, calls = max_feasible_villagers_ref(inst, i_star, answer)
         counters["feasibility_checks"] += calls
         candidates.append((i_star, v_star, witness))
 
@@ -247,11 +248,11 @@ def solve_tdbs_sequential(inst, epsilon=1e-3):
             mid = (left + right) / 2.0
             if mid == left or mid == right:
                 break
-            answer = check_consistent(inst, FeasibilityQuery(i_star, mid, v_star))
+            answer = witness_of(inst, i_star, mid, v_star)
             checks += 1
-            if answer.feasible:
+            if answer is not None:
                 left = mid
-                witness = answer.witness
+                witness = answer
             else:
                 right = mid
         return witness, {"feasibility_checks": checks}
@@ -263,7 +264,7 @@ def solve_hw_sequential(inst):
     """``solve_hw`` (break-even pruning included) on the sequential candidate loop.
 
     A candidate below ``seed - tol`` with no effort survives only if one
-    ``check_consistent`` call finds its break-even effort, where its defender
+    ``witness_of`` call finds its break-even effort, where its defender
     utility reaches ``seed - tol``, consistent.
     """
 
@@ -277,8 +278,7 @@ def solve_hw_sequential(inst):
             pruned = coverage > 1.0 or effort > inst.ranger_budget
             if not pruned:
                 checks = 1
-                query = FeasibilityQuery(i_star, max(effort, 0.0), v_star)
-                pruned = not check_consistent(inst, query).feasible
+                pruned = witness_of(inst, i_star, max(effort, 0.0), v_star) is None
         profile, iterations, swaps = None, 0, 0
         if not pruned:
             profile, state = waterfill._run_subproblem(inst, i_star, v_star)

@@ -5,18 +5,16 @@ lines. Every tolerance is pinned here; the seeds make each criterion fully
 deterministic.
 """
 
+import copy
 import dataclasses
 import time
 
 import numpy as np
 import pytest
 
+from patrolgame import waterfill
 from patrolgame.bench import GenParams, generate_instance, run_benchmark
-from patrolgame.feasibility import (
-    FeasibilityQuery,
-    check_consistent,
-    most_villagers,
-)
+from patrolgame.feasibility import candidates
 from patrolgame.model import (
     Instance,
     attacker_utilities,
@@ -36,7 +34,7 @@ from patrolgame.planner import (
     with_effectiveness,
 )
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound
-from patrolgame.waterfill import hw_subproblem, solve_hw
+from patrolgame.waterfill import solve_hw
 
 from conftest import (
     feasible_by_enumeration,
@@ -44,6 +42,7 @@ from conftest import (
     min_coverage_ref,
     placements,
     random_instance,
+    witness_of,
 )
 
 
@@ -131,23 +130,21 @@ def test_criterion_3_invariant_suite():
     # resource monotonicity and effort-to-villager substitution, 1000 probes
     witnesses = 0
     for inst, i_star, p, v, p2, v2, rng in probe_family(1000):
-        answer = check_consistent(inst, FeasibilityQuery(i_star, p, v))
-        if not answer.feasible:
+        witness = witness_of(inst, i_star, p, v)
+        if witness is None:
             continue
         witnesses += 1
-        if validate_profile(inst, answer.witness):
+        if validate_profile(inst, witness):
             failures.append("witness invalid at %r" % ((i_star, p, v),))
-        u_a = attacker_utilities(inst, compute_coverage(inst, answer.witness))
+        u_a = attacker_utilities(inst, compute_coverage(inst, witness))
         if u_a[i_star] < u_a.max() - 2e-8:
             failures.append("witness leaves %d dominated" % i_star)
-        if not check_consistent(inst, FeasibilityQuery(i_star, p2, v2)).feasible:
+        if witness_of(inst, i_star, p2, v2) is None:
             failures.append("monotonicity broken at %r" % ((i_star, p, v, p2, v2),))
         swap_cost = inst.e_v / inst.e_p
         k_swap = int(min(inst.villager_budget - v, p // swap_cost))
-        if k_swap >= 1:
-            query = FeasibilityQuery(i_star, p - k_swap * swap_cost, v + k_swap)
-            if not check_consistent(inst, query).feasible:
-                failures.append("substitution broken at %r" % ((i_star, p, v, k_swap),))
+        if k_swap >= 1 and witness_of(inst, i_star, p - k_swap * swap_cost, v + k_swap) is None:
+            failures.append("substitution broken at %r" % ((i_star, p, v, k_swap),))
     if witnesses < 200:
         failures.append("probe mix produced too few witnesses: %d" % witnesses)
 
@@ -158,9 +155,7 @@ def test_criterion_3_invariant_suite():
             for v_star in range(inst.villager_budget + 1):
                 for frac in (0.0, 0.3, 0.6, 1.0):
                     p_star = frac * inst.ranger_budget
-                    got = check_consistent(
-                        inst, FeasibilityQuery(i_star, p_star, v_star)
-                    ).feasible
+                    got = witness_of(inst, i_star, p_star, v_star) is not None
                     want = feasible_by_enumeration(inst, i_star, p_star, v_star)
                     if got != want:
                         failures.append(
@@ -171,12 +166,12 @@ def test_criterion_3_invariant_suite():
     enumeration_checked = 0
     for k in range(100):
         inst = random_instance(63_000 + k, n=2 + k % 5, r_p=1 + k % 3, r_v=k % 4)
-        attackable = [
-            i for i in range(inst.n) if check_consistent(inst, FeasibilityQuery(i, 0.0, 0)).feasible
-        ]
-        for i_star, v_star in zip(attackable, most_villagers(inst, attackable)[0].tolist()):
+        i_stars, v_stars, _ = candidates(inst)
+        for i_star, v_star in zip(i_stars.tolist(), v_stars.tolist()):
             snaps = []
-            hw_subproblem(inst, i_star, v_star, on_state=lambda s: snaps.append(s.snapshot()))
+            waterfill._run_subproblem(
+                inst, i_star, v_star, lambda s: snaps.append(copy.deepcopy(s))
+            )
             spare = inst.villager_budget - v_star
             for s in snaps:
                 if s.sea_level is None:
@@ -255,15 +250,15 @@ def test_criterion_4_variant_reduction():
     for k in range(1000):
         inst = random_instance(65_000 + k, n=int(rng.integers(2, 6)), r_p=2, r_v=3)
         ts = dataclasses.replace(inst, e_v=np.full(inst.n, inst.e_v))
-        query = FeasibilityQuery(
+        query = (
             int(rng.integers(0, inst.n)),
             float(rng.uniform(0, inst.ranger_budget)),
             int(rng.integers(0, inst.villager_budget + 1)),
         )
-        per_target = check_consistent(ts, query).feasible
-        if per_target != check_consistent(inst, query).feasible:
+        per_target = witness_of(ts, *query) is not None
+        if per_target != (witness_of(inst, *query) is not None):
             failures.append("query %d disagrees with the scalar check: %r" % (k, query))
-        reference, _, _ = greedy_villagers_ref(ts, *dataclasses.astuple(query))
+        reference, _, _ = greedy_villagers_ref(ts, *query)
         if per_target != reference:
             failures.append("query %d disagrees with the reference greedy: %r" % (k, query))
     report(4, "uniform per-target effectiveness reduces to the base check", failures)

@@ -5,16 +5,7 @@ import numpy as np
 import pytest
 
 from patrolgame import feasibility
-from patrolgame.feasibility import (
-    FeasibilityQuery,
-    candidates,
-    check_consistent,
-    feasible_rows,
-    min_valid_coverage,
-    most_villagers,
-    total_wasted_coverage,
-    witness_blocks,
-)
+from patrolgame.feasibility import candidates, feasible_rows, most_villagers, witness_blocks
 from patrolgame.planner import case_study_scenario, terrain_adjust, with_effectiveness
 from patrolgame.tdbs import TdbsConfig, most_effort, solve_tdbs
 from patrolgame.waterfill import solve_hw
@@ -41,6 +32,7 @@ from conftest import (
     solve_hw_sequential,
     solve_tdbs_sequential,
     symmetric_instance,
+    witness_of,
 )
 
 
@@ -59,13 +51,14 @@ def make(n=2, **kw):
     return Instance(**args)
 
 
-def assert_witness_sound(inst, query, answer, tol=2e-8):
+def assert_witness_sound(inst, query, witness, tol=2e-8):
     """The witness validates and leaves i_star an attacker best response."""
-    assert validate_profile(inst, answer.witness) == []
-    assert answer.witness.p[query.i_star] == pytest.approx(query.p_star, abs=1e-12)
-    assert answer.witness.v[query.i_star] == query.v_star
-    u_a = attacker_utilities(inst, compute_coverage(inst, answer.witness))
-    assert u_a[query.i_star] >= u_a.max() - tol
+    i_star, p_star, v_star = query
+    assert validate_profile(inst, witness) == []
+    assert witness.p[i_star] == pytest.approx(p_star, abs=1e-12)
+    assert witness.v[i_star] == v_star
+    u_a = attacker_utilities(inst, compute_coverage(inst, witness))
+    assert u_a[i_star] >= u_a.max() - tol
 
 
 def block_witnesses(inst, i_star, p_star, v_star):
@@ -78,96 +71,87 @@ def block_witnesses(inst, i_star, p_star, v_star):
     return witnesses
 
 
-def readme_instance():
-    """The README's example instance."""
-    return Instance(
-        ranger_budget=2.0, villager_budget=3, e_p=0.7, e_v=0.3,
-        reward_def=[5.0, 4.0, 8.0], penalty_def=[-2.0, -3.0, -1.0],
-        reward_att=[6.0, 3.0, 7.0], penalty_att=[-4.0, -2.0, -5.0],
-    )
-
-
 class TestMinValidCoverage:
+    """The smallest coverage holding a target's attacker utility at or below u
+    (``_min_coverage``), and the floor below which none does (``_attacker_floor``)."""
+
     def test_symmetric_spread_midpoint(self):
         inst = make(reward_att=[10.0, 10.0], penalty_att=[-10.0, -10.0])
-        assert min_valid_coverage(inst, 0, 0.0) == pytest.approx(0.5)
+        assert feasibility._min_coverage(inst, 0.0)[0] == pytest.approx(0.5)
 
     def test_zero_coverage_suffices_at_reward(self):
         inst = make(reward_att=[3.0, 1.0])
-        assert min_valid_coverage(inst, 0, 3.0) == 0.0
-        assert min_valid_coverage(inst, 0, 5.0) == 0.0
+        assert feasibility._min_coverage(inst, 3.0)[0] == 0.0
+        assert feasibility._min_coverage(inst, 5.0)[0] == 0.0
 
     def test_below_penalty_floor_unachievable(self):
         inst = make(reward_att=[10.0, 10.0], penalty_att=[-10.0, -10.0])
-        assert min_valid_coverage(inst, 0, -11.0) is None
+        assert -11.0 < feasibility._attacker_floor(inst)[0]
+        assert feasibility._min_coverage(inst, -11.0)[0] == 1.0
 
     def test_zero_spread(self):
         inst = make(reward_att=[0.0, 1.0], penalty_att=[0.0, -1.0])
-        assert min_valid_coverage(inst, 0, 0.5) == 0.0
-        assert min_valid_coverage(inst, 0, -0.5) is None
-
-    @pytest.mark.parametrize("i", [-1, 3, 1.0])
-    def test_rejects_a_target_outside_the_instance(self, i):
-        with pytest.raises(GameDefinitionError):
-            min_valid_coverage(readme_instance(), i, 0.0)
+        assert feasibility._min_coverage(inst, 0.5)[0] == 0.0
+        assert feasibility._min_coverage(inst, -0.5)[0] == 0.0
+        assert 0.5 >= feasibility._attacker_floor(inst)[0] > -0.5
 
 
 class TestTotalWastedCoverage:
+    """Villager coverage past the needs of the other targets: the greedy's
+    counts (``_place_villagers``) against the needs (``_min_coverage``), and
+    the floor test on the other targets (``_floor_of_others``)."""
+
+    @staticmethod
+    def greedy(inst, u, i_star, spare):
+        """(need, villager counts) of one row at level u with ``spare`` villagers."""
+        need = feasibility._min_coverage(inst, np.array([[u]]))
+        need[0, i_star] = 0.0
+        _, _, alloc = feasibility._place_villagers(need, inst.e_v, np.array([spare]), counts=True)
+        return need[0], alloc[0]
+
     def test_no_villagers_no_waste(self):
-        inst = make()
-        assert total_wasted_coverage(inst, np.zeros(2, dtype=int), 0.0, 0) == 0.0
+        need, alloc = self.greedy(make(), 0.0, 0, 0)
+        assert alloc.tolist() == [0, 0] and need.tolist() == [0.0, 0.5]
 
     def test_exact_fit(self):
         # c_min on target 1 equals exactly one villager's coverage
         inst = make(reward_att=[1.0, 1.0], penalty_att=[-1.0, -1.0])
-        assert total_wasted_coverage(inst, np.array([0, 1]), 0.0, 0) == 0.0
+        need, alloc = self.greedy(inst, 0.0, 0, 1)
+        assert alloc.tolist() == [0, 1] and alloc[1] * inst.e_v == need[1]
 
     def test_direct_formula(self):
-        # e_v = 0.5, two villagers on target 1, c_min = 0.7 -> waste 0.3
+        # e_v = 0.5, c_min = 0.7 on target 1: a whole piece and a remainder
+        # take two villagers -> waste 0.3
         inst = make(reward_att=[1.0, 10.0], penalty_att=[-1.0, -10.0], villager_budget=2)
-        u = 10.0 - 20.0 * 0.7
-        assert total_wasted_coverage(inst, np.array([0, 2]), u, 0) == pytest.approx(0.3)
+        need, alloc = self.greedy(inst, 10.0 - 20.0 * 0.7, 0, 2)
+        assert alloc.tolist() == [0, 2]
+        assert alloc[1] * inst.e_v - need[1] == pytest.approx(0.3)
 
     def test_unachievable_raises(self):
-        inst = make()
-        with pytest.raises(GameDefinitionError):
-            total_wasted_coverage(inst, np.zeros(2, dtype=int), -2.0, 0)
+        # -2 lies below target 1's penalty floor of -1
+        assert -2.0 < feasibility._floor_of_others(make())[0]
 
     def test_floor_is_tested_on_the_other_targets_only(self):
         # u is below target 1's floor only, so only i_star = 1 reaches it
-        inst = make(penalty_att=[-1.0, -0.5])
-        assert total_wasted_coverage(inst, np.zeros(2, dtype=int), -0.75, 1) == 0.0
-        with pytest.raises(GameDefinitionError):
-            total_wasted_coverage(inst, np.zeros(2, dtype=int), -0.75, 0)
-
-    @pytest.mark.parametrize("i_star", [-1, 3, 7])
-    def test_rejects_a_target_outside_the_instance(self, i_star):
-        inst = readme_instance()
-        assert total_wasted_coverage(inst, [0, 0, 3], 0.0, 2) == 0.0
-        with pytest.raises(GameDefinitionError):
-            total_wasted_coverage(inst, [0, 0, 3], 0.0, i_star)
-
-    @pytest.mark.parametrize("v", [[0, 3], [0, 0, 3, 0], [[0, 0, 3]]])
-    def test_rejects_villager_counts_of_another_length(self, v):
-        with pytest.raises(GameDefinitionError):
-            total_wasted_coverage(readme_instance(), v, 0.0, 2)
+        floor = feasibility._floor_of_others(make(penalty_att=[-1.0, -0.5]))
+        assert floor[1] <= -0.75 < floor[0]
 
 
 class TestCheckConsistent:
+    """The check one query at a time (``witness_of`` over ``witness_blocks``)."""
+
     def test_symmetric_feasible(self):
         inst = symmetric_instance()
-        answer = check_consistent(inst, FeasibilityQuery(0, 0.0, 1))
-        assert answer.feasible
+        witness = witness_of(inst, 0, 0.0, 1)
+        assert witness is not None
         assert feasible_by_enumeration(inst, 0, 0.0, 1)
-        assert_witness_sound(inst, FeasibilityQuery(0, 0.0, 1), answer)
-        assert answer.witness.p.tolist() == [0.0, 1.0]
-        assert answer.witness.v.tolist() == [1, 0]
+        assert_witness_sound(inst, (0, 0.0, 1), witness)
+        assert witness.p.tolist() == [0.0, 1.0]
+        assert witness.v.tolist() == [1, 0]
 
     def test_symmetric_infeasible_when_overloaded(self):
         inst = symmetric_instance()
-        answer = check_consistent(inst, FeasibilityQuery(0, 1.0, 1))
-        assert not answer.feasible
-        assert answer.witness is None
+        assert witness_of(inst, 0, 1.0, 1) is None
         assert not feasible_by_enumeration(inst, 0, 1.0, 1)
 
     def test_floor_short_circuit(self):
@@ -179,8 +163,7 @@ class TestCheckConsistent:
             ranger_budget=10.0,
             villager_budget=5,
         )
-        answer = check_consistent(inst, FeasibilityQuery(0, 4.0, 0))
-        assert not answer.feasible
+        assert witness_of(inst, 0, 4.0, 0) is None
 
     def test_agrees_with_enumeration_on_grid(self):
         # small-instance completeness: exhaustive villager placements plus
@@ -191,9 +174,7 @@ class TestCheckConsistent:
                 for v_star in range(inst.villager_budget + 1):
                     for frac in (0.0, 0.25, 0.5, 0.75, 1.0):
                         p_star = frac * inst.ranger_budget
-                        got = check_consistent(
-                            inst, FeasibilityQuery(i_star, p_star, v_star)
-                        ).feasible
+                        got = witness_of(inst, i_star, p_star, v_star) is not None
                         want = feasible_by_enumeration(inst, i_star, p_star, v_star)
                         assert got == want, (seed, i_star, p_star, v_star)
 
@@ -202,14 +183,14 @@ class TestCheckConsistent:
         checked = 0
         for k in range(400):
             inst = random_instance(4000 + k, n=int(rng.integers(2, 6)), r_p=3, r_v=3)
-            query = FeasibilityQuery(
+            query = (
                 int(rng.integers(0, inst.n)),
                 float(rng.uniform(0, inst.ranger_budget)),
                 int(rng.integers(0, inst.villager_budget + 1)),
             )
-            answer = check_consistent(inst, query)
-            if answer.feasible:
-                assert_witness_sound(inst, query, answer)
+            witness = witness_of(inst, *query)
+            if witness is not None:
+                assert_witness_sound(inst, query, witness)
                 checked += 1
         assert checked > 100  # the probe mix must actually exercise witnesses
 
@@ -221,11 +202,11 @@ class TestCheckConsistent:
             i_star = int(rng.integers(0, inst.n))
             p = float(rng.uniform(0, inst.ranger_budget))
             v = int(rng.integers(0, inst.villager_budget + 1))
-            if not check_consistent(inst, FeasibilityQuery(i_star, p, v)).feasible:
+            if witness_of(inst, i_star, p, v) is None:
                 continue
             p2 = float(rng.uniform(0, p))
             v2 = int(rng.integers(0, v + 1))
-            assert check_consistent(inst, FeasibilityQuery(i_star, p2, v2)).feasible
+            assert witness_of(inst, i_star, p2, v2) is not None
 
     def test_effort_to_villager_substitution(self):
         # replacing e_v/e_p effort with one villager preserves feasibility
@@ -244,38 +225,27 @@ class TestCheckConsistent:
                 continue
             k_swap = int(rng.integers(1, max_k + 1))
             p = float(rng.uniform(k_swap * swap_cost, inst.ranger_budget))
-            if not check_consistent(inst, FeasibilityQuery(i_star, p, v)).feasible:
+            if witness_of(inst, i_star, p, v) is None:
                 continue
             tried += 1
-            query = FeasibilityQuery(i_star, p - k_swap * swap_cost, v + k_swap)
-            assert check_consistent(inst, query).feasible
+            assert witness_of(inst, i_star, p - k_swap * swap_cost, v + k_swap) is not None
         assert tried > 50
-
-    def test_query_outside_budget_rejected(self):
-        inst = make()
-        with pytest.raises(GameDefinitionError):
-            check_consistent(inst, FeasibilityQuery(0, 5.0, 0))
-        with pytest.raises(GameDefinitionError):
-            check_consistent(inst, FeasibilityQuery(0, 0.0, 7))
 
 
 class TestCheckConsistentTs:
-    """check_consistent on instances whose e_v is a per-target vector."""
+    """The one-query check on instances whose e_v is a per-target vector."""
 
     def test_uniform_reduction(self):
         rng = np.random.default_rng(9)
         for k in range(300):
             inst = random_instance(7000 + k, n=int(rng.integers(2, 6)), r_p=2, r_v=3)
             ts = dataclasses.replace(inst, e_v=np.full(inst.n, inst.e_v))
-            query = FeasibilityQuery(
+            query = (
                 int(rng.integers(0, inst.n)),
                 float(rng.uniform(0, inst.ranger_budget)),
                 int(rng.integers(0, inst.villager_budget + 1)),
             )
-            assert (
-                check_consistent(ts, query).feasible
-                == check_consistent(inst, query).feasible
-            )
+            assert (witness_of(ts, *query) is None) == (witness_of(inst, *query) is None)
 
     def test_spare_villager_goes_to_higher_effectiveness(self):
         # the candidate target's utility is pinned at 0 (zero spread), so the
@@ -294,18 +264,17 @@ class TestCheckConsistentTs:
                 penalty_att=[0.0, -1.0, -1.0],
             )
 
-        answer = check_consistent(variant(1), FeasibilityQuery(0, 0.0, 0))
-        assert not answer.feasible
+        assert witness_of(variant(1), 0, 0.0, 0) is None
         # enumeration cross-check: villager on 1 leaves 0.4 on 2, villager on
         # 2 leaves 0.5 on 1 and 0.4 on 2; two villagers still leave >= 0.2
-        assert not check_consistent(variant(2), FeasibilityQuery(0, 0.0, 0)).feasible
+        assert witness_of(variant(2), 0, 0.0, 0) is None
         # six villagers pile 0.1 steps onto target 2 until both needs are met
-        assert check_consistent(variant(6), FeasibilityQuery(0, 0.0, 0)).feasible
+        assert witness_of(variant(6), 0, 0.0, 0) is not None
 
     def test_zero_needs_feasible_with_zero_resources(self):
         ts = Instance(0.0, 0, 0.5, [0.5, 0.5], [1, 1], [-1, -1], [2.0, 1.0], [-1.0, -1.0])
         # attacking the max-reward target needs nothing elsewhere
-        assert check_consistent(ts, FeasibilityQuery(0, 0.0, 0)).feasible
+        assert witness_of(ts, 0, 0.0, 0) is not None
 
     def test_ts_witness_sound(self):
         rng = np.random.default_rng(10)
@@ -313,14 +282,14 @@ class TestCheckConsistentTs:
         for k in range(200):
             inst = random_instance(8000 + k, n=int(rng.integers(2, 6)), r_p=2, r_v=3)
             ts = dataclasses.replace(inst, e_v=rng.uniform(0.05, 0.95, inst.n).round(3))
-            query = FeasibilityQuery(
+            query = (
                 int(rng.integers(0, inst.n)),
                 float(rng.uniform(0, inst.ranger_budget)),
                 int(rng.integers(0, inst.villager_budget + 1)),
             )
-            answer = check_consistent(ts, query)
-            if answer.feasible:
-                assert_witness_sound(ts, query, answer)
+            witness = witness_of(ts, *query)
+            if witness is not None:
+                assert_witness_sound(ts, query, witness)
                 checked += 1
         assert checked > 50
 
@@ -356,30 +325,28 @@ class TestAgainstReferences:
             n = int(rng.integers(2, 8))
             # up to 20 villagers on few targets: often more than every piece
             inst = _flavoured_instance(rng, k, n, int(rng.integers(0, 4)), int(rng.integers(0, 21)))
-            query = FeasibilityQuery(
+            query = (
                 int(rng.integers(0, n)),
                 float(rng.uniform(0, inst.ranger_budget)) if k % 4 else 0.0,
                 int(rng.integers(0, inst.villager_budget + 1)),
             )
-            answer = check_consistent(inst, query)
-            feasible, counts, needs = greedy_villagers_ref(
-                inst, query.i_star, query.p_star, query.v_star
-            )
-            assert answer.feasible == feasible, (k, query)
+            witness = witness_of(inst, *query)
+            feasible, counts, needs = greedy_villagers_ref(inst, *query)
+            assert (witness is not None) == feasible, (k, query)
             if not feasible:
                 continue
-            others = np.arange(n) != query.i_star
-            covered = answer.witness.p[others].sum() * inst.e_p
+            others = np.arange(n) != query[0]
+            covered = witness.p[others].sum() * inst.e_p
             assert covered == pytest.approx(sum(needs), abs=2e-9)
             # A need within rounding of a whole number of villagers counts as
             # that many whole pieces in the check; the reference may instead
             # see a piece a hair smaller, which moves a tie-break but not the
             # residual. Everywhere else the counts must match exactly.
-            ratio = np.array(needs_ref(inst, *dataclasses.astuple(query))) / inst.e_v
+            ratio = np.array(needs_ref(inst, *query)) / inst.e_v
             if np.all((ratio == 0) | (np.abs(ratio - np.round(ratio)) > 1e-8)):
-                assert answer.witness.v[others].tolist() == np.array(counts)[others].tolist()
+                assert witness.v[others].tolist() == np.array(counts)[others].tolist()
                 exact_counts += 1
-            if sum(counts) < inst.villager_budget - query.v_star:
+            if sum(counts) < inst.villager_budget - query[2]:
                 spare_exceeds_pieces += 1
         assert spare_exceeds_pieces > 50
         assert exact_counts > 200
@@ -399,10 +366,10 @@ class TestAgainstReferences:
             reward_att=[3.0, 1.0, 0.0],
             penalty_att=[-1.0, -3.0, 0.0],
         )
-        answer = check_consistent(inst, FeasibilityQuery(2, 0.0, 0))
+        witness = witness_of(inst, 2, 0.0, 0)
         _, counts, _ = greedy_villagers_ref(inst, 2, 0.0, 0)
-        assert answer.feasible
-        assert answer.witness.v.tolist() == counts == [2, 0, 0]
+        assert witness is not None
+        assert witness.v.tolist() == counts == [2, 0, 0]
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(14)
@@ -410,18 +377,18 @@ class TestAgainstReferences:
             n = int(rng.integers(2, 5))
             inst = _flavoured_instance(rng, k, n, int(rng.integers(0, 3)), int(rng.integers(0, 5)))
             for i_star in range(n):
-                query = FeasibilityQuery(
+                query = (
                     i_star,
                     float(rng.uniform(0, inst.ranger_budget)),
                     int(rng.integers(0, inst.villager_budget + 1)),
                 )
-                got = check_consistent(inst, query).feasible
-                want = feasible_by_enumeration(inst, *dataclasses.astuple(query))
+                got = witness_of(inst, *query) is not None
+                want = feasible_by_enumeration(inst, *query)
                 assert got == want, (k, query)
 
 
 class TestFeasibleRows:
-    """The batched decision against the one-row check, row by row."""
+    """The batched decision against one query at a time, row by row."""
 
     @pytest.mark.parametrize("block_cells", [feasibility._BLOCK_CELLS, 16])
     def test_matches_check_consistent(self, monkeypatch, block_cells):
@@ -443,21 +410,21 @@ class TestFeasibleRows:
             witnesses = block_witnesses(inst, i_star, p_star, v_star)
             assert len(witnesses) == m
             for row in range(m):
-                query = FeasibilityQuery(int(i_star[row]), float(p_star[row]), int(v_star[row]))
-                answer = check_consistent(inst, query)
-                assert got[row] == answer.feasible, (k, query)
-                assert (witnesses[row] is None) == (not answer.feasible), (k, query)
-                if answer.feasible:
-                    assert witnesses[row][0].tolist() == answer.witness.p.tolist()
-                    assert witnesses[row][1].tolist() == answer.witness.v.tolist()
-                _, counts, needs = greedy_villagers_ref(inst, *dataclasses.astuple(query))
+                query = (int(i_star[row]), float(p_star[row]), int(v_star[row]))
+                witness = witness_of(inst, *query)
+                assert got[row] == (witness is not None), (k, query)
+                assert (witnesses[row] is None) == (witness is None), (k, query)
+                if witness is not None:
+                    assert witnesses[row][0].tolist() == witness.p.tolist()
+                    assert witnesses[row][1].tolist() == witness.v.tolist()
+                _, counts, needs = greedy_villagers_ref(inst, *query)
                 if needs is None:
                     kinds["floor fails"] += 1
                 elif max(needs) <= 0.0:
                     kinds["every piece fits"] += 1
-                if query.v_star == inst.villager_budget:
+                if query[2] == inst.villager_budget:
                     kinds["spare = 0"] += 1
-                kinds["feasible" if answer.feasible else "infeasible"] += 1
+                kinds["feasible" if witness is not None else "infeasible"] += 1
                 rows += 1
         assert rows >= 2000
         assert min(kinds.values()) > 100 and len(kinds) == 5, kinds
@@ -466,8 +433,9 @@ class TestFeasibleRows:
         inst = make()
         for i_star, p_star, v_star in (([2], [0.0], [0]), ([0], [5.0], [0]), ([0], [0.0], [7]),
                                         ([0, 1], [0.0], [0]), ([0.0], [0.0], [0])):
-            with pytest.raises(GameDefinitionError):
-                feasible_rows(inst, np.array(i_star), np.array(p_star), np.array(v_star))
+            for check in (feasible_rows, lambda *rows: next(witness_blocks(*rows))):
+                with pytest.raises(GameDefinitionError):
+                    check(inst, np.array(i_star), np.array(p_star), np.array(v_star))
 
 
 def test_descending_is_a_stable_sort_of_the_nonzero_sizes():
@@ -553,17 +521,14 @@ class TestMaxFeasibleVillagers:
         rng = np.random.default_rng(12)
         for k in range(100):
             inst = random_instance(9000 + k, n=int(rng.integers(2, 5)), r_p=2, r_v=4)
-            attackable = [
-                i for i in range(inst.n)
-                if check_consistent(inst, FeasibilityQuery(i, 0.0, 0)).feasible
-            ]
+            attackable = [i for i in range(inst.n) if witness_of(inst, i, 0.0, 0) is not None]
             counts, checks = most_villagers(inst, attackable)
             assert checks == sum(max_feasible_villagers_ref(inst, i)[2] for i in attackable)
             for i_star, best in zip(attackable, counts.tolist()):
                 scan = max(
                     v
                     for v in range(inst.villager_budget + 1)
-                    if check_consistent(inst, FeasibilityQuery(i_star, 0.0, v)).feasible
+                    if witness_of(inst, i_star, 0.0, v) is not None
                 )
                 assert best == scan
 

@@ -12,8 +12,8 @@ from patrolgame.model import (
     best_response,
     compute_coverage,
     evaluate_profile,
-    target_utilities,
     tied_defender_utilities,
+    utilities_of,
     validate_profile,
 )
 
@@ -76,7 +76,7 @@ class TestInstanceValidation:
 
     def test_results_carry_no_instance_dict(self):
         inst = make()
-        result = evaluate_profile(inst, StrategyProfile.zeros(2))
+        result = evaluate_profile(inst, StrategyProfile([0.0] * 2, [0] * 2))
         for obj in (inst, result.profile, result):
             assert not hasattr(obj, "__dict__")
 
@@ -191,7 +191,7 @@ class TestComputeCoverage:
 
     def test_zero_profile(self):
         inst = make()
-        assert compute_coverage(inst, StrategyProfile.zeros(2)).tolist() == [0.0, 0.0]
+        assert compute_coverage(inst, StrategyProfile([0.0] * 2, [0] * 2)).tolist() == [0.0, 0.0]
 
     def test_clamp_at_one(self):
         inst = make(ranger_budget=3.0)
@@ -205,29 +205,22 @@ class TestComputeCoverage:
 
 
 class TestTargetUtilities:
+    """(defender, attacker) utility on one target (``utilities_of``)."""
+
     def test_symmetric_midpoint(self):
-        assert target_utilities(make(), 0.5, 0) == (0.0, 0.0)
+        assert utilities_of(make(), 0.5, 0) == (0.0, 0.0)
 
     def test_zero_coverage(self):
         inst = make()
-        u_d, u_a = target_utilities(inst, 0.0, 1)
+        u_d, u_a = utilities_of(inst, 0.0, 1)
         assert u_d == inst.penalty_def[1]
         assert u_a == inst.reward_att[1]
 
     def test_full_coverage(self):
         inst = make()
-        u_d, u_a = target_utilities(inst, 1.0, 0)
+        u_d, u_a = utilities_of(inst, 1.0, 0)
         assert u_d == inst.reward_def[0]
         assert u_a == inst.penalty_att[0]
-
-    def test_domain_error(self):
-        with pytest.raises(GameDefinitionError):
-            target_utilities(make(), 1.2, 0)
-
-    @pytest.mark.parametrize("i", [-1, 3, 1.0])
-    def test_rejects_a_target_outside_the_instance(self, i):
-        with pytest.raises(GameDefinitionError):
-            target_utilities(make(n=3), 0.5, i)
 
 
 class TestBestResponse:
@@ -338,7 +331,7 @@ class TestValidateProfile:
 
     def test_profile_length_must_match(self):
         with pytest.raises(GameDefinitionError, match="entries for 2 targets"):
-            validate_profile(make(), StrategyProfile.zeros(3))
+            validate_profile(make(), StrategyProfile([0.0] * 3, [0] * 3))
 
     def test_villager_vector_must_be_1d(self):
         with pytest.raises(GameDefinitionError, match="1-D"):
@@ -355,7 +348,7 @@ class TestEvaluateProfile:
 
     def test_zero_profile_attacks_max_reward(self):
         inst = make(reward_att=[2.0, 5.0], penalty_def=[-1.0, -3.0])
-        result = evaluate_profile(inst, StrategyProfile.zeros(2))
+        result = evaluate_profile(inst, StrategyProfile([0.0] * 2, [0] * 2))
         assert result.attacked == 1
         assert result.defender_utility == -3.0
 

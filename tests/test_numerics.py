@@ -14,7 +14,6 @@ import numpy as np
 import pytest
 
 from patrolgame import feasibility, tdbs, waterfill
-from patrolgame.feasibility import FeasibilityQuery
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.model import REL_TOL, attacker_utilities, compute_coverage, validate_profile
 from patrolgame.oracle import solve_oracle
@@ -22,7 +21,7 @@ from patrolgame.planner import case_study_scenario
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound
 from patrolgame.waterfill import solve_hw
 
-from conftest import scaled
+from conftest import scaled, witness_of
 
 EPSILONS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-10, 1e-11, 1e-13)
 
@@ -46,17 +45,16 @@ def epsilon_sweep():
     """tdbs gaps to solve_hw per (instance, epsilon), plus every feasible
     answer those solves received, each with its one-row witness."""
     answers = []
-    check = feasibility.check_consistent
     rows_of = feasibility.feasible_rows
 
     def recording_rows(instance, i_star, p_star, v_star):
         feasible = rows_of(instance, i_star, p_star, v_star)
         for row in np.flatnonzero(feasible):
-            # the witness the row stands for, rebuilt by the one-row check
-            query = FeasibilityQuery(int(i_star[row]), float(p_star[row]), int(v_star[row]))
-            answer = check(instance, query)
-            assert answer.feasible, query
-            answers.append((instance, query.i_star, answer.witness))
+            # the witness the row stands for, rebuilt one query at a time
+            query = (int(i_star[row]), float(p_star[row]), int(v_star[row]))
+            witness = witness_of(instance, *query)
+            assert witness is not None, query
+            answers.append((instance, query[0], witness))
         return feasible
 
     gaps = []

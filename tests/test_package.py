@@ -1,0 +1,29 @@
+import patrolgame
+from patrolgame import feasibility, model, waterfill
+
+# Test-only API that was removed; none of it may come back.
+REMOVED = (
+    "FeasibilityQuery",
+    "FeasibilityAnswer",
+    "check_consistent",
+    "min_valid_coverage",
+    "total_wasted_coverage",
+    "hw_subproblem",
+    "min_drop_before_swap",
+    "target_utilities",
+    "_target_index",
+    "_require_scalar_e_v",
+)
+
+
+def test_namespace_exports_the_solver_api_only():
+    assert len(patrolgame.__all__) == len(set(patrolgame.__all__)) == 43
+    for name in patrolgame.__all__:
+        assert getattr(patrolgame, name) is not None, name
+    namespace = {}
+    exec("from patrolgame import *", namespace)
+    assert set(patrolgame.__all__) <= set(namespace)
+    for module in (patrolgame, feasibility, waterfill, model):
+        assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
+    assert not hasattr(waterfill.WaterfillState, "snapshot")
+    assert not hasattr(model.StrategyProfile, "zeros")

@@ -148,7 +148,7 @@ class TestFileRoundTrip:
         # a file's baseline fails its own length check first; this is the direct route
         inst = random_instance(77, n=3, r_p=1, r_v=1)
         with pytest.raises(GameDefinitionError, match="baseline profile length mismatch"):
-            ScenarioInstance(inst, baseline=StrategyProfile.zeros(4))
+            ScenarioInstance(inst, baseline=StrategyProfile([0.0] * 4, [0] * 4))
 
 
 class TestCaseStudy:
@@ -394,7 +394,8 @@ class TestSolverRegistry:
         # Wrapping planner.solve_hw must reach the comparisons and sweeps.
         calls = []
         monkeypatch.setattr(planner, "solve_hw", lambda inst: calls.append(inst) or solve_hw(inst))
-        scenario = ScenarioInstance(symmetric_instance(), baseline=StrategyProfile.zeros(2))
+        baseline = StrategyProfile([0.0] * 2, [0] * 2)
+        scenario = ScenarioInstance(symmetric_instance(), baseline=baseline)
         compare_with_baseline(scenario, solver="hw")
         budget_sweep(scenario, max_extra=1, solver="hw")
         assert len(calls) == 1 + 2

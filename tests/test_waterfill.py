@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import tracemalloc
 
@@ -5,12 +6,7 @@ import numpy as np
 import pytest
 
 from patrolgame import feasibility, tdbs, waterfill
-from patrolgame.feasibility import (
-    FeasibilityQuery,
-    check_consistent,
-    fixed_target_utilities,
-    most_villagers,
-)
+from patrolgame.feasibility import fixed_target_utilities
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
@@ -22,13 +18,7 @@ from patrolgame.model import (
 from patrolgame.oracle import solve_oracle
 from patrolgame.planner import case_study_scenario
 from patrolgame.tdbs import TdbsConfig, solve_tdbs
-from patrolgame.waterfill import (
-    WaterfillState,
-    get_swap_line,
-    hw_subproblem,
-    min_drop_before_swap,
-    solve_hw,
-)
+from patrolgame.waterfill import WaterfillState, get_swap_line, solve_hw
 
 from conftest import (
     greedy_villagers_loop,
@@ -109,7 +99,7 @@ class TestMinDropBeforeSwap:
         )
         state = make_state(inst, 2, [0.0, 0.0, 0.0], [0, 1, 0])
         assert state.u_att[0] == 2.0 and state.u_att_villagers[0] == 2.0
-        drop = min_drop_before_swap(state, 0, 1)
+        drop = waterfill._drop(state, 0, 1, 8.0 - 4.0)  # spread of j less that of i
         assert drop == pytest.approx(4.0)
         # the level balance at the critical point: ranger coverage on i
         # equals the above-level part of j's last villager
@@ -135,7 +125,7 @@ class TestMinDropBeforeSwap:
         # i = 0, no rangers: u_att = u_av = 6; j = 1 with one villager,
         # one-less value = R_a[1] = 6 = u_av[0]
         state = make_state(inst, 2, [0.0, 0.0, 0.0], [0, 1, 0])
-        assert min_drop_before_swap(state, 0, 1) == pytest.approx(0.0)
+        assert waterfill._drop(state, 0, 1, 12.0 - 8.0) == pytest.approx(0.0)
 
     def test_ranger_dip_shifts_drop_linearly(self):
         inst = Instance(
@@ -152,15 +142,9 @@ class TestMinDropBeforeSwap:
         with_rangers = make_state(inst, 2, [0.5, 0.0, 0.0], [0, 1, 0])
         dip = no_rangers.u_att[0] - with_rangers.u_att[0]
         assert dip == pytest.approx(1.0)  # 0.5 effort * e_p 0.5 * spread 4
-        assert min_drop_before_swap(with_rangers, 0, 1) == pytest.approx(
-            min_drop_before_swap(no_rangers, 0, 1) - dip
+        assert waterfill._drop(with_rangers, 0, 1, 8.0 - 4.0) == pytest.approx(
+            waterfill._drop(no_rangers, 0, 1, 8.0 - 4.0) - dip
         )
-
-    def test_equal_spreads_rejected(self):
-        inst = symmetric_instance()
-        state = make_state(inst, 0, [0.0, 0.0], [0, 1])
-        with pytest.raises(GameDefinitionError):
-            min_drop_before_swap(state, 0, 1)
 
 
 class TestGetSwapLine:
@@ -173,7 +157,7 @@ class TestGetSwapLine:
         # effort enough to cover both targets fully pins each at its floor
         inst = Instance(10.0, 0, 1.0, 0.5, [1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0])
         states = []
-        hw_subproblem(inst, 0, 0, on_state=lambda state: states.append(state.snapshot()))
+        waterfill._run_subproblem(inst, 0, 0, lambda s: states.append(copy.deepcopy(s)))
         assert states[-1].sea_level is None
         assert get_swap_line(states[-1]) is None
 
@@ -193,7 +177,7 @@ class TestGetSwapLine:
             penalty_att=[-1.0, -4.0, -10.0],
         )
         snapshots = []
-        hw_subproblem(inst, 0, 1, on_state=lambda s: snapshots.append(s.snapshot()))
+        waterfill._run_subproblem(inst, 0, 1, lambda s: snapshots.append(copy.deepcopy(s)))
         first = snapshots[0]
         assert first.villagers.tolist() == [1, 1, 2]
         assert first.u_att.tolist() == pytest.approx([0.6, 2.4, -0.4])
@@ -250,7 +234,7 @@ class TestGetSwapLine:
         state = make_state(inst, 0, [0.0, 0.0, 0.0], [0, 1, 1])
         assert state.u_att.tolist() == pytest.approx([2.0, 2.4, 0.0])
         assert list(np.flatnonzero(state.critical)) == [1]
-        assert min_drop_before_swap(state, 1, 2) == pytest.approx(16.8)
+        assert waterfill._drop(state, 1, 2, 9.0 - 8.0) == pytest.approx(16.8)
         assert get_swap_line(state) is None
 
 
@@ -258,7 +242,7 @@ class TestHwSubproblem:
     def test_symmetric_hand_waterfill(self):
         inst = symmetric_instance()
         snaps = []
-        profile = hw_subproblem(inst, 0, 1, on_state=lambda s: snaps.append(s.snapshot()))
+        profile, _ = waterfill._run_subproblem(inst, 0, 1, lambda s: snaps.append(copy.deepcopy(s)))
         assert profile.p.tolist() == [0.0, 1.0]
         assert profile.v.tolist() == [1, 0]
         final = snaps[-1]
@@ -268,7 +252,7 @@ class TestHwSubproblem:
     def test_no_rangers_gives_pure_greedy(self):
         inst = random_instance(55, n=4, r_p=0, r_v=3)
         # with no rangers only the max-reward target is a safe candidate
-        profile = hw_subproblem(inst, int(np.argmax(inst.reward_att)), 0)
+        profile, _ = waterfill._run_subproblem(inst, int(np.argmax(inst.reward_att)), 0)
         assert profile.p.tolist() == [0.0] * 4
         cov = compute_coverage(inst, profile)
         u_a = attacker_utilities(inst, cov)
@@ -287,31 +271,20 @@ class TestHwSubproblem:
             reward_att=[1.0, 1.0],
             penalty_att=[-1.0, -1.0],
         )
-        profile = hw_subproblem(inst, 0, 0)
+        profile, _ = waterfill._run_subproblem(inst, 0, 0)
         assert profile.p.sum() < inst.ranger_budget
         cov = compute_coverage(inst, profile)
         assert cov.tolist() == pytest.approx([1.0, 1.0])
 
-    def test_infeasible_precondition_rejected(self):
-        inst = Instance(
-            ranger_budget=0.0,
-            villager_budget=2,
-            e_p=0.5,
-            e_v=0.5,
-            reward_def=[1.0, 1.0],
-            penalty_def=[-1.0, -1.0],
-            reward_att=[1.0, 9.0],
-            penalty_att=[-1.0, -9.0],
-        )
-        # all villagers on the weak target can't hold the strong one down
-        with pytest.raises(GameDefinitionError):
-            hw_subproblem(inst, 0, 2)
-        # (0, 0) is consistent, but waterfilling needs a scalar e_v
-        with pytest.raises(GameDefinitionError):
-            hw_subproblem(dataclasses.replace(inst, e_v=[0.5, 0.5]), 0, 0)
 
 
 class TestSolveHw:
+    def test_per_target_e_v_rejected(self):
+        # waterfilling needs a scalar e_v, even when every entry is equal
+        inst = symmetric_instance()
+        with pytest.raises(GameDefinitionError, match="uniform villager effectiveness"):
+            solve_hw(dataclasses.replace(inst, e_v=[0.5, 0.5]))
+
     def test_symmetric_optimum_is_zero(self):
         assert solve_hw(symmetric_instance()).defender_utility == 0.0
 
@@ -340,14 +313,9 @@ class TestSolveHw:
 
     def test_diagnostics_count_every_check(self, monkeypatch):
         calls = []
-        check = feasibility.check_consistent
         rows_of = feasibility.feasible_rows
         subproblems = []
         run_subproblem = waterfill._run_subproblem
-
-        def recording(instance, query):
-            calls.append(query)
-            return check(instance, query)
 
         def recording_rows(instance, i_star, p_star, v_star):
             calls.extend(zip(i_star, p_star, v_star))  # one check per row
@@ -357,17 +325,14 @@ class TestSolveHw:
             subproblems.append(i_star)
             return run_subproblem(instance, i_star, v_star, on_state)
 
-        for module in (feasibility, waterfill):
-            monkeypatch.setattr(module, "check_consistent", recording)
         for module in (feasibility, tdbs, waterfill):
             monkeypatch.setattr(module, "feasible_rows", recording_rows)
         monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
         unattackable = 0
         for k in range(12):
             inst = random_instance(12_000 + k, n=3 + k % 6, r_p=1 + k % 3, r_v=k % 4)
-            attackable = sum(
-                check(inst, FeasibilityQuery(i, 0.0, 0)).feasible for i in range(inst.n)
-            )
+            n = inst.n
+            attackable = rows_of(inst, np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64)).sum()
             unattackable += inst.n - attackable
             calls.clear()
             subproblems.clear()
@@ -529,10 +494,8 @@ def case_study_grid():
 
 def subproblems(inst):
     """Every candidate (i_star, v_star) ``solve_hw`` would waterfill unpruned."""
-    attackable = [
-        i for i in range(inst.n) if check_consistent(inst, FeasibilityQuery(i, 0.0, 0)).feasible
-    ]
-    return zip(attackable, most_villagers(inst, attackable)[0].tolist())
+    i_stars, v_stars, _ = feasibility.candidates(inst)
+    return zip(i_stars.tolist(), v_stars.tolist())
 
 
 class TestEventDrivenPour:
@@ -637,7 +600,9 @@ class TestStateInvariants:
         runs = []
         for i_star, v_star in subproblems(inst):
             snaps = []
-            hw_subproblem(inst, i_star, v_star, on_state=lambda s: snaps.append(s.snapshot()))
+            waterfill._run_subproblem(
+                inst, i_star, v_star, lambda s: snaps.append(copy.deepcopy(s))
+            )
             runs.append((i_star, v_star, snaps))
         return runs
 
