@@ -37,7 +37,7 @@ from .planner import (
     terrain_adjust,
 )
 from .tdbs import TdbsConfig, solve_tdbs, utility_gap_bound, value_bound
-from .waterfill import SwapCandidate, WaterfillState, get_swap_line, solve_hw
+from .waterfill import solve_hw
 
 __all__ = [
     "BenchReport",
@@ -53,11 +53,9 @@ __all__ = [
     "ScenarioInstance",
     "SolveResult",
     "StrategyProfile",
-    "SwapCandidate",
     "TdbsConfig",
     "VillagerSpecificInstance",
     "VillagerSpecificResult",
-    "WaterfillState",
     "best_response",
     "budget_sweep",
     "case_study_scenario",
@@ -68,7 +66,6 @@ __all__ = [
     "feasible_rows",
     "generate_instance",
     "get_solver",
-    "get_swap_line",
     "load_instance",
     "load_result",
     "most_villagers",

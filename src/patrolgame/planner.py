@@ -129,10 +129,11 @@ def get_solver(name: str, epsilon: float = DEFAULT_EPSILON) -> Callable[[Instanc
     The solver functions are looked up in this module when called, not
     captured at import, so a caller that rebinds ``planner.solve_hw`` (to
     wrap or log it) reaches every grid, sweep and comparison solve.
-    ``epsilon`` is the tdbs search resolution; the exact solvers ignore it.
+    ``epsilon``, the tdbs search resolution, is checked for every solver.
     """
+    config = TdbsConfig(epsilon=epsilon)
     if name == "tdbs":
-        return lambda inst: solve_tdbs(inst, TdbsConfig(epsilon=epsilon))
+        return lambda inst: solve_tdbs(inst, config)
     if name == "hw":
         return solve_hw
     if name == "oracle":
@@ -246,11 +247,12 @@ def _finite_float(token: str) -> float:
 
 
 def _load_json(path):
-    """The parsed document; NaN, Infinity and overflowing reals are a format error."""
-    with open(path) as fh:
+    """The parsed UTF-8 document; NaN, Infinity, overflowing reals, bytes that
+    are not UTF-8 and nesting too deep to parse are a format error."""
+    with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh, parse_float=_finite_float, parse_constant=_finite_float)
-        except json.JSONDecodeError as err:
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as err:
             raise InstanceFormatError("not valid JSON: %s" % err) from err
 
 

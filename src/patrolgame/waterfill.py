@@ -19,7 +19,9 @@ the pour runs past any number of them, with running sums over the targets
 below the sea, straight to the highest of the next swap, the next penalty
 floor (or the fixed target's level) and the level where the ranger budget
 runs out (``_next_event``). ``diagnostics["iterations"]`` counts these
-events, and ``get_swap_line`` is called once per iteration.
+events, and ``get_swap_line`` is called once per iteration. Each fact is
+computed once: the pinned mask in ``_refresh_levels``, the merge set in
+``_next_event`` and utilities from villagers alone in ``_drop``.
 
 Break-even pruning: the seed is the best candidate's defender utility with
 its villagers and no ranger effort; that candidate's completion reaches at
@@ -62,9 +64,10 @@ from .model import (
     SolveResult,
     StrategyProfile,
     attacker_utilities,
-    best_response,
-    compute_coverage,
+    coverage_of,
     evaluate_profile,
+    tied_defender_utilities,
+    utilities_of,
 )
 
 @dataclass
@@ -73,13 +76,12 @@ class WaterfillState:
 
     instance: Instance
     i_star: int
-    u_att: np.ndarray            # attacker utility per target, current allocation
-    u_att_villagers: np.ndarray  # attacker utility from villagers alone
-    effort: np.ndarray           # ranger effort per target
-    villagers: np.ndarray        # villager count per target
-    width: np.ndarray            # 1 / (R_a - P_a), inf on zero-spread targets
+    u_att: np.ndarray      # attacker utility per target, current allocation
+    effort: np.ndarray     # ranger effort per target
+    villagers: np.ndarray  # villager count per target
+    width: np.ndarray      # 1 / (R_a - P_a), inf on zero-spread targets
     sea_level: Optional[float]
-    critical: np.ndarray         # bool mask of the critical set
+    critical: np.ndarray   # bool mask of the critical set
     ranger_remaining: float
     swaps: int = 0
     iterations: int = 0
@@ -99,13 +101,14 @@ def _drop(state: WaterfillState, i, j, spread_gap):
 
     At the critical level, the ranger coverage on ``i`` equals the above-sea
     part of the last villager's coverage on ``j``. ``spread_gap`` is the
-    divisor, the payoff spread of ``j`` less that of ``i``. Index arrays
-    broadcast: a column of ``i`` and a row of ``j`` give a matrix of drops.
+    divisor, the payoff spread of ``j`` less that of ``i``; ``i``'s utility
+    from its villagers alone comes from its count. Index arrays broadcast: a
+    column of ``i`` and a row of ``j`` give a matrix of drops.
     """
     inst = state.instance
     spread = inst.spread_att
     one_less = inst.reward_att[j] - spread[j] * inst.e_v * (state.villagers[j] - 1)
-    villagers_only = state.u_att_villagers[i]
+    villagers_only = utilities_of(inst, np.minimum(inst.e_v * state.villagers[i], 1.0), i)[1]
     ranger_dip = state.u_att[i] - villagers_only
     # The spreads divide first, so no product of two payoffs is formed. Past
     # about 1e306 near-equal spreads still overflow; an infinite drop is no swap.
@@ -113,7 +116,7 @@ def _drop(state: WaterfillState, i, j, spread_gap):
         return ranger_dip + (one_less - villagers_only) * (spread[i] / spread_gap)
 
 
-def get_swap_line(state: WaterfillState) -> Optional[SwapCandidate]:
+def get_swap_line(state: WaterfillState, pinned: np.ndarray) -> Optional[SwapCandidate]:
     """The highest qualifying swap event on the sea's descent.
 
     A (critical, donor) pair's critical point is a level that depends only on
@@ -124,14 +127,12 @@ def get_swap_line(state: WaterfillState) -> Optional[SwapCandidate]:
     outside the critical set with a villager, no ranger effort, and strictly
     smaller width; pairs whose critical point lies below the donor's penalty
     floor, or behind the current level, don't qualify. ``u_change`` is the
-    sea's drop to the event.
+    sea's drop to the event. ``pinned`` is the mask ``_refresh_levels``
+    returned for this state, which must have a sea.
     """
-    if state.sea_level is None:
-        return None
     inst = state.instance
     sea = state.sea_level
     idx = np.arange(inst.n)
-    pinned = np.abs(state.u_att - inst.penalty_att) <= inst.tol
     joins = np.where(state.critical, sea, state.u_att)  # sea level at which each target is critical
     members = np.flatnonzero(~pinned & (idx != state.i_star))
     donors = np.flatnonzero(
@@ -218,7 +219,7 @@ def _refresh_levels(state: WaterfillState) -> np.ndarray:
 
 
 def _next_event(state: WaterfillState, pinned: np.ndarray, u_star: float):
-    """Where the next pour stops: ``(level, budget_spent, swap)``.
+    """Where the next pour stops: ``(level, budget_spent, swap, merged)``.
 
     The sea descends from its level; each unpinned target below it merges
     into the critical set when the sea reaches that target's level, so
@@ -234,6 +235,7 @@ def _next_event(state: WaterfillState, pinned: np.ndarray, u_star: float):
       (``budget_spent``);
     - a swap: the highest critical point ``get_swap_line`` finds, if it is
       at or above the other two (``swap``, else None). Ties go to the swap.
+    ``merged`` is the targets the pour merges, in index order for its sums.
     """
     inst = state.instance
     penalty = inst.penalty_att
@@ -261,10 +263,12 @@ def _next_event(state: WaterfillState, pinned: np.ndarray, u_star: float):
     # warning, and the floor wins; an np.errstate block per event costs more.
     budget_level = (float(top_sum[k]) - budget) / float(width_sum[k])
     lowest = max(floor_level, budget_level)
-    swap = get_swap_line(state)
+    swap = get_swap_line(state, pinned)
     if swap is not None and sea - swap.u_change >= lowest:
-        return sea - swap.u_change, False, swap
-    return lowest, budget_level >= floor_level, None
+        level, budget_spent = sea - swap.u_change, False
+    else:
+        level, budget_spent, swap = lowest, budget_level >= floor_level, None
+    return level, budget_spent, swap, np.sort(merging[levels > level])
 
 
 def _run_subproblem(instance, i_star, v_star, on_state=None):
@@ -288,7 +292,6 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         instance=instance,
         i_star=i_star,
         u_att=u_att,
-        u_att_villagers=u_att.copy(),
         effort=np.zeros(n),
         villagers=villagers,
         width=width,
@@ -316,13 +319,12 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         if on_state is not None:
             on_state(state)
 
-        level, budget_spent, swap = _next_event(state, pinned, u_star)
+        level, budget_spent, swap, merged = _next_event(state, pinned, u_star)
         do_swap = swap is not None
         sea = state.sea_level
         if level >= sea and not do_swap:
             break  # floor reached within tolerance; nothing left to lower
         critical = state.critical
-        merged = np.flatnonzero(~pinned & ~critical & (state.u_att > level))
         drop = sea - level
         poured_critical = drop * state.width[critical] / instance.e_p
         poured_merged = (state.u_att[merged] - level) * state.width[merged] / instance.e_p
@@ -348,10 +350,8 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
             state.villagers[k] += 1
             state.effort[j] = state.effort[k]
             state.effort[k] = 0.0
-            for t in (j, k):
-                v_t = state.villagers[t]
-                state.u_att[t] = fixed_target_utilities(instance, t, state.effort[t], v_t)[1]
-                state.u_att_villagers[t] = fixed_target_utilities(instance, t, 0.0, v_t)[1]
+            t = [j, k]
+            state.u_att[t] = fixed_target_utilities(instance, t, state.effort[t], state.villagers[t])[1]
             state.swaps += 1
 
     # A zero-spread fixed target keeps attacker utility 0 at any coverage,
@@ -401,7 +401,7 @@ def solve_hw(instance: Instance) -> SolveResult:
     for i_star, v_star in zip(i_stars[keep].tolist(), v_stars[keep].tolist()):
         profile, state = _run_subproblem(instance, i_star, v_star)
         counters.update(iterations=state.iterations, swaps=state.swaps)
-        utility = best_response(instance, compute_coverage(instance, profile)).defender_utility
+        utility = tied_defender_utilities(instance, coverage_of(instance, profile.p, profile.v)).max()
         if utility > best_utility:
             best_utility, best = utility, profile
     if best is None:

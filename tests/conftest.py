@@ -373,7 +373,6 @@ def run_subproblem_per_merge(instance, i_star, v_star, on_state=None):
         instance=instance,
         i_star=i_star,
         u_att=u_att,
-        u_att_villagers=u_att.copy(),
         effort=np.zeros(n),
         villagers=villagers,
         width=width,
@@ -443,7 +442,6 @@ def run_subproblem_per_merge(instance, i_star, v_star, on_state=None):
                 c_v = instance.e_v * state.villagers[t]
                 c_full = min(instance.e_p * state.effort[t] + c_v, 1.0)
                 state.u_att[t] = utilities_of(instance, c_full, t)[1]
-                state.u_att_villagers[t] = utilities_of(instance, min(c_v, 1.0), t)[1]
             state.swaps += 1
 
     # A zero-spread fixed target keeps attacker utility 0 at any coverage,

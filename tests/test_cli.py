@@ -108,7 +108,7 @@ class TestSolve:
         assert token in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command", ["solve", "sweep", "compare"])
+    @pytest.mark.parametrize("command", ["solve", "sweep", "compare", "solve-hw", "compare-hw"])
     @pytest.mark.parametrize("epsilon", ["inf", "nan", "-1"])
     def test_bad_epsilon_is_validation_error(
         self, instance_file, tmp_path, capsys, command, epsilon
@@ -118,6 +118,9 @@ class TestSolve:
             "solve": ["solve", "--algorithm", "tdbs", "--input", str(instance_file)],
             "sweep": ["sweep", "--algorithm", "tdbs", "--budget-max", "1"],
             "compare": ["compare", "--algorithm", "tdbs"],
+            # the exact solvers ignore epsilon, but it is checked all the same
+            "solve-hw": ["solve", "--algorithm", "hw", "--input", str(instance_file)],
+            "compare-hw": ["compare", "--algorithm", "hw"],
         }[command]
         assert cli_dispatch(args + ["--epsilon", epsilon, "--output", str(out)]) == 1
         err = capsys.readouterr().err
@@ -194,11 +197,16 @@ class TestSolve:
 
     @pytest.mark.parametrize(
         "text, message",
-        [("[1, 2]", "instance document must be a JSON object"), ('{"n": 2,', "not valid JSON")],
+        [
+            (b"[1, 2]", "instance document must be a JSON object"),
+            (b'{"n": 2,', "not valid JSON"),
+            pytest.param(b"\xff\xfe{}", "not valid JSON", id="not-utf8"),
+            pytest.param(b"[" * 100_000, "not valid JSON", id="deeply-nested"),
+        ],
     )
     def test_unreadable_document_is_validation_error(self, tmp_path, capsys, text, message):
         path = tmp_path / "bad.json"
-        path.write_text(text)
+        path.write_bytes(text)
         out = tmp_path / "o.json"
         code = cli_dispatch(["solve", "--input", str(path), "--output", str(out)])
         assert_validation_error(code, capsys, out, message)

@@ -162,7 +162,7 @@ def test_tiny_villager_effectiveness_solves_without_warnings(e_v):
     assert abs(exact - approx) < utility_gap_bound(inst, tdbs.DEFAULT_EPSILON)
 
 
-@pytest.mark.parametrize("r_p", [1e-7, 1e-9])
+@pytest.mark.parametrize("r_p", [1e-7, 1e-9, 1e-20])
 def test_tiny_ranger_budgets_stay_within_budget(r_p):
     # The budget level (top_sum - budget) / width_sum loses digits when
     # e_p * budget is tiny against top_sum, and the pour used to overshoot

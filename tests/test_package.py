@@ -17,7 +17,7 @@ REMOVED = (
 
 
 def test_namespace_exports_the_solver_api_only():
-    assert len(patrolgame.__all__) == len(set(patrolgame.__all__)) == 43
+    assert len(patrolgame.__all__) == len(set(patrolgame.__all__)) == 40
     for name in patrolgame.__all__:
         assert getattr(patrolgame, name) is not None, name
     namespace = {}
@@ -26,4 +26,8 @@ def test_namespace_exports_the_solver_api_only():
     for module in (patrolgame, feasibility, waterfill, model):
         assert [name for name in REMOVED if hasattr(module, name)] == [], module.__name__
     assert not hasattr(waterfill.WaterfillState, "snapshot")
+    assert "u_att_villagers" not in waterfill.WaterfillState.__dataclass_fields__
+    # the pour's internals stay in waterfill, out of the package namespace
+    for name in ("SwapCandidate", "WaterfillState", "get_swap_line"):
+        assert name not in patrolgame.__all__ and hasattr(waterfill, name), name
     assert not hasattr(model.StrategyProfile, "zeros")

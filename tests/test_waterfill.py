@@ -37,9 +37,7 @@ def make_state(inst, i_star, p, v):
     p = np.asarray(p, dtype=float)
     v = np.asarray(v, dtype=np.int64)
     cov = np.minimum(inst.e_p * p + inst.e_v * v, 1.0)
-    cov_v = np.minimum(inst.e_v * v, 1.0)
     u_att = inst.reward_att * (1 - cov) + inst.penalty_att * cov
-    u_av = inst.reward_att * (1 - cov_v) + inst.penalty_att * cov_v
     spread = inst.spread_att
     with np.errstate(divide="ignore"):
         width = np.where(spread > 0, 1.0 / spread, np.inf)
@@ -50,7 +48,6 @@ def make_state(inst, i_star, p, v):
         instance=inst,
         i_star=i_star,
         u_att=u_att,
-        u_att_villagers=u_av,
         effort=p,
         villagers=v,
         width=width,
@@ -98,14 +95,17 @@ class TestMinDropBeforeSwap:
             penalty_att=[-2.0, -2.0, -1.0],
         )
         state = make_state(inst, 2, [0.0, 0.0, 0.0], [0, 1, 0])
-        assert state.u_att[0] == 2.0 and state.u_att_villagers[0] == 2.0
+        # target 0's attacker utility from its villagers alone
+        cov_v = min(inst.e_v * state.villagers[0], 1.0)
+        villagers_only = inst.reward_att[0] * (1 - cov_v) + inst.penalty_att[0] * cov_v
+        assert state.u_att[0] == 2.0 and villagers_only == 2.0
         drop = waterfill._drop(state, 0, 1, 8.0 - 4.0)  # spread of j less that of i
         assert drop == pytest.approx(4.0)
         # the level balance at the critical point: ranger coverage on i
         # equals the above-level part of j's last villager
         level = state.u_att[0] - drop
         s_i, s_j = 4.0, 8.0
-        lhs = (state.u_att_villagers[0] - level) / s_i
+        lhs = (villagers_only - level) / s_i
         one_less = inst.reward_att[1] - s_j * inst.e_v * (state.villagers[1] - 1)
         rhs = (one_less - level) / s_j
         assert lhs == pytest.approx(rhs)
@@ -151,7 +151,7 @@ class TestGetSwapLine:
     def test_no_villagers_outside_critical_set(self):
         inst = random_instance(77, n=4, r_p=2, r_v=0)
         state = make_state(inst, 0, np.zeros(4), np.zeros(4, dtype=int))
-        assert get_swap_line(state) is None
+        assert get_swap_line(state, waterfill._refresh_levels(state)) is None
 
     def test_every_target_pinned(self):
         # effort enough to cover both targets fully pins each at its floor
@@ -159,7 +159,6 @@ class TestGetSwapLine:
         states = []
         waterfill._run_subproblem(inst, 0, 0, lambda s: states.append(copy.deepcopy(s)))
         assert states[-1].sea_level is None
-        assert get_swap_line(states[-1]) is None
 
     def test_three_target_reconstruction(self):
         # after greedy placement the critical set is {1} and target 2 holds
@@ -182,13 +181,16 @@ class TestGetSwapLine:
         assert first.villagers.tolist() == [1, 1, 2]
         assert first.u_att.tolist() == pytest.approx([0.6, 2.4, -0.4])
         assert list(np.flatnonzero(first.critical)) == [1]
-        swap = get_swap_line(first)
+        swap = get_swap_line(first, waterfill._refresh_levels(first))
         assert swap is not None
         assert (swap.i_outp, swap.i_outv) == (1, 2)
         assert swap.u_change == pytest.approx(0.4)
         # balance at the critical level 2.0
         level = first.sea_level - swap.u_change
-        lhs = (first.u_att_villagers[1] - level) / 8.0
+        # target 1's attacker utility from its villagers alone
+        cov_v = min(inst.e_v * first.villagers[1], 1.0)
+        villagers_only = inst.reward_att[1] * (1 - cov_v) + inst.penalty_att[1] * cov_v
+        lhs = (villagers_only - level) / 8.0
         one_less = 6.0 - 16.0 * 0.2 * (first.villagers[2] - 1)
         rhs = (one_less - level) / 16.0
         assert lhs == pytest.approx(rhs)
@@ -214,7 +216,7 @@ class TestGetSwapLine:
         state = make_state(inst, 0, np.zeros(4), [1, 1, 2, 0])
         assert state.u_att.tolist() == pytest.approx([0.6, 2.4, -0.4, 3.0])
         assert list(np.flatnonzero(state.critical)) == [3]
-        swap = get_swap_line(state)
+        swap = get_swap_line(state, waterfill._refresh_levels(state))
         assert (swap.i_outp, swap.i_outv) == (1, 2)
         assert swap.u_change == pytest.approx(1.0)
 
@@ -235,7 +237,7 @@ class TestGetSwapLine:
         assert state.u_att.tolist() == pytest.approx([2.0, 2.4, 0.0])
         assert list(np.flatnonzero(state.critical)) == [1]
         assert waterfill._drop(state, 1, 2, 9.0 - 8.0) == pytest.approx(16.8)
-        assert get_swap_line(state) is None
+        assert get_swap_line(state, waterfill._refresh_levels(state)) is None
 
 
 class TestHwSubproblem:
@@ -654,9 +656,11 @@ class TestStateInvariants:
                     if after.sea_level is not None:
                         assert abs(after.u_att[i_outv] - after.sea_level) <= 1e-8
                     assert after.effort[i_outp] == 0.0
-                    assert after.u_att[i_outp] == pytest.approx(
-                        after.u_att_villagers[i_outp], abs=1e-12
+                    cov_v = min(inst.e_v * after.villagers[i_outp], 1.0)
+                    villagers_only = (
+                        inst.reward_att[i_outp] * (1 - cov_v) + inst.penalty_att[i_outp] * cov_v
                     )
+                    assert after.u_att[i_outp] == pytest.approx(villagers_only, abs=1e-12)
                     # targets outside the critical set both before and after
                     # the pour-plus-swap step keep their utility; those the
                     # pour merged into it end on the new sea
