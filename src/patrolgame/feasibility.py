@@ -10,7 +10,7 @@ Villager effectiveness may be a scalar or vary per target.
 Rows: the greedy works on many queries at once, one row of targets per
 query, and each row's answer is the one it would get alone. Each array
 operation covers one block of ``_BLOCK_CELLS`` cells (rows times targets),
-so memory stays O(block × n) however many rows come in. There are two
+so memory stays O(block × n) however many rows come in. There are three
 kinds of row:
 
 - answer-only rows (``feasible_rows``) sum each row's residual need
@@ -18,7 +18,11 @@ kinds of row:
   witness; rows where every piece fits need no greedy at all;
 - witness rows run the same greedy with counts and build each feasible
   row's profile (p, v), one block at a time. ``witness_blocks`` is the one
-  witness builder; ``tdbs`` scores its blocks as they come.
+  witness builder; ``tdbs`` scores its blocks as they come;
+- level rows (``_levels_feasible``) ask whether the budgets can hold every
+  target's attacker utility to one level, with no fixed target. The
+  minimax search (``_minimax_profile``), which seeds ``solve_hw``'s
+  pruning, checks ``_LEVELS_PER_ROUND`` of them per round.
 
 The shared candidate search ``candidates`` runs in lockstep: all n
 targets' v = 0 tests are one call, and each round of the villager binary
@@ -50,7 +54,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import REL_TOL, GameDefinitionError, Instance, utilities_of
+from .model import REL_TOL, GameDefinitionError, Instance, StrategyProfile, utilities_of
 
 # Slack on the ranger-coverage sum: its trim lifts a utility by at most
 # tol / 2 (module docstring).
@@ -59,6 +63,9 @@ _COVERAGE_SLACK = REL_TOL / 4
 # Cells (query rows times targets) the greedy handles in one array
 # operation; bounds the transient memory of a batched check at O(block × n).
 _BLOCK_CELLS = 2**13
+
+# Attacker levels the minimax search checks per round (``_minimax_profile``).
+_LEVELS_PER_ROUND = 32
 
 
 def TargetSpecificInstance(base: Instance, e_v) -> Instance:
@@ -292,6 +299,16 @@ def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
     return feasible
 
 
+def _ranger_effort(instance, residual: np.ndarray, budget: np.ndarray) -> np.ndarray:
+    """Ranger effort covering each row's ``residual`` need, its total trimmed
+    to that row's ``budget`` (the ``_COVERAGE_SLACK`` shortfall)."""
+    p = residual / instance.e_p
+    total = p.sum(axis=1)
+    over = (total > budget) & (total > 0.0)
+    p[over] *= (budget[over] / total[over])[:, None]
+    return p
+
+
 def witness_blocks(instance: Instance, i_star, p_star, v_star):
     """Per block of query rows: ``(block, feasible, p, v)``.
 
@@ -312,11 +329,7 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
         residual[short] = left
         kept = rows[ok]
         at = np.arange(kept.size), fixed[kept]
-        p = residual[ok] / instance.e_p
-        remaining_budget = np.maximum(instance.ranger_budget - p_fixed[kept], 0.0)
-        total = p.sum(axis=1)
-        over = (total > remaining_budget) & (total > 0.0)
-        p[over] *= (remaining_budget[over] / total[over])[:, None]
+        p = _ranger_effort(instance, residual[ok], np.maximum(instance.ranger_budget - p_fixed[kept], 0.0))
         p[at] = p_fixed[kept]
         v = alloc[ok]
         v[at] = v_fixed[kept]
@@ -369,3 +382,63 @@ def candidates(instance: Instance) -> Tuple[np.ndarray, np.ndarray, Counter]:
     v_stars, checks = most_villagers(instance, i_stars)
     counters = Counter({"feasibility_checks": n + checks, "candidates": int(i_stars.size)})
     return i_stars, v_stars, counters
+
+
+def _level_greedy(instance, levels: np.ndarray, counts: bool = False):
+    """``_place_villagers`` on one row per attacker level u of ``levels``.
+
+    Every target needs its ``_min_coverage(u)``, with no fixed target, and
+    all the villagers are spare.
+    """
+    c_min = _min_coverage(instance, levels[:, None])
+    spare = np.full(levels.size, instance.villager_budget, dtype=np.int64)
+    return c_min, _place_villagers(c_min, instance.e_v, spare, counts)
+
+
+def _levels_feasible(instance, levels: np.ndarray) -> np.ndarray:
+    """Per attacker level u of ``levels``, whether the budgets hold every target to at most u.
+
+    The rangers must cover what ``_level_greedy``'s villagers leave within
+    ``_COVERAGE_SLACK``.
+    """
+    feasible = np.ones(levels.size, dtype=bool)
+    ranger_coverage = instance.ranger_budget * instance.e_p + _COVERAGE_SLACK
+    for block in _blocks(instance, levels.size):
+        _, (short, left, _) = _level_greedy(instance, levels[block])
+        feasible[block.start + short] = left.sum(axis=1) <= ranger_coverage
+    return feasible
+
+
+def _minimax_profile(instance: Instance) -> Tuple[StrategyProfile, int]:
+    """A profile holding the attacker's best utility lowest, and the level rows checked.
+
+    ORIGAMI's attack-set minimisation (Kiekintveld et al., AAMAS 2009) with
+    whole villagers. Holding every target to an attacker level u is
+    feasible at u = max R_a and monotone in u, and no level below max P_a
+    is feasible. So the search narrows the bracket ``[max P_a, max R_a]``
+    in rounds, each one ``_levels_feasible`` call on
+    ``_LEVELS_PER_ROUND`` levels spread evenly inside it, until it is
+    within ``tol`` or one float step, as ``tdbs.most_effort`` stops. The
+    witness is built at the bracket's feasible end, with the greedy's
+    villagers and the trimmed ranger effort of ``witness_blocks``.
+    """
+    lo, hi = float(instance.penalty_att.max()), float(instance.reward_att.max())
+    steps = np.arange(1, _LEVELS_PER_ROUND + 1) / (_LEVELS_PER_ROUND + 1)
+    checks = 0
+    while hi - lo > instance.tol:
+        levels = lo + (hi - lo) * steps  # ascending; repeats only near one float step
+        levels = levels[(lo < levels) & (levels < hi)]
+        if levels.size == 0:
+            break  # narrower than one float step
+        feasible = _levels_feasible(instance, levels)
+        checks += levels.size
+        first = int(np.argmax(feasible)) if feasible.any() else levels.size
+        if first < levels.size:
+            hi = float(levels[first])
+        if first > 0:
+            lo = float(levels[first - 1])
+    c_min, (short, left, v) = _level_greedy(instance, np.array([hi]), counts=True)
+    residual = np.zeros(c_min.shape)
+    residual[short] = left
+    p = _ranger_effort(instance, residual, np.array([instance.ranger_budget]))
+    return StrategyProfile(p[0], v[0]), checks

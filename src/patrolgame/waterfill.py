@@ -23,24 +23,35 @@ events, and ``get_swap_line`` is called once per iteration. Each fact is
 computed once: the pinned mask in ``_refresh_levels``, the merge set in
 ``_next_event`` and utilities from villagers alone in ``_drop``.
 
-Break-even pruning: the seed is the best candidate's defender utility with
-its villagers and no ranger effort; that candidate's completion reaches at
-least as much. A candidate's defender utility rises with the effort on it,
-and consistency is monotone in effort, so it can reach ``seed - tol`` only
-if its break-even effort, where its utility equals ``seed - tol``, is
-consistent. ``solve_hw`` checks every candidate below ``seed - tol`` at its
-break-even effort in one batched ``feasible_rows`` call, and prunes those
-that fail or whose break-even lies past full coverage or the ranger budget.
-The seed candidate is never checked, so it survives. So does the optimal
-candidate when its profile is attacked on its own target: that profile
-reaches at least the seed with a consistent effort, at least the
-break-even. This is sound for a scalar ``e_v``, the only kind ``hw``
-accepts: a candidate whose profile evaluates above its own target's utility
-does so through a tie with a target whose exact completion reaches at
-least as much, and that target is never pruned. On exactly tied payoffs the two may be different
-co-optimal profiles, so the attacked target can differ from an unpruned
-solve while the utility does not. ``diagnostics`` counts the break-even
-rows in ``feasibility_checks`` and the pruned candidates in ``pruned``, so
+Break-even pruning: the seed is a defender utility that some candidate's
+completion reaches on its own target. One source is the best candidate's
+utility with its villagers and no ranger effort; that candidate's completion
+reaches at least as much. With more than one candidate, the other is the
+minimax profile (``feasibility._minimax_profile``), which holds the
+attacker's best utility lowest (ORIGAMI's attack-set minimisation), read on
+a target it lets be attacked exactly (``_minimax_seed``): one it attacks
+already, or one whose ranger effort can be shed until its attacker utility
+passes the best. That profile is valid and attacked on that target, so the
+target's completion reaches the utility. A target only tied within tol is
+not enough: it may be no candidate at all. A candidate's defender
+utility rises with the effort on it, and consistency is monotone in effort,
+so it can reach the bar ``seed - tol`` only if its break-even effort, where
+its utility equals the bar, is consistent. ``solve_hw`` checks every
+candidate below the bar with no effort at its break-even effort in one
+batched ``feasible_rows`` call, and prunes those that fail or whose
+break-even lies past full coverage or the ranger budget. The optimal
+candidate survives when its profile is attacked on its own target: that
+profile reaches the optimum, at least the seed, with a consistent effort, at
+least the break-even. This is sound for a scalar ``e_v``, the only kind
+``hw`` accepts: a candidate whose profile evaluates above its own target's
+utility does so through a tie with a target whose exact completion reaches
+at least as much, and that target is never pruned. On exactly tied payoffs
+the two may be different co-optimal profiles, so the attacked target can
+differ from an unpruned solve while the utility does not. The seed only
+prunes: ``solve_hw`` returns its own waterfilled winner, never the minimax
+profile, which often ties it on another attacked target. ``diagnostics``
+counts the minimax search's level rows and the break-even rows in
+``feasibility_checks``, and the pruned candidates in ``pruned``, so
 ``candidates - pruned`` subproblems ran.
 
 Pours hit levels inexactly, so every level comparison (critical-set
@@ -56,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .feasibility import candidates, feasible_rows, fixed_target_utilities
+from .feasibility import _minimax_profile, candidates, feasible_rows, fixed_target_utilities
 from .model import (
     REL_TOL,
     GameDefinitionError,
@@ -371,6 +382,30 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
     return StrategyProfile(state.effort, state.villagers), state
 
 
+def _minimax_seed(instance: Instance):
+    """A defender utility some valid profile reaches on the target it is
+    attacked on, from the minimax profile; and the level rows checked.
+
+    A target the profile already attacks exactly counts as it is. Any
+    other target's coverage is lowered, shedding rangers only, until its
+    attacker utility passes the profile's best; one its villagers alone
+    cover past that point does not count. The lowered profile is valid and
+    attacked on that target, so the target's completion reaches at least
+    its utility there, and so does the optimum.
+    """
+    minimax, checks = _minimax_profile(instance)
+    coverage = coverage_of(instance, minimax.p, minimax.v)
+    u_d, u_a = utilities_of(instance, coverage, slice(None))
+    top = u_a.max()
+    # Four eps of coverage lift an attacker utility past its rounding, as
+    # spread_att >= |R_a|, |P_a|; fmin keeps a zero spread's nan out.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lowered = np.fmin(coverage, (instance.reward_att - top) / instance.spread_att) - 4 * np.finfo(float).eps
+    lowered_d, lowered_a = utilities_of(instance, lowered, slice(None))
+    attacked = (lowered_a >= top) & (lowered >= coverage_of(instance, 0.0, minimax.v))
+    return max(u_d[u_a == top].max(), lowered_d[attacked].max(initial=-np.inf)), checks
+
+
 def solve_hw(instance: Instance) -> SolveResult:
     """Exact optimum over all candidate attacked targets.
 
@@ -385,8 +420,12 @@ def solve_hw(instance: Instance) -> SolveResult:
     i_stars, v_stars, counters = candidates(instance)
     counters.update(iterations=0, swaps=0, pruned=0)
     at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
+    seed, checks = np.max(at_no_effort, initial=-np.inf), 0
+    if i_stars.size > 1:  # a lone candidate is never pruned
+        minimax_seed, checks = _minimax_seed(instance)
+        seed = max(seed, minimax_seed)
     # The seed less tol: a candidate that cannot reach it cannot win (module docstring).
-    bar = np.max(at_no_effort, initial=-np.inf) - instance.tol
+    bar = seed - instance.tol
     keep = at_no_effort >= bar
     # Coverage, then effort, at which each candidate's defender utility reaches the bar.
     spread = instance.reward_def[i_stars] - instance.penalty_def[i_stars]
@@ -396,7 +435,7 @@ def solve_hw(instance: Instance) -> SolveResult:
     rows = np.flatnonzero(~keep & (spread > 0) & (coverage <= 1.0) & (effort <= instance.ranger_budget))
     # Rounding can put the break-even a hair below zero effort.
     keep[rows] = feasible_rows(instance, i_stars[rows], np.maximum(effort[rows], 0.0), v_stars[rows])
-    counters.update(feasibility_checks=rows.size, pruned=int(keep.size - keep.sum()))
+    counters.update(feasibility_checks=checks + rows.size, pruned=int(keep.size - keep.sum()))
     best_utility, best = -np.inf, None
     for i_star, v_star in zip(i_stars[keep].tolist(), v_stars[keep].tolist()):
         profile, state = _run_subproblem(instance, i_star, v_star)

@@ -11,10 +11,11 @@ from collections import Counter
 
 import numpy as np
 
-from patrolgame import waterfill
+from patrolgame import feasibility, waterfill
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.feasibility import candidates, fixed_target_utilities, witness_blocks
 from patrolgame.model import (
+    REL_TOL,
     Instance,
     StrategyProfile,
     attacker_utilities,
@@ -199,7 +200,7 @@ def max_feasible_villagers_ref(inst, i_star, witness=None):
     return best, witness, calls
 
 
-def best_candidate_sequential(inst, complete):
+def best_candidate_sequential(inst, complete, extra_seed=None):
     """The candidate loop one ``witness_of`` call at a time.
 
     The reference for ``feasibility.candidates`` and the solvers' choice of
@@ -209,6 +210,8 @@ def best_candidate_sequential(inst, complete):
     ``complete(i_star, v_star, witness, seed)`` returns
     ``(profile, counters)``, the profile None when pruned; ``seed`` is the
     best candidate's defender utility with its villagers and no effort.
+    With more than one candidate, ``extra_seed(inst)`` returns another
+    utility for ``seed`` to reach, if it is larger, and the checks it made.
     """
     counters = Counter({"feasibility_checks": 0, "candidates": 0})
     candidates = []
@@ -226,6 +229,10 @@ def best_candidate_sequential(inst, complete):
         (fixed_target_utilities(inst, i, 0.0, v)[0] for i, v, _ in candidates),
         default=-np.inf,
     )
+    if extra_seed is not None and len(candidates) > 1:
+        extra, checks = extra_seed(inst)
+        seed = max(seed, extra)
+        counters["feasibility_checks"] += checks
     best = None
     for i_star, v_star, witness in candidates:
         profile, spent = complete(i_star, v_star, witness, seed)
@@ -260,12 +267,93 @@ def solve_tdbs_sequential(inst, epsilon=1e-3):
     return best_candidate_sequential(inst, complete)
 
 
+def level_greedy_ref(inst, u):
+    """Reference level row: (feasible, villager counts, residual needs) holding every target to <= u.
+
+    Each target's need splits into whole-villager pieces of size e_v and
+    one smaller remainder; the villagers take the largest pieces, ties to
+    the lower target and then to its whole pieces, and the rangers must
+    cover what is left within ``_COVERAGE_SLACK``.
+    """
+    e_v = effectiveness_list(inst)
+    needs = [min_coverage_ref(inst.reward_att[j], inst.penalty_att[j], u) for j in range(inst.n)]
+    pieces = []  # (size, target, kind, count): kind 0 whole, 1 remainder
+    for j, need in enumerate(needs):
+        whole = math.floor(need / e_v[j] + REL_TOL)
+        remainder = max(need - whole * e_v[j], 0.0)
+        pieces += [(e_v[j], j, 0, whole)] if whole else []
+        pieces += [(remainder, j, 1, 1)] if remainder > 0.0 else []
+    pieces.sort(key=lambda piece: (-piece[0], piece[1], piece[2]))
+    counts, remainder_taken = [0] * inst.n, [False] * inst.n
+    spare = inst.villager_budget
+    for _, j, kind, count in pieces:
+        taken = min(count, spare)
+        spare -= taken
+        counts[j] += taken
+        remainder_taken[j] |= kind == 1 and taken == 1
+    residual = [0.0 if remainder_taken[j] else max(needs[j] - counts[j] * e_v[j], 0.0) for j in range(inst.n)]
+    feasible = np.sum(residual) <= inst.ranger_budget * inst.e_p + feasibility._COVERAGE_SLACK
+    return feasible, counts, residual
+
+
+def minimax_seed_ref(inst, levels_per_round=32):
+    """Reference minimax seed: (defender utility, level rows checked).
+
+    The attacker level bracket ``[max P_a, max R_a]`` shrinks in rounds of
+    ``levels_per_round`` evenly spread levels, each checked by
+    ``level_greedy_ref``, until it is within tol or one float step. At the
+    feasible end, the greedy's villagers and rangers covering the residual
+    (scaled into the budget) form the minimax profile. The seed is the best
+    defender utility over targets that profile attacks exactly, or that
+    shed rangers until their attacker utility passes the best by the
+    rounding (four eps of coverage).
+    """
+    lo, hi = max(inst.penalty_att), max(inst.reward_att)
+    checks = 0
+    while hi - lo > inst.tol:
+        inside = [lo + (hi - lo) * (k / (levels_per_round + 1)) for k in range(1, levels_per_round + 1)]
+        inside = [u for u in inside if lo < u < hi]
+        if not inside:
+            break
+        checks += len(inside)
+        for u in inside:
+            if level_greedy_ref(inst, u)[0]:
+                hi = u
+                break
+            lo = u
+    _, counts, residual = level_greedy_ref(inst, hi)
+    p = [r / inst.e_p for r in residual]
+    total = np.sum(p)
+    if total > inst.ranger_budget:
+        p = [x * (inst.ranger_budget / total) for x in p]
+    e_v = effectiveness_list(inst)
+    coverage = [min(inst.e_p * p[j] + e_v[j] * counts[j], 1.0) for j in range(inst.n)]
+    u_att = [inst.reward_att[j] * (1 - c) + inst.penalty_att[j] * c for j, c in enumerate(coverage)]
+    top = max(u_att)
+    seed = -math.inf
+    for j in range(inst.n):
+        r_d, p_d = inst.reward_def[j], inst.penalty_def[j]
+        r_a, p_a = inst.reward_att[j], inst.penalty_att[j]
+        if u_att[j] == top:
+            seed = max(seed, r_d * coverage[j] + p_d * (1 - coverage[j]))
+        if r_a > p_a:
+            lowered = min(coverage[j], (r_a - top) / (r_a - p_a))
+        else:  # attacker utility 0 at any coverage
+            lowered = coverage[j] if top <= 0.0 else -math.inf
+        lowered -= 4 * np.finfo(float).eps
+        if lowered >= min(e_v[j] * counts[j], 1.0) and r_a * (1 - lowered) + p_a * lowered >= top:
+            seed = max(seed, r_d * lowered + p_d * (1 - lowered))
+    return seed, checks
+
+
 def solve_hw_sequential(inst):
     """``solve_hw`` (break-even pruning included) on the sequential candidate loop.
 
-    A candidate below ``seed - tol`` with no effort survives only if one
-    ``witness_of`` call finds its break-even effort, where its defender
-    utility reaches ``seed - tol``, consistent.
+    With more than one candidate, the seed is the larger of the best
+    no-effort utility and ``minimax_seed_ref``'s. A candidate below
+    ``seed - tol`` with no effort survives only if one ``witness_of`` call
+    finds its break-even effort, where its defender utility reaches
+    ``seed - tol``, consistent.
     """
 
     def complete(i_star, v_star, _witness, seed):
@@ -290,7 +378,7 @@ def solve_hw_sequential(inst):
             "pruned": int(pruned),
         }
 
-    return best_candidate_sequential(inst, complete)
+    return best_candidate_sequential(inst, complete, minimax_seed_ref)
 
 
 # ---------------------------------------------------------------------------

@@ -544,7 +544,8 @@ class TestCandidates:
     @pytest.mark.parametrize(
         "solve, diagnostics",
         [
-            (solve_hw, {"feasibility_checks": 4, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0}),
+            # hw: 4 candidate rows and 224 minimax level rows (7 rounds of 32)
+            (solve_hw, {"feasibility_checks": 228, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0}),
             (solve_tdbs, {"feasibility_checks": 24, "candidates": 2}),
         ],
         ids=["hw", "tdbs"],

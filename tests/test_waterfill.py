@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from patrolgame import feasibility, tdbs, waterfill
+from patrolgame.bench import GenParams, generate_instance
 from patrolgame.feasibility import fixed_target_utilities
 from patrolgame.model import (
     GameDefinitionError,
@@ -23,6 +24,7 @@ from patrolgame.waterfill import WaterfillState, get_swap_line, solve_hw
 from conftest import (
     greedy_villagers_loop,
     min_coverage_ref,
+    minimax_seed_ref,
     placements,
     random_instance,
     run_subproblem_per_merge,
@@ -327,8 +329,15 @@ class TestSolveHw:
             subproblems.append(i_star)
             return run_subproblem(instance, i_star, v_star, on_state)
 
+        levels_feasible = feasibility._levels_feasible
+
+        def recording_levels(instance, levels):
+            calls.extend(levels)  # one check per level row of the minimax search
+            return levels_feasible(instance, levels)
+
         for module in (feasibility, tdbs, waterfill):
             monkeypatch.setattr(module, "feasible_rows", recording_rows)
+        monkeypatch.setattr(feasibility, "_levels_feasible", recording_levels)
         monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
         unattackable = 0
         for k in range(12):
@@ -472,7 +481,11 @@ class TestBreakEvenCheck:
             waterfilled.clear()
             solve_hw(inst)
             i_stars, v_stars, _ = feasibility.candidates(inst)
+            # the solver's seed: the best no-effort utility, or with more than
+            # one candidate the minimax seed if larger
             seed = fixed_target_utilities(inst, i_stars, 0.0, v_stars)[0].max()
+            if i_stars.size > 1:
+                seed = max(seed, minimax_seed_ref(inst)[0])
             for i_star, v_star in zip(i_stars.tolist(), v_stars.tolist()):
                 if i_star in waterfilled:
                     continue
@@ -482,6 +495,64 @@ class TestBreakEvenCheck:
                 own = fixed_target_utilities(inst, i_star, p, v)[0]
                 assert own < seed - inst.tol, (k, i_star)
         assert pruned > 100
+
+
+class TestMinimaxSeed:
+    """The minimax seed of the break-even check: a valid profile, a level no
+    profile beats, a seed every solve reaches on its own target, scale-free."""
+
+    def test_profile_level_and_seed_against_the_oracle(self):
+        reached = 0
+        for k in range(120):
+            n = 2 + k % 5
+            inst = random_instance(15_000 + k, n=n, r_p=(k % 4) * n / 3, r_v=(k // 4) % 4)
+            profile, _ = feasibility._minimax_profile(inst)
+            assert validate_profile(inst, profile) == [], k
+            oracle = solve_oracle(inst)
+            # the search's level: no valid profile holds the attacker lower
+            level = attacker_utilities(inst, compute_coverage(inst, profile)).max()
+            assert level <= attacker_utilities(inst, compute_coverage(inst, oracle.profile)).max() + 2 * inst.tol, k
+            seed, _ = waterfill._minimax_seed(inst)
+            assert seed <= oracle.defender_utility + inst.tol, k
+            reached += seed >= oracle.defender_utility - inst.tol
+        assert reached >= 60  # most often the seed is an optimum itself
+
+    def test_seed_is_reached_on_an_attacked_target(self):
+        # Target 0 ties the attacker's best within tol at the all-zero minimax
+        # profile but cannot be attacked: targets 1 and 2 would need 2.5e-8
+        # coverage each, more than the coverage slack. Its utility 0 is no
+        # seed; the candidates' -100 is, and neither is pruned.
+        inst = Instance(
+            ranger_budget=0.0, villager_budget=0, e_p=1.0, e_v=0.5,
+            reward_def=[0.0, 0.0, 0.0], penalty_def=[0.0, -100.0, -100.0],
+            reward_att=[1.0 - 5e-8, 1.0, 1.0], penalty_att=[-1.0, -1.0, -1.0],
+        )
+        assert waterfill._minimax_seed(inst)[0] == -100.0
+        result = solve_hw(inst)
+        assert result.diagnostics["pruned"] == 0
+        oracle = solve_oracle(inst)
+        assert (result.attacked, result.defender_utility) == (oracle.attacked, oracle.defender_utility)
+
+    def test_seed_matches_reference(self):
+        for k in range(60):
+            n = 2 + k % 9
+            inst = random_instance(15_500 + k, n=n, r_p=(k % 4) * n / 3, r_v=(k // 4) % 5)
+            assert waterfill._minimax_seed(inst) == minimax_seed_ref(inst), k
+
+    @pytest.mark.parametrize("seed", [7, 11])
+    def test_large_instance_runs_one_subproblem(self, seed):
+        # the no-effort seed left 12 and 55 of these candidates standing
+        inst = generate_instance(GenParams(n=400, r_p=200, r_v=200, seed=seed))
+        diagnostics = solve_hw(inst).diagnostics
+        assert diagnostics["candidates"] - diagnostics["pruned"] == 1
+
+    def test_pruned_count_is_scale_free(self):
+        for k, base in enumerate(TestBracketPruning().family()):
+            pruned = {
+                factor: solve_hw(scaled(base, factor)).diagnostics["pruned"]
+                for factor in (1.0, 1e-300, 1e-9, 1e6, 1e300)
+            }
+            assert len(set(pruned.values())) == 1, (k, pruned)
 
 
 def case_study_grid():
