@@ -7,22 +7,26 @@ profile when they can. Villagers are placed greedily, each where it covers
 the most still-needed coverage; rangers fill whatever coverage remains.
 Villager effectiveness may be a scalar or vary per target.
 
-Rows: the greedy works on many queries at once, one row of targets per
-query, and each row's answer is the one it would get alone. Each array
-operation covers one block of ``_BLOCK_CELLS`` cells (rows times targets),
-so memory stays O(block × n) however many rows come in. There are three
-kinds of row:
+Rows: one greedy fill (``_fill``), the only caller of ``_place_villagers``,
+decides many rows at once. A row is a need per target plus the ranger effort
+and villagers it has already spent, and gets the answer it would get alone.
+Each array operation covers one block of ``_BLOCK_CELLS`` cells (rows times
+targets), so memory stays O(block × n). Rows come from three sources:
 
-- answer-only rows (``feasible_rows``) sum each row's residual need
-  straight from the piece arithmetic, with no villager counts and no
-  witness; rows where every piece fits need no greedy at all;
-- witness rows run the same greedy with counts and build each feasible
-  row's profile (p, v), one block at a time. ``witness_blocks`` is the one
-  witness builder; ``tdbs`` scores its blocks as they come;
-- level rows (``_levels_feasible``) ask whether the budgets can hold every
-  target's attacker utility to one level, with no fixed target. The
-  minimax search (``_minimax_profile``), which seeds ``solve_hw``'s
-  pruning, checks ``_LEVELS_PER_ROUND`` of them per round.
+- query rows (``feasible_rows``) fix ``p_star`` effort and ``v_star``
+  villagers on ``i_star``; past the attacker-floor test, every other target
+  must be held to ``i_star``'s attacker utility;
+- witness rows (``witness_blocks``) are query rows that also build each
+  feasible row's profile (p, v) from the greedy's villagers and the trimmed
+  ranger effort; ``tdbs`` scores the blocks as they come. Both kinds of
+  query share one loop (``_query_blocks``);
+- level rows (``_levels_feasible``) hold every target to one attacker
+  level, with nothing spent. The minimax search (``_minimax_profile``),
+  which seeds ``solve_hw``'s pruning, checks ``_LEVELS_PER_ROUND`` of them
+  per round and builds its profile as witness rows do.
+
+So a target's v = 0 query past the floor test is the level row at its own
+attacker reward, where its own need is zero.
 
 The shared candidate search ``candidates`` runs in lockstep: all n
 targets' v = 0 tests are one call, and each round of the villager binary
@@ -37,7 +41,7 @@ share that budget, at most half each:
   target's penalty (full coverage then leaves that target at most
   ``tol / 2`` above ``i_star``);
 - the ranger-coverage sum may exceed the ranger budget by the unitless
-  ``_COVERAGE_SLACK``. ``witness_blocks`` trims that shortfall out of the
+  ``_COVERAGE_SLACK``. ``_fill``'s witness trims that shortfall out of the
   effort, lowering some targets' coverage by at most as much in total, and a
   coverage drop of sigma raises a target's attacker utility by at most
   ``sigma * (R_a - P_a) <= sigma * 2 * max|payoff| = tol / 2``.
@@ -251,33 +255,56 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
     return short, left, alloc
 
 
-def _fill(instance, floor, i_star, p_star, v_star, counts: bool = False):
-    """Greedy fill of rows of queries: (rows, feasible, short, left, alloc).
+def _fill(instance, c_min, p_star, v_star, witness: bool = False):
+    """Greedy fill of rows of needs: ``(feasible, p, v)``.
 
-    ``rows`` indexes the queries passing the attacker-floor test (every
-    other target can be pushed down to the fixed target's utility, at least
-    ``floor``, the instance's ``_floor_of_others``); for each of them,
-    ``feasible`` says whether the rangers can cover the residual need the
-    greedy villagers leave. Rows where every piece fits leave none and are
-    feasible; ``short``, ``left`` and ``alloc`` are as ``_place_villagers``
-    returns them.
+    Row k of ``c_min`` holds one row's need per target, and ``p_star[k]``
+    and ``v_star[k]`` the ranger effort and villagers it has already spent.
+    The spare villagers go where each covers the most still-needed coverage
+    (``_place_villagers``), and ``feasible`` says whether the rangers left
+    cover the rest within ``_COVERAGE_SLACK``. With ``witness``, row j of
+    ``p`` and ``v`` is the witness of the j-th feasible row: the greedy's
+    villagers, and ranger effort covering the residual need, its total
+    trimmed to the budget left (the ``_COVERAGE_SLACK`` shortfall); without
+    it both are None.
     """
-    u = fixed_target_utilities(instance, i_star, p_star, v_star)[1]
-    rows = np.flatnonzero(u >= floor[i_star])
-    c_min = _min_coverage(instance, u[rows, None])
-    c_min[np.arange(rows.size), i_star[rows]] = 0.0
-    spare = instance.villager_budget - v_star[rows]
-    short, left, alloc = _place_villagers(c_min, instance.e_v, spare, counts)
-    ranger_coverage = np.maximum(instance.ranger_budget - p_star[rows[short]], 0.0) * instance.e_p
-    feasible = np.ones(rows.size, dtype=bool)
-    feasible[short] = left.sum(axis=1) <= ranger_coverage + _COVERAGE_SLACK
-    return rows, feasible, short, left, alloc
+    short, left, alloc = _place_villagers(c_min, instance.e_v, instance.villager_budget - v_star, witness)
+    budget = np.maximum(instance.ranger_budget - p_star, 0.0)
+    feasible = np.ones(c_min.shape[0], dtype=bool)
+    feasible[short] = left.sum(axis=1) <= budget[short] * instance.e_p + _COVERAGE_SLACK
+    if not witness:
+        return feasible, None, None
+    p = np.zeros(alloc.shape)
+    p[short] = left / instance.e_p
+    p, budget = p[feasible], budget[feasible]
+    total = p.sum(axis=1)
+    over = (total > budget) & (total > 0.0)
+    p[over] *= (budget[over] / total[over])[:, None]
+    return feasible, p, alloc[feasible]
 
 
 def _blocks(instance, count: int):
-    """Slices of ``count`` query rows, ``_BLOCK_CELLS`` cells at a time."""
+    """Slices of ``count`` rows, ``_BLOCK_CELLS`` cells at a time."""
     step = max(1, _BLOCK_CELLS // instance.n)
     return (slice(start, start + step) for start in range(0, count, step))
+
+
+def _query_blocks(instance, i_star, p_star, v_star, witness: bool):
+    """``_fill`` on ``_query_rows``'s arrays, one block at a time: ``(block, rows, fill)``.
+
+    ``rows`` indexes the block's queries past the attacker-floor test (every
+    other target can be pushed down to the fixed target's utility u); each
+    needs ``_min_coverage(u)`` on every other target, and ``fill`` is
+    ``_fill``'s answer for them.
+    """
+    floor = _floor_of_others(instance)
+    for block in _blocks(instance, i_star.shape[0]):
+        fixed, spent_p, spent_v = i_star[block], p_star[block], v_star[block]
+        u = fixed_target_utilities(instance, fixed, spent_p, spent_v)[1]
+        rows = np.flatnonzero(u >= floor[fixed])
+        c_min = _min_coverage(instance, u[rows, None])
+        c_min[np.arange(rows.size), fixed[rows]] = 0.0
+        yield block, rows, _fill(instance, c_min, spent_p[rows], spent_v[rows], witness)
 
 
 def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
@@ -285,28 +312,14 @@ def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
     ``i_star`` extend to a full profile that keeps ``i_star`` attacked.
 
     ``i_star``, ``p_star`` and ``v_star`` are arrays with one entry per
-    query. The spare villagers go where each covers the most still-needed
-    coverage (``_place_villagers``), and the remaining rangers must cover
-    the rest; this works for a scalar and for a per-target ``e_v``. Only
-    the answer is computed: no villager counts, no witness.
+    query, and ``e_v`` may be a scalar or per target. Only the answer is
+    computed (``_fill``'s): no villager counts, no witness.
     """
     i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
-    floor = _floor_of_others(instance)
     feasible = np.zeros(i_star.shape[0], dtype=bool)
-    for block in _blocks(instance, i_star.shape[0]):
-        rows, ok, _, _, _ = _fill(instance, floor, i_star[block], p_star[block], v_star[block])
+    for block, rows, (ok, _, _) in _query_blocks(instance, i_star, p_star, v_star, witness=False):
         feasible[block.start + rows] = ok
     return feasible
-
-
-def _ranger_effort(instance, residual: np.ndarray, budget: np.ndarray) -> np.ndarray:
-    """Ranger effort covering each row's ``residual`` need, its total trimmed
-    to that row's ``budget`` (the ``_COVERAGE_SLACK`` shortfall)."""
-    p = residual / instance.e_p
-    total = p.sum(axis=1)
-    over = (total > budget) & (total > 0.0)
-    p[over] *= (budget[over] / total[over])[:, None]
-    return p
 
 
 def witness_blocks(instance: Instance, i_star, p_star, v_star):
@@ -315,26 +328,16 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
     Takes the arrays ``feasible_rows`` takes and fills them block by block,
     so only one block of rows is held at a time. ``block`` is the slice of
     the queries it covers, ``feasible`` marks the block's feasible queries,
-    and row j of ``p`` and ``v`` is the witness of the j-th of them: the
-    greedy fill's villagers, and ranger effort covering the residual need,
-    its total trimmed to the budget left (the ``_COVERAGE_SLACK``
-    shortfall), with the query's own ``(p_star, v_star)`` on ``i_star``.
+    and row j of ``p`` and ``v`` is the witness of the j-th of them
+    (``_fill``'s), with the query's own ``(p_star, v_star)`` on ``i_star``.
     """
     i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
-    floor = _floor_of_others(instance)
-    for block in _blocks(instance, i_star.shape[0]):
-        fixed, p_fixed, v_fixed = i_star[block], p_star[block], v_star[block]
-        rows, ok, short, left, alloc = _fill(instance, floor, fixed, p_fixed, v_fixed, counts=True)
-        residual = np.zeros(alloc.shape)
-        residual[short] = left
-        kept = rows[ok]
-        at = np.arange(kept.size), fixed[kept]
-        p = _ranger_effort(instance, residual[ok], np.maximum(instance.ranger_budget - p_fixed[kept], 0.0))
-        p[at] = p_fixed[kept]
-        v = alloc[ok]
-        v[at] = v_fixed[kept]
-        feasible = np.zeros(fixed.shape[0], dtype=bool)
-        feasible[kept] = True
+    for block, rows, (ok, p, v) in _query_blocks(instance, i_star, p_star, v_star, witness=True):
+        kept = block.start + rows[ok]
+        at = np.arange(kept.size), i_star[kept]
+        p[at], v[at] = p_star[kept], v_star[kept]
+        feasible = np.zeros(i_star[block].shape[0], dtype=bool)
+        feasible[rows[ok]] = True
         yield block, feasible, p, v
 
 
@@ -384,28 +387,17 @@ def candidates(instance: Instance) -> Tuple[np.ndarray, np.ndarray, Counter]:
     return i_stars, v_stars, counters
 
 
-def _level_greedy(instance, levels: np.ndarray, counts: bool = False):
-    """``_place_villagers`` on one row per attacker level u of ``levels``.
-
-    Every target needs its ``_min_coverage(u)``, with no fixed target, and
-    all the villagers are spare.
-    """
-    c_min = _min_coverage(instance, levels[:, None])
-    spare = np.full(levels.size, instance.villager_budget, dtype=np.int64)
-    return c_min, _place_villagers(c_min, instance.e_v, spare, counts)
-
-
 def _levels_feasible(instance, levels: np.ndarray) -> np.ndarray:
     """Per attacker level u of ``levels``, whether the budgets hold every target to at most u.
 
-    The rangers must cover what ``_level_greedy``'s villagers leave within
-    ``_COVERAGE_SLACK``.
+    Each level is one ``_fill`` row needing every target's
+    ``_min_coverage(u)``, with nothing spent.
     """
-    feasible = np.ones(levels.size, dtype=bool)
-    ranger_coverage = instance.ranger_budget * instance.e_p + _COVERAGE_SLACK
+    feasible = np.empty(levels.size, dtype=bool)
+    spent = np.zeros(levels.size, dtype=np.int64)
     for block in _blocks(instance, levels.size):
-        _, (short, left, _) = _level_greedy(instance, levels[block])
-        feasible[block.start + short] = left.sum(axis=1) <= ranger_coverage
+        c_min = _min_coverage(instance, levels[block, None])
+        feasible[block] = _fill(instance, c_min, spent[block], spent[block])[0]
     return feasible
 
 
@@ -419,8 +411,8 @@ def _minimax_profile(instance: Instance) -> Tuple[StrategyProfile, int]:
     in rounds, each one ``_levels_feasible`` call on
     ``_LEVELS_PER_ROUND`` levels spread evenly inside it, until it is
     within ``tol`` or one float step, as ``tdbs.most_effort`` stops. The
-    witness is built at the bracket's feasible end, with the greedy's
-    villagers and the trimmed ranger effort of ``witness_blocks``.
+    profile is ``_fill``'s witness of the level row at the bracket's
+    feasible end, built as ``witness_blocks`` builds its witnesses.
     """
     lo, hi = float(instance.penalty_att.max()), float(instance.reward_att.max())
     steps = np.arange(1, _LEVELS_PER_ROUND + 1) / (_LEVELS_PER_ROUND + 1)
@@ -437,8 +429,6 @@ def _minimax_profile(instance: Instance) -> Tuple[StrategyProfile, int]:
             hi = float(levels[first])
         if first > 0:
             lo = float(levels[first - 1])
-    c_min, (short, left, v) = _level_greedy(instance, np.array([hi]), counts=True)
-    residual = np.zeros(c_min.shape)
-    residual[short] = left
-    p = _ranger_effort(instance, residual, np.array([instance.ranger_budget]))
+    spent = np.zeros(1, dtype=np.int64)
+    _, p, v = _fill(instance, _min_coverage(instance, np.array([[hi]])), spent, spent, witness=True)
     return StrategyProfile(p[0], v[0]), checks

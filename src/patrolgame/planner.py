@@ -284,9 +284,14 @@ def load_result(path) -> SolveResult:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError("result document must be a JSON object")
+    p, v, attacked = _field(doc, "p", list), _field(doc, "v", list), _field(doc, "attacked", int)
+    if len(v) != len(p):
+        raise InstanceFormatError("field 'v' should have %d entries, one per entry of 'p'" % len(p))
+    if not 0 <= attacked < len(p):
+        raise InstanceFormatError("field 'attacked' should be a target index below %d" % len(p))
     return SolveResult(
-        profile=StrategyProfile(_field(doc, "p", list), _field(doc, "v", list)),
-        attacked=_field(doc, "attacked", int),
+        profile=StrategyProfile(p, v),
+        attacked=attacked,
         defender_utility=_field(doc, "defender_utility", float),
         attacker_utility=_field(doc, "attacker_utility", float),
         diagnostics=_diagnostics(doc),

@@ -67,7 +67,7 @@ from typing import Optional
 
 import numpy as np
 
-from .feasibility import _minimax_profile, candidates, feasible_rows, fixed_target_utilities
+from .feasibility import _min_coverage, _minimax_profile, candidates, feasible_rows, fixed_target_utilities
 from .model import (
     REL_TOL,
     GameDefinitionError,
@@ -398,9 +398,9 @@ def _minimax_seed(instance: Instance):
     u_d, u_a = utilities_of(instance, coverage, slice(None))
     top = u_a.max()
     # Four eps of coverage lift an attacker utility past its rounding, as
-    # spread_att >= |R_a|, |P_a|; fmin keeps a zero spread's nan out.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        lowered = np.fmin(coverage, (instance.reward_att - top) / instance.spread_att) - 4 * np.finfo(float).eps
+    # spread_att >= |R_a|, |P_a|. A zero-spread target lowers to below zero,
+    # so it counts only if attacked already.
+    lowered = np.minimum(coverage, _min_coverage(instance, top)) - 4 * np.finfo(float).eps
     lowered_d, lowered_a = utilities_of(instance, lowered, slice(None))
     attacked = (lowered_a >= top) & (lowered >= coverage_of(instance, 0.0, minimax.v))
     return max(u_d[u_a == top].max(), lowered_d[attacked].max(initial=-np.inf)), checks

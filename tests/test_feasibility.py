@@ -438,6 +438,41 @@ class TestFeasibleRows:
                     check(inst, np.array(i_star), np.array(p_star), np.array(v_star))
 
 
+class TestQueryRowsAreLevelRows:
+    """Query rows and level rows are one check: a target's v = 0 query, once
+    past the floor test, is the level row at its own attacker reward."""
+
+    @pytest.mark.parametrize("block_cells", [feasibility._BLOCK_CELLS, 16])
+    def test_v0_query_is_the_level_row_at_its_reward(self, monkeypatch, block_cells):
+        monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(16)
+        answers = Counter()
+        for k in range(150):
+            n = int(rng.integers(2, 9))
+            inst = _flavoured_instance(rng, k, n, int(rng.integers(0, 4)), int(rng.integers(0, 25)))
+            passing = np.flatnonzero(inst.reward_att >= feasibility._floor_of_others(inst))
+            query = feasible_rows(inst, passing, np.zeros(passing.size), np.zeros(passing.size, dtype=int))
+            level = feasibility._levels_feasible(inst, inst.reward_att[passing])
+            assert query.tolist() == level.tolist(), k
+            answers.update(query.tolist())
+        assert answers[True] > 300 and answers[False] > 20, answers
+
+    @pytest.mark.parametrize("block_cells", [feasibility._BLOCK_CELLS, 16])
+    def test_level_rows_are_monotone(self, monkeypatch, block_cells):
+        monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
+        rng = np.random.default_rng(17)
+        mixed = 0
+        for k in range(150):
+            n = int(rng.integers(2, 9))
+            inst = _flavoured_instance(rng, k, n, int(rng.integers(0, 4)), int(rng.integers(0, 25)))
+            grid = np.linspace(inst.penalty_att.max(), inst.reward_att.max(), 40)
+            levels = np.sort(np.concatenate([grid, inst.reward_att, inst.penalty_att]))
+            feasible = feasibility._levels_feasible(inst, levels)
+            assert np.all(feasible[1:] >= feasible[:-1]), k
+            mixed += feasible.any() and not feasible.all()
+        assert mixed > 50
+
+
 def test_descending_is_a_stable_sort_of_the_nonzero_sizes():
     # _descending returns flat positions; each row's, less its start, are columns
     rng = np.random.default_rng(19)

@@ -138,6 +138,20 @@ class TestFileRoundTrip:
         with pytest.raises(InstanceFormatError, match=field):
             load_result(result)
 
+    @pytest.mark.parametrize(
+        "p, v, attacked, field",
+        [("[0.5, 0.5]", "[1]", 0, "'v'"), ("[0.5]", "[1, 0]", 0, "'v'"),
+         ("[0.5, 0.5]", "[1, 0]", -3, "'attacked'"), ("[0.5, 0.5]", "[1, 0]", 2, "'attacked'"),
+         ("[]", "[]", 0, "'attacked'")],
+        ids=["short-v", "long-v", "negative-attacked", "attacked-past-the-end", "no-targets"],
+    )
+    def test_result_profile_and_attacked_must_agree(self, tmp_path, p, v, attacked, field):
+        result = tmp_path / "result.json"
+        result.write_text('{"p": %s, "v": %s, "attacked": %d, "defender_utility": 0.0,'
+                          ' "attacker_utility": 0.0}' % (p, v, attacked))
+        with pytest.raises(InstanceFormatError, match=field):
+            load_result(result)
+
     def test_result_document_must_be_an_object(self, tmp_path):
         result = tmp_path / "result.json"
         result.write_text("[0.0, 0]")

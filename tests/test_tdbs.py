@@ -130,10 +130,10 @@ def test_builds_one_witness_row_per_candidate(monkeypatch, block_cells):
     fill = feasibility._fill
     witness_rows = []
 
-    def counting_fill(instance, floor, i_star, p_star, v_star, counts=False):
-        if counts:
-            witness_rows.append(len(i_star))
-        return fill(instance, floor, i_star, p_star, v_star, counts)
+    def counting_fill(instance, c_min, p_star, v_star, witness=False):
+        if witness:
+            witness_rows.append(len(c_min))
+        return fill(instance, c_min, p_star, v_star, witness)
 
     monkeypatch.setattr(feasibility, "_fill", counting_fill)
     for inst in (symmetric_instance(), case_study_scenario().instance,

@@ -539,6 +539,30 @@ class TestMinimaxSeed:
             inst = random_instance(15_500 + k, n=n, r_p=(k % 4) * n / 3, r_v=(k // 4) % 5)
             assert waterfill._minimax_seed(inst) == minimax_seed_ref(inst), k
 
+    def test_zero_spread_target_against_the_oracle(self):
+        # Target 0 pays the attacker nothing at any coverage: the minimax
+        # seed must lower it to a finite coverage, or its NaN utility warns.
+        for s in range(200):
+            n = 3 + s % 5
+            inst = generate_instance(GenParams(n=n, r_p=n / 2, r_v=n // 2, seed=s))
+            inst = dataclasses.replace(
+                inst,
+                reward_att=np.r_[0.0, inst.reward_att[1:]],
+                penalty_att=np.r_[0.0, inst.penalty_att[1:]],
+            )
+            result, oracle = solve_hw(inst), solve_oracle(inst)
+            assert result.defender_utility == pytest.approx(oracle.defender_utility, rel=1e-6), s
+
+    def test_zero_spread_target_is_attacked(self):
+        inst = Instance(
+            ranger_budget=1.0, villager_budget=1, e_p=0.7, e_v=0.3,
+            reward_def=[5.0, 4.0, 1.0], penalty_def=[-2.0, -3.0, -1.0],
+            reward_att=[6.0, 5.5, 0.0], penalty_att=[-4.0, -2.0, 0.0],
+        )
+        for result in (solve_hw(inst), solve_oracle(inst)):
+            assert result.attacked == 0
+            assert result.defender_utility == pytest.approx(1.2, rel=1e-9)
+
     @pytest.mark.parametrize("seed", [7, 11])
     def test_large_instance_runs_one_subproblem(self, seed):
         # the no-effort seed left 12 and 55 of these candidates standing
