@@ -188,12 +188,11 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
     e_v[j] and one smaller remainder; placing villagers one at a time where
     the next one covers the most is the same as taking the ``spare`` largest
     pieces overall, ties to the lowest target index. Zero-size remainders
-    are never taken. Returns ``(short, left, alloc)``: ``short`` indexes the
-    rows with fewer villagers than pieces (every other row covers its whole
-    need), ``left`` holds those rows' residual need, and ``alloc`` every
-    row's villager counts, or None without ``counts``. Only the ranking of
-    the pieces forks on the type of ``e_v``. Temporaries are updated in
-    place, to keep a block's memory small.
+    are never taken. Returns ``(left, alloc)``: every row's residual need
+    (zero on a row with a villager for every piece), and every row's
+    villager counts, or None without ``counts``. Only the ranking of the
+    pieces forks on the type of ``e_v``. Temporaries are updated in place,
+    to keep a block's memory small.
     """
     n = c_min.shape[1]
     whole = np.divide(c_min, e_v)
@@ -202,27 +201,15 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
     remainder = np.multiply(whole, e_v)
     np.subtract(c_min, remainder, out=remainder)
     np.maximum(remainder, 0.0, out=remainder)
-    # More whole pieces on one target than any row has villagers leave that
-    # row short either way; the cap keeps the sums below finite at a tiny e_v.
+    # No row takes more of a target's whole pieces than it has villagers, so
+    # the cap changes no answer; it keeps the sums below finite at a tiny e_v.
     np.minimum(whole, spare.max(initial=0) + 1.0, out=whole)
     has_remainder = remainder > 0.0
-    n_whole = whole.sum(axis=1)
-    short = np.flatnonzero(n_whole + np.count_nonzero(has_remainder, axis=1) > spare)
-    alloc = None
-    if counts:  # right where every piece fits; the short rows' counts are set below
-        alloc = whole + has_remainder
-        alloc[short] = 0.0
-        alloc = alloc.astype(np.int64)
-    if short.size == 0:
-        return short, np.empty((0, n)), alloc
-    if short.size < c_min.shape[0]:  # from here on every array holds the short rows only
-        c_min, whole, remainder = c_min[short], whole[short], remainder[short]
-        has_remainder, spare, n_whole = has_remainder[short], spare[short], n_whole[short]
 
     if isinstance(e_v, np.ndarray):
         # Pieces interleaved as (whole_0, remainder_0, whole_1, ...), so
         # sorting by size with ties by column orders equal pieces by target.
-        sizes = np.empty((short.size, 2 * n))
+        sizes = np.empty((c_min.shape[0], 2 * n))
         sizes[:, 0::2], sizes[:, 1::2] = e_v, remainder
         order = _descending(sizes)
         sizes[:, 0::2], sizes[:, 1::2] = whole, has_remainder  # now the piece counts
@@ -240,19 +227,20 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
         # solves_per_s from about 53 to about 19 (2-vCPU VM).
         whole_taken = _fill_in_order(whole, spare)
         remainder_taken = np.zeros(whole.shape, dtype=bool)
+        n_whole = whole.sum(axis=1)
         extra = np.flatnonzero(n_whole < spare)
         if extra.size:
             order = _descending(remainder[extra])
             top = np.empty(order.shape, dtype=bool)
             top.ravel()[order] = np.arange(n) < (spare[extra] - n_whole[extra])[:, None]
-            remainder_taken[extra] = top
+            # a row with a villager for every piece reaches zero-size remainders too
+            remainder_taken[extra] = top & has_remainder[extra]
     left = np.multiply(whole_taken, e_v)
     np.subtract(c_min, left, out=left)
     np.maximum(left, 0.0, out=left)
     left[remainder_taken] = 0.0
-    if counts:
-        alloc[short] = whole_taken + remainder_taken
-    return short, left, alloc
+    alloc = (whole_taken + remainder_taken).astype(np.int64) if counts else None
+    return left, alloc
 
 
 def _fill(instance, c_min, p_star, v_star, witness: bool = False):
@@ -262,21 +250,18 @@ def _fill(instance, c_min, p_star, v_star, witness: bool = False):
     and ``v_star[k]`` the ranger effort and villagers it has already spent.
     The spare villagers go where each covers the most still-needed coverage
     (``_place_villagers``), and ``feasible`` says whether the rangers left
-    cover the rest within ``_COVERAGE_SLACK``. With ``witness``, row j of
-    ``p`` and ``v`` is the witness of the j-th feasible row: the greedy's
-    villagers, and ranger effort covering the residual need, its total
-    trimmed to the budget left (the ``_COVERAGE_SLACK`` shortfall); without
-    it both are None.
+    cover every row's residual need within ``_COVERAGE_SLACK``. With
+    ``witness``, row j of ``p`` and ``v`` is the witness of the j-th
+    feasible row: the greedy's villagers, and ranger effort covering the
+    residual need, its total trimmed to the budget left (the
+    ``_COVERAGE_SLACK`` shortfall); without it both are None.
     """
-    short, left, alloc = _place_villagers(c_min, instance.e_v, instance.villager_budget - v_star, witness)
+    left, alloc = _place_villagers(c_min, instance.e_v, instance.villager_budget - v_star, witness)
     budget = np.maximum(instance.ranger_budget - p_star, 0.0)
-    feasible = np.ones(c_min.shape[0], dtype=bool)
-    feasible[short] = left.sum(axis=1) <= budget[short] * instance.e_p + _COVERAGE_SLACK
+    feasible = left.sum(axis=1) <= budget * instance.e_p + _COVERAGE_SLACK
     if not witness:
         return feasible, None, None
-    p = np.zeros(alloc.shape)
-    p[short] = left / instance.e_p
-    p, budget = p[feasible], budget[feasible]
+    p, budget = left[feasible] / instance.e_p, budget[feasible]
     total = p.sum(axis=1)
     over = (total > budget) & (total > 0.0)
     p[over] *= (budget[over] / total[over])[:, None]

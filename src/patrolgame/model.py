@@ -17,6 +17,12 @@ change when all payoffs are multiplied by a constant:
 - ranger effort compares within ``REL_TOL * ranger_budget``;
 - coverage and villager counts are unitless and compare within a multiple
   of ``REL_TOL`` itself (see ``feasibility``).
+
+``Instance`` rejects what no solver can compute with: non-finite payoffs or
+payoff spreads (reward - penalty), attacker spreads so small that the sum
+of their inverses (the waterfill pour's total width) overflows, and a
+ranger or villager effectiveness below the smallest normal float, whose
+inverse overflows.
 """
 
 from __future__ import annotations
@@ -130,9 +136,15 @@ class Instance:
             spread_def = self.reward_def - self.penalty_def
         if not (np.all(np.isfinite(spread)) and np.all(np.isfinite(spread_def))):
             raise GameDefinitionError("every payoff spread (reward - penalty) must be finite")
+        with np.errstate(over="ignore"):  # the waterfill pour's total width; inf is rejected
+            width = np.sum(1.0 / spread[spread > 0])
+        if not np.isfinite(width):
+            raise GameDefinitionError("attacker payoff spreads too small: 1 / (R_a - P_a) sums to inf")
         object.__setattr__(self, "e_p", _finite(self.e_p, "ranger effectiveness"))
         if not (0.0 < self.e_p <= 1.0):
             raise GameDefinitionError("ranger effectiveness must lie in (0, 1]")
+        if self.e_p < np.finfo(float).tiny:  # 1 / e_p would overflow
+            raise GameDefinitionError("ranger effectiveness must not be subnormal")
         if np.ndim(self.e_v) == 0:
             object.__setattr__(self, "e_v", _finite(self.e_v, "villager effectiveness"))
         else:

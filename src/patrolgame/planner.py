@@ -166,9 +166,10 @@ def _field(doc: dict, key: str, kind, path: str = ""):
     raise InstanceFormatError("field %r should be %s" % (where, kind.__name__))
 
 
-def _number_list(doc: dict, key: str, n: int) -> List[float]:
+def _number_list(doc: dict, key: str, n: Optional[int] = None) -> List[float]:
+    """Field ``key`` as a list of floats, of ``n`` entries if ``n`` is given."""
     values = _field(doc, key, list)
-    if len(values) != n:
+    if n is not None and len(values) != n:
         raise InstanceFormatError("field %r should have %d entries" % (key, n))
     out = []
     for k, item in enumerate(values):
@@ -284,7 +285,11 @@ def load_result(path) -> SolveResult:
     doc = _load_json(path)
     if not isinstance(doc, dict):
         raise InstanceFormatError("result document must be a JSON object")
-    p, v, attacked = _field(doc, "p", list), _field(doc, "v", list), _field(doc, "attacked", int)
+    p, v, attacked = _number_list(doc, "p"), _field(doc, "v", list), _field(doc, "attacked", int)
+    # Checked as floats; the profile reads the JSON integers, exact past 2**53.
+    for k, count in enumerate(_number_list(doc, "v")):
+        if not count.is_integer():
+            raise InstanceFormatError("field 'v'[%d] should be a whole number" % k)
     if len(v) != len(p):
         raise InstanceFormatError("field 'v' should have %d entries, one per entry of 'p'" % len(p))
     if not 0 <= attacked < len(p):

@@ -429,9 +429,10 @@ def solve_hw(instance: Instance) -> SolveResult:
     keep = at_no_effort >= bar
     # Coverage, then effort, at which each candidate's defender utility reaches the bar.
     spread = instance.reward_def[i_stars] - instance.penalty_def[i_stars]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # A coverage of +inf is out of reach, and one of -inf met at no effort.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         coverage = (bar - instance.penalty_def[i_stars]) / spread
-    effort = (coverage - instance.e_v * v_stars) / instance.e_p
+        effort = (coverage - instance.e_v * v_stars) / instance.e_p
     rows = np.flatnonzero(~keep & (spread > 0) & (coverage <= 1.0) & (effort <= instance.ranger_budget))
     # Rounding can put the break-even a hair below zero effort.
     keep[rows] = feasible_rows(instance, i_stars[rows], np.maximum(effort[rows], 0.0), v_stars[rows])

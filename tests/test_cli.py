@@ -23,6 +23,19 @@ from patrolgame.planner import (
 
 from conftest import random_instance
 
+# Attacker spreads of a few 1e-320: each 1 / (R_a - P_a) overflows.
+SUBNORMAL_SPREADS = {
+    "n": 2, "ranger_budget": 1.0, "villager_budget": 1, "e_p": 0.7, "e_v": 0.3,
+    "reward_defender": [5e-320, 4e-320], "penalty_defender": [-2e-320, -3e-320],
+    "reward_attacker": [6e-320, 3e-320], "penalty_attacker": [-4e-320, -2e-320],
+}
+# The README's attacker payoffs with subnormal defender payoffs.
+TINY_DEFENDER_PAYOFFS = {
+    "n": 3, "ranger_budget": 1.0, "villager_budget": 1, "e_p": 0.7, "e_v": 0.3,
+    "reward_defender": [5e-320, 4e-320, 8e-320], "penalty_defender": [-2e-320, -3e-320, -1e-320],
+    "reward_attacker": [6.0, 3.0, 7.0], "penalty_attacker": [-4.0, -2.0, -5.0],
+}
+
 
 def assert_validation_error(code, capsys, out, message=""):
     """Exit 1 with an ``error:`` line naming ``message``, no traceback, no output file."""
@@ -172,6 +185,41 @@ class TestSolve:
         out = tmp_path / "o.json"
         code = cli_dispatch(["solve", "--algorithm", algorithm, "--input", str(path), "--output", str(out)])
         assert_validation_error(code, capsys, out, "spread")
+
+    @pytest.mark.parametrize("algorithm", SOLVER_NAMES)
+    def test_attacker_spreads_whose_widths_overflow_are_validation_errors(
+        self, tmp_path, capsys, algorithm
+    ):
+        # 1 / (R_a - P_a) sums to inf over these subnormal spreads; hw used to
+        # lose both targets from its pour and raise a RuntimeError
+        path = tmp_path / "subnormal.json"
+        path.write_text(json.dumps(SUBNORMAL_SPREADS))
+        out = tmp_path / "o.json"
+        code = cli_dispatch(["solve", "--algorithm", algorithm, "--input", str(path), "--output", str(out)])
+        assert_validation_error(code, capsys, out, "spread")
+
+    @pytest.mark.parametrize("algorithm", SOLVER_NAMES)
+    def test_subnormal_ranger_effectiveness_is_validation_error(self, tmp_path, capsys, algorithm):
+        doc = dict(TINY_DEFENDER_PAYOFFS, e_p=5e-324)
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(doc))
+        out = tmp_path / "o.json"
+        code = cli_dispatch(["solve", "--algorithm", algorithm, "--input", str(path), "--output", str(out)])
+        assert_validation_error(code, capsys, out, "ranger effectiveness")
+
+    def test_tiny_defender_payoffs_solve_with_hw_as_the_oracle(self, tmp_path, capsys):
+        # hw's break-even coverage (bar - P_d) / (R_d - P_d) overflows here
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps(TINY_DEFENDER_PAYOFFS))
+        results = {}
+        for algorithm in ("hw", "oracle"):
+            out = tmp_path / (algorithm + ".json")
+            code = cli_dispatch(["solve", "--algorithm", algorithm, "--input", str(path), "--output", str(out)])
+            assert code == 0
+            results[algorithm] = load_result(out)
+        hw, oracle = results["hw"], results["oracle"]
+        assert hw.attacked == oracle.attacked
+        assert hw.defender_utility == oracle.defender_utility
 
     @pytest.mark.parametrize(
         "key, value, message",

@@ -106,7 +106,7 @@ class TestTotalWastedCoverage:
         """(need, villager counts) of one row at level u with ``spare`` villagers."""
         need = feasibility._min_coverage(inst, np.array([[u]]))
         need[0, i_star] = 0.0
-        _, _, alloc = feasibility._place_villagers(need, inst.e_v, np.array([spare]), counts=True)
+        _, alloc = feasibility._place_villagers(need, inst.e_v, np.array([spare]), counts=True)
         return need[0], alloc[0]
 
     def test_no_villagers_no_waste(self):

@@ -100,6 +100,12 @@ class TestInstanceValidation:
             make(e_v=e_v)
         make(e_v=np.finfo(float).tiny)
 
+    def test_subnormal_ranger_effectiveness_is_rejected(self):
+        # 1 / e_p overflows below the smallest normal float
+        with pytest.raises(GameDefinitionError, match="ranger effectiveness"):
+            make(e_p=5e-324)
+        make(e_p=np.finfo(float).tiny)
+
     def test_villager_budget_must_fit_int64(self):
         make(villager_budget=2**63 - 1)
         with pytest.raises(GameDefinitionError):
@@ -169,6 +175,19 @@ class TestInstanceValidation:
         top = np.finfo(float).max / 2
         inst = make(reward_att=[top, 1.0], penalty_att=[-top, -1.0])
         assert inst.spread_att[0] == 2 * top
+
+    def test_attacker_spreads_whose_widths_overflow_are_rejected(self):
+        # the pour's total width, the sum of 1 / (R_a - P_a), is inf here
+        with pytest.raises(GameDefinitionError, match="spread"):
+            make(
+                reward_def=[5e-320, 4e-320],
+                penalty_def=[-2e-320, -3e-320],
+                reward_att=[6e-320, 3e-320],
+                penalty_att=[-4e-320, -2e-320],
+            )
+        # tiny defender payoffs and zero attacker spreads are fine
+        make(reward_def=[5e-320, 4e-320], penalty_def=[-2e-320, -3e-320])
+        make(reward_att=[0.0, 1.0], penalty_att=[0.0, -1.0])
 
     @pytest.mark.parametrize(
         "kw, message",

@@ -15,7 +15,13 @@ import pytest
 
 from patrolgame import feasibility, tdbs, waterfill
 from patrolgame.bench import GenParams, generate_instance
-from patrolgame.model import REL_TOL, attacker_utilities, compute_coverage, validate_profile
+from patrolgame.model import (
+    REL_TOL,
+    GameDefinitionError,
+    attacker_utilities,
+    compute_coverage,
+    validate_profile,
+)
 from patrolgame.oracle import solve_oracle
 from patrolgame.planner import case_study_scenario
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound
@@ -148,6 +154,25 @@ def test_largest_finite_spreads_solve_without_warnings():
         hw = solve_hw(big)
         assert hw.attacked == solve_hw(inst).attacked
         assert solve_tdbs(big).defender_utility <= hw.defender_utility + big.tol
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 64])
+def test_smallest_normal_spreads_are_rejected_or_solve_without_warnings(k):
+    # The pour's widths 1 / (R_a - P_a) overflowed their sum, or the width
+    # itself, near the float floor, so the pour lost a target; Instance now
+    # rejects such spreads, and from a few times the smallest float up they solve
+    solved = 0
+    for inst in swap_family():
+        factor = k * np.finfo(float).tiny / inst.spread_att[inst.spread_att > 0].min()
+        try:
+            small = scaled(inst, factor)
+        except GameDefinitionError:
+            continue
+        assert solve_hw(small).attacked == solve_hw(inst).attacked
+        assert solve_tdbs(small).attacked == solve_tdbs(inst).attacked
+        solved += 1
+    if k >= 4:
+        assert solved == 5
 
 
 @pytest.mark.parametrize("e_v", [1e-200, np.finfo(float).tiny])

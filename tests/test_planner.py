@@ -142,8 +142,13 @@ class TestFileRoundTrip:
         "p, v, attacked, field",
         [("[0.5, 0.5]", "[1]", 0, "'v'"), ("[0.5]", "[1, 0]", 0, "'v'"),
          ("[0.5, 0.5]", "[1, 0]", -3, "'attacked'"), ("[0.5, 0.5]", "[1, 0]", 2, "'attacked'"),
-         ("[]", "[]", 0, "'attacked'")],
-        ids=["short-v", "long-v", "negative-attacked", "attacked-past-the-end", "no-targets"],
+         ("[]", "[]", 0, "'attacked'"),
+         ('["abc"]', "[0]", 0, r"'p'\[0\] should be a number"),
+         ("[[1.0]]", "[0]", 0, r"'p'\[0\] should be a number"),
+         ("[0.5, true]", "[0, 1]", 0, r"'p'\[1\] should be a number"),
+         ("[0.5, 0.5]", "[1, 0.5]", 0, r"'v'\[1\] should be a whole number")],
+        ids=["short-v", "long-v", "negative-attacked", "attacked-past-the-end", "no-targets",
+             "string-p", "nested-p", "bool-p", "fractional-v"],
     )
     def test_result_profile_and_attacked_must_agree(self, tmp_path, p, v, attacked, field):
         result = tmp_path / "result.json"
@@ -151,6 +156,17 @@ class TestFileRoundTrip:
                           ' "attacker_utility": 0.0}' % (p, v, attacked))
         with pytest.raises(InstanceFormatError, match=field):
             load_result(result)
+
+    @pytest.mark.parametrize(
+        "v, counts",
+        [("[2.0, 0.0]", [2, 0]), ("[2, %d]" % (2**60 + 1), [2, 2**60 + 1])],
+        ids=["whole-floats", "past-2**53"],
+    )
+    def test_result_counts_read_back_exactly(self, tmp_path, v, counts):
+        result = tmp_path / "result.json"
+        result.write_text('{"p": [0.5, 0.5], "v": %s, "attacked": 0,'
+                          ' "defender_utility": 0.0, "attacker_utility": 0.0}' % v)
+        assert load_result(result).profile.v.tolist() == counts
 
     def test_result_document_must_be_an_object(self, tmp_path):
         result = tmp_path / "result.json"
