@@ -28,9 +28,11 @@ targets), so memory stays O(block × n). Rows come from three sources:
 So a target's v = 0 query past the floor test is the level row at its own
 attacker reward, where its own need is zero.
 
-The shared candidate search ``candidates`` runs in lockstep: all n
-targets' v = 0 tests are one call, and each round of the villager binary
-search (``most_villagers``) decides one row per candidate still searching.
+The shared candidate search ``candidates`` runs in lockstep: each round of
+the villager search (``most_villagers``) is one call, with up to a block
+of rows spread over the searches still open, v = 0 first. ``solve_hw``
+calls it only on the targets its bound keeps (``_upper_bounds``, from
+ORIGAMI's pooled-coverage sweep in ``_pooled_level``).
 
 Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
 ``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
@@ -88,10 +90,11 @@ def _min_coverage(instance, u) -> np.ndarray:
 
     ``u`` is a number, or a column of them for one row each. Where the
     payoff spread is zero (reward and penalty both zero by the sign
-    constraints) the utility is 0 at any coverage, so c_min is 0.
+    constraints) the utility is 0 at any coverage, so c_min is 0. A u far
+    below a narrow target's penalty may overflow the ratio; it clips to 1.
     """
     spread = instance.spread_att
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         c_min = (instance.reward_att - u) / spread
     np.clip(c_min, 0.0, 1.0, out=c_min)
     flat = ~(spread > 0)
@@ -264,7 +267,8 @@ def _fill(instance, c_min, p_star, v_star, witness: bool = False):
     p, budget = left[feasible] / instance.e_p, budget[feasible]
     total = p.sum(axis=1)
     over = (total > budget) & (total > 0.0)
-    p[over] *= (budget[over] / total[over])[:, None]
+    # Divide first: budget / total can be subnormal and lose the digits that keep the sum in budget.
+    p[over] = p[over] / total[over][:, None] * budget[over][:, None]
     return feasible, p, alloc[feasible]
 
 
@@ -326,50 +330,77 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
         yield block, feasible, p, v
 
 
-def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
-    """Largest v with (i, 0, v) consistent, for each target i of ``i_stars``.
+def _spread(best, top, k: int):
+    """Up to ``k`` counts spread evenly over each open bracket ``[best + 1, top]``.
 
-    One binary search per target, all in lockstep: each round decides one
-    ``feasible_rows`` row per search still open, and every search probes the
-    midpoints it would probe alone. Monotone by the resource-reduction
-    property: lowering the count on the attacked target never breaks
-    consistency. Each target must be consistent at v = 0, so the searches
-    start at v = 1. Returns (counts, rows checked).
+    Returns ``(counts, real)``, both (brackets, k): the counts, and a mask of
+    those that are real probes. A bracket of at most ``k`` counts is probed
+    whole; a wider one at ``best + floor(s * (top + 1 - best) / (k + 1))``
+    for s = 1 .. k, as ``_minimax_profile`` spreads its levels, which at
+    ``k = 1`` is the binary search's midpoint. Every ``best`` must be at
+    least 0, so no sum here leaves int64.
+    """
+    steps = np.arange(1, k + 1)
+    width = (top - best - 1)[:, None]  # counts in the bracket, less one
+    whole, rest = np.divmod(width, k + 1)
+    spread = whole * steps + (rest + 2) * steps // (k + 1)  # (width + 2) * steps // (k + 1), exactly
+    counts = best[:, None] + np.where(width < k, steps, spread)
+    return counts, steps - 1 <= width
+
+
+def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
+    """Largest v with (i, 0, v) consistent for each target i of ``i_stars``, or -1 where v = 0 is not.
+
+    One search per target over ``[0, villager_budget]``, all in lockstep:
+    each round is one ``feasible_rows`` call in which every search still
+    open probes ``max(1, rows per block // open searches)`` counts spread
+    evenly over its open bracket (``_spread``), so one round of one search
+    fills one block. The first round probes v = 0 and spreads the rest
+    above it; with one probe a round the search is a binary search. Monotone
+    by the resource-reduction property: lowering the count on the attacked
+    target never breaks consistency. Returns (counts, rows checked).
     """
     i_stars = np.asarray(i_stars)
-    lo = np.ones(i_stars.shape[0], dtype=np.int64)
-    hi = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
-    best = np.zeros(i_stars.shape[0], dtype=np.int64)
-    searching = lo <= hi
+    # Per search, the largest count known consistent and the largest not known inconsistent.
+    best = np.full(i_stars.shape[0], -1, dtype=np.int64)
+    top = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
+    per_block = max(1, _BLOCK_CELLS // instance.n)
+    searching = np.arange(i_stars.shape[0])
     checks = 0
-    while searching.any():
-        rows = np.flatnonzero(searching)
-        mid = lo[rows] + (hi[rows] - lo[rows]) // 2
-        ok = feasible_rows(instance, i_stars[rows], np.zeros(rows.size), mid)
+    while searching.size:
+        k = max(1, per_block // searching.size)
+        lo, hi = best[searching], top[searching]
+        if lo[0] < 0:  # the first round (later, every open search has a best): v = 0, then k - 1 above it
+            zero = np.zeros_like(lo)
+            counts, real = _spread(zero, hi, k - 1)
+            counts = np.hstack([zero[:, None], counts])
+            real = np.hstack([np.ones((lo.size, 1), dtype=bool), real])
+        else:
+            counts, real = _spread(lo, hi, k)
+        rows = np.broadcast_to(searching[:, None], counts.shape)[real]
+        ok = np.zeros(counts.shape, dtype=bool)
+        ok[real] = feasible_rows(instance, i_stars[rows], np.zeros(rows.size), counts[real])
         checks += rows.size
-        best[rows[ok]] = mid[ok]
-        lo[rows[ok]] = mid[ok] + 1  # wraps only at mid == hi, which ends the search
-        hi[rows[~ok]] = mid[~ok] - 1
-        searching[rows] = np.where(ok, mid < hi[rows], mid > lo[rows])
+        best[searching] = lo = np.maximum(lo, np.where(ok, counts, -1).max(axis=1))
+        top[searching] = hi = np.minimum(hi, np.where(real > ok, counts - 1, hi[:, None]).min(axis=1))
+        searching = searching[hi > lo]
     return best, checks
 
 
-def candidates(instance: Instance) -> Tuple[np.ndarray, np.ndarray, Counter]:
-    """The targets that can be attacked at all, each with the most villagers it can keep.
+def candidates(instance: Instance, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:
+    """The targets of ``targets`` that can be attacked at all, each with the most villagers it can keep.
 
-    Both solvers start here. Every target's v = 0 test is one
-    ``feasible_rows`` call, and ``most_villagers`` searches every attackable
-    target in lockstep. Returns ``(i_stars, v_stars, counters)``: the
-    candidates in index order, their villager counts, and a ``Counter`` of
-    the ``feasibility_checks`` spent (one per query row) and the number of
-    ``candidates``.
+    Both solvers start here: ``tdbs`` with every target, ``hw`` with those
+    its bound keeps (``_upper_bounds``). ``most_villagers`` searches all of
+    ``targets``, an ascending index array, in lockstep. Returns
+    ``(i_stars, v_stars, counters)``: the candidates in index order, their
+    villager counts, and a ``Counter`` of the ``feasibility_checks`` spent
+    (one per query row) and the number of ``candidates``.
     """
-    n = instance.n
-    attackable = feasible_rows(instance, np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64))
-    i_stars = np.flatnonzero(attackable)
-    v_stars, checks = most_villagers(instance, i_stars)
-    counters = Counter({"feasibility_checks": n + checks, "candidates": int(i_stars.size)})
-    return i_stars, v_stars, counters
+    counts, checks = most_villagers(instance, targets)
+    attackable = counts >= 0
+    counters = Counter({"feasibility_checks": checks, "candidates": int(attackable.sum())})
+    return np.asarray(targets)[attackable], counts[attackable], counters
 
 
 def _levels_feasible(instance, levels: np.ndarray) -> np.ndarray:
@@ -417,3 +448,82 @@ def _minimax_profile(instance: Instance) -> Tuple[StrategyProfile, int]:
     spent = np.zeros(1, dtype=np.int64)
     _, p, v = _fill(instance, _min_coverage(instance, np.array([[hi]])), spent, spent, witness=True)
     return StrategyProfile(p[0], v[0]), checks
+
+
+def _pooled_level(instance) -> float:
+    """A level z such that no valid profile holds every target's attacker utility to z or below.
+
+    ORIGAMI's pooled-coverage sweep (Kiekintveld et al., AAMAS 2009) with
+    integrality dropped. The coverage a valid profile spends is at most
+    ``C = e_p * ranger_budget * (1 + REL_TOL) + max(e_v) * villager_budget``
+    (effort within ``model.validate_profile``'s slack), and holding every
+    target to u takes ``F(u) = sum_j _min_coverage(u)_j``, which falls
+    piecewise linearly as u rises. The sweep finds where F crosses C from
+    prefix sums over the targets sorted by reward and by penalty, with F
+    written as ``sum_{R_j > u} (R_j - u) / spread_j - sum_{P_j > u} (P_j -
+    u) / spread_j``. Prefix sums can cancel, so the level returned is
+    ``tol / 2`` below the crossing and certified: ``_min_coverage`` sums
+    to more than C there, past the rounding of that sum. So any u with
+    ``F(u) <= C`` lies above z. Returns -inf where C covers every target
+    fully, and nan where the sweep is not finite or the level is not
+    certified.
+    """
+    spread = instance.spread_att
+    wide = spread > 0
+    total = np.count_nonzero(wide)
+    with np.errstate(over="ignore"):
+        rangers = instance.e_p * instance.ranger_budget * (1.0 + REL_TOL)
+        pooled = rangers + np.max(instance.e_v) * instance.villager_budget
+    if pooled >= total:
+        return -np.inf
+    reward, penalty = instance.reward_att[wide], instance.penalty_att[wide]
+    width = 1.0 / spread[wide]
+    breaks = np.concatenate([reward, penalty])
+    need = np.zeros(breaks.size)  # F at each break
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ends, sign in ((reward, 1.0), (penalty, -1.0)):
+            order = np.argsort(ends)
+            # Sums of ends * width and of width over the targets at and past
+            # each position in ascending order, and nothing past the last.
+            past = np.zeros((2, ends.size + 1))
+            past[:, :-1] = np.cumsum(np.stack([ends * width, width])[:, order[::-1]], axis=1)[:, ::-1]
+            past = past[:, np.searchsorted(ends[order], breaks, side="right")]
+            need += sign * (past[0] - breaks * past[1])
+        short = need > pooled  # F(u) > C: u lies below the crossing
+        if short.all() or not short.any():
+            return np.nan  # F is 0 at the largest reward and ``total`` at the least penalty
+        lo = np.where(short, breaks, -np.inf).argmax()
+        hi = np.where(short, np.inf, breaks).argmin()
+        crossing = breaks[lo] + (breaks[hi] - breaks[lo]) * ((need[lo] - pooled) / (need[lo] - need[hi]))
+        level = float(crossing - instance.tol / 2)
+    if not np.isfinite(level):
+        return np.nan
+    rounding = 4 * instance.n * instance.n.bit_length() * np.finfo(float).eps
+    return level if _min_coverage(instance, level).sum() > pooled + rounding else np.nan
+
+
+def _upper_bounds(instance) -> np.ndarray:
+    """Per target i, at least the defender utility on i of any valid profile
+    that leaves i in the attacker's tied set.
+
+    Such a profile holds the attacker's utility on i at no less than i's
+    penalty, than any other target's penalty less ``tol`` (i ties the best
+    within ``tol``), and than ``_pooled_level(instance) - tol`` (every
+    target is held to that utility plus ``tol``). The coverage on i is then
+    at most ``(R_a - level) / spread``, clipped to [0, 1]; a zero-spread
+    target holds the attacker at 0 under any coverage up to 1. The bound is
+    -inf where the level lies above i's reward, and +inf everywhere where
+    ``_pooled_level`` is nan. Memory is O(n), time O(n log n).
+    """
+    level = _pooled_level(instance)
+    if np.isnan(level):
+        return np.full(instance.n, np.inf)
+    floor = np.maximum(instance.penalty_att, _floor_of_others(instance) - instance.tol / 2)
+    lowest = np.maximum(floor, level - instance.tol)
+    spread = instance.spread_att
+    with np.errstate(divide="ignore", invalid="ignore"):
+        coverage = np.clip((instance.reward_att - lowest) / spread, 0.0, 1.0)
+    coverage[~(spread > 0)] = 1.0
+    bounds = utilities_of(instance, coverage, slice(None))[0]
+    bounds[lowest > instance.reward_att] = -np.inf
+    return bounds

@@ -22,11 +22,26 @@ r_p=2, r_v=3, seed=70022))`` with ``e_v = [0.537, 0.163, 0.37]``, the
 optimum holds 1 villager on the attacked target for 8.4573, while tdbs at
 ``epsilon = 1e-6`` keeps 2 for 8.3358, against a bound of 1.2e-5.
 
-This is also why ``solve_tdbs`` prunes no candidate and pruning stays
-with ``solve_hw``: its break-even argument needs exact completions. Applied
-here, the former bracket pruning lowered per-target answers past the bound
-(on 300 per-target instances with n from 3 to 10, 8 answers, by up to 84
-times the bound at ``epsilon = 1e-3``).
+``solve_tdbs`` bounds and prunes no target: it searches every one, while
+``solve_hw`` searches only those its bound (``feasibility._upper_bounds``)
+keeps against the minimax seed. Tried here on the benchmark's
+``tdbs-synthetic`` workload (2-vCPU VM), the same bound raised
+``solves_per_s`` from 54.5 to 211 in one 25 s run at seed 310000, but:
+
+- ``peak_rss_mb`` rose from 43.8 to 54.5 (+24%), as the benchmark keeps
+  every result, about 4 KB at n = 240, and the faster solver makes more;
+- answers moved, over the pools at seeds 310000, 330000 and 390001. A
+  pruned candidate's witness can win through a tied target, which the kept
+  candidates' own completions need not reach. On scalar instances 69 of 72
+  answers fell, by at most 0.07 of the gap bound; on per-target ones 49 of
+  72 fell, by up to 7.4 times the bound (most villagers first is not
+  always best there).
+
+So it waits for a benchmark that keeps one result per input, and for
+returning the better of the best witness and the minimax profile. The
+former bracket pruning, applied here, lowered per-target answers past the
+bound too (on 300 per-target instances with n from 3 to 10, 8 answers, by
+up to 84 times the bound at ``epsilon = 1e-3``).
 """
 
 from __future__ import annotations
@@ -115,7 +130,7 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
     Works for a scalar and for a per-target villager effectiveness.
     """
     epsilon = (config or TdbsConfig()).epsilon
-    i_stars, v_stars, counters = candidates(instance)
+    i_stars, v_stars, counters = candidates(instance, np.arange(instance.n))
     p_stars, checks = most_effort(instance, i_stars, v_stars, epsilon)
     counters["feasibility_checks"] += checks
     best_utility, best = -np.inf, None

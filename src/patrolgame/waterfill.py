@@ -10,9 +10,10 @@ Pouring pauses at critical points where one villager below the sea can trade
 places with a critical target's ranger effort at no change in level; the
 trade (a swap) moves the villager to a wider target, shrinking the effort
 needed per unit of further lowering. Iterating to ranger exhaustion yields
-the waste-minimal, utility-optimal completion. ``solve_hw`` takes the
-candidates of the shared candidate search (``feasibility.candidates``),
-prunes those that cannot win and waterfills the rest.
+the waste-minimal, utility-optimal completion. ``solve_hw`` bounds every
+target first, searches only those that may win with the shared candidate
+search (``feasibility.candidates``), prunes the candidates that cannot win
+and waterfills the rest.
 
 Events: one iteration of the pour loop is one event. Merges are not events:
 the pour runs past any number of them, with running sums over the targets
@@ -23,36 +24,46 @@ events, and ``get_swap_line`` is called once per iteration. Each fact is
 computed once: the pinned mask in ``_refresh_levels``, the merge set in
 ``_next_event`` and utilities from villagers alone in ``_drop``.
 
-Break-even pruning: the seed is a defender utility that some candidate's
-completion reaches on its own target. One source is the best candidate's
-utility with its villagers and no ranger effort; that candidate's completion
-reaches at least as much. With more than one candidate, the other is the
-minimax profile (``feasibility._minimax_profile``), which holds the
-attacker's best utility lowest (ORIGAMI's attack-set minimisation), read on
-a target it lets be attacked exactly (``_minimax_seed``): one it attacks
-already, or one whose ranger effort can be shed until its attacker utility
-passes the best. That profile is valid and attacked on that target, so the
-target's completion reaches the utility. A target only tied within tol is
-not enough: it may be no candidate at all. A candidate's defender
-utility rises with the effort on it, and consistency is monotone in effort,
-so it can reach the bar ``seed - tol`` only if its break-even effort, where
-its utility equals the bar, is consistent. ``solve_hw`` checks every
-candidate below the bar with no effort at its break-even effort in one
-batched ``feasible_rows`` call, and prunes those that fail or whose
-break-even lies past full coverage or the ranger budget. The optimal
-candidate survives when its profile is attacked on its own target: that
-profile reaches the optimum, at least the seed, with a consistent effort, at
-least the break-even. This is sound for a scalar ``e_v``, the only kind
-``hw`` accepts: a candidate whose profile evaluates above its own target's
-utility does so through a tie with a target whose exact completion reaches
-at least as much, and that target is never pruned. On exactly tied payoffs
-the two may be different co-optimal profiles, so the attacked target can
-differ from an unpruned solve while the utility does not. The seed only
-prunes: ``solve_hw`` returns its own waterfilled winner, never the minimax
-profile, which often ties it on another attacked target. ``diagnostics``
-counts the minimax search's level rows and the break-even rows in
-``feasibility_checks``, and the pruned candidates in ``pruned``, so
-``candidates - pruned`` subproblems ran.
+Pruning, in two steps, both against a seed: a defender utility that some
+valid profile reaches on the target it is attacked on, so the optimum
+reaches it too. The first seed is the minimax profile's
+(``feasibility._minimax_profile``), which holds the attacker's best utility
+lowest (ORIGAMI's attack-set minimisation), read on a target it lets be
+attacked exactly (``_minimax_seed``): one it attacks already, or one whose
+ranger effort can be shed until its attacker utility passes the best. A
+target only tied within tol is not enough: it may be no candidate at all.
+
+- Bound: ``feasibility._upper_bounds`` gives each target at least the
+  defender utility of any valid profile that leaves it in the attacker's
+  tied set (ORIGAMI's pooled-coverage sweep, with integrality dropped). A
+  target whose bound is below ``minimax seed - tol`` cannot win. It gets no
+  villager search and counts in ``bounded``; the rest go to the shared
+  candidate search (``feasibility.candidates``).
+- Break-even: the seed becomes the larger of the minimax seed and the best
+  candidate's utility with its villagers and no ranger effort, which that
+  candidate's completion reaches. A candidate's defender utility rises with
+  the effort on it, and consistency is monotone in effort, so it can reach
+  the bar ``seed - tol`` only if its break-even effort, where its utility
+  equals the bar, is consistent. ``solve_hw`` checks every candidate below
+  the bar with no effort at its break-even effort in one batched
+  ``feasible_rows`` call, and prunes those that fail or whose break-even
+  lies past full coverage or the ranger budget.
+
+The optimal candidate survives both when its profile is attacked on its own
+target: that profile reaches the optimum, at least the seed, with a
+consistent effort, at least the break-even, and its utility is at most the
+target's bound. This is sound for a scalar ``e_v``, the only kind ``hw``
+accepts: a candidate whose profile evaluates above its own target's utility
+does so through a tie with a target whose exact completion reaches at least
+as much, and that target is never pruned. On exactly tied payoffs the two
+may be different co-optimal profiles, so the attacked target can differ
+from an unpruned solve while the utility does not. The seed only prunes:
+``solve_hw`` returns its own waterfilled winner, never the minimax profile,
+which often ties it on another attacked target. ``diagnostics`` counts the
+minimax search's level rows, the villager search's rows and the break-even
+rows in ``feasibility_checks``, the targets never searched in ``bounded``,
+the attackable targets among the rest in ``candidates``, and the pruned
+candidates in ``pruned``, so ``candidates - pruned`` subproblems ran.
 
 Pours hit levels inexactly, so every level comparison (critical-set
 membership, pinned-at-floor tests, swap qualification) allows the
@@ -67,7 +78,14 @@ from typing import Optional
 
 import numpy as np
 
-from .feasibility import _min_coverage, _minimax_profile, candidates, feasible_rows, fixed_target_utilities
+from .feasibility import (
+    _min_coverage,
+    _minimax_profile,
+    _upper_bounds,
+    candidates,
+    feasible_rows,
+    fixed_target_utilities,
+)
 from .model import (
     REL_TOL,
     GameDefinitionError,
@@ -160,7 +178,9 @@ def get_swap_line(state: WaterfillState, pinned: np.ndarray) -> Optional[SwapCan
     diff = spread[donors] - spread[members]  # > 0 means the donor is strictly narrower
     raw = _drop(state, members, donors, np.where(diff > 0, diff, np.inf))
     # The sea level at the event; tolerance-level negative drops mean "swap now".
-    level = joins[members] - np.maximum(raw, 0.0)
+    # A level past -max-float lies below every penalty floor, so it is no swap.
+    with np.errstate(over="ignore"):
+        level = joins[members] - np.maximum(raw, 0.0)
     ok = (
         (diff > 0)
         & (raw >= -inst.tol)  # critical points already passed never recur
@@ -410,20 +430,20 @@ def solve_hw(instance: Instance) -> SolveResult:
     """Exact optimum over all candidate attacked targets.
 
     Every candidate of the shared candidate search
-    (``feasibility.candidates``) that its break-even check does not prune
-    (module docstring) is waterfilled from its villager count, in index
-    order. The best evaluated utility wins, ties to the lowest target index.
-    Needs a scalar villager effectiveness.
+    (``feasibility.candidates``) among the targets the bound keeps, that its
+    break-even check does not prune (module docstring), is waterfilled from
+    its villager count, in index order. The best evaluated utility wins,
+    ties to the lowest target index. Needs a scalar villager effectiveness.
     """
     if np.ndim(instance.e_v) != 0:
         raise GameDefinitionError("waterfilling requires uniform villager effectiveness")
-    i_stars, v_stars, counters = candidates(instance)
-    counters.update(iterations=0, swaps=0, pruned=0)
+    minimax_seed, checks = _minimax_seed(instance)
+    # A target whose bound is below the minimax seed less tol cannot win (module docstring).
+    searched = np.flatnonzero(_upper_bounds(instance) >= minimax_seed - instance.tol)
+    i_stars, v_stars, counters = candidates(instance, searched)
+    counters.update(iterations=0, swaps=0, pruned=0, bounded=instance.n - searched.size)
     at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
-    seed, checks = np.max(at_no_effort, initial=-np.inf), 0
-    if i_stars.size > 1:  # a lone candidate is never pruned
-        minimax_seed, checks = _minimax_seed(instance)
-        seed = max(seed, minimax_seed)
+    seed = max(np.max(at_no_effort, initial=-np.inf), minimax_seed)
     # The seed less tol: a candidate that cannot reach it cannot win (module docstring).
     bar = seed - instance.tol
     keep = at_no_effort >= bar

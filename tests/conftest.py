@@ -167,7 +167,7 @@ def solve_hw_unpruned(inst):
     The reference the pruned solver must match; it shares the candidate
     search and the subproblem and leaves out only the bracket.
     """
-    i_stars, v_stars, counters = candidates(inst)
+    i_stars, v_stars, counters = candidates(inst, np.arange(inst.n))
     best = None
     for i_star, v_star in zip(i_stars.tolist(), v_stars.tolist()):
         profile, state = waterfill._run_subproblem(inst, i_star, v_star)
@@ -178,61 +178,75 @@ def solve_hw_unpruned(inst):
     return dataclasses.replace(best, diagnostics=dict(counters))
 
 
-def max_feasible_villagers_ref(inst, i_star, witness=None):
-    """Largest v with (i_star, 0, v) consistent: (count, witness, calls).
+def spread_ref(best, top, k):
+    """Up to ``k`` counts spread evenly over ``[best + 1, top]``: all of them
+    if there are at most ``k``, else ``best + s * (top + 1 - best) // (k + 1)``
+    for s = 1 .. k."""
+    if top - best <= k:
+        return list(range(best + 1, top + 1))
+    return [best + s * (top + 1 - best) // (k + 1) for s in range(1, k + 1)]
 
-    One binary search from v = 1, one ``witness_of`` call per probe;
-    v = 0 must be consistent, and ``witness`` is its witness, returned when
-    no probe succeeds.
+
+def most_villagers_ref(inst, targets):
+    """Largest v with (i, 0, v) consistent per target i: ``(counts, witnesses, calls)``, dicts by target.
+
+    The lockstep search's rounds, with one ``witness_of`` call per probe:
+    each round, every open search probes ``max(1, rows per block // open
+    searches)`` counts of ``spread_ref``, and in the first round v = 0 and
+    ``spread_ref`` above it. A target whose v = 0 is inconsistent gets -1
+    and no witness; any other gets the witness of its count.
     """
-    lo, hi = 1, inst.villager_budget
-    best = 0
+    per_block = max(1, feasibility._BLOCK_CELLS // inst.n)
+    best = {i: -1 for i in targets}
+    top = {i: inst.villager_budget for i in targets}
+    witnesses = {i: None for i in targets}
     calls = 0
-    while lo <= hi:
-        mid = (lo + hi) // 2
-        answer = witness_of(inst, i_star, 0.0, mid)
-        calls += 1
-        if answer is not None:
-            best, witness = mid, answer
-            lo = mid + 1
-        else:
-            hi = mid - 1
-    return best, witness, calls
+    first = True
+    while True:
+        searching = [i for i in targets if top[i] > best[i]]
+        if not searching:
+            return best, witnesses, calls
+        k = max(1, per_block // len(searching))
+        for i in searching:
+            probes = [0] + spread_ref(0, top[i], k - 1) if first else spread_ref(best[i], top[i], k)
+            for v in probes:
+                answer = witness_of(inst, i, 0.0, v)
+                calls += 1
+                if answer is None:
+                    top[i] = min(top[i], v - 1)
+                elif v > best[i]:
+                    best[i], witnesses[i] = v, answer
+        first = False
 
 
 def best_candidate_sequential(inst, complete, extra_seed=None):
     """The candidate loop one ``witness_of`` call at a time.
 
     The reference for ``feasibility.candidates`` and the solvers' choice of
-    winner: every candidate's searches run one after the other and keep each
-    candidate's witness, and every completed profile goes through
+    winner: every candidate keeps its witness, the candidates are completed
+    one after the other, and every completed profile goes through
     ``evaluate_profile``.
     ``complete(i_star, v_star, witness, seed)`` returns
     ``(profile, counters)``, the profile None when pruned; ``seed`` is the
     best candidate's defender utility with its villagers and no effort.
-    With more than one candidate, ``extra_seed(inst)`` returns another
-    utility for ``seed`` to reach, if it is larger, and the checks it made.
+    With ``extra_seed``, first ``extra_seed(inst)`` returns another utility
+    for ``seed`` to reach, if it is larger, and the checks it made; then
+    only the targets whose ``feasibility._upper_bounds`` reach that utility
+    less tol are searched, and the others are counted as ``bounded``.
     """
     counters = Counter({"feasibility_checks": 0, "candidates": 0})
-    candidates = []
-    for i_star in range(inst.n):
-        counters["feasibility_checks"] += 1
-        answer = witness_of(inst, i_star, 0.0, 0)
-        if answer is None:
-            continue
-        counters["candidates"] += 1
-        v_star, witness, calls = max_feasible_villagers_ref(inst, i_star, answer)
-        counters["feasibility_checks"] += calls
-        candidates.append((i_star, v_star, witness))
-
-    seed = max(
-        (fixed_target_utilities(inst, i, 0.0, v)[0] for i, v, _ in candidates),
-        default=-np.inf,
-    )
-    if extra_seed is not None and len(candidates) > 1:
-        extra, checks = extra_seed(inst)
-        seed = max(seed, extra)
+    targets, seed = list(range(inst.n)), -np.inf
+    if extra_seed is not None:
+        seed, checks = extra_seed(inst)
         counters["feasibility_checks"] += checks
+        bounds = feasibility._upper_bounds(inst)
+        targets = [i for i in targets if bounds[i] >= seed - inst.tol]
+    counts, witnesses, calls = most_villagers_ref(inst, targets)
+    counters["feasibility_checks"] += calls
+    candidates = [(i, counts[i], witnesses[i]) for i in targets if counts[i] >= 0]
+    counters["candidates"] = len(candidates)
+
+    seed = max([seed] + [fixed_target_utilities(inst, i, 0.0, v)[0] for i, v, _ in candidates])
     best = None
     for i_star, v_star, witness in candidates:
         profile, spent = complete(i_star, v_star, witness, seed)
@@ -242,6 +256,8 @@ def best_candidate_sequential(inst, complete, extra_seed=None):
         result = evaluate_profile(inst, profile)
         if best is None or result.defender_utility > best.defender_utility:
             best = result
+    if extra_seed is not None:
+        counters["bounded"] = inst.n - len(targets)
     return dataclasses.replace(best, diagnostics=dict(counters))
 
 
@@ -325,7 +341,7 @@ def minimax_seed_ref(inst, levels_per_round=32):
     p = [r / inst.e_p for r in residual]
     total = np.sum(p)
     if total > inst.ranger_budget:
-        p = [x * (inst.ranger_budget / total) for x in p]
+        p = [x / total * inst.ranger_budget for x in p]
     e_v = effectiveness_list(inst)
     coverage = [min(inst.e_p * p[j] + e_v[j] * counts[j], 1.0) for j in range(inst.n)]
     u_att = [inst.reward_att[j] * (1 - c) + inst.penalty_att[j] * c for j, c in enumerate(coverage)]
@@ -347,12 +363,13 @@ def minimax_seed_ref(inst, levels_per_round=32):
 
 
 def solve_hw_sequential(inst):
-    """``solve_hw`` (break-even pruning included) on the sequential candidate loop.
+    """``solve_hw`` (bound and break-even pruning included) on the sequential candidate loop.
 
-    With more than one candidate, the seed is the larger of the best
-    no-effort utility and ``minimax_seed_ref``'s. A candidate below
-    ``seed - tol`` with no effort survives only if one ``witness_of`` call
-    finds its break-even effort, where its defender utility reaches
+    The minimax seed is ``minimax_seed_ref``'s, and only the targets whose
+    bound reaches it less tol are searched. The seed of the break-even
+    check is the larger of that and the best no-effort utility. A candidate
+    below ``seed - tol`` with no effort survives only if one ``witness_of``
+    call finds its break-even effort, where its defender utility reaches
     ``seed - tol``, consistent.
     """
 

@@ -166,7 +166,7 @@ def test_criterion_3_invariant_suite():
     enumeration_checked = 0
     for k in range(100):
         inst = random_instance(63_000 + k, n=2 + k % 5, r_p=1 + k % 3, r_v=k % 4)
-        i_stars, v_stars, _ = candidates(inst)
+        i_stars, v_stars, _ = candidates(inst, np.arange(inst.n))
         for i_star, v_star in zip(i_stars.tolist(), v_stars.tolist()):
             snaps = []
             waterfill._run_subproblem(

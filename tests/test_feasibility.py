@@ -1,15 +1,19 @@
 import dataclasses
+import tracemalloc
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from patrolgame import feasibility
+from patrolgame import feasibility, waterfill
 from patrolgame.feasibility import candidates, feasible_rows, most_villagers, witness_blocks
 from patrolgame.planner import case_study_scenario, terrain_adjust, with_effectiveness
 from patrolgame.tdbs import TdbsConfig, most_effort, solve_tdbs
 from patrolgame.waterfill import solve_hw
+from patrolgame.oracle import solve_oracle
 from patrolgame.model import (
+    REL_TOL,
     GameDefinitionError,
     Instance,
     StrategyProfile,
@@ -19,13 +23,14 @@ from patrolgame.model import (
     attacker_utilities,
     evaluate_profile,
     tied_defender_utilities,
+    utilities_of,
     validate_profile,
 )
 
 from conftest import (
     feasible_by_enumeration,
     greedy_villagers_ref,
-    max_feasible_villagers_ref,
+    most_villagers_ref,
     needs_ref,
     random_instance,
     scaled,
@@ -552,35 +557,65 @@ class TestWitnessUtilities:
 class TestMaxFeasibleVillagers:
     """``most_villagers``: the largest feasible villager count per target."""
 
-    def test_matches_linear_scan(self):
+    def test_matches_linear_scan(self, monkeypatch):
+        # 4 cells leave one probe per search and round (a binary search) at
+        # n >= 3, and 16 cells several probes for the last open searches
         rng = np.random.default_rng(12)
-        for k in range(100):
-            inst = random_instance(9000 + k, n=int(rng.integers(2, 5)), r_p=2, r_v=4)
-            attackable = [i for i in range(inst.n) if witness_of(inst, i, 0.0, 0) is not None]
-            counts, checks = most_villagers(inst, attackable)
-            assert checks == sum(max_feasible_villagers_ref(inst, i)[2] for i in attackable)
-            for i_star, best in zip(attackable, counts.tolist()):
-                scan = max(
-                    v
-                    for v in range(inst.villager_budget + 1)
-                    if witness_of(inst, i_star, 0.0, v) is not None
-                )
-                assert best == scan
+        unattackable = 0
+        cells = (feasibility._BLOCK_CELLS, 4, 16)
+        for k in range(150):
+            monkeypatch.setattr(feasibility, "_BLOCK_CELLS", cells[k % 3])
+            inst = random_instance(9000 + k, n=int(rng.integers(2, 5)), r_p=2, r_v=int(rng.integers(0, 9)))
+            targets = np.arange(inst.n) if k % 4 == 0 else np.flatnonzero(rng.random(inst.n) < 0.6)
+            counts, checks = most_villagers(inst, targets)
+            want, _, calls = most_villagers_ref(inst, targets.tolist())
+            assert checks == calls, k
+            for i_star, best in zip(targets.tolist(), counts.tolist()):
+                consistent = [
+                    v for v in range(inst.villager_budget + 1) if witness_of(inst, i_star, 0.0, v) is not None
+                ]
+                scan = max(consistent, default=-1)
+                assert best == scan == want[i_star], (k, i_star)
+                unattackable += best < 0
+        assert unattackable > 0
+
+    def test_spread_probes_every_count_of_a_narrow_bracket(self):
+        # brackets [best + 1, top] of 0, 1, k and k + 1 counts, and a wide one
+        best = np.array([4, 4, 4, 4, 0])
+        top = np.array([4, 5, 7, 8, 2**63 - 1])
+        counts, real = feasibility._spread(best, top, 3)
+        assert [row[ok].tolist() for row, ok in zip(counts, real)][:4] == [[], [5], [5, 6, 7], [5, 6, 7]]
+        assert counts[4].tolist() == [s * 2**63 // 4 for s in (1, 2, 3)] and real[4].all()
+        # one probe: the binary search's midpoint
+        for b, t in zip(best.tolist()[1:], top.tolist()[1:]):
+            assert feasibility._spread(np.array([b]), np.array([t]), 1)[0][0, 0] == b + 1 + (t - b - 1) // 2
 
 
 class TestCandidates:
     def test_every_target_keeps_its_most_villagers(self):
         # each target alone with the one villager: both are candidates
-        i_stars, v_stars, counters = candidates(symmetric_instance())
+        i_stars, v_stars, counters = candidates(symmetric_instance(), np.arange(2))
         assert i_stars.tolist() == [0, 1] and v_stars.tolist() == [1, 1]
-        # per target: the v = 0 row and one search row
+        # per target: one round probing v = 0 and v = 1
         assert list(counters.items()) == [("feasibility_checks", 4), ("candidates", 2)]
+
+    def test_only_the_given_targets_are_searched(self):
+        inst = random_instance(9200, n=6, r_p=2, r_v=3)
+        every = candidates(inst, np.arange(6))
+        some = candidates(inst, np.array([1, 4]))
+        kept = np.isin(every[0], [1, 4])
+        assert some[0].tolist() == every[0][kept].tolist() and some[1].tolist() == every[1][kept].tolist()
+        assert some[2]["candidates"] == kept.sum()
 
     @pytest.mark.parametrize(
         "solve, diagnostics",
         [
-            # hw: 4 candidate rows and 224 minimax level rows (7 rounds of 32)
-            (solve_hw, {"feasibility_checks": 228, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0}),
+            # hw: 224 minimax level rows (7 rounds of 32), 4 candidate rows;
+            # both targets tie, so the bound keeps both
+            (
+                solve_hw,
+                {"feasibility_checks": 228, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0, "bounded": 0},
+            ),
             (solve_tdbs, {"feasibility_checks": 24, "candidates": 2}),
         ],
         ids=["hw", "tdbs"],
@@ -590,6 +625,128 @@ class TestCandidates:
         result = solve(symmetric_instance())
         assert result.attacked == 0 and result.profile.v.tolist() == [1, 0]
         assert list(result.diagnostics.items()) == list(diagnostics.items())
+
+
+def _bound_family():
+    """216 seeded small instances for the bound: scalar and per-target e_v,
+    zero-spread targets on a third of them, each at payoff scales 1, 1e-9 and 1e6."""
+    rng = np.random.default_rng(21)
+    for k in range(72):
+        n = 2 + k % 4
+        inst = random_instance(16_000 + k, n=n, r_p=(k % 4) * n / 3, r_v=(k // 4) % 3)
+        if k % 3 == 0:
+            flat = rng.random(n) < 0.4
+            inst = dataclasses.replace(
+                inst,
+                reward_att=np.where(flat, 0.0, inst.reward_att),
+                penalty_att=np.where(flat, 0.0, inst.penalty_att),
+            )
+        if k % 2:
+            inst = dataclasses.replace(inst, e_v=rng.uniform(0.05, 0.95, n).round(3))
+        for factor in (1.0, 1e-9, 1e6):
+            yield k, factor, scaled(inst, factor)
+
+
+def _pooled_level_ref(inst):
+    """The lowest attacker level u at which the pooled coverage ``C`` holds
+    every target to u, by bisection on the summed needs; -inf if C covers all."""
+    pooled = inst.e_p * inst.ranger_budget * (1 + REL_TOL) + np.max(inst.e_v) * inst.villager_budget
+
+    def need(u):
+        payoffs = zip(inst.reward_att.tolist(), inst.penalty_att.tolist())
+        return sum(min(max((r - u) / (r - p), 0.0), 1.0) for r, p in payoffs if r > p)
+
+    lo, hi = float(inst.penalty_att.min()) - 1.0, float(inst.reward_att.max())
+    if need(lo) <= pooled:
+        return -np.inf
+    for _ in range(200):
+        mid = lo / 2 + hi / 2
+        if mid in (lo, hi):
+            break
+        lo, hi = (lo, mid) if need(mid) <= pooled else (mid, hi)
+    return hi
+
+
+class TestUpperBounds:
+    """``_upper_bounds``: no valid profile beats it on a tied target, and the
+    pooled level under it is certified and within tol of the exact one."""
+
+    def test_no_tied_target_beats_its_bound(self):
+        rng = np.random.default_rng(22)
+        checked = Counter()
+        for k, factor, inst in _bound_family():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                bounds = feasibility._upper_bounds(inst)
+            # the sweep is certified on every instance here: no target is kept unbounded
+            assert not (np.isnan(bounds) | np.isposinf(bounds)).any(), k
+            # random valid profiles: every target in the tied set
+            m, n = 300, inst.n
+            p = rng.dirichlet(np.ones(n), m) * (inst.ranger_budget * rng.random((m, 1)))
+            spent = rng.integers(0, inst.villager_budget + 1, m)
+            v = np.array([rng.multinomial(count, np.ones(n) / n) for count in spent])
+            u_d, u_a = utilities_of(inst, coverage_of(inst, p, v), slice(None))
+            tied = u_a >= u_a.max(axis=1, keepdims=True) - inst.tol
+            assert np.all(u_d[tied] <= np.broadcast_to(bounds, u_d.shape)[tied] + inst.tol), (k, factor)
+            checked["tied"] += tied.sum()
+            # the solvers' attacked targets
+            results = [solve_tdbs(inst)]
+            if np.ndim(inst.e_v) == 0:
+                results.append(solve_hw(inst))
+            if factor == 1.0:
+                results.append(solve_oracle(inst))
+            for result in results:
+                assert result.defender_utility <= bounds[result.attacked] + inst.tol, (k, factor)
+                checked["solved"] += 1
+            checked["never tied"] += np.isneginf(bounds).sum()
+        assert checked["tied"] > 50_000 and checked["solved"] > 350 and checked["never tied"] > 50, checked
+
+    def test_pooled_level_is_certified_and_tight(self):
+        levels = Counter()
+        for k, factor, inst in _bound_family():
+            level, want = feasibility._pooled_level(inst), _pooled_level_ref(inst)
+            if want == -np.inf:
+                assert level == -np.inf, k
+                levels["covered"] += 1
+                continue
+            # below the exact level by about tol / 2
+            assert want - inst.tol < level < want, (k, factor, level, want)
+            levels["finite"] += 1
+        assert min(levels.values()) > 20, levels
+
+    def test_a_sweep_that_is_not_finite_keeps_every_target(self):
+        # The sweep's prefix sums overflow at the penalty -1e308, where the
+        # pooled coverage crosses: no level is certified, so nothing is bounded.
+        inst = Instance(
+            ranger_budget=2.5, villager_budget=0, e_p=1.0, e_v=0.5,
+            reward_def=[1.0, 2.0, 3.0], penalty_def=[-1.0, -1.0, -1.0],
+            reward_att=[1e-10, 1e-10, 1.0], penalty_att=[-1e-10, -1e-10, -1e308],
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(feasibility._pooled_level(inst))
+            assert feasibility._upper_bounds(inst).tolist() == [np.inf] * 3
+            assert solve_hw(inst).diagnostics["bounded"] == 0
+
+    def test_memory_is_linear_in_targets(self):
+        # an n x n array at n = 3000 would take 72 MB
+        inst = random_instance(7, n=3000, r_p=1500, r_v=1500)
+        tracemalloc.start()
+        try:
+            bounds = feasibility._upper_bounds(inst)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20, peak
+        # and it keeps the villager search to at most two targets
+        assert (bounds >= waterfill._minimax_seed(inst)[0] - inst.tol).sum() <= 2
+
+    def test_targets_never_tied_are_bounded_to_minus_inf(self):
+        # with no resources the attacker takes the largest reward, 5; target 0's is 1
+        inst = make(ranger_budget=0.0, villager_budget=0, reward_att=[1.0, 5.0])
+        bounds = feasibility._upper_bounds(inst)
+        assert bounds[0] == -np.inf
+        assert bounds[1] == pytest.approx(-1.0)
 
 
 def _family(j, k):

@@ -18,6 +18,7 @@ from patrolgame.bench import GenParams, generate_instance
 from patrolgame.model import (
     REL_TOL,
     GameDefinitionError,
+    Instance,
     attacker_utilities,
     compute_coverage,
     validate_profile,
@@ -217,3 +218,20 @@ def test_ranger_budget_near_the_float_maximum():
     assert math.isfinite(bound)
     assert -inst.tol <= hw.defender_utility - approx.defender_utility < bound
     assert validate_profile(inst, approx.profile) == []
+
+
+def test_near_maximal_payoffs_solve_without_warnings():
+    # get_swap_line's event level (the sea less a drop) overflowed to -inf,
+    # with a warning, for a pair whose drop is near the float maximum
+    inst = Instance(
+        ranger_budget=1e-300, villager_budget=3, e_p=0.7, e_v=0.5,
+        reward_def=[4.738603321874879e306, 2.651321762577593e307, 2.2434512391097415e307],
+        penalty_def=[-5.563305990457868e307, -7.576392978786383e307, -8.384557448424439e307],
+        reward_att=[6.051301801758165e307, 4.205277813471052e307, 1.570214860859802e307],
+        penalty_att=[-9.225315486885325e307, -3.906912147968705e307, -8.209717534900214e307],
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        hw = solve_hw(inst)
+        oracle = solve_oracle(inst)
+    assert (hw.attacked, hw.defender_utility) == (oracle.attacked, oracle.defender_utility)

@@ -154,3 +154,21 @@ def test_search_memory_stays_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 6 * 2**20, peak
+
+
+def test_witness_trim_stays_in_a_tiny_budget():
+    # The trim scaled the witness effort by budget / total = 2.7e-317, a
+    # subnormal that kept too few digits: the trimmed sum landed 4e-8 over
+    # the 1e-300 budget, and evaluate_profile raised "ranger budget exceeded".
+    inst = Instance(
+        ranger_budget=1e-300, villager_budget=2, e_p=8.900295434028806e-308, e_v=1.0,
+        reward_def=[5.8862715301427725e299, 1.8727813821541652e300, 5.018986402798981e300,
+                    2.452319954812039e300, 8.459211508506028e300],
+        penalty_def=[-4.6986e-320, -5.345e-320, -3.481e-320, -5.24e-322, -5.382e-320],
+        reward_att=[6.252987614873884e-300, 0.0, 6.27412628571791e-300, 4.591780345604479e-300, 0.0],
+        penalty_att=[-6.563434911373349e-09, 0.0, -6.541254191938573e-09, -3.3635780419163277e-09, 0.0],
+    )
+    result = solve_tdbs(inst)
+    assert validate_profile(inst, result.profile) == []
+    oracle = solve_oracle(inst)
+    assert (result.attacked, result.defender_utility) == (oracle.attacked, oracle.defender_utility)

@@ -59,6 +59,11 @@ def make_state(inst, i_star, p, v):
     )
 
 
+def kept_by_bound(inst):
+    """Per target, whether ``solve_hw``'s bound leaves it to the villager search."""
+    return feasibility._upper_bounds(inst) >= waterfill._minimax_seed(inst)[0] - inst.tol
+
+
 def scw_ref(inst, v, u, i_star):
     """Independent total wasted villager coverage at level u."""
     total = 0.0
@@ -339,12 +344,12 @@ class TestSolveHw:
             monkeypatch.setattr(module, "feasible_rows", recording_rows)
         monkeypatch.setattr(feasibility, "_levels_feasible", recording_levels)
         monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
-        unattackable = 0
+        unattackable = bounded = 0
         for k in range(12):
             inst = random_instance(12_000 + k, n=3 + k % 6, r_p=1 + k % 3, r_v=k % 4)
             n = inst.n
-            attackable = rows_of(inst, np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64)).sum()
-            unattackable += inst.n - attackable
+            attackable = rows_of(inst, np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64))
+            unattackable += inst.n - attackable.sum()
             calls.clear()
             subproblems.clear()
             hw = solve_hw(inst)
@@ -353,8 +358,14 @@ class TestSolveHw:
             calls.clear()
             td = solve_tdbs(inst)
             assert len(calls) == td.diagnostics["feasibility_checks"], k
-            assert hw.diagnostics["candidates"] == td.diagnostics["candidates"] == attackable
+            assert td.diagnostics["candidates"] == attackable.sum()
+            # hw searches only the targets its bound keeps
+            kept = kept_by_bound(inst)
+            assert hw.diagnostics["bounded"] == n - kept.sum(), k
+            assert hw.diagnostics["candidates"] == (attackable & kept).sum(), k
+            bounded += hw.diagnostics["bounded"]
         assert unattackable > 0  # some targets are not candidates
+        assert bounded > 0  # some targets are not searched by hw
 
     def test_dominates_tdbs_within_bound(self):
         for k in range(20):
@@ -424,7 +435,11 @@ class TestBracketPruning:
         ref = solve_hw_unpruned(inst)
         assert got.attacked == ref.attacked, label
         assert abs(got.defender_utility - ref.defender_utility) <= inst.tol, label
-        assert got.diagnostics["candidates"] == ref.diagnostics["candidates"], label
+        # hw's candidates: the attackable targets among those its bound keeps
+        kept = kept_by_bound(inst)
+        i_stars = feasibility.candidates(inst, np.arange(inst.n))[0]
+        assert got.diagnostics["candidates"] == kept[i_stars].sum(), label
+        assert got.diagnostics["bounded"] == inst.n - kept.sum(), label
         # the reference runs one subproblem per candidate
         subproblems = got.diagnostics["candidates"] - got.diagnostics["pruned"]
         assert 1 <= subproblems <= ref.diagnostics["candidates"], label
@@ -439,10 +454,10 @@ class TestBracketPruning:
             self.assert_matches_unpruned(inst, k)
 
     def test_prunes_most_candidates(self):
-        # a silently disabled prune would run all 50 subproblems
+        # a silently disabled bound and prune would run all 50 subproblems
         inst = random_instance(13_100, n=50, r_p=25, r_v=25)
         diagnostics = solve_hw(inst).diagnostics
-        assert diagnostics["pruned"] >= 0.75 * diagnostics["candidates"]
+        assert diagnostics["bounded"] + diagnostics["pruned"] >= 0.75 * inst.n
 
 
 class TestBreakEvenCheck:
@@ -480,12 +495,11 @@ class TestBreakEvenCheck:
             inst = scaled(base, factor)
             waterfilled.clear()
             solve_hw(inst)
-            i_stars, v_stars, _ = feasibility.candidates(inst)
-            # the solver's seed: the best no-effort utility, or with more than
-            # one candidate the minimax seed if larger
-            seed = fixed_target_utilities(inst, i_stars, 0.0, v_stars)[0].max()
-            if i_stars.size > 1:
-                seed = max(seed, minimax_seed_ref(inst)[0])
+            i_stars, v_stars, _ = feasibility.candidates(inst, np.arange(inst.n))
+            # at least the solver's seed: the larger of the minimax seed and
+            # the best no-effort utility (of every candidate, bounded or not)
+            no_effort = fixed_target_utilities(inst, i_stars, 0.0, v_stars)[0]
+            seed = max(no_effort.max(), minimax_seed_ref(inst)[0])
             for i_star, v_star in zip(i_stars.tolist(), v_stars.tolist()):
                 if i_star in waterfilled:
                     continue
@@ -591,7 +605,7 @@ def case_study_grid():
 
 def subproblems(inst):
     """Every candidate (i_star, v_star) ``solve_hw`` would waterfill unpruned."""
-    i_stars, v_stars, _ = feasibility.candidates(inst)
+    i_stars, v_stars, _ = feasibility.candidates(inst, np.arange(inst.n))
     return zip(i_stars.tolist(), v_stars.tolist())
 
 
