@@ -34,6 +34,20 @@ of rows spread over the searches still open, v = 0 first. ``solve_hw``
 calls it only on the targets its bound keeps (``_upper_bounds``, from
 ORIGAMI's pooled-coverage sweep in ``_pooled_level``).
 
+Floor first: every query row runs the O(1) attacker-floor test
+(``_floor_test``) before its O(n log n) fill, and on ``tdbs``'s workloads
+that test, not the fill, usually binds. So both searches answer it first,
+with no row. The villager search starts each bracket at its floor cap
+(``_floor_caps``, in closed form), the largest count that passes, and
+probes the cap first; ``tdbs.most_effort`` bisects on the test alone, then
+checks the end with one row. Consistency implies the floor test and is
+monotone in the fixed resources. So where that row finds the floor test's
+answer consistent, it is the full search's answer: every probe the floor
+test failed fails the full check too, and every probe it passed lies at or
+below the answer, so is consistent too. Only the searches whose answer
+fails spend more rows. ``feasibility_checks`` counts the rows sent through
+``feasible_rows`` (and the level rows), not the floor-only answers.
+
 Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
 ``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
 the attacker's tied set (``model.tied_defender_utilities``). Two slacks
@@ -117,6 +131,19 @@ def _floor_of_others(instance) -> np.ndarray:
     others = np.full(instance.n, floor[top])
     others[top] = max(floor[:top].max(initial=-np.inf), floor[top + 1 :].max(initial=-np.inf))
     return others
+
+
+def _floor_test(instance, floor, i_star, p_star, v_star):
+    """``(u, passes)``: the attacker's utility on ``i_star`` under the fixed
+    resources, and whether it passes the attacker-floor test there (every
+    other target can be pushed down to u).
+
+    ``floor`` is ``_floor_of_others(instance)``; the other arguments are as
+    ``fixed_target_utilities`` takes them. Every query row and both searches
+    decide the test by this one expression.
+    """
+    u = fixed_target_utilities(instance, i_star, p_star, v_star)[1]
+    return u, u >= floor[i_star]
 
 
 def _query_rows(instance, i_star, p_star, v_star):
@@ -289,8 +316,8 @@ def _query_blocks(instance, i_star, p_star, v_star, witness: bool):
     floor = _floor_of_others(instance)
     for block in _blocks(instance, i_star.shape[0]):
         fixed, spent_p, spent_v = i_star[block], p_star[block], v_star[block]
-        u = fixed_target_utilities(instance, fixed, spent_p, spent_v)[1]
-        rows = np.flatnonzero(u >= floor[fixed])
+        u, passes = _floor_test(instance, floor, fixed, spent_p, spent_v)
+        rows = np.flatnonzero(passes)
         c_min = _min_coverage(instance, u[rows, None])
         c_min[np.arange(rows.size), fixed[rows]] = 0.0
         yield block, rows, _fill(instance, c_min, spent_p[rows], spent_v[rows], witness)
@@ -348,6 +375,42 @@ def _spread(best, top, k: int):
     return counts, steps - 1 <= width
 
 
+def _floor_caps(instance, floor, i_stars) -> np.ndarray:
+    """Per target of ``i_stars``, the largest count in ``[0, villager_budget]``
+    whose attacker-floor test passes with no effort, or -1 where none does.
+
+    ``floor`` is ``_floor_of_others(instance)``. The test passes while the
+    coverage ``e_v * v`` stays at most ``(R_a - floor) / spread``, so the
+    count comes in closed form; a target whose penalty passes passes at full
+    coverage, so at every count. The exact test (``_floor_test``) then
+    confirms each count and rejects the one above it. Where it does not (the
+    closed form rounded across the boundary, or counts past 2**53 share one
+    float), a bisection on the exact test finds the count.
+    """
+    budget = instance.villager_budget
+    e_v = instance.e_v[i_stars] if isinstance(instance.e_v, np.ndarray) else instance.e_v
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        guess = (instance.reward_att[i_stars] - floor[i_stars]) / instance.spread_att[i_stars] / e_v
+    guess[instance.penalty_att[i_stars] >= floor[i_stars]] = np.inf  # also every zero-spread 0 / 0
+    # the largest float below 2**63 still casts to an int64
+    caps = np.floor(np.clip(guess, -1.0, np.nextafter(2.0**63, 0.0))).astype(np.int64)
+    np.minimum(caps, budget, out=caps)
+
+    def passes(targets, counts):
+        return _floor_test(instance, floor, targets, 0.0, counts)[1]
+
+    settled = (caps < 0) | passes(i_stars, np.maximum(caps, 0))
+    settled &= (caps == budget) | ~passes(i_stars, np.minimum(caps, budget - 1) + 1)
+    rows = np.flatnonzero(~settled)
+    lo, hi = np.full(rows.size, -1, dtype=np.int64), np.full(rows.size, budget, dtype=np.int64)
+    while rows.size and (lo < hi).any():
+        mid = (lo >> 1) + (hi >> 1) + (((lo & 1) + (hi & 1) + 1) >> 1)  # ceil((lo + hi) / 2) within int64
+        ok = passes(i_stars[rows], mid)
+        lo, hi = np.where((lo < hi) & ok, mid, lo), np.where((lo < hi) & ~ok, mid - 1, hi)
+    caps[rows] = lo
+    return caps
+
+
 def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
     """Largest v with (i, 0, v) consistent for each target i of ``i_stars``, or -1 where v = 0 is not.
 
@@ -355,18 +418,34 @@ def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
     each round is one ``feasible_rows`` call in which every search still
     open probes ``max(1, rows per block // open searches)`` counts spread
     evenly over its open bracket (``_spread``), so one round of one search
-    fills one block. The first round probes v = 0 and spreads the rest
-    above it; with one probe a round the search is a binary search. Monotone
-    by the resource-reduction property: lowering the count on the attacked
-    target never breaks consistency. Returns (counts, rows checked).
+    fills one block. Monotone by the resource-reduction property: lowering
+    the count on the attacked target never breaks consistency.
+
+    Floor first: unless the first round would probe every count, each
+    search's bracket first shrinks to ``[0, cap]``, its floor cap
+    (``_floor_caps``), as no count above it passes the attacker-floor test,
+    and one round probes every cap below the budget. A consistent cap is the
+    answer; a target whose v = 0 fails the floor test is settled at -1 with
+    no row. A cap at the budget is not probed first: the floor test did not
+    bind there, and the whole budget mostly fails the fill. Then the
+    searches still open go on as without caps: their first round probes
+    v = 0 and spreads the rest above it; with one probe a round the search is
+    a binary search. Returns (counts, rows checked).
     """
     i_stars = np.asarray(i_stars)
     # Per search, the largest count known consistent and the largest not known inconsistent.
     best = np.full(i_stars.shape[0], -1, dtype=np.int64)
     top = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
     per_block = max(1, _BLOCK_CELLS // instance.n)
-    searching = np.arange(i_stars.shape[0])
     checks = 0
+    if instance.villager_budget >= max(1, per_block // max(1, i_stars.size)):
+        top = _floor_caps(instance, _floor_of_others(instance), i_stars)
+        rows = np.flatnonzero((top >= 0) & (top < instance.villager_budget))
+        ok = feasible_rows(instance, i_stars[rows], np.zeros(rows.size), top[rows])
+        checks += rows.size
+        best[rows[ok]] = top[rows[ok]]
+        top[rows[~ok]] -= 1
+    searching = np.flatnonzero(top > best)
     while searching.size:
         k = max(1, per_block // searching.size)
         lo, hi = best[searching], top[searching]
@@ -461,12 +540,18 @@ def _pooled_level(instance) -> float:
     piecewise linearly as u rises. The sweep finds where F crosses C from
     prefix sums over the targets sorted by reward and by penalty, with F
     written as ``sum_{R_j > u} (R_j - u) / spread_j - sum_{P_j > u} (P_j -
-    u) / spread_j``. Prefix sums can cancel, so the level returned is
-    ``tol / 2`` below the crossing and certified: ``_min_coverage`` sums
-    to more than C there, past the rounding of that sum. So any u with
-    ``F(u) <= C`` lies above z. Returns -inf where C covers every target
-    fully, and nan where the sweep is not finite or the level is not
-    certified.
+    u) / spread_j``. Prefix sums can cancel: below the penalty of a target
+    with a tiny spread, its huge width enters both sums and swamps the
+    others. Such breaks lie below that penalty, at most 0, so the bracket
+    is read from above: the largest break where F exceeds C and the next
+    one up, never the smallest break where F seems not to. (Where the
+    crossing itself lies among such breaks, the certification or the
+    finiteness check below rejects the level.) The level
+    returned is ``tol / 2`` below the crossing and certified:
+    ``_min_coverage`` sums to more than C there, past the rounding of that
+    sum. So any u with ``F(u) <= C`` lies above z. Returns -inf where C
+    covers every target fully, and nan where the sweep is not finite or the
+    level is not certified.
     """
     spread = instance.spread_att
     wide = spread > 0
@@ -492,8 +577,10 @@ def _pooled_level(instance) -> float:
         short = need > pooled  # F(u) > C: u lies below the crossing
         if short.all() or not short.any():
             return np.nan  # F is 0 at the largest reward and ``total`` at the least penalty
+        # The crossing lies between the largest break where F exceeds C and
+        # the next break above it; breaks further down never move it.
         lo = np.where(short, breaks, -np.inf).argmax()
-        hi = np.where(short, np.inf, breaks).argmin()
+        hi = np.where(breaks > breaks[lo], breaks, np.inf).argmin()
         crossing = breaks[lo] + (breaks[hi] - breaks[lo]) * ((need[lo] - pooled) / (need[lo] - need[hi]))
         level = float(crossing - instance.tol / 2)
     if not np.isfinite(level):

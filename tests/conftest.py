@@ -11,7 +11,7 @@ from collections import Counter
 
 import numpy as np
 
-from patrolgame import feasibility, waterfill
+from patrolgame import feasibility, tdbs, waterfill
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.feasibility import candidates, fixed_target_utilities, witness_blocks
 from patrolgame.model import (
@@ -44,6 +44,26 @@ def witness_of(inst, i_star, p_star, v_star):
     """One query through ``witness_blocks``: its witness profile, None where it is infeasible."""
     _, feasible, p, v = next(witness_blocks(inst, [i_star], [p_star], [v_star]))
     return StrategyProfile(p[0], v[0]) if feasible[0] else None
+
+
+def counting_rows(monkeypatch):
+    """A list that gets the row count of every later ``feasible_rows`` and
+    ``_levels_feasible`` call, the rows ``feasibility_checks`` counts."""
+    rows = []
+    rows_of, levels_of = feasibility.feasible_rows, feasibility._levels_feasible
+
+    def counted_rows(instance, i_star, p_star, v_star):
+        rows.append(len(i_star))
+        return rows_of(instance, i_star, p_star, v_star)
+
+    def counted_levels(instance, levels):
+        rows.append(len(levels))
+        return levels_of(instance, levels)
+
+    for module in (feasibility, tdbs, waterfill):
+        monkeypatch.setattr(module, "feasible_rows", counted_rows)
+    monkeypatch.setattr(feasibility, "_levels_feasible", counted_levels)
+    return rows
 
 
 def symmetric_instance():
@@ -217,6 +237,58 @@ def most_villagers_ref(inst, targets):
                 elif v > best[i]:
                     best[i], witnesses[i] = v, answer
         first = False
+
+
+# ---------------------------------------------------------------------------
+# The lockstep searches before they went floor first, kept as the reference
+# for ``feasibility.most_villagers`` and ``tdbs.most_effort``: every probe is
+# one ``feasible_rows`` row, with no attacker-floor cap and no floor-only
+# bisection.
+
+
+def most_villagers_blind(instance, i_stars):
+    """(counts, rows checked): ``most_villagers`` probing from ``[0, villager_budget]`` with no floor cap."""
+    i_stars = np.asarray(i_stars)
+    best = np.full(i_stars.shape[0], -1, dtype=np.int64)
+    top = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
+    per_block = max(1, feasibility._BLOCK_CELLS // instance.n)
+    searching = np.arange(i_stars.shape[0])
+    checks = 0
+    while searching.size:
+        k = max(1, per_block // searching.size)
+        lo, hi = best[searching], top[searching]
+        if lo[0] < 0:  # the first round (later, every open search has a best): v = 0, then k - 1 above it
+            zero = np.zeros_like(lo)
+            counts, real = feasibility._spread(zero, hi, k - 1)
+            counts = np.hstack([zero[:, None], counts])
+            real = np.hstack([np.ones((lo.size, 1), dtype=bool), real])
+        else:
+            counts, real = feasibility._spread(lo, hi, k)
+        rows = np.broadcast_to(searching[:, None], counts.shape)[real]
+        ok = np.zeros(counts.shape, dtype=bool)
+        ok[real] = feasibility.feasible_rows(instance, i_stars[rows], np.zeros(rows.size), counts[real])
+        checks += rows.size
+        best[searching] = lo = np.maximum(lo, np.where(ok, counts, -1).max(axis=1))
+        top[searching] = hi = np.minimum(hi, np.where(real > ok, counts - 1, hi[:, None]).min(axis=1))
+        searching = searching[hi > lo]
+    return best, checks
+
+
+def most_effort_blind(instance, i_stars, v_stars, epsilon):
+    """(efforts, rows checked): ``most_effort`` deciding every midpoint with one ``feasible_rows`` row."""
+    left = np.zeros(len(i_stars))
+    right = np.full(len(i_stars), float(instance.ranger_budget))
+    checks = 0
+    while True:
+        mid = left / 2.0 + right / 2.0  # halves first: left + right can overflow
+        # a bisection ends within epsilon, or narrower than one float step
+        rows = np.flatnonzero((right - left > epsilon) & (mid != left) & (mid != right))
+        if rows.size == 0:
+            return left, checks
+        ok = feasibility.feasible_rows(instance, i_stars[rows], mid[rows], v_stars[rows])
+        checks += rows.size
+        left[rows[ok]] = mid[rows[ok]]
+        right[rows[~ok]] = mid[rows[~ok]]
 
 
 def best_candidate_sequential(inst, complete, extra_seed=None):

@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from patrolgame import feasibility, waterfill
+from patrolgame import feasibility, tdbs, waterfill
 from patrolgame.feasibility import candidates, feasible_rows, most_villagers, witness_blocks
 from patrolgame.planner import case_study_scenario, terrain_adjust, with_effectiveness
 from patrolgame.tdbs import TdbsConfig, most_effort, solve_tdbs
@@ -28,8 +28,11 @@ from patrolgame.model import (
 )
 
 from conftest import (
+    counting_rows,
     feasible_by_enumeration,
     greedy_villagers_ref,
+    most_effort_blind,
+    most_villagers_blind,
     most_villagers_ref,
     needs_ref,
     random_instance,
@@ -563,13 +566,17 @@ class TestMaxFeasibleVillagers:
         rng = np.random.default_rng(12)
         unattackable = 0
         cells = (feasibility._BLOCK_CELLS, 4, 16)
+        rows, spent, probed = counting_rows(monkeypatch), 0, 0
         for k in range(150):
             monkeypatch.setattr(feasibility, "_BLOCK_CELLS", cells[k % 3])
             inst = random_instance(9000 + k, n=int(rng.integers(2, 5)), r_p=2, r_v=int(rng.integers(0, 9)))
             targets = np.arange(inst.n) if k % 4 == 0 else np.flatnonzero(rng.random(inst.n) < 0.6)
+            rows.clear()
             counts, checks = most_villagers(inst, targets)
             want, _, calls = most_villagers_ref(inst, targets.tolist())
-            assert checks == calls, k
+            # every row sent through feasible_rows counts; floor-only answers do not
+            assert checks == sum(rows), k
+            spent, probed = spent + checks, probed + calls
             for i_star, best in zip(targets.tolist(), counts.tolist()):
                 consistent = [
                     v for v in range(inst.villager_budget + 1) if witness_of(inst, i_star, 0.0, v) is not None
@@ -578,6 +585,9 @@ class TestMaxFeasibleVillagers:
                 assert best == scan == want[i_star], (k, i_star)
                 unattackable += best < 0
         assert unattackable > 0
+        # no more rows than the search without floor caps probes (a failed cap
+        # costs one row more, so this holds over the family, not per instance)
+        assert spent <= probed, (spent, probed)
 
     def test_spread_probes_every_count_of_a_narrow_bracket(self):
         # brackets [best + 1, top] of 0, 1, k and k + 1 counts, and a wide one
@@ -714,6 +724,16 @@ class TestUpperBounds:
             levels["finite"] += 1
         assert min(levels.values()) > 20, levels
 
+    def test_a_narrow_saturated_target_leaves_the_level_tight(self):
+        # Target 0's spread is 1e-300. Below its penalty 0 its width 1e300
+        # swamped the prefix sums, and the break -4 seemed to need no more
+        # than C, so the bracket [1e-300, -4] certified -2.73. The exact
+        # pooled level is 3.0: targets 1 and 2 need 0.2 and 0.3 there.
+        inst = Instance(0.5, 0, 1.0, 0.5, [1.0] * 3, [-1.0] * 3, [1e-300, 5.0, 6.0], [0.0, -5.0, -4.0])
+        level = feasibility._pooled_level(inst)
+        assert 2.9 <= level < 3.0
+        assert level == pytest.approx(_pooled_level_ref(inst) - inst.tol / 2)
+
     def test_a_sweep_that_is_not_finite_keeps_every_target(self):
         # The sweep's prefix sums overflow at the penalty -1e308, where the
         # pooled coverage crosses: no level is certified, so nothing is bounded.
@@ -756,37 +776,150 @@ def _family(j, k):
 
 
 def _outputs(result):
+    """A result's every output but ``feasibility_checks``, which ``counted`` checks."""
     return (
         result.attacked,
         result.defender_utility,
         result.attacker_utility,
         result.profile.p.tolist(),
         result.profile.v.tolist(),
-        list(result.diagnostics.items()),
+        [item for item in result.diagnostics.items() if item[0] != "feasibility_checks"],
     )
+
+
+def counted(rows, spent, solve, *args):
+    """``solve(*args)``, checking that its ``feasibility_checks`` is the number
+    of rows it sent (``counting_rows``); adds that number to ``spent[solve]``."""
+    rows.clear()
+    result = solve(*args)
+    assert result.diagnostics["feasibility_checks"] == sum(rows)
+    spent[solve.__name__] += sum(rows)
+    return result
 
 
 class TestLockstepAgainstSequential:
     """The lockstep searches give what one search per candidate gives, bit for bit."""
 
     @pytest.mark.parametrize("j, factor", [(0, 1.0), (1, 1e-9), (2, 1e6)])
-    def test_solvers_match_sequential_loop(self, j, factor):
+    def test_solvers_match_sequential_loop(self, monkeypatch, j, factor):
         rng = np.random.default_rng(16 + j)
+        rows, spent, probed = counting_rows(monkeypatch), Counter(), Counter()
         for k in range(16):
             inst = scaled(_family(j, k), factor)
-            assert _outputs(solve_hw(inst)) == _outputs(solve_hw_sequential(inst)), k
+            hw = counted(rows, spent, solve_hw, inst)
+            reference = solve_hw_sequential(inst)
+            assert _outputs(hw) == _outputs(reference), k
+            probed["solve_hw"] += reference.diagnostics["feasibility_checks"]
             per_target = dataclasses.replace(
                 inst, e_v=rng.uniform(0.05, 1.0, inst.n).round(3) * inst.e_p
             )
             epsilon = (1e-3, 1e-7, 1e-13)[(j + k) % 3]
             for case in (inst, per_target):
-                lockstep = solve_tdbs(case, TdbsConfig(epsilon))
-                assert _outputs(lockstep) == _outputs(solve_tdbs_sequential(case, epsilon)), k
+                lockstep = counted(rows, spent, solve_tdbs, case, TdbsConfig(epsilon))
+                reference = solve_tdbs_sequential(case, epsilon)
+                assert _outputs(lockstep) == _outputs(reference), k
+                probed["solve_tdbs"] += reference.diagnostics["feasibility_checks"]
+        # the floor-first searches send no more rows than the sequential loop probes
+        for solver in ("solve_hw", "solve_tdbs"):
+            assert spent[solver] <= probed[solver], (spent, probed)
 
-    def test_bisection_ends_below_float_spacing(self):
+    def test_bisection_ends_below_float_spacing(self, monkeypatch):
         # an epsilon under the float step between efforts: each bisection
         # stops where its midpoint no longer moves
+        rows, spent, probed = counting_rows(monkeypatch), Counter(), 0
         for k in range(6):
             inst = random_instance(14_100 + k, n=2 + k, r_p=1 + k, r_v=k)
-            lockstep = solve_tdbs(inst, TdbsConfig(1e-300))
-            assert _outputs(lockstep) == _outputs(solve_tdbs_sequential(inst, 1e-300)), k
+            lockstep = counted(rows, spent, solve_tdbs, inst, TdbsConfig(1e-300))
+            reference = solve_tdbs_sequential(inst, 1e-300)
+            assert _outputs(lockstep) == _outputs(reference), k
+            probed += reference.diagnostics["feasibility_checks"]
+        assert spent["solve_tdbs"] <= probed, (spent, probed)
+
+
+def _floor_first_family():
+    """Seeded instances for the floor-first searches, each with a block size:
+    scalar and per-target e_v, zero-spread targets, villager budgets 0 and
+    2**62 (with an e_v that puts floor caps past 2**53), payoff scales 1,
+    1e-9 and 1e6, ``_BLOCK_CELLS`` at its default, 4 and 16; then case-study
+    settings, scalar and terrain-adjusted."""
+    rng = np.random.default_rng(31)
+    cells = (feasibility._BLOCK_CELLS, 4, 16)
+    for k in range(36):
+        n = 2 + k % 9
+        r_v = (0, 2**62, int(rng.integers(1, 3 * n)))[k % 3]
+        inst = random_instance(31_000 + k, n=n, r_p=0.5 + k % 4, r_v=r_v)
+        if k % 4 == 1:
+            flat = rng.random(n) < 0.4
+            inst = dataclasses.replace(
+                inst,
+                reward_att=np.where(flat, 0.0, inst.reward_att),
+                penalty_att=np.where(flat, 0.0, inst.penalty_att),
+            )
+        if r_v == 2**62 and k % 2:
+            inst = dataclasses.replace(inst, e_v=inst.e_v * 1e-18)
+        if k % 5 >= 3:
+            inst = dataclasses.replace(inst, e_v=rng.uniform(0.05, 1.0, n).round(3) * inst.e_p)
+        # budgets cycle with k, scales every 3 and block sizes every 9
+        yield scaled(inst, (1.0, 1e-9, 1e6)[(k // 3) % 3]), cells[(k // 9) % 3]
+    for k, inst in enumerate(_case_study_instances()):
+        if k % 9 in (0, 1):
+            yield inst, cells[k % 3]
+
+
+class TestFloorFirstSearches:
+    """The floor-first searches give the blind searches' counts and efforts, bit for bit."""
+
+    def test_match_the_blind_searches(self, monkeypatch):
+        seen = Counter()
+        for m, (inst, block_cells) in enumerate(_floor_first_family()):
+            monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
+            targets = np.arange(inst.n)
+            floor = feasibility._floor_of_others(inst)
+            caps = feasibility._floor_caps(inst, floor, targets)
+            budget = inst.villager_budget
+            seen["cap below the budget"] += np.count_nonzero((0 <= caps) & (caps < budget))
+            seen["cap past 2**53"] += np.count_nonzero((2**53 < caps) & (caps < budget))
+            seen["saturated"] += np.count_nonzero(inst.penalty_att >= floor)
+            seen["zero spread"] += np.count_nonzero(inst.spread_att == 0)
+            seen["budget %s" % {0: "0", 2**62: "2**62"}.get(budget, "small")] += 1
+
+            counts, _ = most_villagers(inst, targets)
+            assert counts.tolist() == most_villagers_blind(inst, targets)[0].tolist(), m
+            i_stars, v_stars = targets[counts >= 0], counts[counts >= 0]
+            for epsilon in ((1e-3, 1e-300), (1e-7, 1e-13))[m % 2]:
+                p_stars, _ = most_effort(inst, i_stars, v_stars, epsilon)
+                assert p_stars.tobytes() == most_effort_blind(inst, i_stars, v_stars, epsilon)[0].tobytes(), m
+
+                # how each bisection ended on the floor test alone
+                def floor_only(rows, mid):
+                    return feasibility._floor_test(inst, floor, i_stars[rows], mid, v_stars[rows])[1]
+
+                left, right = tdbs._bisect(inst, i_stars.size, epsilon, floor_only)
+                capped = (left > 0.0) & (right < inst.ranger_budget)
+                seen["effort confirmed"] += np.count_nonzero(capped & (p_stars == left))
+                seen["effort not confirmed"] += np.count_nonzero(capped & (p_stars != left))
+                seen["effort not capped"] += np.count_nonzero(~capped)
+        assert min(seen.values()) >= 5, seen
+
+    def test_floor_caps_are_the_last_passing_count(self):
+        checked = Counter()
+        for inst, _ in _floor_first_family():
+            targets = np.arange(inst.n)
+            floor = feasibility._floor_of_others(inst)
+            caps = feasibility._floor_caps(inst, floor, targets)
+            budget = inst.villager_budget
+
+            def passes(counts):
+                counts = np.asarray(counts, dtype=np.int64)
+                return feasibility._floor_test(inst, floor, targets, 0.0, counts)[1]
+
+            below, above = caps >= 0, caps < budget
+            assert passes(np.maximum(caps, 0))[below].all()
+            assert not passes(np.where(above, caps + 1, 0))[above].any()
+            if budget <= 60:  # and against a scan
+                passing = [passes([v] * inst.n) for v in range(budget + 1)]
+                scan = [max([v for v in range(budget + 1) if passing[v][i]], default=-1) for i in targets]
+                assert caps.tolist() == scan
+                checked["scanned"] += inst.n
+            checked["capped"] += np.count_nonzero(below & above)
+        assert checked["scanned"] > 100 and checked["capped"] > 50, checked

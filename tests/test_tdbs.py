@@ -19,7 +19,7 @@ from patrolgame.oracle import solve_oracle
 from patrolgame.planner import case_study_scenario
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound, value_bound
 
-from conftest import random_instance, symmetric_instance
+from conftest import most_effort_blind, most_villagers_blind, random_instance, symmetric_instance
 
 
 class TestConfig:
@@ -172,3 +172,15 @@ def test_witness_trim_stays_in_a_tiny_budget():
     assert validate_profile(inst, result.profile) == []
     oracle = solve_oracle(inst)
     assert (result.attacked, result.defender_utility) == (oracle.attacked, oracle.defender_utility)
+
+
+def test_floor_first_searches_send_at_most_half_the_blind_rows():
+    # One feasible_rows row per probe, as before the searches went floor
+    # first, sends 5,896 rows here; the floor-first searches send 530. A
+    # slide back to blind probing fails this without timing anything.
+    inst = generate_instance(GenParams(n=240, r_p=120, r_v=120, seed=7))
+    result = solve_tdbs(inst)
+    counts, villager_rows = most_villagers_blind(inst, np.arange(inst.n))
+    kept = counts >= 0
+    _, effort_rows = most_effort_blind(inst, np.flatnonzero(kept), counts[kept], tdbs.DEFAULT_EPSILON)
+    assert result.diagnostics["feasibility_checks"] <= (villager_rows + effort_rows) / 2
