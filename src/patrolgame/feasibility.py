@@ -34,19 +34,39 @@ of rows spread over the searches still open, v = 0 first. ``solve_hw``
 calls it only on the targets its bound keeps (``_upper_bounds``, from
 ORIGAMI's pooled-coverage sweep in ``_pooled_level``).
 
-Floor first: every query row runs the O(1) attacker-floor test
-(``_floor_test``) before its O(n log n) fill, and on ``tdbs``'s workloads
-that test, not the fill, usually binds. So both searches answer it first,
-with no row. The villager search starts each bracket at its floor cap
-(``_floor_caps``, in closed form), the largest count that passes, and
-probes the cap first; ``tdbs.most_effort`` bisects on the test alone, then
-checks the end with one row. Consistency implies the floor test and is
-monotone in the fixed resources. So where that row finds the floor test's
-answer consistent, it is the full search's answer: every probe the floor
-test failed fails the full check too, and every probe it passed lies at or
-below the answer, so is consistent too. Only the searches whose answer
-fails spend more rows. ``feasibility_checks`` counts the rows sent through
-``feasible_rows`` (and the level rows), not the floor-only answers.
+Floor and pool first: two cheap tests are implied by consistency, and on
+``tdbs``'s workloads one of them, not the fill, usually binds.
+
+- The attacker-floor test (``_floor_test``, O(1)), which every query row
+  runs before its O(n log n) fill: every other target can be pushed down to
+  the fixed target's attacker utility u.
+- The pooled test (``_Pool.passes``, O(log n)), ORIGAMI's pooled coverage
+  with integrality dropped: the ranger effort left, ``max(R_p - p, 0) *
+  e_p``, plus every spare villager at ``max(e_v)`` covers ``sum_{j != i}
+  _min_coverage(u)_j`` within ``_COVERAGE_SLACK`` plus a rounding margin.
+  The fill's villagers cover at most ``e_v[j] <= max(e_v)`` each, so its
+  residual need is at least that sum less the villagers' share, and a row
+  the fill accepts passes. The margin, ``4 (n + 2) eps * (sum_j (|R_j| +
+  |P_j|) / spread_j + |u| * sum_j 1 / spread_j + n + cover)``, with the
+  first sum at most n by the sign constraints, bounds the rounding of the
+  sorted suffix sums and of the fill's own sums, so the
+  test rejects only rows the fill surely rejects; a non-finite sum passes.
+  Where ``e_v`` is a scalar and every spare villager takes a whole piece,
+  the pooled deficit is the fill's own answer.
+
+Both searches answer these tests first, with no row. The villager search
+starts each bracket at its cap: the floor cap (``_floor_caps``, in closed
+form), the largest count that passes the floor test, lowered to the largest
+that passes the pooled test too (``_pooled_caps``); it probes the cap first.
+``tdbs.most_effort`` bisects on both tests alone, then checks the end with
+one row. Consistency is monotone in the fixed resources. So where that row
+finds the tests' answer consistent, it is the full search's answer: every
+probe a test failed fails the full check too, and every probe both passed
+lies at or below the answer, so is consistent too. A wrong rejection would
+change the search's path, which is why the pooled test keeps its margin.
+Only the searches whose answer fails spend more rows.
+``feasibility_checks`` counts the rows sent through ``feasible_rows`` (and
+the level rows), not the answers the cheap tests give alone.
 
 Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
 ``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
@@ -144,6 +164,68 @@ def _floor_test(instance, floor, i_star, p_star, v_star):
     """
     u = fixed_target_utilities(instance, i_star, p_star, v_star)[1]
     return u, u >= floor[i_star]
+
+
+class _Pool:
+    """ORIGAMI's pooled coverage (Kiekintveld et al., AAMAS 2009) with integrality dropped.
+
+    Holding every target's attacker utility to u takes ``F(u) = sum_j
+    _min_coverage(u)_j``, written over the targets with a spread as
+    ``sum_{R_j > u} (R_j - u) / spread_j - sum_{P_j > u} (P_j - u) /
+    spread_j``. Built once in O(n log n), the reward- and penalty-sorted
+    suffix sums of ``end / spread`` and ``1 / spread`` give F at any u in
+    O(log n) (``need``). ``_pooled_level`` sweeps F; ``passes`` is the
+    pooled test of query rows (module docstring).
+    """
+
+    def __init__(self, instance):
+        self.instance = instance
+        spread = instance.spread_att
+        wide = spread > 0
+        self.reward, self.penalty = instance.reward_att[wide], instance.penalty_att[wide]
+        width = 1.0 / spread[wide]
+        self.sides = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            for ends in (self.reward, self.penalty):
+                order = np.argsort(ends)
+                # Sums of ends * width and of width over the targets at and past
+                # each position in ascending order, and nothing past the last.
+                past = np.zeros((2, ends.size + 1))
+                past[:, :-1] = np.cumsum(np.stack([ends * width, width])[:, order[::-1]], axis=1)[:, ::-1]
+                self.sides.append((ends[order], past[0], past[1]))
+            # ``passes``' rounding margin: 4 (n + 2) eps times what the sums'
+            # rounding scales with. By the sign constraints |R_j| + |P_j| is
+            # spread_j, so sum_j (|R_j| + |P_j|) / spread_j is at most n.
+            self.rounding = 4 * (instance.n + 2) * np.finfo(float).eps
+            self.margin_per_u = self.rounding * width.sum()
+            self.slack = _COVERAGE_SLACK + self.rounding * 2 * instance.n
+        self.own_width = np.zeros(instance.n)
+        self.own_width[wide] = width
+        self.most_e_v = float(np.max(instance.e_v))
+
+    def need(self, u):
+        """F at each level of ``u``, from the sorted suffix sums. May overflow:
+        call it under ``np.errstate(over="ignore", invalid="ignore")``."""
+        (rewards, reward_width, reward_sum), (penalties, penalty_width, penalty_sum) = self.sides
+        at, below = np.searchsorted(rewards, u, side="right"), np.searchsorted(penalties, u, side="right")
+        return (reward_width[at] - u * reward_sum[at]) - (penalty_width[below] - u * penalty_sum[below])
+
+    def passes(self, i_star, p_star, v_star, u):
+        """Per query row, whether it passes the pooled test at the fixed target's utility ``u``.
+
+        The ranger effort left and every spare villager at ``max(e_v)`` must
+        cover the other targets' ``_min_coverage(u)`` within
+        ``_COVERAGE_SLACK`` plus the rounding margin; a non-finite sum
+        passes. Arguments are as ``_floor_test`` takes them, with its ``u``.
+        """
+        instance = self.instance
+        cover = np.maximum(instance.ranger_budget - p_star, 0.0) * instance.e_p
+        cover = cover + (instance.villager_budget - v_star) * self.most_e_v
+        with np.errstate(over="ignore", invalid="ignore"):
+            own = (instance.reward_att[i_star] - u) * self.own_width[i_star]  # i_star's own need
+            need = self.need(u) - np.minimum(np.maximum(own, 0.0), 1.0)
+            limit = cover + self.slack + self.rounding * cover + self.margin_per_u * np.abs(u)
+            return ~np.isfinite(need) | (need <= limit)
 
 
 def _query_rows(instance, i_star, p_star, v_star):
@@ -402,13 +484,44 @@ def _floor_caps(instance, floor, i_stars) -> np.ndarray:
     settled = (caps < 0) | passes(i_stars, np.maximum(caps, 0))
     settled &= (caps == budget) | ~passes(i_stars, np.minimum(caps, budget - 1) + 1)
     rows = np.flatnonzero(~settled)
-    lo, hi = np.full(rows.size, -1, dtype=np.int64), np.full(rows.size, budget, dtype=np.int64)
-    while rows.size and (lo < hi).any():
-        mid = (lo >> 1) + (hi >> 1) + (((lo & 1) + (hi & 1) + 1) >> 1)  # ceil((lo + hi) / 2) within int64
-        ok = passes(i_stars[rows], mid)
-        lo, hi = np.where((lo < hi) & ok, mid, lo), np.where((lo < hi) & ~ok, mid - 1, hi)
-    caps[rows] = lo
+    caps[rows] = _last_passing(lambda counts: passes(i_stars[rows], counts), np.full(rows.size, budget))
     return caps
+
+
+def _pooled_caps(instance, i_stars, caps) -> np.ndarray:
+    """Each of ``caps`` lowered to the largest count at or below it whose
+    pooled test (``_Pool.passes``) passes with no effort, or -1 where none does.
+
+    A cap that passes stays; below one that fails, a bisection on the test
+    finds a passing count with the count above it failing. So, as the test is
+    implied by consistency and consistency is monotone in the count, no count
+    above the lowered cap is consistent.
+    """
+    pool = _Pool(instance)
+
+    def passes(targets, counts):
+        u = fixed_target_utilities(instance, targets, 0.0, counts)[1]
+        return pool.passes(targets, 0.0, counts, u)
+
+    rows = np.flatnonzero(caps >= 0)
+    rows = rows[~passes(i_stars[rows], caps[rows])]
+    caps[rows] = _last_passing(lambda counts: passes(i_stars[rows], counts), caps[rows] - 1)
+    return caps
+
+
+def _last_passing(passes, top) -> np.ndarray:
+    """Per row, by bisection on ``passes``, a count c in ``[-1, top]``: c
+    passes (or is -1), and c + 1 fails (or lies past ``top``).
+
+    ``passes(counts)`` answers for one count per row. Where it is monotone, c
+    is the largest count in ``[0, top]`` that passes, or -1 if none does.
+    """
+    lo, hi = np.full(top.size, -1, dtype=np.int64), np.asarray(top, dtype=np.int64)
+    while (lo < hi).any():
+        mid = (lo >> 1) + (hi >> 1) + (((lo & 1) + (hi & 1) + 1) >> 1)  # ceil((lo + hi) / 2) within int64
+        ok = passes(mid)
+        lo, hi = np.where((lo < hi) & ok, mid, lo), np.where((lo < hi) & ~ok, mid - 1, hi)
+    return lo
 
 
 def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
@@ -421,13 +534,14 @@ def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
     fills one block. Monotone by the resource-reduction property: lowering
     the count on the attacked target never breaks consistency.
 
-    Floor first: unless the first round would probe every count, each
-    search's bracket first shrinks to ``[0, cap]``, its floor cap
-    (``_floor_caps``), as no count above it passes the attacker-floor test,
-    and one round probes every cap below the budget. A consistent cap is the
-    answer; a target whose v = 0 fails the floor test is settled at -1 with
-    no row. A cap at the budget is not probed first: the floor test did not
-    bind there, and the whole budget mostly fails the fill. Then the
+    Floor and pool first: unless the first round would probe every count,
+    each search's bracket first shrinks to ``[0, cap]``: its floor cap
+    (``_floor_caps``), lowered to the last count that passes the pooled test
+    (``_pooled_caps``), as no count above it is consistent. One round probes
+    every cap below the budget. A consistent cap is the answer; a target
+    whose v = 0 fails either test is settled at -1 with no row. A cap at the
+    budget is not probed first: neither test bound there, and the whole
+    budget mostly fails the fill. Then the
     searches still open go on as without caps: their first round probes
     v = 0 and spreads the rest above it; with one probe a round the search is
     a binary search. Returns (counts, rows checked).
@@ -439,7 +553,7 @@ def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
     per_block = max(1, _BLOCK_CELLS // instance.n)
     checks = 0
     if instance.villager_budget >= max(1, per_block // max(1, i_stars.size)):
-        top = _floor_caps(instance, _floor_of_others(instance), i_stars)
+        top = _pooled_caps(instance, i_stars, _floor_caps(instance, _floor_of_others(instance), i_stars))
         rows = np.flatnonzero((top >= 0) & (top < instance.villager_budget))
         ok = feasible_rows(instance, i_stars[rows], np.zeros(rows.size), top[rows])
         checks += rows.size
@@ -538,9 +652,8 @@ def _pooled_level(instance) -> float:
     (effort within ``model.validate_profile``'s slack), and holding every
     target to u takes ``F(u) = sum_j _min_coverage(u)_j``, which falls
     piecewise linearly as u rises. The sweep finds where F crosses C from
-    prefix sums over the targets sorted by reward and by penalty, with F
-    written as ``sum_{R_j > u} (R_j - u) / spread_j - sum_{P_j > u} (P_j -
-    u) / spread_j``. Prefix sums can cancel: below the penalty of a target
+    ``_Pool``'s sums over the targets sorted by reward and by penalty,
+    read at every break. Prefix sums can cancel: below the penalty of a target
     with a tiny spread, its huge width enters both sums and swamps the
     others. Such breaks lie below that penalty, at most 0, so the bracket
     is read from above: the largest break where F exceeds C and the next
@@ -553,27 +666,16 @@ def _pooled_level(instance) -> float:
     covers every target fully, and nan where the sweep is not finite or the
     level is not certified.
     """
-    spread = instance.spread_att
-    wide = spread > 0
-    total = np.count_nonzero(wide)
+    total = np.count_nonzero(instance.spread_att > 0)
     with np.errstate(over="ignore"):
         rangers = instance.e_p * instance.ranger_budget * (1.0 + REL_TOL)
         pooled = rangers + np.max(instance.e_v) * instance.villager_budget
     if pooled >= total:
         return -np.inf
-    reward, penalty = instance.reward_att[wide], instance.penalty_att[wide]
-    width = 1.0 / spread[wide]
-    breaks = np.concatenate([reward, penalty])
-    need = np.zeros(breaks.size)  # F at each break
+    sums = _Pool(instance)
+    breaks = np.concatenate([sums.reward, sums.penalty])
     with np.errstate(over="ignore", invalid="ignore"):
-        for ends, sign in ((reward, 1.0), (penalty, -1.0)):
-            order = np.argsort(ends)
-            # Sums of ends * width and of width over the targets at and past
-            # each position in ascending order, and nothing past the last.
-            past = np.zeros((2, ends.size + 1))
-            past[:, :-1] = np.cumsum(np.stack([ends * width, width])[:, order[::-1]], axis=1)[:, ::-1]
-            past = past[:, np.searchsorted(ends[order], breaks, side="right")]
-            need += sign * (past[0] - breaks * past[1])
+        need = sums.need(breaks)  # F at each break
         short = need > pooled  # F(u) > C: u lies below the crossing
         if short.all() or not short.any():
             return np.nan  # F is 0 at the largest reward and ``total`` at the least penalty

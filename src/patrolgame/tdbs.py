@@ -8,18 +8,25 @@ dimensions run every candidate's search in lockstep: each round is one
 batched ``feasibility.feasible_rows`` call with one row per search still
 open, and no witness is built while searching.
 
-Both searches go floor first (``feasibility`` module docstring). On the
-benchmark's ``tdbs-synthetic`` pools (seeds 320000 and 390001) the
-answer of the O(1) attacker-floor test alone, confirmed by one
-``feasible_rows`` row, is the villager count of 69% of the targets (11,225
-of 16,320) and the effort of 61% of the candidates (9,162 of 15,054, at
-``epsilon = 1e-3``). The effort bisection runs on the floor test alone
-(``most_effort``); an end that one row finds consistent is the full
-bisection's end, since every midpoint the floor test passed lies at or
-below it and so is consistent too. Only the bisections whose end fails, or
-where the floor test never failed, bisect again on the full check. Over
-those pools, at ``epsilon`` 1e-3 and 1e-7, this cut the rows from 932,064
-to 290,427 with every output bit for bit the same.
+Both searches go floor and pool first (``feasibility`` module docstring):
+the O(1) attacker-floor test and the O(log n) pooled-coverage test answer
+first, with no row. The effort bisection runs on the two tests alone
+(``most_effort``); an end that one ``feasible_rows`` row finds consistent
+is the full bisection's end, since every midpoint the tests passed lies at
+or below it and so is consistent too. Only the bisections whose end fails,
+or where neither test ever failed, bisect again on the full check. On the
+benchmark's ``tdbs-synthetic`` pools (seeds 320000 and 390001, ``epsilon =
+1e-3``) the tests' answer, confirmed by one row or given with none, is the
+villager count of 97% of the targets (15,798 of 16,320) and the effort of
+89% of the candidates (13,441 of 15,054). On the scalar instances it is
+every count and every effort: where each spare villager takes a whole
+piece, the pooled deficit is the fill's own answer. The per-target
+instances keep the fill-bound efforts, 1,546 of 4,514 candidates, as the
+pooled test counts every villager at ``max(e_v)``. Over those pools, at
+``epsilon`` 1e-3 and 1e-7, the rows fell from 932,064 (every probe a row)
+to 290,427 with the floor test alone, and to 113,550 with both: 212,137 to
+42,784 on the scalar instances and 78,290 to 70,766 on the per-target ones,
+with every output bit for bit the same.
 
 The candidates' final witnesses are then built once, block by block
 (``feasibility.witness_blocks``), and scored with the attacker's tied set
@@ -65,7 +72,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .feasibility import _floor_of_others, _floor_test, candidates, feasible_rows, witness_blocks
+from .feasibility import _floor_of_others, _floor_test, _Pool, candidates, feasible_rows, witness_blocks
 from .model import (
     GameDefinitionError,
     Instance,
@@ -141,24 +148,29 @@ def most_effort(instance: Instance, i_stars, v_stars, epsilon: float):
     Candidate k keeps ``v_stars[k]`` villagers on target ``i_stars[k]``,
     and every bisection probes the midpoints it would probe alone.
 
-    Floor first: every bisection first runs on the attacker-floor test alone
-    (``feasibility._floor_test``), which costs no row. Where that test both
+    Floor and pool first: every bisection first runs on the attacker-floor
+    test and the pooled test alone (``feasibility._floor_test`` and
+    ``feasibility._Pool.passes``), which cost no row. Where the tests both
     passed and failed on the way, one ``feasible_rows`` row checks the end.
-    Consistency implies the floor test and is monotone in the effort, so a
-    consistent end lies at or above every midpoint the floor test passed:
-    each of them was consistent too, and the path is the full check's, bit
-    for bit. The other bisections with an end above zero run again on the
-    full check, one row per midpoint that passes the floor test and lies
-    below a failed end (every effort from there up is inconsistent).
+    Consistency implies both tests and is monotone in the effort, so a
+    consistent end lies at or above every midpoint the tests passed: each of
+    them was consistent too, and the path is the full check's, bit for bit.
+    The other bisections with an end above zero run again on the full check,
+    one row per midpoint that passes the floor test and lies below a failed
+    end (every effort from there up is inconsistent). The pooled test is not
+    run again there: each such midpoint lies below an effort it passed, and
+    running it again spared no row on the benchmark's pools.
     Returns (the largest effort found consistent per candidate, rows
     checked).
     """
-    floor = _floor_of_others(instance)
+    floor, pool = _floor_of_others(instance), _Pool(instance)
 
-    def floor_only(rows, mid):
-        return _floor_test(instance, floor, i_stars[rows], mid, v_stars[rows])[1]
+    def floor_and_pool(rows, mid):
+        fixed, spent_v = i_stars[rows], v_stars[rows]
+        u, ok = _floor_test(instance, floor, fixed, mid, spent_v)
+        return ok & pool.passes(fixed, mid, spent_v, u)
 
-    left, right = _bisect(instance, len(i_stars), epsilon, floor_only)
+    left, right = _bisect(instance, len(i_stars), epsilon, floor_and_pool)
     # An end at zero passed no midpoint, by either test. One whose right
     # stayed at the budget failed none: it only guesses the whole budget, so
     # it goes to the full check unconfirmed, with no effort known inconsistent.

@@ -626,7 +626,13 @@ class TestCandidates:
                 solve_hw,
                 {"feasibility_checks": 228, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0, "bounded": 0},
             ),
-            (solve_tdbs, {"feasibility_checks": 24, "candidates": 2}),
+            # tdbs: 4 villager rows, v = 0 and v = 1 on each target in one
+            # round (a round holds every count, so no floor cap is computed);
+            # no effort row: with v = 1 on target i, effort p leaves i at
+            # coverage 0.5 + 0.5 p, the other target needs as much, and the
+            # rangers left cover only 0.5 - 0.5 p, so the pooled test fails
+            # every midpoint above 0 and each bisection ends at 0 unchecked
+            (solve_tdbs, {"feasibility_checks": 4, "candidates": 2}),
         ],
         ids=["hw", "tdbs"],
     )
@@ -882,6 +888,8 @@ class TestFloorFirstSearches:
             seen["saturated"] += np.count_nonzero(inst.penalty_att >= floor)
             seen["zero spread"] += np.count_nonzero(inst.spread_att == 0)
             seen["budget %s" % {0: "0", 2**62: "2**62"}.get(budget, "small")] += 1
+            lowered = feasibility._pooled_caps(inst, targets, caps.copy()) < caps
+            seen["villager cap lowered by the pooled test"] += np.count_nonzero(lowered)
 
             counts, _ = most_villagers(inst, targets)
             assert counts.tolist() == most_villagers_blind(inst, targets)[0].tolist(), m
@@ -890,15 +898,25 @@ class TestFloorFirstSearches:
                 p_stars, _ = most_effort(inst, i_stars, v_stars, epsilon)
                 assert p_stars.tobytes() == most_effort_blind(inst, i_stars, v_stars, epsilon)[0].tobytes(), m
 
-                # how each bisection ended on the floor test alone
+                # how each bisection ended on the floor test alone, and with the pooled test too
+                pool = feasibility._Pool(inst)
+
                 def floor_only(rows, mid):
                     return feasibility._floor_test(inst, floor, i_stars[rows], mid, v_stars[rows])[1]
+
+                def floor_and_pool(rows, mid):
+                    u, ok = feasibility._floor_test(inst, floor, i_stars[rows], mid, v_stars[rows])
+                    return ok & pool.passes(i_stars[rows], mid, v_stars[rows], u)
 
                 left, right = tdbs._bisect(inst, i_stars.size, epsilon, floor_only)
                 capped = (left > 0.0) & (right < inst.ranger_budget)
                 seen["effort confirmed"] += np.count_nonzero(capped & (p_stars == left))
                 seen["effort not confirmed"] += np.count_nonzero(capped & (p_stars != left))
                 seen["effort not capped"] += np.count_nonzero(~capped)
+                pooled_left, pooled_right = tdbs._bisect(inst, i_stars.size, epsilon, floor_and_pool)
+                settled = (pooled_left > 0.0) & (pooled_right < inst.ranger_budget) & (p_stars == pooled_left)
+                settled &= ~(capped & (p_stars == left))
+                seen["effort settled by the pooled test"] += np.count_nonzero(settled)
         assert min(seen.values()) >= 5, seen
 
     def test_floor_caps_are_the_last_passing_count(self):
@@ -923,3 +941,74 @@ class TestFloorFirstSearches:
                 checked["scanned"] += inst.n
             checked["capped"] += np.count_nonzero(below & above)
         assert checked["scanned"] > 100 and checked["capped"] > 50, checked
+
+
+def _pooled_test_family():
+    """The floor-first family, then payoffs near 1e308 and tiny spreads,
+    scalar and per-target e_v."""
+    for inst, _ in _floor_first_family():
+        yield inst
+    rng = np.random.default_rng(33)
+    for k in range(24):
+        n = 3 + k % 6
+        inst = random_instance(33_000 + k, n=n, r_p=0.5 + k % 3, r_v=int(rng.integers(0, 2 * n)))
+        if k % 2:
+            inst = dataclasses.replace(inst, e_v=rng.uniform(0.05, 1.0, n).round(3) * inst.e_p)
+        if k % 3 == 0:
+            inst = scaled(inst, 8e306)  # payoffs up to 8e307, spreads up to 1.6e308
+        elif k % 3 == 1:  # some attacker spreads of 2e-12 to 2e-300, at payoffs 1 or 1e6
+            narrow = rng.random(n) < 0.5
+            half = 10.0 ** -rng.integers(12, 301, n)
+            inst = scaled(inst, (1.0, 1e6)[k % 2])
+            inst = dataclasses.replace(
+                inst,
+                reward_att=np.where(narrow, half, inst.reward_att),
+                penalty_att=np.where(narrow, -half, inst.penalty_att),
+            )
+        yield inst
+
+
+class TestPooledTest:
+    """The pooled-coverage test (``feasibility._Pool.passes``) rejects only rows the fill rejects."""
+
+    def test_never_rejects_a_consistent_row(self):
+        rng = np.random.default_rng(34)
+        seen = Counter()
+        for m, inst in enumerate(_pooled_test_family()):
+            n, budget = inst.n, inst.ranger_budget
+            # random rows, then each target's most villagers and most effort,
+            # the consistent rows nearest the boundary, and efforts just above
+            i_star = rng.integers(0, n, 8 * n)
+            p_star = rng.uniform(0.0, budget * (1.0 + REL_TOL), 8 * n)
+            v_star = rng.integers(0, inst.villager_budget, 8 * n, endpoint=True)
+            counts, _ = most_villagers_blind(inst, np.arange(n))
+            kept = np.flatnonzero(counts >= 0)
+            efforts, _ = most_effort_blind(inst, kept, counts[kept], 1e-13)
+            above = np.minimum(np.nextafter(efforts, np.inf), budget)
+            i_star = np.concatenate([i_star, kept, kept, kept])
+            p_star = np.concatenate([p_star, np.zeros(kept.size), efforts, above])
+            v_star = np.concatenate([v_star, counts[kept], counts[kept], counts[kept]])
+
+            consistent = feasible_rows(inst, i_star, p_star, v_star)
+            u, floor = feasibility._floor_test(inst, feasibility._floor_of_others(inst), i_star, p_star, v_star)
+            passes = feasibility._Pool(inst).passes(i_star, p_star, v_star, u)
+            assert not (consistent & ~passes).any(), m
+            seen["consistent"] += np.count_nonzero(consistent)
+            seen["rejected past the floor test"] += np.count_nonzero(floor & ~passes)
+            seen["boundary rows"] += 2 * kept.size
+        assert min(seen.values()) >= 100, seen
+
+    def test_a_sum_that_is_not_finite_passes(self):
+        # target 1's utility near -1e308 times target 0's width 1e300 overflows
+        inst = make(
+            n=3,
+            villager_budget=0,
+            reward_att=[1e-300, 1.0, 1.0],
+            penalty_att=[0.0, -1e308, -1.0],
+        )
+        i_star, p_star, v_star = np.array([1, 1]), np.array([0.5, 1.0]), np.array([0, 0])
+        u = feasibility.fixed_target_utilities(inst, i_star, p_star, v_star)[1]
+        pool = feasibility._Pool(inst)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(pool.need(u)).any()
+        assert pool.passes(i_star, p_star, v_star, u).all()
