@@ -40,7 +40,7 @@ Floor and pool first: two cheap tests are implied by consistency, and on
 - The attacker-floor test (``_floor_test``, O(1)), which every query row
   runs before its O(n log n) fill: every other target can be pushed down to
   the fixed target's attacker utility u.
-- The pooled test (``_Pool.passes``, O(log n)), ORIGAMI's pooled coverage
+- The pooled test (in ``_Pool.passes``, O(log n)), ORIGAMI's pooled coverage
   with integrality dropped: the ranger effort left, ``max(R_p - p, 0) *
   e_p``, plus every spare villager at ``max(e_v)`` covers ``sum_{j != i}
   _min_coverage(u)_j`` within ``_COVERAGE_SLACK`` plus a rounding margin.
@@ -54,17 +54,16 @@ Floor and pool first: two cheap tests are implied by consistency, and on
   Where ``e_v`` is a scalar and every spare villager takes a whole piece,
   the pooled deficit is the fill's own answer.
 
-Both searches answer these tests first, with no row. The villager search
-starts each bracket at its cap: the floor cap (``_floor_caps``, in closed
-form), the largest count that passes the floor test, lowered to the largest
-that passes the pooled test too (``_pooled_caps``); it probes the cap first.
-``tdbs.most_effort`` bisects on both tests alone, then checks the end with
-one row. Consistency is monotone in the fixed resources. So where that row
-finds the tests' answer consistent, it is the full search's answer: every
-probe a test failed fails the full check too, and every probe both passed
-lies at or below the answer, so is consistent too. A wrong rejection would
-change the search's path, which is why the pooled test keeps its margin.
-Only the searches whose answer fails spend more rows.
+``_Pool.passes`` answers both tests for query rows, and both searches
+bisect on it first, with no row: the villager search over ``[0,
+villager_budget]`` to each target's cap, the last count that passes, which
+it probes first; ``tdbs.most_effort`` over the effort, then it checks the
+end with one row. Consistency is monotone in the fixed resources. So where
+that row finds the tests' answer consistent, it is the full search's
+answer: every probe a test failed fails the full check too, and every probe
+both passed lies at or below the answer, so is consistent too. A wrong
+rejection would change the search's path, which is why the pooled test
+keeps its margin. Only the searches whose answer fails spend more rows.
 ``feasibility_checks`` counts the rows sent through ``feasible_rows`` (and
 the level rows), not the answers the cheap tests give alone.
 
@@ -160,7 +159,7 @@ def _floor_test(instance, floor, i_star, p_star, v_star):
 
     ``floor`` is ``_floor_of_others(instance)``; the other arguments are as
     ``fixed_target_utilities`` takes them. Every query row and both searches
-    decide the test by this one expression.
+    (``_Pool.passes``) decide the test by this one expression.
     """
     u = fixed_target_utilities(instance, i_star, p_star, v_star)[1]
     return u, u >= floor[i_star]
@@ -174,12 +173,13 @@ class _Pool:
     ``sum_{R_j > u} (R_j - u) / spread_j - sum_{P_j > u} (P_j - u) /
     spread_j``. Built once in O(n log n), the reward- and penalty-sorted
     suffix sums of ``end / spread`` and ``1 / spread`` give F at any u in
-    O(log n) (``need``). ``_pooled_level`` sweeps F; ``passes`` is the
-    pooled test of query rows (module docstring).
+    O(log n) (``need``). ``_pooled_level`` sweeps F; ``passes`` answers
+    both cheap tests for query rows (module docstring).
     """
 
     def __init__(self, instance):
         self.instance = instance
+        self.floor = _floor_of_others(instance)
         spread = instance.spread_att
         wide = spread > 0
         self.reward, self.penalty = instance.reward_att[wide], instance.penalty_att[wide]
@@ -210,22 +210,25 @@ class _Pool:
         at, below = np.searchsorted(rewards, u, side="right"), np.searchsorted(penalties, u, side="right")
         return (reward_width[at] - u * reward_sum[at]) - (penalty_width[below] - u * penalty_sum[below])
 
-    def passes(self, i_star, p_star, v_star, u):
-        """Per query row, whether it passes the pooled test at the fixed target's utility ``u``.
+    def passes(self, i_star, p_star, v_star):
+        """Per query row, whether it passes both cheap tests: the attacker-floor
+        test (``_floor_test``) and the pooled test.
 
-        The ranger effort left and every spare villager at ``max(e_v)`` must
-        cover the other targets' ``_min_coverage(u)`` within
-        ``_COVERAGE_SLACK`` plus the rounding margin; a non-finite sum
-        passes. Arguments are as ``_floor_test`` takes them, with its ``u``.
+        The pooled test holds the other targets to the fixed target's utility
+        u: the ranger effort left and every spare villager at ``max(e_v)``
+        must cover their ``_min_coverage(u)`` within ``_COVERAGE_SLACK`` plus
+        the rounding margin; a non-finite sum passes. Arguments are as
+        ``_floor_test`` takes them.
         """
         instance = self.instance
+        u, floor_passes = _floor_test(instance, self.floor, i_star, p_star, v_star)
         cover = np.maximum(instance.ranger_budget - p_star, 0.0) * instance.e_p
         cover = cover + (instance.villager_budget - v_star) * self.most_e_v
         with np.errstate(over="ignore", invalid="ignore"):
             own = (instance.reward_att[i_star] - u) * self.own_width[i_star]  # i_star's own need
             need = self.need(u) - np.minimum(np.maximum(own, 0.0), 1.0)
             limit = cover + self.slack + self.rounding * cover + self.margin_per_u * np.abs(u)
-            return ~np.isfinite(need) | (need <= limit)
+            return floor_passes & (~np.isfinite(need) | (need <= limit))
 
 
 def _query_rows(instance, i_star, p_star, v_star):
@@ -381,9 +384,14 @@ def _fill(instance, c_min, p_star, v_star, witness: bool = False):
     return feasible, p, alloc[feasible]
 
 
+def _rows_per_block(instance) -> int:
+    """Rows of ``instance.n`` cells that fit in one block of ``_BLOCK_CELLS``, at least one."""
+    return max(1, _BLOCK_CELLS // instance.n)
+
+
 def _blocks(instance, count: int):
     """Slices of ``count`` rows, ``_BLOCK_CELLS`` cells at a time."""
-    step = max(1, _BLOCK_CELLS // instance.n)
+    step = _rows_per_block(instance)
     return (slice(start, start + step) for start in range(0, count, step))
 
 
@@ -457,58 +465,6 @@ def _spread(best, top, k: int):
     return counts, steps - 1 <= width
 
 
-def _floor_caps(instance, floor, i_stars) -> np.ndarray:
-    """Per target of ``i_stars``, the largest count in ``[0, villager_budget]``
-    whose attacker-floor test passes with no effort, or -1 where none does.
-
-    ``floor`` is ``_floor_of_others(instance)``. The test passes while the
-    coverage ``e_v * v`` stays at most ``(R_a - floor) / spread``, so the
-    count comes in closed form; a target whose penalty passes passes at full
-    coverage, so at every count. The exact test (``_floor_test``) then
-    confirms each count and rejects the one above it. Where it does not (the
-    closed form rounded across the boundary, or counts past 2**53 share one
-    float), a bisection on the exact test finds the count.
-    """
-    budget = instance.villager_budget
-    e_v = instance.e_v[i_stars] if isinstance(instance.e_v, np.ndarray) else instance.e_v
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        guess = (instance.reward_att[i_stars] - floor[i_stars]) / instance.spread_att[i_stars] / e_v
-    guess[instance.penalty_att[i_stars] >= floor[i_stars]] = np.inf  # also every zero-spread 0 / 0
-    # the largest float below 2**63 still casts to an int64
-    caps = np.floor(np.clip(guess, -1.0, np.nextafter(2.0**63, 0.0))).astype(np.int64)
-    np.minimum(caps, budget, out=caps)
-
-    def passes(targets, counts):
-        return _floor_test(instance, floor, targets, 0.0, counts)[1]
-
-    settled = (caps < 0) | passes(i_stars, np.maximum(caps, 0))
-    settled &= (caps == budget) | ~passes(i_stars, np.minimum(caps, budget - 1) + 1)
-    rows = np.flatnonzero(~settled)
-    caps[rows] = _last_passing(lambda counts: passes(i_stars[rows], counts), np.full(rows.size, budget))
-    return caps
-
-
-def _pooled_caps(instance, i_stars, caps) -> np.ndarray:
-    """Each of ``caps`` lowered to the largest count at or below it whose
-    pooled test (``_Pool.passes``) passes with no effort, or -1 where none does.
-
-    A cap that passes stays; below one that fails, a bisection on the test
-    finds a passing count with the count above it failing. So, as the test is
-    implied by consistency and consistency is monotone in the count, no count
-    above the lowered cap is consistent.
-    """
-    pool = _Pool(instance)
-
-    def passes(targets, counts):
-        u = fixed_target_utilities(instance, targets, 0.0, counts)[1]
-        return pool.passes(targets, 0.0, counts, u)
-
-    rows = np.flatnonzero(caps >= 0)
-    rows = rows[~passes(i_stars[rows], caps[rows])]
-    caps[rows] = _last_passing(lambda counts: passes(i_stars[rows], counts), caps[rows] - 1)
-    return caps
-
-
 def _last_passing(passes, top) -> np.ndarray:
     """Per row, by bisection on ``passes``, a count c in ``[-1, top]``: c
     passes (or is -1), and c + 1 fails (or lies past ``top``).
@@ -535,25 +491,30 @@ def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
     the count on the attacked target never breaks consistency.
 
     Floor and pool first: unless the first round would probe every count,
-    each search's bracket first shrinks to ``[0, cap]``: its floor cap
-    (``_floor_caps``), lowered to the last count that passes the pooled test
-    (``_pooled_caps``), as no count above it is consistent. One round probes
-    every cap below the budget. A consistent cap is the answer; a target
-    whose v = 0 fails either test is settled at -1 with no row. A cap at the
-    budget is not probed first: neither test bound there, and the whole
-    budget mostly fails the fill. Then the
+    each search's bracket first shrinks to ``[0, cap]``, its cap the last
+    count that passes both cheap tests (``_Pool.passes``), found by one
+    lockstep bisection (``_last_passing``) with no row; no count above it is
+    consistent. One round probes every cap below the budget. A consistent
+    cap is the answer; a target whose v = 0 fails either test is settled at
+    -1 with no row. A cap at the budget is not probed first: neither test
+    bound there, and the whole budget mostly fails the fill. Then the
     searches still open go on as without caps: their first round probes
     v = 0 and spreads the rest above it; with one probe a round the search is
     a binary search. Returns (counts, rows checked).
+
+    GameDefinitionError unless ``i_stars`` is a 1-D array of integers,
+    each naming a target (``_query_rows`` checks its v = 0 rows).
     """
-    i_stars = np.asarray(i_stars)
+    zeros = np.zeros(np.shape(i_stars), dtype=np.int64)
+    i_stars = _query_rows(instance, i_stars, zeros, zeros)[0]
     # Per search, the largest count known consistent and the largest not known inconsistent.
     best = np.full(i_stars.shape[0], -1, dtype=np.int64)
     top = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
-    per_block = max(1, _BLOCK_CELLS // instance.n)
+    per_block = _rows_per_block(instance)
     checks = 0
     if instance.villager_budget >= max(1, per_block // max(1, i_stars.size)):
-        top = _pooled_caps(instance, i_stars, _floor_caps(instance, _floor_of_others(instance), i_stars))
+        pool = _Pool(instance)
+        top = _last_passing(lambda counts: pool.passes(i_stars, 0.0, counts), top)
         rows = np.flatnonzero((top >= 0) & (top < instance.villager_budget))
         ok = feasible_rows(instance, i_stars[rows], np.zeros(rows.size), top[rows])
         checks += rows.size

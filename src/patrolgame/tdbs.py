@@ -72,7 +72,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .feasibility import _floor_of_others, _floor_test, _Pool, candidates, feasible_rows, witness_blocks
+from .feasibility import _floor_test, _Pool, candidates, feasible_rows, witness_blocks
 from .model import (
     GameDefinitionError,
     Instance,
@@ -148,10 +148,10 @@ def most_effort(instance: Instance, i_stars, v_stars, epsilon: float):
     Candidate k keeps ``v_stars[k]`` villagers on target ``i_stars[k]``,
     and every bisection probes the midpoints it would probe alone.
 
-    Floor and pool first: every bisection first runs on the attacker-floor
-    test and the pooled test alone (``feasibility._floor_test`` and
-    ``feasibility._Pool.passes``), which cost no row. Where the tests both
-    passed and failed on the way, one ``feasible_rows`` row checks the end.
+    Floor and pool first: every bisection first runs on the two cheap tests
+    alone (``feasibility._Pool.passes``, the predicate the villager search
+    bisects on too), which cost no row. Where the tests both passed and
+    failed on the way, one ``feasible_rows`` row checks the end.
     Consistency implies both tests and is monotone in the effort, so a
     consistent end lies at or above every midpoint the tests passed: each of
     them was consistent too, and the path is the full check's, bit for bit.
@@ -163,14 +163,10 @@ def most_effort(instance: Instance, i_stars, v_stars, epsilon: float):
     Returns (the largest effort found consistent per candidate, rows
     checked).
     """
-    floor, pool = _floor_of_others(instance), _Pool(instance)
-
-    def floor_and_pool(rows, mid):
-        fixed, spent_v = i_stars[rows], v_stars[rows]
-        u, ok = _floor_test(instance, floor, fixed, mid, spent_v)
-        return ok & pool.passes(fixed, mid, spent_v, u)
-
-    left, right = _bisect(instance, len(i_stars), epsilon, floor_and_pool)
+    pool = _Pool(instance)
+    left, right = _bisect(
+        instance, len(i_stars), epsilon, lambda rows, mid: pool.passes(i_stars[rows], mid, v_stars[rows])
+    )
     # An end at zero passed no midpoint, by either test. One whose right
     # stayed at the budget failed none: it only guesses the whole budget, so
     # it goes to the full check unconfirmed, with no effort known inconsistent.
@@ -185,7 +181,7 @@ def most_effort(instance: Instance, i_stars, v_stars, epsilon: float):
     def full_check(rows, mid):
         nonlocal checks
         fixed, spent_v = i_stars[failed[rows]], v_stars[failed[rows]]
-        ok = _floor_test(instance, floor, fixed, mid, spent_v)[1] & (mid < inconsistent[rows])
+        ok = _floor_test(instance, pool.floor, fixed, mid, spent_v)[1] & (mid < inconsistent[rows])
         sent = np.flatnonzero(ok)
         ok[sent] = feasible_rows(instance, fixed[sent], mid[sent], spent_v[sent])
         checks += sent.size

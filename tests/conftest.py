@@ -216,7 +216,7 @@ def most_villagers_ref(inst, targets):
     ``spread_ref`` above it. A target whose v = 0 is inconsistent gets -1
     and no witness; any other gets the witness of its count.
     """
-    per_block = max(1, feasibility._BLOCK_CELLS // inst.n)
+    per_block = feasibility._rows_per_block(inst)
     best = {i: -1 for i in targets}
     top = {i: inst.villager_budget for i in targets}
     witnesses = {i: None for i in targets}
@@ -240,18 +240,18 @@ def most_villagers_ref(inst, targets):
 
 
 # ---------------------------------------------------------------------------
-# The lockstep searches before they went floor first, kept as the reference
-# for ``feasibility.most_villagers`` and ``tdbs.most_effort``: every probe is
-# one ``feasible_rows`` row, with no attacker-floor cap and no floor-only
-# bisection.
+# The lockstep searches before they went floor and pool first, kept as the
+# reference for ``feasibility.most_villagers`` and ``tdbs.most_effort``: every
+# probe is one ``feasible_rows`` row, with no bisection on the cheap tests
+# (``feasibility._Pool.passes``) first.
 
 
 def most_villagers_blind(instance, i_stars):
-    """(counts, rows checked): ``most_villagers`` probing from ``[0, villager_budget]`` with no floor cap."""
+    """(counts, rows checked): ``most_villagers`` probing from ``[0, villager_budget]``, with no cap."""
     i_stars = np.asarray(i_stars)
     best = np.full(i_stars.shape[0], -1, dtype=np.int64)
     top = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
-    per_block = max(1, feasibility._BLOCK_CELLS // instance.n)
+    per_block = feasibility._rows_per_block(instance)
     searching = np.arange(i_stars.shape[0])
     checks = 0
     while searching.size:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from patrolgame import feasibility, tdbs, waterfill
+from patrolgame.bench import GenParams, generate_instance
 from patrolgame.feasibility import candidates, feasible_rows, most_villagers, witness_blocks
 from patrolgame.planner import case_study_scenario, terrain_adjust, with_effectiveness
 from patrolgame.tdbs import TdbsConfig, most_effort, solve_tdbs
@@ -585,7 +586,7 @@ class TestMaxFeasibleVillagers:
                 assert best == scan == want[i_star], (k, i_star)
                 unattackable += best < 0
         assert unattackable > 0
-        # no more rows than the search without floor caps probes (a failed cap
+        # no more rows than the search without caps probes (a failed cap
         # costs one row more, so this holds over the family, not per instance)
         assert spent <= probed, (spent, probed)
 
@@ -599,6 +600,17 @@ class TestMaxFeasibleVillagers:
         # one probe: the binary search's midpoint
         for b, t in zip(best.tolist()[1:], top.tolist()[1:]):
             assert feasibility._spread(np.array([b]), np.array([t]), 1)[0][0, 0] == b + 1 + (t - b - 1) // 2
+
+    def test_rejects_targets_outside_the_instance(self):
+        # at n = 240 the budget fills a block of one target's rows, so the
+        # search first bisects to its cap; at n = 5 it probes from v = 0
+        for n, r_v in ((240, 120), (5, 2)):
+            inst = generate_instance(GenParams(n=n, r_p=n / 2, r_v=r_v, seed=6))
+            assert (inst.villager_budget >= feasibility._rows_per_block(inst)) == (n == 240)
+            assert most_villagers(inst, np.array([0]))[0].shape == (1,)
+            for i_stars in ([-1], [240], [0.5], [[0]]):
+                with pytest.raises(GameDefinitionError):
+                    most_villagers(inst, np.array(i_stars))
 
 
 class TestCandidates:
@@ -627,7 +639,7 @@ class TestCandidates:
                 {"feasibility_checks": 228, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0, "bounded": 0},
             ),
             # tdbs: 4 villager rows, v = 0 and v = 1 on each target in one
-            # round (a round holds every count, so no floor cap is computed);
+            # round (a round holds every count, so no cap is computed);
             # no effort row: with v = 1 on target i, effort p leaves i at
             # coverage 0.5 + 0.5 p, the other target needs as much, and the
             # rangers left cover only 0.5 - 0.5 p, so the pooled test fails
@@ -845,7 +857,7 @@ class TestLockstepAgainstSequential:
 def _floor_first_family():
     """Seeded instances for the floor-first searches, each with a block size:
     scalar and per-target e_v, zero-spread targets, villager budgets 0 and
-    2**62 (with an e_v that puts floor caps past 2**53), payoff scales 1,
+    2**62 (with an e_v that puts villager caps past 2**53), payoff scales 1,
     1e-9 and 1e6, ``_BLOCK_CELLS`` at its default, 4 and 16; then case-study
     settings, scalar and terrain-adjusted."""
     rng = np.random.default_rng(31)
@@ -872,6 +884,19 @@ def _floor_first_family():
             yield inst, cells[k % 3]
 
 
+def _floor_only(inst):
+    """The attacker-floor half of ``feasibility._Pool.passes``, as it takes its arguments."""
+    floor = feasibility._floor_of_others(inst)
+    return lambda i_stars, p_stars, v_stars: feasibility._floor_test(inst, floor, i_stars, p_stars, v_stars)[1]
+
+
+def _caps(inst, passes):
+    """Per target, the last count in ``[0, villager_budget]`` that ``passes``
+    passes with no effort, by ``most_villagers``' bisection (``_last_passing``)."""
+    targets, top = np.arange(inst.n), np.full(inst.n, inst.villager_budget)
+    return feasibility._last_passing(lambda counts: passes(targets, 0.0, counts), top)
+
+
 class TestFloorFirstSearches:
     """The floor-first searches give the blind searches' counts and efforts, bit for bit."""
 
@@ -880,15 +905,15 @@ class TestFloorFirstSearches:
         for m, (inst, block_cells) in enumerate(_floor_first_family()):
             monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
             targets = np.arange(inst.n)
-            floor = feasibility._floor_of_others(inst)
-            caps = feasibility._floor_caps(inst, floor, targets)
+            floor, pool, floor_test = feasibility._floor_of_others(inst), feasibility._Pool(inst), _floor_only(inst)
+            caps = _caps(inst, floor_test)
             budget = inst.villager_budget
             seen["cap below the budget"] += np.count_nonzero((0 <= caps) & (caps < budget))
             seen["cap past 2**53"] += np.count_nonzero((2**53 < caps) & (caps < budget))
             seen["saturated"] += np.count_nonzero(inst.penalty_att >= floor)
             seen["zero spread"] += np.count_nonzero(inst.spread_att == 0)
             seen["budget %s" % {0: "0", 2**62: "2**62"}.get(budget, "small")] += 1
-            lowered = feasibility._pooled_caps(inst, targets, caps.copy()) < caps
+            lowered = _caps(inst, pool.passes) < caps
             seen["villager cap lowered by the pooled test"] += np.count_nonzero(lowered)
 
             counts, _ = most_villagers(inst, targets)
@@ -899,14 +924,11 @@ class TestFloorFirstSearches:
                 assert p_stars.tobytes() == most_effort_blind(inst, i_stars, v_stars, epsilon)[0].tobytes(), m
 
                 # how each bisection ended on the floor test alone, and with the pooled test too
-                pool = feasibility._Pool(inst)
-
                 def floor_only(rows, mid):
-                    return feasibility._floor_test(inst, floor, i_stars[rows], mid, v_stars[rows])[1]
+                    return floor_test(i_stars[rows], mid, v_stars[rows])
 
                 def floor_and_pool(rows, mid):
-                    u, ok = feasibility._floor_test(inst, floor, i_stars[rows], mid, v_stars[rows])
-                    return ok & pool.passes(i_stars[rows], mid, v_stars[rows], u)
+                    return pool.passes(i_stars[rows], mid, v_stars[rows])
 
                 left, right = tdbs._bisect(inst, i_stars.size, epsilon, floor_only)
                 capped = (left > 0.0) & (right < inst.ranger_budget)
@@ -919,17 +941,18 @@ class TestFloorFirstSearches:
                 seen["effort settled by the pooled test"] += np.count_nonzero(settled)
         assert min(seen.values()) >= 5, seen
 
-    def test_floor_caps_are_the_last_passing_count(self):
+    def test_villager_caps_are_the_last_passing_count(self):
+        # the caps ``most_villagers`` bisects to on both cheap tests; the
+        # family's 2**62 budgets at a tiny e_v put some past 2**53
         checked = Counter()
         for inst, _ in _floor_first_family():
             targets = np.arange(inst.n)
-            floor = feasibility._floor_of_others(inst)
-            caps = feasibility._floor_caps(inst, floor, targets)
+            pool = feasibility._Pool(inst)
+            caps = _caps(inst, pool.passes)
             budget = inst.villager_budget
 
             def passes(counts):
-                counts = np.asarray(counts, dtype=np.int64)
-                return feasibility._floor_test(inst, floor, targets, 0.0, counts)[1]
+                return pool.passes(targets, 0.0, np.asarray(counts, dtype=np.int64))
 
             below, above = caps >= 0, caps < budget
             assert passes(np.maximum(caps, 0))[below].all()
@@ -940,7 +963,8 @@ class TestFloorFirstSearches:
                 assert caps.tolist() == scan
                 checked["scanned"] += inst.n
             checked["capped"] += np.count_nonzero(below & above)
-        assert checked["scanned"] > 100 and checked["capped"] > 50, checked
+            checked["capped past 2**53"] += np.count_nonzero((2**53 < caps) & above)
+        assert checked["scanned"] > 100 and checked["capped"] > 50 and checked["capped past 2**53"] >= 5, checked
 
 
 def _pooled_test_family():
@@ -969,7 +993,7 @@ def _pooled_test_family():
 
 
 class TestPooledTest:
-    """The pooled-coverage test (``feasibility._Pool.passes``) rejects only rows the fill rejects."""
+    """The cheap tests (``feasibility._Pool.passes``) reject only rows the fill rejects."""
 
     def test_never_rejects_a_consistent_row(self):
         rng = np.random.default_rng(34)
@@ -990,8 +1014,8 @@ class TestPooledTest:
             v_star = np.concatenate([v_star, counts[kept], counts[kept], counts[kept]])
 
             consistent = feasible_rows(inst, i_star, p_star, v_star)
-            u, floor = feasibility._floor_test(inst, feasibility._floor_of_others(inst), i_star, p_star, v_star)
-            passes = feasibility._Pool(inst).passes(i_star, p_star, v_star, u)
+            floor = _floor_only(inst)(i_star, p_star, v_star)
+            passes = feasibility._Pool(inst).passes(i_star, p_star, v_star)
             assert not (consistent & ~passes).any(), m
             seen["consistent"] += np.count_nonzero(consistent)
             seen["rejected past the floor test"] += np.count_nonzero(floor & ~passes)
@@ -999,16 +1023,18 @@ class TestPooledTest:
         assert min(seen.values()) >= 100, seen
 
     def test_a_sum_that_is_not_finite_passes(self):
-        # target 1's utility near -1e308 times target 0's width 1e300 overflows
+        # target 1's utility, -2e8 and -4e8, times target 0's width 1e300
+        # overflows; it passes the floor test, as tol / 2 is 5e298
         inst = make(
             n=3,
             villager_budget=0,
             reward_att=[1e-300, 1.0, 1.0],
             penalty_att=[0.0, -1e308, -1.0],
         )
-        i_star, p_star, v_star = np.array([1, 1]), np.array([0.5, 1.0]), np.array([0, 0])
+        i_star, p_star, v_star = np.array([1, 1]), np.array([4e-300, 8e-300]), np.array([0, 0])
         u = feasibility.fixed_target_utilities(inst, i_star, p_star, v_star)[1]
         pool = feasibility._Pool(inst)
+        assert _floor_only(inst)(i_star, p_star, v_star).all()
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(pool.need(u)).any()
-        assert pool.passes(i_star, p_star, v_star, u).all()
+        assert pool.passes(i_star, p_star, v_star).all()
