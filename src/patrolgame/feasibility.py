@@ -28,11 +28,12 @@ targets), so memory stays O(block × n). Rows come from three sources:
 So a target's v = 0 query past the floor test is the level row at its own
 attacker reward, where its own need is zero.
 
-The shared candidate search ``candidates`` runs in lockstep: each round of
-the villager search (``most_villagers``) is one call, with up to a block
-of rows spread over the searches still open, v = 0 first. ``solve_hw``
-calls it only on the targets its bound keeps (``_upper_bounds``, from
-ORIGAMI's pooled-coverage sweep in ``_pooled_level``).
+The shared candidate search ``candidates`` runs one villager search per
+target (``most_villagers``). Where every count of every search fits one
+block, one call probes them all; otherwise the searches bisect in
+lockstep, floor and pool first (below). ``solve_hw`` calls it only on the
+targets its bound keeps (``_upper_bounds``, from ORIGAMI's pooled-coverage
+sweep in ``_pooled_level``).
 
 Floor and pool first: two cheap tests are implied by consistency, and on
 ``tdbs``'s workloads one of them, not the fill, usually binds.
@@ -54,16 +55,16 @@ Floor and pool first: two cheap tests are implied by consistency, and on
   Where ``e_v`` is a scalar and every spare villager takes a whole piece,
   the pooled deficit is the fill's own answer.
 
-``_Pool.passes`` answers both tests for query rows, and both searches
-bisect on it first, with no row: the villager search over ``[0,
-villager_budget]`` to each target's cap, the last count that passes, which
-it probes first; ``tdbs.most_effort`` over the effort, then it checks the
-end with one row. Consistency is monotone in the fixed resources. So where
-that row finds the tests' answer consistent, it is the full search's
-answer: every probe a test failed fails the full check too, and every probe
-both passed lies at or below the answer, so is consistent too. A wrong
-rejection would change the search's path, which is why the pooled test
-keeps its margin. Only the searches whose answer fails spend more rows.
+``_Pool.passes`` answers both tests for query rows, and both bisecting
+searches run on it first, with no row, then check the end with one row:
+the villager search over ``[0, villager_budget]`` to each target's cap, the
+last count that passes; ``tdbs.most_effort`` over the effort. Consistency
+is monotone in the fixed resources. So where that row finds the tests'
+answer consistent, it is the full search's answer: every probe a test
+failed fails the full check too, and every probe both passed lies at or
+below the answer, so is consistent too. A wrong rejection would change the
+search's path, which is why the pooled test keeps its margin. Only the
+searches whose answer fails spend more rows.
 ``feasibility_checks`` counts the rows sent through ``feasible_rows`` (and
 the level rows), not the answers the cheap tests give alone.
 
@@ -447,98 +448,73 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
         yield block, feasible, p, v
 
 
-def _spread(best, top, k: int):
-    """Up to ``k`` counts spread evenly over each open bracket ``[best + 1, top]``.
-
-    Returns ``(counts, real)``, both (brackets, k): the counts, and a mask of
-    those that are real probes. A bracket of at most ``k`` counts is probed
-    whole; a wider one at ``best + floor(s * (top + 1 - best) / (k + 1))``
-    for s = 1 .. k, as ``_minimax_profile`` spreads its levels, which at
-    ``k = 1`` is the binary search's midpoint. Every ``best`` must be at
-    least 0, so no sum here leaves int64.
-    """
-    steps = np.arange(1, k + 1)
-    width = (top - best - 1)[:, None]  # counts in the bracket, less one
-    whole, rest = np.divmod(width, k + 1)
-    spread = whole * steps + (rest + 2) * steps // (k + 1)  # (width + 2) * steps // (k + 1), exactly
-    counts = best[:, None] + np.where(width < k, steps, spread)
-    return counts, steps - 1 <= width
-
-
 def _last_passing(passes, top) -> np.ndarray:
-    """Per row, by bisection on ``passes``, a count c in ``[-1, top]``: c
-    passes (or is -1), and c + 1 fails (or lies past ``top``).
+    """Per row, by lockstep bisection on ``passes``, a count c in ``[-1, top]``:
+    c passes (or is -1), and c + 1 fails (or lies past ``top``).
 
-    ``passes(counts)`` answers for one count per row. Where it is monotone, c
-    is the largest count in ``[0, top]`` that passes, or -1 if none does.
+    ``passes(rows, counts)`` answers for the rows still open, one count each.
+    Where it is monotone, c is the largest count in ``[0, top]`` that passes,
+    or -1 if none does.
     """
-    lo, hi = np.full(top.size, -1, dtype=np.int64), np.asarray(top, dtype=np.int64)
-    while (lo < hi).any():
-        mid = (lo >> 1) + (hi >> 1) + (((lo & 1) + (hi & 1) + 1) >> 1)  # ceil((lo + hi) / 2) within int64
-        ok = passes(mid)
-        lo, hi = np.where((lo < hi) & ok, mid, lo), np.where((lo < hi) & ~ok, mid - 1, hi)
+    lo, hi = np.full(np.size(top), -1, dtype=np.int64), np.array(top, dtype=np.int64)
+    rows = np.flatnonzero(lo < hi)
+    while rows.size:
+        low, high = lo[rows], hi[rows]
+        # ceil((low + high) / 2) within int64
+        mid = (low >> 1) + (high >> 1) + (((low & 1) + (high & 1) + 1) >> 1)
+        ok = passes(rows, mid)
+        lo[rows[ok]], hi[rows[~ok]] = mid[ok], mid[~ok] - 1
+        rows = rows[lo[rows] < hi[rows]]
     return lo
 
 
 def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
     """Largest v with (i, 0, v) consistent for each target i of ``i_stars``, or -1 where v = 0 is not.
 
-    One search per target over ``[0, villager_budget]``, all in lockstep:
-    each round is one ``feasible_rows`` call in which every search still
-    open probes ``max(1, rows per block // open searches)`` counts spread
-    evenly over its open bracket (``_spread``), so one round of one search
-    fills one block. Monotone by the resource-reduction property: lowering
-    the count on the attacked target never breaks consistency.
+    Consistency is monotone in v by the resource-reduction property:
+    lowering the count on the attacked target never breaks it. The searches
+    take one of two paths, by size:
 
-    Floor and pool first: unless the first round would probe every count,
-    each search's bracket first shrinks to ``[0, cap]``, its cap the last
-    count that passes both cheap tests (``_Pool.passes``), found by one
-    lockstep bisection (``_last_passing``) with no row; no count above it is
-    consistent. One round probes every cap below the budget. A consistent
-    cap is the answer; a target whose v = 0 fails either test is settled at
-    -1 with no row. A cap at the budget is not probed first: neither test
-    bound there, and the whole budget mostly fails the fill. Then the
-    searches still open go on as without caps: their first round probes
-    v = 0 and spreads the rest above it; with one probe a round the search is
-    a binary search. Returns (counts, rows checked).
+    - where every count of every search fits one block, one ``feasible_rows``
+      call probes them all, and each search's answer is its largest
+      consistent count (there one call costs less than building the pool
+      and bisecting);
+    - otherwise each target's cap, the last count that passes both cheap
+      tests (``_Pool.passes``), comes from one lockstep bisection
+      (``_last_passing``) with no row, and no count above it is consistent.
+      One row checks each cap of at least 0; a consistent cap is the answer.
+      The searches whose cap fails bisect ``[-1, cap - 1]`` in lockstep on
+      ``feasible_rows``, one row per open search a round.
 
-    GameDefinitionError unless ``i_stars`` is a 1-D array of integers,
-    each naming a target (``_query_rows`` checks its v = 0 rows).
+    Returns (counts, rows checked). GameDefinitionError unless ``i_stars`` is
+    a 1-D array of integers, each naming a target (``_query_rows`` checks
+    its v = 0 rows).
     """
     zeros = np.zeros(np.shape(i_stars), dtype=np.int64)
     i_stars = _query_rows(instance, i_stars, zeros, zeros)[0]
-    # Per search, the largest count known consistent and the largest not known inconsistent.
-    best = np.full(i_stars.shape[0], -1, dtype=np.int64)
-    top = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
-    per_block = _rows_per_block(instance)
-    checks = 0
-    if instance.villager_budget >= max(1, per_block // max(1, i_stars.size)):
-        pool = _Pool(instance)
-        top = _last_passing(lambda counts: pool.passes(i_stars, 0.0, counts), top)
-        rows = np.flatnonzero((top >= 0) & (top < instance.villager_budget))
-        ok = feasible_rows(instance, i_stars[rows], np.zeros(rows.size), top[rows])
+    if not i_stars.size:  # before any count is built: budget + 1 may not fit int64
+        return zeros, 0
+    width = instance.villager_budget + 1
+    if width * i_stars.size <= _rows_per_block(instance):
+        searches, counts = np.divmod(np.arange(width * i_stars.size), width)
+        ok = feasible_rows(instance, i_stars[searches], np.zeros(counts.size), counts)
+        best = np.full(i_stars.size, -1, dtype=np.int64)
+        np.maximum.at(best, searches[ok], counts[ok])
+        return best, counts.size
+    pool = _Pool(instance)
+    budgets = np.full(i_stars.size, instance.villager_budget)
+    caps = _last_passing(lambda rows, counts: pool.passes(i_stars[rows], 0.0, counts), budgets)
+    capped = np.flatnonzero(caps >= 0)
+    failed = capped[~feasible_rows(instance, i_stars[capped], np.zeros(capped.size), caps[capped])]
+    checks = capped.size
+
+    def full_check(rows, counts):
+        nonlocal checks
         checks += rows.size
-        best[rows[ok]] = top[rows[ok]]
-        top[rows[~ok]] -= 1
-    searching = np.flatnonzero(top > best)
-    while searching.size:
-        k = max(1, per_block // searching.size)
-        lo, hi = best[searching], top[searching]
-        if lo[0] < 0:  # the first round (later, every open search has a best): v = 0, then k - 1 above it
-            zero = np.zeros_like(lo)
-            counts, real = _spread(zero, hi, k - 1)
-            counts = np.hstack([zero[:, None], counts])
-            real = np.hstack([np.ones((lo.size, 1), dtype=bool), real])
-        else:
-            counts, real = _spread(lo, hi, k)
-        rows = np.broadcast_to(searching[:, None], counts.shape)[real]
-        ok = np.zeros(counts.shape, dtype=bool)
-        ok[real] = feasible_rows(instance, i_stars[rows], np.zeros(rows.size), counts[real])
-        checks += rows.size
-        best[searching] = lo = np.maximum(lo, np.where(ok, counts, -1).max(axis=1))
-        top[searching] = hi = np.minimum(hi, np.where(real > ok, counts - 1, hi[:, None]).min(axis=1))
-        searching = searching[hi > lo]
-    return best, checks
+        return feasible_rows(instance, i_stars[failed[rows]], np.zeros(rows.size), counts)
+
+    caps[failed] = _last_passing(full_check, caps[failed] - 1)
+    return caps, checks
 
 
 def candidates(instance: Instance, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:

@@ -1,12 +1,12 @@
 """Approximate solver: two nested binary searches per candidate target.
 
-The shared candidate search (``feasibility.candidates``) binary-searches the
-largest villager count each attackable target can keep; ``solve_tdbs`` then
+The shared candidate search (``feasibility.candidates``) finds the largest
+villager count each attackable target can keep; ``solve_tdbs`` then
 bisects the ranger effort on that target to within a resolution
-``epsilon``, keeping the target a best response throughout. Both
-dimensions run every candidate's search in lockstep: each round is one
-batched ``feasibility.feasible_rows`` call with one row per search still
-open, and no witness is built while searching.
+``epsilon``, keeping the target a best response throughout. Each dimension
+runs every candidate's search in lockstep, one batched
+``feasibility.feasible_rows`` call a round, and no witness is built while
+searching.
 
 Both searches go floor and pool first (``feasibility`` module docstring):
 the O(1) attacker-floor test and the O(log n) pooled-coverage test answer
@@ -15,18 +15,11 @@ first, with no row. The effort bisection runs on the two tests alone
 is the full bisection's end, since every midpoint the tests passed lies at
 or below it and so is consistent too. Only the bisections whose end fails,
 or where neither test ever failed, bisect again on the full check. On the
-benchmark's ``tdbs-synthetic`` pools (seeds 320000 and 390001, ``epsilon =
-1e-3``) the tests' answer, confirmed by one row or given with none, is the
-villager count of 97% of the targets (15,798 of 16,320) and the effort of
-89% of the candidates (13,441 of 15,054). On the scalar instances it is
-every count and every effort: where each spare villager takes a whole
-piece, the pooled deficit is the fill's own answer. The per-target
-instances keep the fill-bound efforts, 1,546 of 4,514 candidates, as the
-pooled test counts every villager at ``max(e_v)``. Over those pools, at
-``epsilon`` 1e-3 and 1e-7, the rows fell from 932,064 (every probe a row)
-to 290,427 with the floor test alone, and to 113,550 with both: 212,137 to
-42,784 on the scalar instances and 78,290 to 70,766 on the per-target ones,
-with every output bit for bit the same.
+benchmark's ``tdbs-synthetic`` pools the tests' answer is most villager
+counts and efforts: on the scalar instances every one, as where each spare
+villager takes a whole piece the pooled deficit is the fill's own answer;
+the per-target instances keep more fill-bound efforts, as the pooled test
+counts every villager at ``max(e_v)``.
 
 The candidates' final witnesses are then built once, block by block
 (``feasibility.witness_blocks``), and scored with the attacker's tied set
@@ -45,24 +38,11 @@ optimum holds 1 villager on the attacked target for 8.4573, while tdbs at
 
 ``solve_tdbs`` bounds and prunes no target: it searches every one, while
 ``solve_hw`` searches only those its bound (``feasibility._upper_bounds``)
-keeps against the minimax seed. Tried here on the benchmark's
-``tdbs-synthetic`` workload (2-vCPU VM), the same bound raised
-``solves_per_s`` from 54.5 to 211 in one 25 s run at seed 310000, but:
-
-- ``peak_rss_mb`` rose from 43.8 to 54.5 (+24%), as the benchmark keeps
-  every result, about 4 KB at n = 240, and the faster solver makes more;
-- answers moved, over the pools at seeds 310000, 330000 and 390001. A
-  pruned candidate's witness can win through a tied target, which the kept
-  candidates' own completions need not reach. On scalar instances 69 of 72
-  answers fell, by at most 0.07 of the gap bound; on per-target ones 49 of
-  72 fell, by up to 7.4 times the bound (most villagers first is not
-  always best there).
-
-So it waits for a benchmark that keeps one result per input, and for
-returning the better of the best witness and the minimax profile. The
-former bracket pruning, applied here, lowered per-target answers past the
-bound too (on 300 per-target instances with n from 3 to 10, 8 answers, by
-up to 84 times the bound at ``epsilon = 1e-3``).
+keeps against the minimax seed. The same bound here is faster but moves
+answers: a pruned candidate's witness can win through a tied target, which
+the kept candidates' own completions need not reach, and on per-target
+instances answers fell past the gap bound. So it waits for returning the
+better of the best witness and the minimax profile.
 """
 
 from __future__ import annotations

@@ -66,6 +66,21 @@ def counting_rows(monkeypatch):
     return rows
 
 
+def spying_passes(monkeypatch):
+    """A list that gets ``(targets, counts, answers)`` of every later
+    ``feasibility._Pool.passes`` call, the villager counts as int64."""
+    calls = []
+    passes = feasibility._Pool.passes
+
+    def spy(pool, i_star, p_star, v_star):
+        ok = passes(pool, i_star, p_star, v_star)
+        calls.append((np.asarray(i_star), np.asarray(v_star, dtype=np.int64), np.asarray(ok)))
+        return ok
+
+    monkeypatch.setattr(feasibility._Pool, "passes", spy)
+    return calls
+
+
 def symmetric_instance():
     """Two identical targets, e_p = e_v = 0.5, one ranger and one villager."""
     return Instance(
@@ -246,8 +261,30 @@ def most_villagers_ref(inst, targets):
 # (``feasibility._Pool.passes``) first.
 
 
+def spread_counts(best, top, k: int):
+    """Up to ``k`` counts spread evenly over each open bracket ``[best + 1, top]``.
+
+    The array form of ``spread_ref``: returns ``(counts, real)``, both
+    (brackets, k), the counts and a mask of those that are real probes. A
+    wider bracket is probed at ``best + floor(s * (top + 1 - best) / (k +
+    1))`` for s = 1 .. k, computed without leaving int64; every ``best``
+    must be at least 0.
+    """
+    steps = np.arange(1, k + 1)
+    width = (top - best - 1)[:, None]  # counts in the bracket, less one
+    whole, rest = np.divmod(width, k + 1)
+    spread = whole * steps + (rest + 2) * steps // (k + 1)  # (width + 2) * steps // (k + 1), exactly
+    counts = best[:, None] + np.where(width < k, steps, spread)
+    return counts, steps - 1 <= width
+
+
 def most_villagers_blind(instance, i_stars):
-    """(counts, rows checked): ``most_villagers`` probing from ``[0, villager_budget]``, with no cap."""
+    """(counts, rows checked): the k-ary lockstep villager search over ``[0, villager_budget]``, with no cap.
+
+    Each round, every open search probes ``max(1, rows per block // open
+    searches)`` counts of ``spread_counts`` in one ``feasible_rows`` call,
+    v = 0 first in the first round, as ``most_villagers_ref`` does.
+    """
     i_stars = np.asarray(i_stars)
     best = np.full(i_stars.shape[0], -1, dtype=np.int64)
     top = np.full(i_stars.shape[0], instance.villager_budget, dtype=np.int64)
@@ -259,11 +296,11 @@ def most_villagers_blind(instance, i_stars):
         lo, hi = best[searching], top[searching]
         if lo[0] < 0:  # the first round (later, every open search has a best): v = 0, then k - 1 above it
             zero = np.zeros_like(lo)
-            counts, real = feasibility._spread(zero, hi, k - 1)
+            counts, real = spread_counts(zero, hi, k - 1)
             counts = np.hstack([zero[:, None], counts])
             real = np.hstack([np.ones((lo.size, 1), dtype=bool), real])
         else:
-            counts, real = feasibility._spread(lo, hi, k)
+            counts, real = spread_counts(lo, hi, k)
         rows = np.broadcast_to(searching[:, None], counts.shape)[real]
         ok = np.zeros(counts.shape, dtype=bool)
         ok[real] = feasibility.feasible_rows(instance, i_stars[rows], np.zeros(rows.size), counts[real])

@@ -40,6 +40,7 @@ from conftest import (
     scaled,
     solve_hw_sequential,
     solve_tdbs_sequential,
+    spying_passes,
     symmetric_instance,
     witness_of,
 )
@@ -562,21 +563,28 @@ class TestMaxFeasibleVillagers:
     """``most_villagers``: the largest feasible villager count per target."""
 
     def test_matches_linear_scan(self, monkeypatch):
-        # 4 cells leave one probe per search and round (a binary search) at
-        # n >= 3, and 16 cells several probes for the last open searches
+        # the full block takes every count in one call; at 4 and 16 cells
+        # most budgets' counts overfill it, so those searches bisect caps
         rng = np.random.default_rng(12)
         unattackable = 0
         cells = (feasibility._BLOCK_CELLS, 4, 16)
         rows, spent, probed = counting_rows(monkeypatch), 0, 0
+        passes, paths = spying_passes(monkeypatch), Counter()
         for k in range(150):
             monkeypatch.setattr(feasibility, "_BLOCK_CELLS", cells[k % 3])
             inst = random_instance(9000 + k, n=int(rng.integers(2, 5)), r_p=2, r_v=int(rng.integers(0, 9)))
             targets = np.arange(inst.n) if k % 4 == 0 else np.flatnonzero(rng.random(inst.n) < 0.6)
             rows.clear()
+            passes.clear()
             counts, checks = most_villagers(inst, targets)
             want, _, calls = most_villagers_ref(inst, targets.tolist())
-            # every row sent through feasible_rows counts; floor-only answers do not
+            # every row sent through feasible_rows counts; cheap-test answers do not
             assert checks == sum(rows), k
+            if passes:
+                paths["caps"] += 1
+            elif targets.size:  # every count of every search in one call
+                assert rows == [(inst.villager_budget + 1) * targets.size], k
+                paths["one call"] += 1
             spent, probed = spent + checks, probed + calls
             for i_star, best in zip(targets.tolist(), counts.tolist()):
                 consistent = [
@@ -585,25 +593,34 @@ class TestMaxFeasibleVillagers:
                 scan = max(consistent, default=-1)
                 assert best == scan == want[i_star], (k, i_star)
                 unattackable += best < 0
-        assert unattackable > 0
+        assert unattackable > 0 and min(paths["caps"], paths["one call"]) >= 20, (unattackable, paths)
         # no more rows than the search without caps probes (a failed cap
         # costs one row more, so this holds over the family, not per instance)
         assert spent <= probed, (spent, probed)
 
-    def test_spread_probes_every_count_of_a_narrow_bracket(self):
-        # brackets [best + 1, top] of 0, 1, k and k + 1 counts, and a wide one
-        best = np.array([4, 4, 4, 4, 0])
-        top = np.array([4, 5, 7, 8, 2**63 - 1])
-        counts, real = feasibility._spread(best, top, 3)
-        assert [row[ok].tolist() for row, ok in zip(counts, real)][:4] == [[], [5], [5, 6, 7], [5, 6, 7]]
-        assert counts[4].tolist() == [s * 2**63 // 4 for s in (1, 2, 3)] and real[4].all()
-        # one probe: the binary search's midpoint
-        for b, t in zip(best.tolist()[1:], top.tolist()[1:]):
-            assert feasibility._spread(np.array([b]), np.array([t]), 1)[0][0, 0] == b + 1 + (t - b - 1) // 2
+    def test_cheap_tests_see_only_open_searches(self, monkeypatch):
+        # at n = 240 and budget 120 every search bisects its cap; a settled
+        # search must drop out, and no count below 0 may be probed
+        inst = generate_instance(GenParams(n=240, r_p=120, r_v=120, seed=6))
+        passes = spying_passes(monkeypatch)
+        most_villagers(inst, np.arange(inst.n))
+        lo, hi = np.full(inst.n, -1), np.full(inst.n, inst.villager_budget)
+        for targets, counts, ok in passes:
+            assert np.unique(targets).size == targets.size and (counts >= 0).all()
+            assert ((lo[targets] < counts) & (counts <= hi[targets])).all()  # open, and inside the bracket
+            lo[targets[ok]], hi[targets[~ok]] = counts[ok], counts[~ok] - 1
+        assert (lo == hi).all() and len(passes) > 1
+
+    def test_no_targets_at_a_budget_past_any_block(self):
+        # no count is built before the size test: budget + 1 counts would not fit
+        for budget in (2**62, 2**63 - 1):
+            inst = dataclasses.replace(symmetric_instance(), villager_budget=budget)
+            counts, checks = most_villagers(inst, np.array([], dtype=np.int64))
+            assert counts.tolist() == [] and checks == 0
 
     def test_rejects_targets_outside_the_instance(self):
-        # at n = 240 the budget fills a block of one target's rows, so the
-        # search first bisects to its cap; at n = 5 it probes from v = 0
+        # at n = 240 the budget's counts overfill a block, so the search
+        # first bisects to its cap; at n = 5 one call probes every count
         for n, r_v in ((240, 120), (5, 2)):
             inst = generate_instance(GenParams(n=n, r_p=n / 2, r_v=r_v, seed=6))
             assert (inst.villager_budget >= feasibility._rows_per_block(inst)) == (n == 240)
@@ -894,7 +911,7 @@ def _caps(inst, passes):
     """Per target, the last count in ``[0, villager_budget]`` that ``passes``
     passes with no effort, by ``most_villagers``' bisection (``_last_passing``)."""
     targets, top = np.arange(inst.n), np.full(inst.n, inst.villager_budget)
-    return feasibility._last_passing(lambda counts: passes(targets, 0.0, counts), top)
+    return feasibility._last_passing(lambda rows, counts: passes(targets[rows], 0.0, counts), top)
 
 
 class TestFloorFirstSearches:
