@@ -29,14 +29,17 @@ So a target's v = 0 query past the floor test is the level row at its own
 attacker reward, where its own need is zero.
 
 The shared candidate search ``candidates`` runs one villager search per
-target (``most_villagers``). Where every count of every search fits one
-block, one call probes them all; otherwise the searches bisect in
-lockstep, floor and pool first (below). ``solve_hw`` calls it only on the
-targets its bound keeps (``_upper_bounds``, from ORIGAMI's pooled-coverage
-sweep in ``_pooled_level``).
+target (``most_villagers``); ``tdbs`` follows each candidate with an effort
+search (``most_effort``), both in ``candidates_with_effort``. Where every
+count of every villager search fits one block, one call probes them all;
+otherwise the searches bisect in lockstep, cheap tests first (below).
+``solve_hw`` calls ``candidates`` only on the targets its bound keeps
+(``_upper_bounds``, from ORIGAMI's pooled-coverage sweep in
+``_pooled_level``). A solve builds one ``_Pool`` and passes it to all of
+them.
 
-Floor and pool first: two cheap tests are implied by consistency, and on
-``tdbs``'s workloads one of them, not the fill, usually binds.
+Cheap tests first: two tests are implied by consistency, and on ``tdbs``'s
+workloads one of them, not the fill, usually binds.
 
 - The attacker-floor test (``_floor_test``, O(1)), which every query row
   runs before its O(n log n) fill: every other target can be pushed down to
@@ -55,18 +58,29 @@ Floor and pool first: two cheap tests are implied by consistency, and on
   Where ``e_v`` is a scalar and every spare villager takes a whole piece,
   the pooled deficit is the fill's own answer.
 
-``_Pool.passes`` answers both tests for query rows, and both bisecting
-searches run on it first, with no row, then check the end with one row:
-the villager search over ``[0, villager_budget]`` to each target's cap, the
-last count that passes; ``tdbs.most_effort`` over the effort. Consistency
-is monotone in the fixed resources. So where that row finds the tests'
-answer consistent, it is the full search's answer: every probe a test
-failed fails the full check too, and every probe both passed lies at or
-below the answer, so is consistent too. A wrong rejection would change the
-search's path, which is why the pooled test keeps its margin. Only the
-searches whose answer fails spend more rows.
-``feasibility_checks`` counts the rows sent through ``feasible_rows`` (and
-the level rows), not the answers the cheap tests give alone.
+``_Pool.passes`` answers both tests for query rows. Both searches are one
+lockstep bisection (``_bisect``): villager counts over ``[-1,
+villager_budget]`` and efforts over ``[0, ranger_budget]``, which differ
+only in the midpoint rule. One routine (``_search``) runs it in three steps:
+
+1. bisect on ``_Pool.passes`` alone, with no row;
+2. check each end above the lower bound with one ``feasible_rows`` row. An
+   end at the lower bound passed no probe, so the full search ends there
+   too. Consistency is monotone in the fixed resources, so where the row
+   finds the end consistent, it is the full search's end: every probe a
+   test failed fails the full check too, and every probe both passed lies
+   at or below the end, so is consistent too. A wrong rejection would
+   change the search's path, which is why the pooled test keeps its margin;
+3. bisect the searches whose end failed again, on the full check alone: a
+   count below the failed end, as its answer is the same on any path; an
+   effort from the start, as its end depends on its path.
+
+Rows counted: ``feasibility_checks`` counts the rows sent through
+``feasible_rows`` (and the level rows), never the cheap tests' answers.
+In step 3 every probe below the failed end is one row, and every probe at or
+above it fails with none. No cheap test runs there: the attacker's utility
+on the fixed target falls as its resources grow, so every probe below an
+end that passed the floor test passes it too.
 
 Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
 ``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
@@ -448,48 +462,73 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
         yield block, feasible, p, v
 
 
-def _last_passing(passes, top) -> np.ndarray:
-    """Per row, by lockstep bisection on ``passes``, a count c in ``[-1, top]``:
-    c passes (or is -1), and c + 1 fails (or lies past ``top``).
+def _bisect(lo, hi, passes, epsilon=None):
+    """Lockstep bisections, one per entry of ``lo`` and ``hi``: their final ``(lo, hi)``.
 
-    ``passes(rows, counts)`` answers for the rows still open, one count each.
-    Where it is monotone, c is the largest count in ``[0, top]`` that passes,
-    or -1 if none does.
+    Each round calls ``passes(rows, mid)`` once, with the bisections still
+    open and their midpoints: a midpoint that passes becomes its
+    bisection's ``lo``, one that fails bounds its ``hi``. Both arrays are
+    narrowed in place. Only the midpoint rule tells the two searches apart:
+
+    - counts (int64, ``epsilon`` None): the midpoint is ``ceil((lo + hi) /
+      2)``, a failed one sets ``hi`` to one below it, and a bisection stays
+      open while ``lo < hi``. Where ``passes`` is monotone, ``lo`` ends at
+      the largest count in ``(lo, hi]`` that passes, or stays if none does;
+    - efforts (floats): the midpoint is ``lo / 2 + hi / 2``, a failed one
+      becomes ``hi``, and a bisection stays open until it is within
+      ``epsilon`` or narrower than one float step.
     """
-    lo, hi = np.full(np.size(top), -1, dtype=np.int64), np.array(top, dtype=np.int64)
-    rows = np.flatnonzero(lo < hi)
-    while rows.size:
-        low, high = lo[rows], hi[rows]
-        # ceil((low + high) / 2) within int64
-        mid = (low >> 1) + (high >> 1) + (((low & 1) + (high & 1) + 1) >> 1)
+    while True:
+        if epsilon is None:
+            mid = (lo >> 1) + (hi >> 1) + (((lo & 1) + (hi & 1) + 1) >> 1)  # within int64
+            rows = np.flatnonzero(lo < hi)
+        else:
+            mid = lo / 2.0 + hi / 2.0  # halves first: lo + hi can overflow
+            rows = np.flatnonzero((hi - lo > epsilon) & (mid != lo) & (mid != hi))
+        if not rows.size:
+            return lo, hi
+        mid = mid[rows]
         ok = passes(rows, mid)
-        lo[rows[ok]], hi[rows[~ok]] = mid[ok], mid[~ok] - 1
-        rows = rows[lo[rows] < hi[rows]]
-    return lo
+        lo[rows[ok]] = mid[ok]
+        hi[rows[~ok]] = mid[~ok] - 1 if epsilon is None else mid[~ok]
 
 
-def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
-    """Largest v with (i, 0, v) consistent for each target i of ``i_stars``, or -1 where v = 0 is not.
+def _search(pool, i_stars, lo, hi, query, epsilon=None) -> Tuple[np.ndarray, int]:
+    """Per search, the end of its ``_bisect`` on the full check, and the rows sent: ``(ends, checks)``.
 
-    Consistency is monotone in v by the resource-reduction property:
-    lowering the count on the attacked target never breaks it. The searches
-    take one of two paths, by size:
-
-    - where every count of every search fits one block, one ``feasible_rows``
-      call probes them all, and each search's answer is its largest
-      consistent count (there one call costs less than building the pool
-      and bisecting);
-    - otherwise each target's cap, the last count that passes both cheap
-      tests (``_Pool.passes``), comes from one lockstep bisection
-      (``_last_passing``) with no row, and no count above it is consistent.
-      One row checks each cap of at least 0; a consistent cap is the answer.
-      The searches whose cap fails bisect ``[-1, cap - 1]`` in lockstep on
-      ``feasible_rows``, one row per open search a round.
-
-    Returns (counts, rows checked). GameDefinitionError unless ``i_stars`` is
-    a 1-D array of integers, each naming a target (``_query_rows`` checks
-    its v = 0 rows).
+    Search k bisects ``[lo[k], hi[k]]`` with ``i_stars[k]`` the fixed
+    target, and ``query(rows, mid)`` gives the ``(p_star, v_star)`` that
+    searches ``rows`` probe at ``mid``. Cheap tests first (module
+    docstring): every search bisects on ``pool.passes`` with no row, and one
+    ``feasible_rows`` row checks each end above ``lo``. The searches whose
+    end fails bisect again on the full check, one row per midpoint below
+    the failed end: a count's from ``lo`` to below that end, an effort's
+    over the whole ``[lo, hi]``.
     """
+    instance = pool.instance
+    ends = _bisect(lo.copy(), hi.copy(), lambda rows, mid: pool.passes(i_stars[rows], *query(rows, mid)), epsilon)[0]
+    moved = np.flatnonzero(ends > lo)
+    failed = moved[~feasible_rows(instance, i_stars[moved], *query(moved, ends[moved]))]
+    checks = moved.size
+
+    def full_check(rows, mid):
+        nonlocal checks
+        ok = mid < ends[failed[rows]]  # every probe from a failed end up fails too
+        sent = failed[rows[ok]]
+        ok[ok] = feasible_rows(instance, i_stars[sent], *query(sent, mid[ok]))
+        checks += sent.size
+        return ok
+
+    # A count's answer is the same on any path, so its bisection goes on below
+    # the failed end; an effort's end depends on its path, which starts over.
+    top = ends[failed] - 1 if epsilon is None else hi[failed]
+    ends[failed] = _bisect(lo[failed], top, full_check, epsilon)[0]
+    return ends, checks
+
+
+def _most_villagers(pool, i_stars) -> Tuple[np.ndarray, int]:
+    """``most_villagers`` on ``pool``'s instance."""
+    instance = pool.instance
     zeros = np.zeros(np.shape(i_stars), dtype=np.int64)
     i_stars = _query_rows(instance, i_stars, zeros, zeros)[0]
     if not i_stars.size:  # before any count is built: budget + 1 may not fit int64
@@ -501,36 +540,82 @@ def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
         best = np.full(i_stars.size, -1, dtype=np.int64)
         np.maximum.at(best, searches[ok], counts[ok])
         return best, counts.size
-    pool = _Pool(instance)
-    budgets = np.full(i_stars.size, instance.villager_budget)
-    caps = _last_passing(lambda rows, counts: pool.passes(i_stars[rows], 0.0, counts), budgets)
-    capped = np.flatnonzero(caps >= 0)
-    failed = capped[~feasible_rows(instance, i_stars[capped], np.zeros(capped.size), caps[capped])]
-    checks = capped.size
+    lo, hi = np.full(i_stars.size, -1, dtype=np.int64), np.full(i_stars.size, instance.villager_budget, dtype=np.int64)
+    return _search(pool, i_stars, lo, hi, lambda rows, counts: (np.zeros(rows.size), counts))
 
-    def full_check(rows, counts):
-        nonlocal checks
-        checks += rows.size
-        return feasible_rows(instance, i_stars[failed[rows]], np.zeros(rows.size), counts)
 
-    caps[failed] = _last_passing(full_check, caps[failed] - 1)
-    return caps, checks
+def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
+    """Largest v with (i, 0, v) consistent for each target i of ``i_stars``, or -1 where v = 0 is not.
+
+    Consistency is monotone in v by the resource-reduction property:
+    lowering the count on the attacked target never breaks it. The searches
+    take one of two paths, by size:
+
+    - where every count of every search fits one block, one ``feasible_rows``
+      call probes them all, and each search's answer is its largest
+      consistent count (there one call costs less than bisecting);
+    - otherwise every search bisects ``[-1, villager_budget]`` in lockstep,
+      cheap tests first (``_search``).
+
+    Returns (counts, rows checked). GameDefinitionError unless ``i_stars`` is
+    a 1-D array of integers, each naming a target (``_query_rows`` checks
+    its v = 0 rows).
+    """
+    return _most_villagers(_Pool(instance), i_stars)
+
+
+def _most_effort(pool, i_stars, v_stars, epsilon: float) -> Tuple[np.ndarray, int]:
+    """``most_effort`` on ``pool``'s instance."""
+    count = len(i_stars)
+    lo, hi = np.zeros(count), np.full(count, float(pool.instance.ranger_budget))
+    return _search(pool, i_stars, lo, hi, lambda rows, mid: (mid, v_stars[rows]), epsilon)
+
+
+def most_effort(instance: Instance, i_stars, v_stars, epsilon: float) -> Tuple[np.ndarray, int]:
+    """Bisect the ranger effort on every candidate to within ``epsilon``, in lockstep.
+
+    Candidate k keeps ``v_stars[k]`` villagers on target ``i_stars[k]``.
+    Every search bisects ``[0, ranger_budget]``, cheap tests first
+    (``_search``), and probes the midpoints it would probe alone on the full
+    check. Returns (the largest effort found consistent per candidate, rows
+    checked).
+    """
+    return _most_effort(_Pool(instance), i_stars, v_stars, epsilon)
+
+
+def _candidates(pool, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:
+    """``candidates`` on ``pool``'s instance."""
+    counts, checks = _most_villagers(pool, targets)
+    attackable = counts >= 0
+    counters = Counter({"feasibility_checks": checks, "candidates": int(attackable.sum())})
+    return np.asarray(targets)[attackable], counts[attackable], counters
 
 
 def candidates(instance: Instance, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:
     """The targets of ``targets`` that can be attacked at all, each with the most villagers it can keep.
 
-    Both solvers start here: ``tdbs`` with every target, ``hw`` with those
-    its bound keeps (``_upper_bounds``). ``most_villagers`` searches all of
-    ``targets``, an ascending index array, in lockstep. Returns
-    ``(i_stars, v_stars, counters)``: the candidates in index order, their
-    villager counts, and a ``Counter`` of the ``feasibility_checks`` spent
-    (one per query row) and the number of ``candidates``.
+    Both solvers start here: ``tdbs`` with every target
+    (``candidates_with_effort``), ``hw`` with those its bound keeps
+    (``_upper_bounds``). ``most_villagers`` searches all of ``targets``, an
+    ascending index array, in lockstep. Returns ``(i_stars, v_stars,
+    counters)``: the candidates in index order, their villager counts, and a
+    ``Counter`` of the ``feasibility_checks`` spent (one per query row) and
+    the number of ``candidates``.
     """
-    counts, checks = most_villagers(instance, targets)
-    attackable = counts >= 0
-    counters = Counter({"feasibility_checks": checks, "candidates": int(attackable.sum())})
-    return np.asarray(targets)[attackable], counts[attackable], counters
+    return _candidates(_Pool(instance), targets)
+
+
+def candidates_with_effort(instance: Instance, epsilon: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
+    """TDBS's two searches on every target, on one ``_Pool``: ``(i_stars, v_stars, p_stars, counters)``.
+
+    ``candidates`` over every target, then ``most_effort`` on each
+    candidate with its villagers; ``counters`` counts the rows of both.
+    """
+    pool = _Pool(instance)
+    i_stars, v_stars, counters = _candidates(pool, np.arange(instance.n))
+    p_stars, checks = _most_effort(pool, i_stars, v_stars, epsilon)
+    counters["feasibility_checks"] += checks
+    return i_stars, v_stars, p_stars, counters
 
 
 def _levels_feasible(instance, levels: np.ndarray) -> np.ndarray:
@@ -556,7 +641,7 @@ def _minimax_profile(instance: Instance) -> Tuple[StrategyProfile, int]:
     is feasible. So the search narrows the bracket ``[max P_a, max R_a]``
     in rounds, each one ``_levels_feasible`` call on
     ``_LEVELS_PER_ROUND`` levels spread evenly inside it, until it is
-    within ``tol`` or one float step, as ``tdbs.most_effort`` stops. The
+    within ``tol`` or one float step, as the effort search (``_bisect``) stops. The
     profile is ``_fill``'s witness of the level row at the bracket's
     feasible end, built as ``witness_blocks`` builds its witnesses.
     """
@@ -580,7 +665,7 @@ def _minimax_profile(instance: Instance) -> Tuple[StrategyProfile, int]:
     return StrategyProfile(p[0], v[0]), checks
 
 
-def _pooled_level(instance) -> float:
+def _pooled_level(pool) -> float:
     """A level z such that no valid profile holds every target's attacker utility to z or below.
 
     ORIGAMI's pooled-coverage sweep (Kiekintveld et al., AAMAS 2009) with
@@ -603,16 +688,16 @@ def _pooled_level(instance) -> float:
     covers every target fully, and nan where the sweep is not finite or the
     level is not certified.
     """
+    instance = pool.instance
     total = np.count_nonzero(instance.spread_att > 0)
     with np.errstate(over="ignore"):
         rangers = instance.e_p * instance.ranger_budget * (1.0 + REL_TOL)
         pooled = rangers + np.max(instance.e_v) * instance.villager_budget
     if pooled >= total:
         return -np.inf
-    sums = _Pool(instance)
-    breaks = np.concatenate([sums.reward, sums.penalty])
+    breaks = np.concatenate([pool.reward, pool.penalty])
     with np.errstate(over="ignore", invalid="ignore"):
-        need = sums.need(breaks)  # F at each break
+        need = pool.need(breaks)  # F at each break
         short = need > pooled  # F(u) > C: u lies below the crossing
         if short.all() or not short.any():
             return np.nan  # F is 0 at the largest reward and ``total`` at the least penalty
@@ -628,7 +713,7 @@ def _pooled_level(instance) -> float:
     return level if _min_coverage(instance, level).sum() > pooled + rounding else np.nan
 
 
-def _upper_bounds(instance) -> np.ndarray:
+def _upper_bounds(pool) -> np.ndarray:
     """Per target i, at least the defender utility on i of any valid profile
     that leaves i in the attacker's tied set.
 
@@ -641,10 +726,11 @@ def _upper_bounds(instance) -> np.ndarray:
     -inf where the level lies above i's reward, and +inf everywhere where
     ``_pooled_level`` is nan. Memory is O(n), time O(n log n).
     """
-    level = _pooled_level(instance)
+    instance = pool.instance
+    level = _pooled_level(pool)
     if np.isnan(level):
         return np.full(instance.n, np.inf)
-    floor = np.maximum(instance.penalty_att, _floor_of_others(instance) - instance.tol / 2)
+    floor = np.maximum(instance.penalty_att, pool.floor - instance.tol / 2)
     lowest = np.maximum(floor, level - instance.tol)
     spread = instance.spread_att
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -1,25 +1,23 @@
 """Approximate solver: two nested binary searches per candidate target.
 
 The shared candidate search (``feasibility.candidates``) finds the largest
-villager count each attackable target can keep; ``solve_tdbs`` then
-bisects the ranger effort on that target to within a resolution
-``epsilon``, keeping the target a best response throughout. Each dimension
-runs every candidate's search in lockstep, one batched
-``feasibility.feasible_rows`` call a round, and no witness is built while
-searching.
+villager count each attackable target can keep; the effort search
+(``feasibility.most_effort``) then bisects the ranger effort on that
+target to within a resolution ``epsilon``, keeping the target a best
+response throughout. ``feasibility.candidates_with_effort`` runs both for
+every target on one pool of sorted sums. Each dimension runs every
+candidate's search in lockstep, and no witness is built while searching.
 
-Both searches go floor and pool first (``feasibility`` module docstring):
+Both searches are one routine in ``feasibility`` (its module docstring):
 the O(1) attacker-floor test and the O(log n) pooled-coverage test answer
-first, with no row. The effort bisection runs on the two tests alone
-(``most_effort``); an end that one ``feasible_rows`` row finds consistent
-is the full bisection's end, since every midpoint the tests passed lies at
-or below it and so is consistent too. Only the bisections whose end fails,
-or where neither test ever failed, bisect again on the full check. On the
-benchmark's ``tdbs-synthetic`` pools the tests' answer is most villager
-counts and efforts: on the scalar instances every one, as where each spare
-villager takes a whole piece the pooled deficit is the fill's own answer;
-the per-target instances keep more fill-bound efforts, as the pooled test
-counts every villager at ``max(e_v)``.
+first, with no row; an end that one ``feasible_rows`` row finds consistent
+is the full search's end, and only the searches whose end fails bisect
+again on the full check. On the benchmark's ``tdbs-synthetic`` pools the
+tests' answer is most villager counts and efforts: on the scalar
+instances every one, as where each spare villager takes a whole piece the
+pooled deficit is the fill's own answer; the per-target instances keep
+more fill-bound efforts, as the pooled test counts every villager at
+``max(e_v)``.
 
 The candidates' final witnesses are then built once, block by block
 (``feasibility.witness_blocks``), and scored with the attacker's tied set
@@ -48,11 +46,11 @@ better of the best witness and the minimax profile.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .feasibility import _floor_test, _Pool, candidates, feasible_rows, witness_blocks
+from .feasibility import candidates_with_effort, witness_blocks
 from .model import (
     GameDefinitionError,
     Instance,
@@ -102,84 +100,13 @@ class TdbsConfig:
         object.__setattr__(self, "epsilon", epsilon)
 
 
-def _bisect(instance, count: int, epsilon: float, decide) -> Tuple[np.ndarray, np.ndarray]:
-    """``count`` effort bisections over ``[0, ranger_budget]`` to within ``epsilon``, in lockstep.
-
-    Each round calls ``decide(rows, mid)`` once with the bisections still
-    open and their midpoints; it answers which of them are consistent.
-    Returns every bisection's final ``(left, right)``.
-    """
-    left = np.zeros(count)
-    right = np.full(count, float(instance.ranger_budget))
-    while True:
-        mid = left / 2.0 + right / 2.0  # halves first: left + right can overflow
-        # a bisection ends within epsilon, or narrower than one float step
-        rows = np.flatnonzero((right - left > epsilon) & (mid != left) & (mid != right))
-        if rows.size == 0:
-            return left, right
-        ok = decide(rows, mid[rows])
-        left[rows[ok]] = mid[rows[ok]]
-        right[rows[~ok]] = mid[rows[~ok]]
-
-
-def most_effort(instance: Instance, i_stars, v_stars, epsilon: float):
-    """Bisect the ranger effort on every candidate to within ``epsilon``, in lockstep.
-
-    Candidate k keeps ``v_stars[k]`` villagers on target ``i_stars[k]``,
-    and every bisection probes the midpoints it would probe alone.
-
-    Floor and pool first: every bisection first runs on the two cheap tests
-    alone (``feasibility._Pool.passes``, the predicate the villager search
-    bisects on too), which cost no row. Where the tests both passed and
-    failed on the way, one ``feasible_rows`` row checks the end.
-    Consistency implies both tests and is monotone in the effort, so a
-    consistent end lies at or above every midpoint the tests passed: each of
-    them was consistent too, and the path is the full check's, bit for bit.
-    The other bisections with an end above zero run again on the full check,
-    one row per midpoint that passes the floor test and lies below a failed
-    end (every effort from there up is inconsistent). The pooled test is not
-    run again there: each such midpoint lies below an effort it passed, and
-    running it again spared no row on the benchmark's pools.
-    Returns (the largest effort found consistent per candidate, rows
-    checked).
-    """
-    pool = _Pool(instance)
-    left, right = _bisect(
-        instance, len(i_stars), epsilon, lambda rows, mid: pool.passes(i_stars[rows], mid, v_stars[rows])
-    )
-    # An end at zero passed no midpoint, by either test. One whose right
-    # stayed at the budget failed none: it only guesses the whole budget, so
-    # it goes to the full check unconfirmed, with no effort known inconsistent.
-    unsure = left > 0.0
-    capped = np.flatnonzero(unsure & (right < instance.ranger_budget))
-    unsure[capped] = ~feasible_rows(instance, i_stars[capped], left[capped], v_stars[capped])
-    checks = capped.size
-    failed = np.flatnonzero(unsure)
-    # every effort from a failed end up is inconsistent too
-    inconsistent = np.where(right[failed] < instance.ranger_budget, left[failed], np.inf)
-
-    def full_check(rows, mid):
-        nonlocal checks
-        fixed, spent_v = i_stars[failed[rows]], v_stars[failed[rows]]
-        ok = _floor_test(instance, pool.floor, fixed, mid, spent_v)[1] & (mid < inconsistent[rows])
-        sent = np.flatnonzero(ok)
-        ok[sent] = feasible_rows(instance, fixed[sent], mid[sent], spent_v[sent])
-        checks += sent.size
-        return ok
-
-    left[failed] = _bisect(instance, failed.size, epsilon, full_check)[0]
-    return left, checks
-
-
 def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> SolveResult:
     """Approximately optimal profile within the configured resolution.
 
     Works for a scalar and for a per-target villager effectiveness.
     """
     epsilon = (config or TdbsConfig()).epsilon
-    i_stars, v_stars, counters = candidates(instance, np.arange(instance.n))
-    p_stars, checks = most_effort(instance, i_stars, v_stars, epsilon)
-    counters["feasibility_checks"] += checks
+    i_stars, v_stars, p_stars, counters = candidates_with_effort(instance, epsilon)
     best_utility, best = -np.inf, None
     for _, feasible, p, v in witness_blocks(instance, i_stars, p_stars, v_stars):
         if not feasible.all():

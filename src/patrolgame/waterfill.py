@@ -79,10 +79,11 @@ from typing import Optional
 import numpy as np
 
 from .feasibility import (
+    _candidates,
     _min_coverage,
     _minimax_profile,
+    _Pool,
     _upper_bounds,
-    candidates,
     feasible_rows,
     fixed_target_utilities,
 )
@@ -439,8 +440,9 @@ def solve_hw(instance: Instance) -> SolveResult:
         raise GameDefinitionError("waterfilling requires uniform villager effectiveness")
     minimax_seed, checks = _minimax_seed(instance)
     # A target whose bound is below the minimax seed less tol cannot win (module docstring).
-    searched = np.flatnonzero(_upper_bounds(instance) >= minimax_seed - instance.tol)
-    i_stars, v_stars, counters = candidates(instance, searched)
+    pool = _Pool(instance)
+    searched = np.flatnonzero(_upper_bounds(pool) >= minimax_seed - instance.tol)
+    i_stars, v_stars, counters = _candidates(pool, searched)
     counters.update(iterations=0, swaps=0, pruned=0, bounded=instance.n - searched.size)
     at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
     seed = max(np.max(at_no_effort, initial=-np.inf), minimax_seed)

@@ -7,11 +7,12 @@ meaningful.
 
 import dataclasses
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 
-from patrolgame import feasibility, tdbs, waterfill
+from patrolgame import feasibility, waterfill
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.feasibility import candidates, fixed_target_utilities, witness_blocks
 from patrolgame.model import (
@@ -46,6 +47,15 @@ def witness_of(inst, i_star, p_star, v_star):
     return StrategyProfile(p[0], v[0]) if feasible[0] else None
 
 
+def rebind(monkeypatch, name, replacement):
+    """Set ``name`` to ``replacement`` in every loaded ``patrolgame`` module
+    that binds ``feasibility``'s own, so every caller of it sees the replacement."""
+    original = getattr(feasibility, name)
+    for module in list(sys.modules.values()):
+        if module.__name__.split(".")[0] == "patrolgame" and getattr(module, name, None) is original:
+            monkeypatch.setattr(module, name, replacement)
+
+
 def counting_rows(monkeypatch):
     """A list that gets the row count of every later ``feasible_rows`` and
     ``_levels_feasible`` call, the rows ``feasibility_checks`` counts."""
@@ -60,8 +70,7 @@ def counting_rows(monkeypatch):
         rows.append(len(levels))
         return levels_of(instance, levels)
 
-    for module in (feasibility, tdbs, waterfill):
-        monkeypatch.setattr(module, "feasible_rows", counted_rows)
+    rebind(monkeypatch, "feasible_rows", counted_rows)
     monkeypatch.setattr(feasibility, "_levels_feasible", counted_levels)
     return rows
 
@@ -256,7 +265,7 @@ def most_villagers_ref(inst, targets):
 
 # ---------------------------------------------------------------------------
 # The lockstep searches before they went floor and pool first, kept as the
-# reference for ``feasibility.most_villagers`` and ``tdbs.most_effort``: every
+# reference for ``feasibility.most_villagers`` and ``feasibility.most_effort``: every
 # probe is one ``feasible_rows`` row, with no bisection on the cheap tests
 # (``feasibility._Pool.passes``) first.
 
@@ -348,7 +357,7 @@ def best_candidate_sequential(inst, complete, extra_seed=None):
     if extra_seed is not None:
         seed, checks = extra_seed(inst)
         counters["feasibility_checks"] += checks
-        bounds = feasibility._upper_bounds(inst)
+        bounds = feasibility._upper_bounds(feasibility._Pool(inst))
         targets = [i for i in targets if bounds[i] >= seed - inst.tol]
     counts, witnesses, calls = most_villagers_ref(inst, targets)
     counters["feasibility_checks"] += calls

@@ -6,11 +6,11 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from patrolgame import feasibility, tdbs, waterfill
+from patrolgame import feasibility, waterfill
 from patrolgame.bench import GenParams, generate_instance
-from patrolgame.feasibility import candidates, feasible_rows, most_villagers, witness_blocks
+from patrolgame.feasibility import candidates, feasible_rows, most_effort, most_villagers, witness_blocks
 from patrolgame.planner import case_study_scenario, terrain_adjust, with_effectiveness
-from patrolgame.tdbs import TdbsConfig, most_effort, solve_tdbs
+from patrolgame.tdbs import TdbsConfig, solve_tdbs
 from patrolgame.waterfill import solve_hw
 from patrolgame.oracle import solve_oracle
 from patrolgame.model import (
@@ -631,6 +631,31 @@ class TestMaxFeasibleVillagers:
 
 
 class TestCandidates:
+    def test_one_pool_per_solve(self, monkeypatch):
+        # the villager search, the effort search and hw's bound share one
+        # pool; at n = 240 and budget 120 the villager searches bisect caps,
+        # at n = 5 one call probes every count
+        builds = []
+        init = feasibility._Pool.__init__
+
+        def counted_init(pool, instance):
+            builds.append(instance)
+            init(pool, instance)
+
+        monkeypatch.setattr(feasibility._Pool, "__init__", counted_init)
+        passes = spying_passes(monkeypatch)
+        for n, r_v in ((240, 120), (5, 2)):
+            inst = generate_instance(GenParams(n=n, r_p=n / 2, r_v=r_v, seed=6))
+            capped = n == 240
+            assert ((inst.villager_budget + 1) * n > feasibility._rows_per_block(inst)) == capped
+            for solve in (solve_tdbs, solve_hw):
+                builds.clear()
+                passes.clear()
+                solve(inst)
+                assert len(builds) <= 1, (n, solve.__name__, len(builds))
+            # in hw only the villager search runs the cheap tests
+            assert bool(passes) == capped, n
+
     def test_every_target_keeps_its_most_villagers(self):
         # each target alone with the one villager: both are candidates
         i_stars, v_stars, counters = candidates(symmetric_instance(), np.arange(2))
@@ -722,7 +747,7 @@ class TestUpperBounds:
         for k, factor, inst in _bound_family():
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                bounds = feasibility._upper_bounds(inst)
+                bounds = feasibility._upper_bounds(feasibility._Pool(inst))
             # the sweep is certified on every instance here: no target is kept unbounded
             assert not (np.isnan(bounds) | np.isposinf(bounds)).any(), k
             # random valid profiles: every target in the tied set
@@ -749,7 +774,7 @@ class TestUpperBounds:
     def test_pooled_level_is_certified_and_tight(self):
         levels = Counter()
         for k, factor, inst in _bound_family():
-            level, want = feasibility._pooled_level(inst), _pooled_level_ref(inst)
+            level, want = feasibility._pooled_level(feasibility._Pool(inst)), _pooled_level_ref(inst)
             if want == -np.inf:
                 assert level == -np.inf, k
                 levels["covered"] += 1
@@ -765,7 +790,7 @@ class TestUpperBounds:
         # than C, so the bracket [1e-300, -4] certified -2.73. The exact
         # pooled level is 3.0: targets 1 and 2 need 0.2 and 0.3 there.
         inst = Instance(0.5, 0, 1.0, 0.5, [1.0] * 3, [-1.0] * 3, [1e-300, 5.0, 6.0], [0.0, -5.0, -4.0])
-        level = feasibility._pooled_level(inst)
+        level = feasibility._pooled_level(feasibility._Pool(inst))
         assert 2.9 <= level < 3.0
         assert level == pytest.approx(_pooled_level_ref(inst) - inst.tol / 2)
 
@@ -779,8 +804,9 @@ class TestUpperBounds:
         )
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert np.isnan(feasibility._pooled_level(inst))
-            assert feasibility._upper_bounds(inst).tolist() == [np.inf] * 3
+            pool = feasibility._Pool(inst)
+            assert np.isnan(feasibility._pooled_level(pool))
+            assert feasibility._upper_bounds(pool).tolist() == [np.inf] * 3
             assert solve_hw(inst).diagnostics["bounded"] == 0
 
     def test_memory_is_linear_in_targets(self):
@@ -788,7 +814,7 @@ class TestUpperBounds:
         inst = random_instance(7, n=3000, r_p=1500, r_v=1500)
         tracemalloc.start()
         try:
-            bounds = feasibility._upper_bounds(inst)
+            bounds = feasibility._upper_bounds(feasibility._Pool(inst))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -799,7 +825,7 @@ class TestUpperBounds:
     def test_targets_never_tied_are_bounded_to_minus_inf(self):
         # with no resources the attacker takes the largest reward, 5; target 0's is 1
         inst = make(ranger_budget=0.0, villager_budget=0, reward_att=[1.0, 5.0])
-        bounds = feasibility._upper_bounds(inst)
+        bounds = feasibility._upper_bounds(feasibility._Pool(inst))
         assert bounds[0] == -np.inf
         assert bounds[1] == pytest.approx(-1.0)
 
@@ -876,7 +902,8 @@ def _floor_first_family():
     scalar and per-target e_v, zero-spread targets, villager budgets 0 and
     2**62 (with an e_v that puts villager caps past 2**53), payoff scales 1,
     1e-9 and 1e6, ``_BLOCK_CELLS`` at its default, 4 and 16; then case-study
-    settings, scalar and terrain-adjusted."""
+    settings, scalar and terrain-adjusted; then a villager budget at the top
+    of int64."""
     rng = np.random.default_rng(31)
     cells = (feasibility._BLOCK_CELLS, 4, 16)
     for k in range(36):
@@ -899,6 +926,9 @@ def _floor_first_family():
     for k, inst in enumerate(_case_study_instances()):
         if k % 9 in (0, 1):
             yield inst, cells[k % 3]
+    # the count bisection's midpoint and its mid - 1 stay within int64 here
+    inst = random_instance(31_036, n=6, r_p=3.0, r_v=2**63 - 1)
+    yield dataclasses.replace(inst, e_v=inst.e_v * 1e-18), cells[0]
 
 
 def _floor_only(inst):
@@ -909,9 +939,16 @@ def _floor_only(inst):
 
 def _caps(inst, passes):
     """Per target, the last count in ``[0, villager_budget]`` that ``passes``
-    passes with no effort, by ``most_villagers``' bisection (``_last_passing``)."""
-    targets, top = np.arange(inst.n), np.full(inst.n, inst.villager_budget)
-    return feasibility._last_passing(lambda rows, counts: passes(targets[rows], 0.0, counts), top)
+    passes with no effort, by ``most_villagers``' bisection (``_bisect`` on counts)."""
+    targets = np.arange(inst.n)
+    lo, hi = np.full(inst.n, -1, dtype=np.int64), np.full(inst.n, inst.villager_budget, dtype=np.int64)
+    return feasibility._bisect(lo, hi, lambda rows, counts: passes(targets[rows], 0.0, counts))[0]
+
+
+def _efforts(inst, count, passes, epsilon):
+    """``count`` effort bisections over ``[0, ranger_budget]`` on ``passes``,
+    by ``most_effort``'s bisection (``_bisect`` on efforts): their ``(lo, hi)``."""
+    return feasibility._bisect(np.zeros(count), np.full(count, float(inst.ranger_budget)), passes, epsilon)
 
 
 class TestFloorFirstSearches:
@@ -929,7 +966,7 @@ class TestFloorFirstSearches:
             seen["cap past 2**53"] += np.count_nonzero((2**53 < caps) & (caps < budget))
             seen["saturated"] += np.count_nonzero(inst.penalty_att >= floor)
             seen["zero spread"] += np.count_nonzero(inst.spread_att == 0)
-            seen["budget %s" % {0: "0", 2**62: "2**62"}.get(budget, "small")] += 1
+            seen["budget %s" % ("0" if budget == 0 else "small" if budget < 2**62 else "2**62 and up")] += 1
             lowered = _caps(inst, pool.passes) < caps
             seen["villager cap lowered by the pooled test"] += np.count_nonzero(lowered)
 
@@ -947,12 +984,12 @@ class TestFloorFirstSearches:
                 def floor_and_pool(rows, mid):
                     return pool.passes(i_stars[rows], mid, v_stars[rows])
 
-                left, right = tdbs._bisect(inst, i_stars.size, epsilon, floor_only)
+                left, right = _efforts(inst, i_stars.size, floor_only, epsilon)
                 capped = (left > 0.0) & (right < inst.ranger_budget)
                 seen["effort confirmed"] += np.count_nonzero(capped & (p_stars == left))
                 seen["effort not confirmed"] += np.count_nonzero(capped & (p_stars != left))
                 seen["effort not capped"] += np.count_nonzero(~capped)
-                pooled_left, pooled_right = tdbs._bisect(inst, i_stars.size, epsilon, floor_and_pool)
+                pooled_left, pooled_right = _efforts(inst, i_stars.size, floor_and_pool, epsilon)
                 settled = (pooled_left > 0.0) & (pooled_right < inst.ranger_budget) & (p_stars == pooled_left)
                 settled &= ~(capped & (p_stars == left))
                 seen["effort settled by the pooled test"] += np.count_nonzero(settled)

@@ -13,7 +13,7 @@ import warnings
 import numpy as np
 import pytest
 
-from patrolgame import feasibility, tdbs, waterfill
+from patrolgame import feasibility, tdbs
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.model import (
     REL_TOL,
@@ -28,7 +28,7 @@ from patrolgame.planner import case_study_scenario
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound
 from patrolgame.waterfill import solve_hw
 
-from conftest import scaled, witness_of
+from conftest import rebind, scaled, witness_of
 
 EPSILONS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-10, 1e-11, 1e-13)
 
@@ -66,10 +66,9 @@ def epsilon_sweep():
 
     gaps = []
     with pytest.MonkeyPatch.context() as mp:
-        # the candidate search looks the batched check up in feasibility, the
-        # effort bisection in tdbs, and hw's bracket in waterfill
-        for module in (feasibility, tdbs, waterfill):
-            mp.setattr(module, "feasible_rows", recording_rows)
+        # wherever the batched check is looked up: the searches in
+        # feasibility, hw's break-even rows in waterfill
+        rebind(mp, "feasible_rows", recording_rows)
         for k, inst in enumerate(epsilon_family()):
             exact = solve_hw(inst).defender_utility
             for epsilon in EPSILONS:

@@ -114,10 +114,10 @@ def test_infeasible_final_witness_is_a_bug(monkeypatch):
     # the other target uncovered and more attractive
     inst = symmetric_instance()
 
-    def full_effort(instance, i_stars, v_stars, epsilon):
-        return np.full(len(i_stars), instance.ranger_budget), 0
+    def full_effort(pool, i_stars, v_stars, epsilon):
+        return np.full(len(i_stars), pool.instance.ranger_budget), 0
 
-    monkeypatch.setattr(tdbs, "most_effort", full_effort)
+    monkeypatch.setattr(feasibility, "_most_effort", full_effort)
     assert not feasible_rows(inst, [0, 1], [1.0, 1.0], [1, 1]).any()
     with pytest.raises(RuntimeError, match="lost a candidate's witness"):
         solve_tdbs(inst)

@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from patrolgame import feasibility, tdbs, waterfill
+from patrolgame import feasibility, waterfill
 from patrolgame.bench import GenParams, generate_instance
 from patrolgame.feasibility import fixed_target_utilities
 from patrolgame.model import (
@@ -27,6 +27,7 @@ from conftest import (
     minimax_seed_ref,
     placements,
     random_instance,
+    rebind,
     run_subproblem_per_merge,
     scaled,
     solve_hw_unpruned,
@@ -61,7 +62,7 @@ def make_state(inst, i_star, p, v):
 
 def kept_by_bound(inst):
     """Per target, whether ``solve_hw``'s bound leaves it to the villager search."""
-    return feasibility._upper_bounds(inst) >= waterfill._minimax_seed(inst)[0] - inst.tol
+    return feasibility._upper_bounds(feasibility._Pool(inst)) >= waterfill._minimax_seed(inst)[0] - inst.tol
 
 
 def scw_ref(inst, v, u, i_star):
@@ -340,8 +341,7 @@ class TestSolveHw:
             calls.extend(levels)  # one check per level row of the minimax search
             return levels_feasible(instance, levels)
 
-        for module in (feasibility, tdbs, waterfill):
-            monkeypatch.setattr(module, "feasible_rows", recording_rows)
+        rebind(monkeypatch, "feasible_rows", recording_rows)
         monkeypatch.setattr(feasibility, "_levels_feasible", recording_levels)
         monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
         unattackable = bounded = 0
