@@ -2,14 +2,13 @@
 
 from __future__ import annotations
 
-import numbers
 import time
 from dataclasses import astuple, dataclass, replace
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
-from .model import GameDefinitionError, Instance
+from .model import GameDefinitionError, Instance, _is_integer
 from .planner import csv_text, get_solver
 
 # Timeout convention: runs longer than the cap are recorded at the cap.
@@ -36,8 +35,7 @@ class GenParams:
     seed: int
 
     def __post_init__(self):
-        integers = (self.n, self.r_v, self.seed)
-        if any(isinstance(x, bool) or not isinstance(x, numbers.Integral) for x in integers):
+        if not all(_is_integer(x) for x in (self.n, self.r_v, self.seed)):
             raise GameDefinitionError("n, r_v and seed must be integers")
         if self.n < 1:
             raise GameDefinitionError("need at least one target")
@@ -107,11 +105,12 @@ def run_benchmark(
     Timing wraps the solve call only; the same ``runs`` instances (seeds
     seed, seed+1, ...) are shared by every algorithm in a cell, sequentially
     on one worker. Runs exceeding ``timeout`` seconds are recorded at the cap
-    and counted, not dropped. GameDefinitionError unless ``runs`` is at
-    least 1 and ``timeout`` is a nonnegative number.
+    and counted, not dropped. GameDefinitionError unless ``runs`` is an
+    integer of at least 1 (not a bool) and ``timeout`` is a nonnegative
+    number.
     """
-    if runs < 1:
-        raise GameDefinitionError("runs must be at least 1")
+    if not _is_integer(runs) or runs < 1:
+        raise GameDefinitionError("runs must be an integer of at least 1")
     if not timeout >= 0:  # also rejects NaN
         raise GameDefinitionError("timeout must be a nonnegative number of seconds")
     solvers = {name: get_solver(name) for name in algorithms}

@@ -28,15 +28,65 @@ targets), so memory stays O(block × n). Rows come from three sources:
 So a target's v = 0 query past the floor test is the level row at its own
 attacker reward, where its own need is zero.
 
-The shared candidate search ``candidates`` runs one villager search per
-target (``most_villagers``); ``tdbs`` follows each candidate with an effort
-search (``most_effort``), both in ``candidates_with_effort``. Where every
-count of every villager search fits one block, one call probes them all;
-otherwise the searches bisect in lockstep, cheap tests first (below).
-``solve_hw`` calls ``candidates`` only on the targets its bound keeps
-(``_upper_bounds``, from ORIGAMI's pooled-coverage sweep in
-``_pooled_level``). A solve builds one ``_Pool`` and passes it to all of
-them.
+Candidates: the paper's multiple-LP shape (Conitzer and Sandholm, EC 2006).
+For each attacked target, a solver completes the best allocation that keeps
+it attacked, and the best completion wins (``model.first_best``). Both
+solvers take their candidates from this module, one function each:
+
+- ``candidates_with_effort`` for ``tdbs``: the shared candidate search
+  ``candidates`` on every target, then an effort search (``most_effort``)
+  per candidate;
+- ``candidates_above_seed`` for ``hw``: ``candidates`` on the targets its
+  bound keeps, then the break-even prune (both below).
+
+``candidates`` runs one villager search per target (``most_villagers``).
+Where every count of every villager search fits one block, one call probes
+them all; otherwise the searches bisect in lockstep, cheap tests first
+(below). Each pipeline builds one ``_Pool`` and passes it to all of its
+steps, and its query rows read the attacker floor (``_floor_of_others``)
+from that pool: only ``feasible_rows`` and ``witness_blocks``, which take an
+instance, derive the floor again.
+
+Pruning ``hw``'s candidates, in two steps, both against a seed: a defender
+utility that some valid profile reaches on the target it is attacked on, so
+the optimum reaches it too. The first seed is the minimax profile's
+(``_minimax_profile``), which holds the attacker's best utility lowest
+(ORIGAMI's attack-set minimisation), read on a target it lets be attacked
+exactly (``_minimax_seed``): one it attacks already, or one whose ranger
+effort can be shed until its attacker utility passes the best. A target
+only tied within tol is not enough: it may be no candidate at all.
+
+- Bound: ``_upper_bounds`` gives each target at least the defender utility
+  of any valid profile that leaves it in the attacker's tied set (ORIGAMI's
+  pooled-coverage sweep in ``_pooled_level``, with integrality dropped). A
+  target whose bound is below ``minimax seed - tol`` cannot win. It gets no
+  villager search and counts in ``bounded``; the rest go to ``candidates``.
+- Break-even: the seed becomes the larger of the minimax seed and the best
+  candidate's utility with its villagers and no ranger effort, which that
+  candidate's completion reaches. A candidate's defender utility rises with
+  the effort on it, and consistency is monotone in effort, so it can reach
+  the bar ``seed - tol`` only if its break-even effort, where its utility
+  equals the bar, is consistent. Every candidate below the bar with no
+  effort is checked at its break-even effort in one batch of query rows,
+  and pruned if it fails or its break-even lies past full coverage or the
+  ranger budget.
+
+The optimal candidate survives both when its profile is attacked on its own
+target: that profile reaches the optimum, at least the seed, with a
+consistent effort, at least the break-even, and its utility is at most the
+target's bound. This is sound for a scalar ``e_v``, the only kind ``hw``
+accepts: a candidate whose profile evaluates above its own target's utility
+does so through a tie with a target whose exact completion reaches at least
+as much, and that target is never pruned. On exactly tied payoffs the two
+may be different co-optimal profiles, so the attacked target can differ
+from an unpruned solve while the utility does not. The seed only prunes:
+``solve_hw`` returns its own waterfilled winner, never the minimax profile,
+which often ties it on another attacked target. ``candidates_above_seed``
+counts the minimax search's level rows, the villager search's rows and the
+break-even rows in ``feasibility_checks``, the targets never searched in
+``bounded``, the attackable targets among the rest in ``candidates``, and
+the pruned candidates in ``pruned``, so ``candidates - pruned`` subproblems
+run.
 
 Cheap tests first: two tests are implied by consistency, and on ``tdbs``'s
 workloads one of them, not the fill, usually binds.
@@ -108,7 +158,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .model import REL_TOL, GameDefinitionError, Instance, StrategyProfile, utilities_of
+from .model import REL_TOL, GameDefinitionError, Instance, StrategyProfile, coverage_of, utilities_of
 
 # Slack on the ranger-coverage sum: its trim lifts a utility by at most
 # tol / 2 (module docstring).
@@ -410,15 +460,15 @@ def _blocks(instance, count: int):
     return (slice(start, start + step) for start in range(0, count, step))
 
 
-def _query_blocks(instance, i_star, p_star, v_star, witness: bool):
+def _query_blocks(instance, floor, i_star, p_star, v_star, witness: bool):
     """``_fill`` on ``_query_rows``'s arrays, one block at a time: ``(block, rows, fill)``.
 
     ``rows`` indexes the block's queries past the attacker-floor test (every
-    other target can be pushed down to the fixed target's utility u); each
-    needs ``_min_coverage(u)`` on every other target, and ``fill`` is
-    ``_fill``'s answer for them.
+    other target can be pushed down to the fixed target's utility u), with
+    ``floor`` its ``_floor_of_others(instance)``; each needs
+    ``_min_coverage(u)`` on every other target, and ``fill`` is ``_fill``'s
+    answer for them.
     """
-    floor = _floor_of_others(instance)
     for block in _blocks(instance, i_star.shape[0]):
         fixed, spent_p, spent_v = i_star[block], p_star[block], v_star[block]
         u, passes = _floor_test(instance, floor, fixed, spent_p, spent_v)
@@ -426,6 +476,16 @@ def _query_blocks(instance, i_star, p_star, v_star, witness: bool):
         c_min = _min_coverage(instance, u[rows, None])
         c_min[np.arange(rows.size), fixed[rows]] = 0.0
         yield block, rows, _fill(instance, c_min, spent_p[rows], spent_v[rows], witness)
+
+
+def _feasible_rows(instance, floor, i_star, p_star, v_star) -> np.ndarray:
+    """``feasible_rows`` with the attacker floor ``floor`` already derived:
+    a solve's rows read it from its ``_Pool``."""
+    i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
+    feasible = np.zeros(i_star.shape[0], dtype=bool)
+    for block, rows, (ok, _, _) in _query_blocks(instance, floor, i_star, p_star, v_star, witness=False):
+        feasible[block.start + rows] = ok
+    return feasible
 
 
 def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
@@ -436,11 +496,7 @@ def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
     query, and ``e_v`` may be a scalar or per target. Only the answer is
     computed (``_fill``'s): no villager counts, no witness.
     """
-    i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
-    feasible = np.zeros(i_star.shape[0], dtype=bool)
-    for block, rows, (ok, _, _) in _query_blocks(instance, i_star, p_star, v_star, witness=False):
-        feasible[block.start + rows] = ok
-    return feasible
+    return _feasible_rows(instance, _floor_of_others(instance), i_star, p_star, v_star)
 
 
 def witness_blocks(instance: Instance, i_star, p_star, v_star):
@@ -453,7 +509,8 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
     (``_fill``'s), with the query's own ``(p_star, v_star)`` on ``i_star``.
     """
     i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
-    for block, rows, (ok, p, v) in _query_blocks(instance, i_star, p_star, v_star, witness=True):
+    floor = _floor_of_others(instance)
+    for block, rows, (ok, p, v) in _query_blocks(instance, floor, i_star, p_star, v_star, witness=True):
         kept = block.start + rows[ok]
         at = np.arange(kept.size), i_star[kept]
         p[at], v[at] = p_star[kept], v_star[kept]
@@ -508,14 +565,14 @@ def _search(pool, i_stars, lo, hi, query, epsilon=None) -> Tuple[np.ndarray, int
     instance = pool.instance
     ends = _bisect(lo.copy(), hi.copy(), lambda rows, mid: pool.passes(i_stars[rows], *query(rows, mid)), epsilon)[0]
     moved = np.flatnonzero(ends > lo)
-    failed = moved[~feasible_rows(instance, i_stars[moved], *query(moved, ends[moved]))]
+    failed = moved[~_feasible_rows(instance, pool.floor, i_stars[moved], *query(moved, ends[moved]))]
     checks = moved.size
 
     def full_check(rows, mid):
         nonlocal checks
         ok = mid < ends[failed[rows]]  # every probe from a failed end up fails too
         sent = failed[rows[ok]]
-        ok[ok] = feasible_rows(instance, i_stars[sent], *query(sent, mid[ok]))
+        ok[ok] = _feasible_rows(instance, pool.floor, i_stars[sent], *query(sent, mid[ok]))
         checks += sent.size
         return ok
 
@@ -536,7 +593,7 @@ def _most_villagers(pool, i_stars) -> Tuple[np.ndarray, int]:
     width = instance.villager_budget + 1
     if width * i_stars.size <= _rows_per_block(instance):
         searches, counts = np.divmod(np.arange(width * i_stars.size), width)
-        ok = feasible_rows(instance, i_stars[searches], np.zeros(counts.size), counts)
+        ok = _feasible_rows(instance, pool.floor, i_stars[searches], np.zeros(counts.size), counts)
         best = np.full(i_stars.size, -1, dtype=np.int64)
         np.maximum.at(best, searches[ok], counts[ok])
         return best, counts.size
@@ -618,6 +675,38 @@ def candidates_with_effort(instance: Instance, epsilon: float) -> Tuple[np.ndarr
     return i_stars, v_stars, p_stars, counters
 
 
+def candidates_above_seed(instance: Instance) -> Tuple[np.ndarray, np.ndarray, Counter]:
+    """HW's candidates, bounded and pruned against a seed: ``(i_stars, v_stars, counters)``.
+
+    The minimax seed (``_minimax_seed``); then, on one ``_Pool``, the bound
+    (``_upper_bounds``), ``candidates`` on the targets it keeps, and the
+    break-even rows in one batch (module docstring). Returns the unpruned
+    candidates in index order with their villager counts, and a ``Counter``
+    of the ``feasibility_checks`` spent (level, villager and break-even
+    rows), the ``candidates`` found, how many of them are ``pruned``, and
+    the targets ``bounded``. Sound for a scalar ``e_v``.
+    """
+    minimax_seed, checks = _minimax_seed(instance)
+    pool = _Pool(instance)
+    searched = np.flatnonzero(_upper_bounds(pool) >= minimax_seed - instance.tol)
+    i_stars, v_stars, counters = _candidates(pool, searched)
+    at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
+    # The seed less tol: a candidate that cannot reach it cannot win.
+    bar = max(np.max(at_no_effort, initial=-np.inf), minimax_seed) - instance.tol
+    keep = at_no_effort >= bar
+    # Coverage, then effort, at which each candidate's defender utility reaches the bar.
+    spread = instance.reward_def[i_stars] - instance.penalty_def[i_stars]
+    # A coverage of +inf is out of reach, and one of -inf met at no effort.
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        coverage = (bar - instance.penalty_def[i_stars]) / spread
+        effort = (coverage - instance.e_v * v_stars) / instance.e_p
+    rows = np.flatnonzero(~keep & (spread > 0) & (coverage <= 1.0) & (effort <= instance.ranger_budget))
+    # Rounding can put the break-even a hair below zero effort.
+    keep[rows] = _feasible_rows(instance, pool.floor, i_stars[rows], np.maximum(effort[rows], 0.0), v_stars[rows])
+    counters.update(feasibility_checks=checks + rows.size, pruned=int(keep.size - keep.sum()), bounded=instance.n - searched.size)
+    return i_stars[keep], v_stars[keep], counters
+
+
 def _levels_feasible(instance, levels: np.ndarray) -> np.ndarray:
     """Per attacker level u of ``levels``, whether the budgets hold every target to at most u.
 
@@ -663,6 +752,30 @@ def _minimax_profile(instance: Instance) -> Tuple[StrategyProfile, int]:
     spent = np.zeros(1, dtype=np.int64)
     _, p, v = _fill(instance, _min_coverage(instance, np.array([[hi]])), spent, spent, witness=True)
     return StrategyProfile(p[0], v[0]), checks
+
+
+def _minimax_seed(instance: Instance) -> Tuple[float, int]:
+    """A defender utility some valid profile reaches on the target it is
+    attacked on, from the minimax profile; and the level rows checked.
+
+    A target the profile already attacks exactly counts as it is. Any
+    other target's coverage is lowered, shedding rangers only, until its
+    attacker utility passes the profile's best; one its villagers alone
+    cover past that point does not count. The lowered profile is valid and
+    attacked on that target, so the target's completion reaches at least
+    its utility there, and so does the optimum.
+    """
+    minimax, checks = _minimax_profile(instance)
+    coverage = coverage_of(instance, minimax.p, minimax.v)
+    u_d, u_a = utilities_of(instance, coverage, slice(None))
+    top = u_a.max()
+    # Four eps of coverage lift an attacker utility past its rounding, as
+    # spread_att >= |R_a|, |P_a|. A zero-spread target lowers to below zero,
+    # so it counts only if attacked already.
+    lowered = np.minimum(coverage, _min_coverage(instance, top)) - 4 * np.finfo(float).eps
+    lowered_d, lowered_a = utilities_of(instance, lowered, slice(None))
+    attacked = (lowered_a >= top) & (lowered >= coverage_of(instance, 0.0, minimax.v))
+    return max(u_d[u_a == top].max(), lowered_d[attacked].max(initial=-np.inf)), checks
 
 
 def _pooled_level(pool) -> float:

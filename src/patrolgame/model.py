@@ -6,7 +6,8 @@ villagers (each pinned to a single target). The attacker observes the
 allocation and attacks the target with the highest expected utility,
 breaking ties in the defender's favour. ``tied_defender_utilities`` is the
 one home of that rule: ``best_response`` applies it to one coverage vector,
-and ``tdbs`` to a block of witnesses at once.
+and ``first_best``, the winner rule of both solvers, to a block of
+completed profiles at once.
 
 Tolerances: the library has one relative constant, ``REL_TOL``, and every
 slack is derived from it and the instance's own scale, so results do not
@@ -29,7 +30,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Union
 
 import numpy as np
@@ -88,6 +89,11 @@ def _finite(value, what: str) -> float:
     except OverflowError:  # an int too large for a float
         pass
     raise GameDefinitionError("%s must be a finite real number" % what)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an integer other than a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,16 +229,21 @@ class SolveResult:
     diagnostics: Dict[str, int] = field(default_factory=dict)
 
 
-def compute_coverage(instance, profile: StrategyProfile) -> np.ndarray:
-    """Per-target coverage min(e_p * p_i + e_v * v_i, 1).
-
-    ``instance.e_v`` may be a scalar or a per-target vector; both broadcast.
-    """
+def _check_shape(instance, profile: StrategyProfile) -> None:
+    """GameDefinitionError unless ``profile`` has one entry per target."""
     if profile.p.shape[0] != instance.n or profile.v.shape[0] != instance.n:
         raise GameDefinitionError(
             "profile has %d/%d entries for %d targets"
             % (profile.p.shape[0], profile.v.shape[0], instance.n)
         )
+
+
+def compute_coverage(instance, profile: StrategyProfile) -> np.ndarray:
+    """Per-target coverage min(e_p * p_i + e_v * v_i, 1).
+
+    ``instance.e_v`` may be a scalar or a per-target vector; both broadcast.
+    """
+    _check_shape(instance, profile)
     return coverage_of(instance, profile.p, profile.v)
 
 
@@ -272,6 +283,29 @@ def tied_defender_utilities(instance, coverage: np.ndarray) -> np.ndarray:
     return u_d
 
 
+def first_best(instance, blocks, diagnostics) -> SolveResult:
+    """Both solvers' winner rule: the first best of their completed profiles.
+
+    ``blocks`` yields ``(p, v)`` blocks, one profile per row of efforts and
+    of villager counts, in tie order. Each row scores the defender utility
+    of its best response (``tied_defender_utilities``), and the first best
+    row wins. Returns ``evaluate_profile`` of the winner with
+    ``diagnostics``, the solver's counters, as a dict; RuntimeError if no
+    row arrives, as every solve completes at least one candidate.
+    """
+    best_utility, best = -np.inf, None
+    for p, v in blocks:
+        if not len(p):
+            continue
+        utilities = tied_defender_utilities(instance, coverage_of(instance, p, v)).max(axis=1)
+        k = int(np.argmax(utilities))  # the first best of the block
+        if utilities[k] > best_utility:
+            best_utility, best = utilities[k], StrategyProfile(p[k], v[k])
+    if best is None:
+        raise RuntimeError("no candidate target was completed; this is a bug")
+    return replace(evaluate_profile(instance, best), diagnostics=dict(diagnostics))
+
+
 def best_response(instance, coverage: np.ndarray) -> BestResponse:
     """Attacker's target choice for a coverage vector.
 
@@ -290,11 +324,7 @@ def best_response(instance, coverage: np.ndarray) -> BestResponse:
 
 def validate_profile(instance, profile: StrategyProfile) -> List[str]:
     """List of violated profile constraints; empty means the profile is valid."""
-    if profile.p.shape[0] != instance.n or profile.v.shape[0] != instance.n:
-        raise GameDefinitionError(
-            "profile has %d/%d entries for %d targets"
-            % (profile.p.shape[0], profile.v.shape[0], instance.n)
-        )
+    _check_shape(instance, profile)
     violations = []
     if not np.all(np.isfinite(profile.p)):
         violations.append("non-finite ranger effort")

@@ -38,6 +38,7 @@ from .model import (
     SolveResult,
     StrategyProfile,
     _finite,
+    _is_integer,
     compute_coverage,
     evaluate_profile,
 )
@@ -379,9 +380,13 @@ def budget_sweep(
     cost_villager: float = 1.0,
     epsilon: float = DEFAULT_EPSILON,
 ) -> List[BudgetSweepRow]:
-    """Best (rangers, villagers) recruitment split per extra budget 0..max_extra."""
-    if max_extra < 0:
-        raise GameDefinitionError("extra budget must be nonnegative")
+    """Best (rangers, villagers) recruitment split per extra budget 0..max_extra.
+
+    GameDefinitionError unless ``max_extra`` is a nonnegative integer, not a
+    bool.
+    """
+    if not _is_integer(max_extra) or max_extra < 0:
+        raise GameDefinitionError("extra budget must be a nonnegative integer")
     cost_ranger = _finite(cost_ranger, "ranger cost")
     cost_villager = _finite(cost_villager, "villager cost")
     if cost_ranger <= 0 or cost_villager <= 0:

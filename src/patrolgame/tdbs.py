@@ -20,9 +20,9 @@ more fill-bound efforts, as the pooled test counts every villager at
 ``max(e_v)``.
 
 The candidates' final witnesses are then built once, block by block
-(``feasibility.witness_blocks``), and scored with the attacker's tied set
-(``model.tied_defender_utilities``); the best wins, ties to the lowest
-target index, and only its row is kept. The returned profile's defender
+(``feasibility.witness_blocks``), and scored as they come by the winner
+rule both solvers share (``model.first_best``): the best wins, ties to the
+lowest target index, and only its row is kept. The returned profile's defender
 utility trails the exact optimum by less than ``e_p * 2 * M * epsilon``,
 where M bounds the absolute input values.
 
@@ -35,8 +35,8 @@ optimum holds 1 villager on the attacked target for 8.4573, while tdbs at
 ``epsilon = 1e-6`` keeps 2 for 8.3358, against a bound of 1.2e-5.
 
 ``solve_tdbs`` bounds and prunes no target: it searches every one, while
-``solve_hw`` searches only those its bound (``feasibility._upper_bounds``)
-keeps against the minimax seed. The same bound here is faster but moves
+``solve_hw`` completes only the candidates that
+``feasibility.candidates_above_seed`` keeps against the minimax seed. The same bound here is faster but moves
 answers: a pruned candidate's witness can win through a tied target, which
 the kept candidates' own completions need not reach, and on per-target
 instances answers fell past the gap bound. So it waits for returning the
@@ -45,22 +45,13 @@ better of the best witness and the minimax profile.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .feasibility import candidates_with_effort, witness_blocks
-from .model import (
-    GameDefinitionError,
-    Instance,
-    SolveResult,
-    StrategyProfile,
-    _finite,
-    coverage_of,
-    evaluate_profile,
-    tied_defender_utilities,
-)
+from .model import GameDefinitionError, Instance, SolveResult, _finite, first_best
 
 # Search resolution used by the experiment harness.
 DEFAULT_EPSILON = 1e-3
@@ -107,13 +98,11 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
     """
     epsilon = (config or TdbsConfig()).epsilon
     i_stars, v_stars, p_stars, counters = candidates_with_effort(instance, epsilon)
-    best_utility, best = -np.inf, None
-    for _, feasible, p, v in witness_blocks(instance, i_stars, p_stars, v_stars):
-        if not feasible.all():
-            raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
-        utilities = tied_defender_utilities(instance, coverage_of(instance, p, v)).max(axis=1)
-        k = int(np.argmax(utilities))  # the first best: ties go to the lowest target
-        if utilities[k] > best_utility:
-            best_utility, best = utilities[k], StrategyProfile(p[k], v[k])
-    result = evaluate_profile(instance, best)
-    return replace(result, diagnostics=dict(counters))
+
+    def witnesses():
+        for _, feasible, p, v in witness_blocks(instance, i_stars, p_stars, v_stars):
+            if not feasible.all():
+                raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
+            yield p, v
+
+    return first_best(instance, witnesses(), counters)

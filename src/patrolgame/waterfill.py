@@ -10,10 +10,10 @@ Pouring pauses at critical points where one villager below the sea can trade
 places with a critical target's ranger effort at no change in level; the
 trade (a swap) moves the villager to a wider target, shrinking the effort
 needed per unit of further lowering. Iterating to ranger exhaustion yields
-the waste-minimal, utility-optimal completion. ``solve_hw`` bounds every
-target first, searches only those that may win with the shared candidate
-search (``feasibility.candidates``), prunes the candidates that cannot win
-and waterfills the rest.
+the waste-minimal, utility-optimal completion. ``solve_hw`` waterfills
+the candidates that ``feasibility.candidates_above_seed`` leaves after its
+bound and break-even prune against a seed (the ``feasibility`` module
+docstring), and the winner rule (``model.first_best``) keeps the first best.
 
 Events: one iteration of the pour loop is one event. Merges are not events:
 the pour runs past any number of them, with running sums over the targets
@@ -24,47 +24,6 @@ events, and ``get_swap_line`` is called once per iteration. Each fact is
 computed once: the pinned mask in ``_refresh_levels``, the merge set in
 ``_next_event`` and utilities from villagers alone in ``_drop``.
 
-Pruning, in two steps, both against a seed: a defender utility that some
-valid profile reaches on the target it is attacked on, so the optimum
-reaches it too. The first seed is the minimax profile's
-(``feasibility._minimax_profile``), which holds the attacker's best utility
-lowest (ORIGAMI's attack-set minimisation), read on a target it lets be
-attacked exactly (``_minimax_seed``): one it attacks already, or one whose
-ranger effort can be shed until its attacker utility passes the best. A
-target only tied within tol is not enough: it may be no candidate at all.
-
-- Bound: ``feasibility._upper_bounds`` gives each target at least the
-  defender utility of any valid profile that leaves it in the attacker's
-  tied set (ORIGAMI's pooled-coverage sweep, with integrality dropped). A
-  target whose bound is below ``minimax seed - tol`` cannot win. It gets no
-  villager search and counts in ``bounded``; the rest go to the shared
-  candidate search (``feasibility.candidates``).
-- Break-even: the seed becomes the larger of the minimax seed and the best
-  candidate's utility with its villagers and no ranger effort, which that
-  candidate's completion reaches. A candidate's defender utility rises with
-  the effort on it, and consistency is monotone in effort, so it can reach
-  the bar ``seed - tol`` only if its break-even effort, where its utility
-  equals the bar, is consistent. ``solve_hw`` checks every candidate below
-  the bar with no effort at its break-even effort in one batched
-  ``feasible_rows`` call, and prunes those that fail or whose break-even
-  lies past full coverage or the ranger budget.
-
-The optimal candidate survives both when its profile is attacked on its own
-target: that profile reaches the optimum, at least the seed, with a
-consistent effort, at least the break-even, and its utility is at most the
-target's bound. This is sound for a scalar ``e_v``, the only kind ``hw``
-accepts: a candidate whose profile evaluates above its own target's utility
-does so through a tie with a target whose exact completion reaches at least
-as much, and that target is never pruned. On exactly tied payoffs the two
-may be different co-optimal profiles, so the attacked target can differ
-from an unpruned solve while the utility does not. The seed only prunes:
-``solve_hw`` returns its own waterfilled winner, never the minimax profile,
-which often ties it on another attacked target. ``diagnostics`` counts the
-minimax search's level rows, the villager search's rows and the break-even
-rows in ``feasibility_checks``, the targets never searched in ``bounded``,
-the attackable targets among the rest in ``candidates``, and the pruned
-candidates in ``pruned``, so ``candidates - pruned`` subproblems ran.
-
 Pours hit levels inexactly, so every level comparison (critical-set
 membership, pinned-at-floor tests, swap qualification) allows the
 instance's utility slack ``instance.tol`` (see ``model``).
@@ -73,20 +32,12 @@ instance's utility slack ``instance.tol`` (see ``model``).
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from .feasibility import (
-    _candidates,
-    _min_coverage,
-    _minimax_profile,
-    _Pool,
-    _upper_bounds,
-    feasible_rows,
-    fixed_target_utilities,
-)
+from .feasibility import candidates_above_seed, fixed_target_utilities
 from .model import (
     REL_TOL,
     GameDefinitionError,
@@ -94,9 +45,7 @@ from .model import (
     SolveResult,
     StrategyProfile,
     attacker_utilities,
-    coverage_of,
-    evaluate_profile,
-    tied_defender_utilities,
+    first_best,
     utilities_of,
 )
 
@@ -403,69 +352,25 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
     return StrategyProfile(state.effort, state.villagers), state
 
 
-def _minimax_seed(instance: Instance):
-    """A defender utility some valid profile reaches on the target it is
-    attacked on, from the minimax profile; and the level rows checked.
-
-    A target the profile already attacks exactly counts as it is. Any
-    other target's coverage is lowered, shedding rangers only, until its
-    attacker utility passes the profile's best; one its villagers alone
-    cover past that point does not count. The lowered profile is valid and
-    attacked on that target, so the target's completion reaches at least
-    its utility there, and so does the optimum.
-    """
-    minimax, checks = _minimax_profile(instance)
-    coverage = coverage_of(instance, minimax.p, minimax.v)
-    u_d, u_a = utilities_of(instance, coverage, slice(None))
-    top = u_a.max()
-    # Four eps of coverage lift an attacker utility past its rounding, as
-    # spread_att >= |R_a|, |P_a|. A zero-spread target lowers to below zero,
-    # so it counts only if attacked already.
-    lowered = np.minimum(coverage, _min_coverage(instance, top)) - 4 * np.finfo(float).eps
-    lowered_d, lowered_a = utilities_of(instance, lowered, slice(None))
-    attacked = (lowered_a >= top) & (lowered >= coverage_of(instance, 0.0, minimax.v))
-    return max(u_d[u_a == top].max(), lowered_d[attacked].max(initial=-np.inf)), checks
-
-
 def solve_hw(instance: Instance) -> SolveResult:
     """Exact optimum over all candidate attacked targets.
 
-    Every candidate of the shared candidate search
-    (``feasibility.candidates``) among the targets the bound keeps, that its
-    break-even check does not prune (module docstring), is waterfilled from
-    its villager count, in index order. The best evaluated utility wins,
-    ties to the lowest target index. Needs a scalar villager effectiveness.
+    Each candidate the bound keeps and the break-even check does not prune
+    (``feasibility.candidates_above_seed``) is waterfilled from its villager
+    count, in index order, and the winner rule (``model.first_best``) keeps
+    the best evaluated utility, ties to the lowest target index. Needs a
+    scalar villager effectiveness.
     """
     if np.ndim(instance.e_v) != 0:
         raise GameDefinitionError("waterfilling requires uniform villager effectiveness")
-    minimax_seed, checks = _minimax_seed(instance)
-    # A target whose bound is below the minimax seed less tol cannot win (module docstring).
-    pool = _Pool(instance)
-    searched = np.flatnonzero(_upper_bounds(pool) >= minimax_seed - instance.tol)
-    i_stars, v_stars, counters = _candidates(pool, searched)
-    counters.update(iterations=0, swaps=0, pruned=0, bounded=instance.n - searched.size)
-    at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
-    seed = max(np.max(at_no_effort, initial=-np.inf), minimax_seed)
-    # The seed less tol: a candidate that cannot reach it cannot win (module docstring).
-    bar = seed - instance.tol
-    keep = at_no_effort >= bar
-    # Coverage, then effort, at which each candidate's defender utility reaches the bar.
-    spread = instance.reward_def[i_stars] - instance.penalty_def[i_stars]
-    # A coverage of +inf is out of reach, and one of -inf met at no effort.
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        coverage = (bar - instance.penalty_def[i_stars]) / spread
-        effort = (coverage - instance.e_v * v_stars) / instance.e_p
-    rows = np.flatnonzero(~keep & (spread > 0) & (coverage <= 1.0) & (effort <= instance.ranger_budget))
-    # Rounding can put the break-even a hair below zero effort.
-    keep[rows] = feasible_rows(instance, i_stars[rows], np.maximum(effort[rows], 0.0), v_stars[rows])
-    counters.update(feasibility_checks=checks + rows.size, pruned=int(keep.size - keep.sum()))
-    best_utility, best = -np.inf, None
-    for i_star, v_star in zip(i_stars[keep].tolist(), v_stars[keep].tolist()):
+    i_stars, v_stars, found = candidates_above_seed(instance)
+    # Keys in the order results are saved in: the searches', the pour's, then the prune's.
+    diagnostics = dict.fromkeys(("feasibility_checks", "candidates", "iterations", "swaps", "pruned", "bounded"), 0)
+    diagnostics.update(found)
+    p, v = np.zeros((i_stars.size, instance.n)), np.zeros((i_stars.size, instance.n), dtype=np.int64)
+    for k, (i_star, v_star) in enumerate(zip(i_stars.tolist(), v_stars.tolist())):
         profile, state = _run_subproblem(instance, i_star, v_star)
-        counters.update(iterations=state.iterations, swaps=state.swaps)
-        utility = tied_defender_utilities(instance, coverage_of(instance, profile.p, profile.v)).max()
-        if utility > best_utility:
-            best_utility, best = utility, profile
-    if best is None:
-        raise RuntimeError("no candidate target was completed; this is a bug")
-    return replace(evaluate_profile(instance, best), diagnostics=dict(counters))
+        p[k], v[k] = profile.p, profile.v
+        diagnostics["iterations"] += state.iterations
+        diagnostics["swaps"] += state.swaps
+    return first_best(instance, [(p, v)], diagnostics)

@@ -57,20 +57,21 @@ def rebind(monkeypatch, name, replacement):
 
 
 def counting_rows(monkeypatch):
-    """A list that gets the row count of every later ``feasible_rows`` and
+    """A list that gets the row count of every later query-row check
+    (``_feasible_rows``, behind ``feasible_rows`` and a solve's own rows) and
     ``_levels_feasible`` call, the rows ``feasibility_checks`` counts."""
     rows = []
-    rows_of, levels_of = feasibility.feasible_rows, feasibility._levels_feasible
+    rows_of, levels_of = feasibility._feasible_rows, feasibility._levels_feasible
 
-    def counted_rows(instance, i_star, p_star, v_star):
+    def counted_rows(instance, floor, i_star, p_star, v_star):
         rows.append(len(i_star))
-        return rows_of(instance, i_star, p_star, v_star)
+        return rows_of(instance, floor, i_star, p_star, v_star)
 
     def counted_levels(instance, levels):
         rows.append(len(levels))
         return levels_of(instance, levels)
 
-    rebind(monkeypatch, "feasible_rows", counted_rows)
+    rebind(monkeypatch, "_feasible_rows", counted_rows)
     monkeypatch.setattr(feasibility, "_levels_feasible", counted_levels)
     return rows
 

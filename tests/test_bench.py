@@ -85,6 +85,12 @@ class TestRunBenchmark:
         with pytest.raises(GameDefinitionError):
             run_benchmark([GenParams(n=2, r_p=1.0, r_v=1, seed=0)], ["tdbs"], runs=runs, timeout=timeout)
 
+    @pytest.mark.parametrize("runs", [2.5, 2.0, True, "2"])
+    def test_runs_must_be_an_integer(self, runs):
+        # range() used to raise a TypeError, and True ran once
+        with pytest.raises(GameDefinitionError, match="integer"):
+            run_benchmark([GenParams(n=2, r_p=1.0, r_v=1, seed=0)], ["tdbs"], runs=runs)
+
     def test_unknown_algorithm(self):
         with pytest.raises(GameDefinitionError):
             run_benchmark([GenParams(n=2, r_p=1.0, r_v=1, seed=0)], ["simplex"], runs=1)

@@ -820,7 +820,7 @@ class TestUpperBounds:
             tracemalloc.stop()
         assert peak < 2**20, peak
         # and it keeps the villager search to at most two targets
-        assert (bounds >= waterfill._minimax_seed(inst)[0] - inst.tol).sum() <= 2
+        assert (bounds >= feasibility._minimax_seed(inst)[0] - inst.tol).sum() <= 2
 
     def test_targets_never_tied_are_bounded_to_minus_inf(self):
         # with no resources the attacker takes the largest reward, 5; target 0's is 1
@@ -1092,3 +1092,24 @@ class TestPooledTest:
         with np.errstate(over="ignore", invalid="ignore"):
             assert not np.isfinite(pool.need(u)).any()
         assert pool.passes(i_star, p_star, v_star).all()
+
+
+def test_a_solve_derives_the_attacker_floor_once(monkeypatch):
+    # The searches' confirm and fallback rows, the one-call villager path and
+    # hw's break-even rows read the floor from the solve's pool; only the pool
+    # and tdbs's witness pass derive it.
+    calls = []
+    floor_of = feasibility._floor_of_others
+
+    def counting_floor(instance):
+        calls.append(instance.n)
+        return floor_of(instance)
+
+    monkeypatch.setattr(feasibility, "_floor_of_others", counting_floor)
+    base = generate_instance(GenParams(240, 120, 120, seed=6))
+    per_target = dataclasses.replace(base, e_v=np.random.default_rng(6).uniform(0.05, 0.95, base.n))
+    for solve, instances, most in ((solve_tdbs, (base, per_target), 2), (solve_hw, (base,), 1)):
+        for inst in instances:
+            calls.clear()
+            solve(inst)
+            assert 0 < len(calls) <= most, (solve.__name__, len(calls))

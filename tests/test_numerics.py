@@ -52,10 +52,10 @@ def epsilon_sweep():
     """tdbs gaps to solve_hw per (instance, epsilon), plus every feasible
     answer those solves received, each with its one-row witness."""
     answers = []
-    rows_of = feasibility.feasible_rows
+    rows_of = feasibility._feasible_rows
 
-    def recording_rows(instance, i_star, p_star, v_star):
-        feasible = rows_of(instance, i_star, p_star, v_star)
+    def recording_rows(instance, floor, i_star, p_star, v_star):
+        feasible = rows_of(instance, floor, i_star, p_star, v_star)
         for row in np.flatnonzero(feasible):
             # the witness the row stands for, rebuilt one query at a time
             query = (int(i_star[row]), float(p_star[row]), int(v_star[row]))
@@ -66,9 +66,8 @@ def epsilon_sweep():
 
     gaps = []
     with pytest.MonkeyPatch.context() as mp:
-        # wherever the batched check is looked up: the searches in
-        # feasibility, hw's break-even rows in waterfill
-        rebind(mp, "feasible_rows", recording_rows)
+        # every query row: the searches' and hw's break-even rows
+        rebind(mp, "_feasible_rows", recording_rows)
         for k, inst in enumerate(epsilon_family()):
             exact = solve_hw(inst).defender_utility
             for epsilon in EPSILONS:

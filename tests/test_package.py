@@ -1,5 +1,8 @@
+import ast
+import inspect
+
 import patrolgame
-from patrolgame import feasibility, model, waterfill
+from patrolgame import feasibility, model, tdbs, waterfill
 
 # Test-only API that was removed; none of it may come back.
 REMOVED = (
@@ -31,3 +34,11 @@ def test_namespace_exports_the_solver_api_only():
     for name in ("SwapCandidate", "WaterfillState", "get_swap_line"):
         assert name not in patrolgame.__all__ and hasattr(waterfill, name), name
     assert not hasattr(model.StrategyProfile, "zeros")
+
+
+def test_solvers_bind_no_private_feasibility_name():
+    # the candidate pipelines live behind feasibility's public functions
+    for module in (tdbs, waterfill):
+        imports = [node for node in ast.walk(ast.parse(inspect.getsource(module))) if isinstance(node, ast.ImportFrom)]
+        names = [alias.name for node in imports if node.module == "feasibility" for alias in node.names]
+        assert names and [name for name in names if name.startswith("_")] == [], module.__name__

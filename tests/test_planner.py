@@ -248,6 +248,12 @@ class TestBudgetSweep:
         with pytest.raises(GameDefinitionError):
             budget_sweep(self.scenario(), max_extra=max_extra)
 
+    @pytest.mark.parametrize("max_extra", [2.5, 2.0, True, "2"])
+    def test_extra_budget_must_be_an_integer(self, max_extra):
+        # range() used to raise a TypeError, and True swept one extra budget
+        with pytest.raises(GameDefinitionError, match="integer"):
+            budget_sweep(self.scenario(), max_extra=max_extra)
+
     @pytest.mark.parametrize("cost", [np.nan, np.inf, -np.inf, 0.0, -1.0, "3"])
     def test_costs_must_be_finite_and_positive(self, cost):
         with pytest.raises(GameDefinitionError):

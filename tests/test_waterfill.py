@@ -62,7 +62,7 @@ def make_state(inst, i_star, p, v):
 
 def kept_by_bound(inst):
     """Per target, whether ``solve_hw``'s bound leaves it to the villager search."""
-    return feasibility._upper_bounds(feasibility._Pool(inst)) >= waterfill._minimax_seed(inst)[0] - inst.tol
+    return feasibility._upper_bounds(feasibility._Pool(inst)) >= feasibility._minimax_seed(inst)[0] - inst.tol
 
 
 def scw_ref(inst, v, u, i_star):
@@ -323,13 +323,13 @@ class TestSolveHw:
 
     def test_diagnostics_count_every_check(self, monkeypatch):
         calls = []
-        rows_of = feasibility.feasible_rows
+        rows_of = feasibility._feasible_rows
         subproblems = []
         run_subproblem = waterfill._run_subproblem
 
-        def recording_rows(instance, i_star, p_star, v_star):
+        def recording_rows(instance, floor, i_star, p_star, v_star):
             calls.extend(zip(i_star, p_star, v_star))  # one check per row
-            return rows_of(instance, i_star, p_star, v_star)
+            return rows_of(instance, floor, i_star, p_star, v_star)
 
         def recording_subproblem(instance, i_star, v_star, on_state=None):
             subproblems.append(i_star)
@@ -341,14 +341,14 @@ class TestSolveHw:
             calls.extend(levels)  # one check per level row of the minimax search
             return levels_feasible(instance, levels)
 
-        rebind(monkeypatch, "feasible_rows", recording_rows)
+        rebind(monkeypatch, "_feasible_rows", recording_rows)
         monkeypatch.setattr(feasibility, "_levels_feasible", recording_levels)
         monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
         unattackable = bounded = 0
         for k in range(12):
             inst = random_instance(12_000 + k, n=3 + k % 6, r_p=1 + k % 3, r_v=k % 4)
             n = inst.n
-            attackable = rows_of(inst, np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64))
+            attackable = feasibility.feasible_rows(inst, np.arange(n), np.zeros(n), np.zeros(n, dtype=np.int64))
             unattackable += inst.n - attackable.sum()
             calls.clear()
             subproblems.clear()
@@ -464,17 +464,25 @@ class TestBreakEvenCheck:
     """``solve_hw`` prunes with one batched check, and only candidates that cannot win."""
 
     def test_one_batched_check_after_candidates(self, monkeypatch):
-        calls = []
-        rows_of = waterfill.feasible_rows
+        calls, searched = [], []
+        rows_of, candidates_of = feasibility._feasible_rows, feasibility._candidates
 
-        def recording_rows(instance, i_star, p_star, v_star):
-            calls.append(len(i_star))
-            return rows_of(instance, i_star, p_star, v_star)
+        def recording_candidates(pool, targets):
+            found = candidates_of(pool, targets)
+            searched.append(True)
+            return found
 
-        monkeypatch.setattr(waterfill, "feasible_rows", recording_rows)
+        def recording_rows(instance, floor, i_star, p_star, v_star):
+            if searched:  # the villager search's own rows are not counted
+                calls.append(len(i_star))
+            return rows_of(instance, floor, i_star, p_star, v_star)
+
+        monkeypatch.setattr(feasibility, "_candidates", recording_candidates)
+        monkeypatch.setattr(feasibility, "_feasible_rows", recording_rows)
         checked = 0
         for k, inst in enumerate(TestBracketPruning().family()):
             calls.clear()
+            searched.clear()
             solve_hw(inst)
             assert len(calls) <= 1, k
             checked += sum(calls)
@@ -526,7 +534,7 @@ class TestMinimaxSeed:
             # the search's level: no valid profile holds the attacker lower
             level = attacker_utilities(inst, compute_coverage(inst, profile)).max()
             assert level <= attacker_utilities(inst, compute_coverage(inst, oracle.profile)).max() + 2 * inst.tol, k
-            seed, _ = waterfill._minimax_seed(inst)
+            seed, _ = feasibility._minimax_seed(inst)
             assert seed <= oracle.defender_utility + inst.tol, k
             reached += seed >= oracle.defender_utility - inst.tol
         assert reached >= 60  # most often the seed is an optimum itself
@@ -541,7 +549,7 @@ class TestMinimaxSeed:
             reward_def=[0.0, 0.0, 0.0], penalty_def=[0.0, -100.0, -100.0],
             reward_att=[1.0 - 5e-8, 1.0, 1.0], penalty_att=[-1.0, -1.0, -1.0],
         )
-        assert waterfill._minimax_seed(inst)[0] == -100.0
+        assert feasibility._minimax_seed(inst)[0] == -100.0
         result = solve_hw(inst)
         assert result.diagnostics["pruned"] == 0
         oracle = solve_oracle(inst)
@@ -551,7 +559,7 @@ class TestMinimaxSeed:
         for k in range(60):
             n = 2 + k % 9
             inst = random_instance(15_500 + k, n=n, r_p=(k % 4) * n / 3, r_v=(k // 4) % 5)
-            assert waterfill._minimax_seed(inst) == minimax_seed_ref(inst), k
+            assert feasibility._minimax_seed(inst) == minimax_seed_ref(inst), k
 
     def test_zero_spread_target_against_the_oracle(self):
         # Target 0 pays the attacker nothing at any coverage: the minimax
