@@ -10,6 +10,7 @@ CSV); stdout carries a short human summary.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -158,6 +159,9 @@ def _cmd_sweep(args) -> int:
 def _cmd_compare(args) -> int:
     if args.tally_output and not args.grid:
         print("error: --tally-output needs --grid", file=sys.stderr)
+        return _USAGE_ERROR
+    if args.tally_output and os.path.realpath(args.tally_output) == os.path.realpath(args.output):
+        print("error: --output and --tally-output name the same file", file=sys.stderr)
         return _USAGE_ERROR
     scenario = _load_scenario(args.input)
     if args.grid:

@@ -22,8 +22,9 @@ targets), so memory stays O(block × n). Rows come from three sources:
   query share one loop (``_query_blocks``);
 - level rows (``_levels_feasible``) hold every target to one attacker
   level, with nothing spent. The minimax search (``_minimax_profile``),
-  which seeds ``solve_hw``'s pruning, checks ``_LEVELS_PER_ROUND`` of them
-  per round and builds its profile as witness rows do.
+  which seeds ``solve_hw``'s pruning, checks one of them at the pooled
+  crossing first, and ``_LEVELS_PER_ROUND`` per round only where that one
+  fails; it builds its profile as witness rows do.
 
 So a target's v = 0 query past the floor test is the level row at its own
 attacker reward, where its own need is zero.
@@ -54,7 +55,12 @@ the optimum reaches it too. The first seed is the minimax profile's
 (ORIGAMI's attack-set minimisation), read on a target it lets be attacked
 exactly (``_minimax_seed``): one it attacks already, or one whose ranger
 effort can be shed until its attacker utility passes the best. A target
-only tied within tol is not enough: it may be no candidate at all.
+only tied within tol is not enough: it may be no candidate at all. The
+search starts at the level where the pooled need meets the budgets'
+coverage (``_crossing``, the sweep the bound uses too), and one level row
+just above it usually settles it. The seed stays sound however the level
+was found: the profile is the witness of a level row the fill finds
+feasible.
 
 - Bound: ``_upper_bounds`` gives each target at least the defender utility
   of any valid profile that leaves it in the attacker's tied set (ORIGAMI's
@@ -82,7 +88,8 @@ may be different co-optimal profiles, so the attacked target can differ
 from an unpruned solve while the utility does not. The seed only prunes:
 ``solve_hw`` returns its own waterfilled winner, never the minimax profile,
 which often ties it on another attacked target. ``candidates_above_seed``
-counts the minimax search's level rows, the villager search's rows and the
+builds the solve's one ``_Pool`` before the seed, counts the minimax
+search's level rows, the villager search's rows and the
 break-even rows in ``feasibility_checks``, the targets never searched in
 ``bounded``, the attackable targets among the rest in ``candidates``, and
 the pruned candidates in ``pruned``, so ``candidates - pruned`` subproblems
@@ -168,7 +175,8 @@ _COVERAGE_SLACK = REL_TOL / 4
 # operation; bounds the transient memory of a batched check at O(block × n).
 _BLOCK_CELLS = 2**13
 
-# Attacker levels the minimax search checks per round (``_minimax_profile``).
+# Attacker levels the minimax search checks per round where its one row at
+# the pooled crossing fails (``_minimax_profile``).
 _LEVELS_PER_ROUND = 32
 
 
@@ -238,7 +246,7 @@ class _Pool:
     ``sum_{R_j > u} (R_j - u) / spread_j - sum_{P_j > u} (P_j - u) /
     spread_j``. Built once in O(n log n), the reward- and penalty-sorted
     suffix sums of ``end / spread`` and ``1 / spread`` give F at any u in
-    O(log n) (``need``). ``_pooled_level`` sweeps F; ``passes`` answers
+    O(log n) (``need``). ``_crossing`` sweeps F; ``passes`` answers
     both cheap tests for query rows (module docstring).
     """
 
@@ -678,7 +686,7 @@ def candidates_with_effort(instance: Instance, epsilon: float) -> Tuple[np.ndarr
 def candidates_above_seed(instance: Instance) -> Tuple[np.ndarray, np.ndarray, Counter]:
     """HW's candidates, bounded and pruned against a seed: ``(i_stars, v_stars, counters)``.
 
-    The minimax seed (``_minimax_seed``); then, on one ``_Pool``, the bound
+    On one ``_Pool``: the minimax seed (``_minimax_seed``), the bound
     (``_upper_bounds``), ``candidates`` on the targets it keeps, and the
     break-even rows in one batch (module docstring). Returns the unpruned
     candidates in index order with their villager counts, and a ``Counter``
@@ -686,8 +694,8 @@ def candidates_above_seed(instance: Instance) -> Tuple[np.ndarray, np.ndarray, C
     rows), the ``candidates`` found, how many of them are ``pruned``, and
     the targets ``bounded``. Sound for a scalar ``e_v``.
     """
-    minimax_seed, checks = _minimax_seed(instance)
     pool = _Pool(instance)
+    minimax_seed, checks = _minimax_seed(pool)
     searched = np.flatnonzero(_upper_bounds(pool) >= minimax_seed - instance.tol)
     i_stars, v_stars, counters = _candidates(pool, searched)
     at_no_effort = fixed_target_utilities(instance, i_stars, 0.0, v_stars)[0]
@@ -721,25 +729,46 @@ def _levels_feasible(instance, levels: np.ndarray) -> np.ndarray:
     return feasible
 
 
-def _minimax_profile(instance: Instance) -> Tuple[StrategyProfile, int]:
+def _minimax_profile(pool) -> Tuple[StrategyProfile, int]:
     """A profile holding the attacker's best utility lowest, and the level rows checked.
 
     ORIGAMI's attack-set minimisation (Kiekintveld et al., AAMAS 2009) with
-    whole villagers. Holding every target to an attacker level u is
-    feasible at u = max R_a and monotone in u, and no level below max P_a
-    is feasible. So the search narrows the bracket ``[max P_a, max R_a]``
-    in rounds, each one ``_levels_feasible`` call on
+    whole villagers, on ``pool``'s instance. Holding every target to an
+    attacker level u is feasible at u = max R_a and monotone in u, and no
+    level below max P_a is feasible. The search starts at the crossing z
+    where the pooled need F meets ``e_p * ranger_budget + max(e_v) *
+    villager_budget`` (``_crossing``). The fill's villagers cover at most
+    ``max(e_v)`` each, so no level more than ``tol / 2`` below z is
+    feasible (the ``_COVERAGE_SLACK`` moves a level by at most that);
+    wherever every spare villager takes a whole piece, the fill's residual
+    is F less the villagers' share, and the minimax level lies within
+    ``tol / 2`` below z. The bracket starts
+    as ``[max(max P_a, z - tol / 2), max R_a]``, and the first round checks
+    one level row at ``max(max P_a, z) + tol / 4`` (at ``max P_a + tol / 4``
+    where the pooled cover reaches every target and z is -inf); where that
+    row is feasible the bracket is within ``tol``. Otherwise, and from
+    ``[max P_a, max R_a]`` where the sweep gives no crossing, the search
+    narrows the bracket in rounds, each one ``_levels_feasible`` call on
     ``_LEVELS_PER_ROUND`` levels spread evenly inside it, until it is
-    within ``tol`` or one float step, as the effort search (``_bisect``) stops. The
-    profile is ``_fill``'s witness of the level row at the bracket's
-    feasible end, built as ``witness_blocks`` builds its witnesses.
+    within ``tol`` or one float step, as the effort search (``_bisect``)
+    stops. The start only places the rows: the profile is ``_fill``'s
+    witness of the level row at the bracket's feasible end, built as
+    ``witness_blocks`` builds its witnesses, however that level was found.
     """
+    instance = pool.instance
     lo, hi = float(instance.penalty_att.max()), float(instance.reward_att.max())
+    with np.errstate(over="ignore"):
+        cover = instance.e_p * instance.ranger_budget + np.max(instance.e_v) * instance.villager_budget
+    crossing = _crossing(pool, cover)
     steps = np.arange(1, _LEVELS_PER_ROUND + 1) / (_LEVELS_PER_ROUND + 1)
+    if np.isnan(crossing):
+        levels = lo + (hi - lo) * steps
+    else:
+        levels = np.array([max(lo, crossing) + instance.tol / 4])
+        lo = max(lo, crossing - instance.tol / 2)
     checks = 0
     while hi - lo > instance.tol:
-        levels = lo + (hi - lo) * steps  # ascending; repeats only near one float step
-        levels = levels[(lo < levels) & (levels < hi)]
+        levels = levels[(lo < levels) & (levels < hi)]  # ascending; repeats only near one float step
         if levels.size == 0:
             break  # narrower than one float step
         feasible = _levels_feasible(instance, levels)
@@ -749,14 +778,16 @@ def _minimax_profile(instance: Instance) -> Tuple[StrategyProfile, int]:
             hi = float(levels[first])
         if first > 0:
             lo = float(levels[first - 1])
+        levels = lo + (hi - lo) * steps
     spent = np.zeros(1, dtype=np.int64)
     _, p, v = _fill(instance, _min_coverage(instance, np.array([[hi]])), spent, spent, witness=True)
     return StrategyProfile(p[0], v[0]), checks
 
 
-def _minimax_seed(instance: Instance) -> Tuple[float, int]:
+def _minimax_seed(pool) -> Tuple[float, int]:
     """A defender utility some valid profile reaches on the target it is
-    attacked on, from the minimax profile; and the level rows checked.
+    attacked on, from the minimax profile of ``pool``'s instance; and the
+    level rows checked.
 
     A target the profile already attacks exactly counts as it is. Any
     other target's coverage is lowered, shedding rangers only, until its
@@ -765,7 +796,8 @@ def _minimax_seed(instance: Instance) -> Tuple[float, int]:
     attacked on that target, so the target's completion reaches at least
     its utility there, and so does the optimum.
     """
-    minimax, checks = _minimax_profile(instance)
+    instance = pool.instance
+    minimax, checks = _minimax_profile(pool)
     coverage = coverage_of(instance, minimax.p, minimax.v)
     u_d, u_a = utilities_of(instance, coverage, slice(None))
     top = u_a.max()
@@ -778,48 +810,60 @@ def _minimax_seed(instance: Instance) -> Tuple[float, int]:
     return max(u_d[u_a == top].max(), lowered_d[attacked].max(initial=-np.inf)), checks
 
 
-def _pooled_level(pool) -> float:
-    """A level z such that no valid profile holds every target's attacker utility to z or below.
+def _crossing(pool, cover) -> float:
+    """The attacker level where the pooled need F of ``pool`` falls to ``cover``.
 
     ORIGAMI's pooled-coverage sweep (Kiekintveld et al., AAMAS 2009) with
-    integrality dropped. The coverage a valid profile spends is at most
-    ``C = e_p * ranger_budget * (1 + REL_TOL) + max(e_v) * villager_budget``
-    (effort within ``model.validate_profile``'s slack), and holding every
-    target to u takes ``F(u) = sum_j _min_coverage(u)_j``, which falls
-    piecewise linearly as u rises. The sweep finds where F crosses C from
-    ``_Pool``'s sums over the targets sorted by reward and by penalty,
-    read at every break. Prefix sums can cancel: below the penalty of a target
-    with a tiny spread, its huge width enters both sums and swamps the
-    others. Such breaks lie below that penalty, at most 0, so the bracket
-    is read from above: the largest break where F exceeds C and the next
-    one up, never the smallest break where F seems not to. (Where the
-    crossing itself lies among such breaks, the certification or the
-    finiteness check below rejects the level.) The level
-    returned is ``tol / 2`` below the crossing and certified:
-    ``_min_coverage`` sums to more than C there, past the rounding of that
-    sum. So any u with ``F(u) <= C`` lies above z. Returns -inf where C
-    covers every target fully, and nan where the sweep is not finite or the
-    level is not certified.
+    integrality dropped. Holding every target to u takes ``F(u) = sum_j
+    _min_coverage(u)_j``, which falls piecewise linearly as u rises. The
+    sweep finds where F crosses ``cover`` from ``_Pool``'s sums over the
+    targets sorted by reward and by penalty, read at every break. Prefix
+    sums can cancel: below the penalty of a target with a tiny spread, its
+    huge width enters both sums and swamps the others. Such breaks lie
+    below that penalty, at most 0, so the bracket is read from above: the
+    largest break where F exceeds ``cover`` and the next one up, never the
+    smallest break where F seems not to. The crossing is interpolated
+    linearly between the two. Returns -inf where ``cover`` reaches every
+    target fully, and nan where the sweep or the crossing is not finite.
     """
-    instance = pool.instance
-    total = np.count_nonzero(instance.spread_att > 0)
-    with np.errstate(over="ignore"):
-        rangers = instance.e_p * instance.ranger_budget * (1.0 + REL_TOL)
-        pooled = rangers + np.max(instance.e_v) * instance.villager_budget
-    if pooled >= total:
+    if cover >= pool.reward.size:
         return -np.inf
     breaks = np.concatenate([pool.reward, pool.penalty])
     with np.errstate(over="ignore", invalid="ignore"):
         need = pool.need(breaks)  # F at each break
-        short = need > pooled  # F(u) > C: u lies below the crossing
+        short = need > cover  # F(u) > cover: u lies below the crossing
         if short.all() or not short.any():
-            return np.nan  # F is 0 at the largest reward and ``total`` at the least penalty
-        # The crossing lies between the largest break where F exceeds C and
-        # the next break above it; breaks further down never move it.
+            return np.nan  # F is 0 at the largest reward and the target count at the least penalty
+        # The crossing lies between the largest break where F exceeds cover
+        # and the next break above it; breaks further down never move it.
         lo = np.where(short, breaks, -np.inf).argmax()
         hi = np.where(breaks > breaks[lo], breaks, np.inf).argmin()
-        crossing = breaks[lo] + (breaks[hi] - breaks[lo]) * ((need[lo] - pooled) / (need[lo] - need[hi]))
-        level = float(crossing - instance.tol / 2)
+        crossing = float(breaks[lo] + (breaks[hi] - breaks[lo]) * ((need[lo] - cover) / (need[lo] - need[hi])))
+    return crossing if np.isfinite(crossing) else np.nan
+
+
+def _pooled_level(pool) -> float:
+    """A level z such that no valid profile holds every target's attacker utility to z or below.
+
+    The coverage a valid profile spends is at most ``C = e_p *
+    ranger_budget * (1 + REL_TOL) + max(e_v) * villager_budget`` (effort
+    within ``model.validate_profile``'s slack). The level returned is
+    ``tol / 2`` below the crossing of F and C (``_crossing``) and
+    certified: ``_min_coverage`` sums to more than C there, past the
+    rounding of that sum. (Where the crossing lies among breaks whose sums
+    cancel, the certification or the finiteness check rejects the level.)
+    So any u with ``F(u) <= C`` lies above z. Returns -inf where C covers
+    every target fully, and nan where the sweep is not finite or the level
+    is not certified.
+    """
+    instance = pool.instance
+    with np.errstate(over="ignore"):
+        rangers = instance.e_p * instance.ranger_budget * (1.0 + REL_TOL)
+        pooled = rangers + np.max(instance.e_v) * instance.villager_budget
+    crossing = _crossing(pool, pooled)
+    if not np.isfinite(crossing):
+        return crossing
+    level = crossing - instance.tol / 2
     if not np.isfinite(level):
         return np.nan
     rounding = 4 * instance.n * instance.n.bit_length() * np.finfo(float).eps

@@ -431,22 +431,57 @@ def level_greedy_ref(inst, u):
     return feasible, counts, residual
 
 
+def crossing_ref(inst):
+    """The attacker level where ``e_p * ranger_budget + max(e_v) *
+    villager_budget`` meets the summed needs F of holding every target to
+    it; -inf where that cover reaches every target fully.
+
+    F is linear between the sorted payoff breaks. The crossing is
+    interpolated between the largest break where F exceeds the cover and
+    the next break up, with each sum taken over the targets whose end lies
+    above the level, largest end first, as the sweep's suffix sums take
+    them, so the two agree to the bit.
+    """
+    cover = inst.e_p * inst.ranger_budget + max(effectiveness_list(inst)) * inst.villager_budget
+    wide = [(r, p, 1.0 / (r - p)) for r, p in zip(inst.reward_att.tolist(), inst.penalty_att.tolist()) if r > p]
+    if cover >= len(wide):
+        return -math.inf
+
+    def need(u):
+        sums = []
+        for side in (0, 1):
+            ends, widths = 0.0, 0.0
+            for target in sorted((t for t in wide if t[side] > u), key=lambda t: -t[side]):
+                ends += target[side] * target[2]
+                widths += target[2]
+            sums.append(ends - u * widths)
+        return sums[0] - sums[1]
+
+    breaks = sorted({end for target in wide for end in target[:2]})
+    lo = max(u for u in breaks if need(u) > cover)
+    hi = min(u for u in breaks if u > lo)
+    return lo + (hi - lo) * ((need(lo) - cover) / (need(lo) - need(hi)))
+
+
 def minimax_seed_ref(inst, levels_per_round=32):
     """Reference minimax seed: (defender utility, level rows checked).
 
-    The attacker level bracket ``[max P_a, max R_a]`` shrinks in rounds of
-    ``levels_per_round`` evenly spread levels, each checked by
-    ``level_greedy_ref``, until it is within tol or one float step. At the
-    feasible end, the greedy's villagers and rangers covering the residual
-    (scaled into the budget) form the minimax profile. The seed is the best
-    defender utility over targets that profile attacks exactly, or that
-    shed rangers until their attacker utility passes the best by the
-    rounding (four eps of coverage).
+    The search starts at the crossing z (``crossing_ref``): the attacker
+    level bracket is ``[max(max P_a, z - tol / 2), max R_a]``, and the first
+    round checks the one level ``max(max P_a, z) + tol / 4`` with
+    ``level_greedy_ref``. From there the bracket shrinks in rounds of
+    ``levels_per_round`` evenly spread levels, until it is within tol or one
+    float step. At the feasible end, the greedy's villagers and rangers
+    covering the residual (scaled into the budget) form the minimax profile.
+    The seed is the best defender utility over targets that profile attacks
+    exactly, or that shed rangers until their attacker utility passes the
+    best by the rounding (four eps of coverage).
     """
-    lo, hi = max(inst.penalty_att), max(inst.reward_att)
+    z = crossing_ref(inst)
+    lo, hi = max(max(inst.penalty_att), z - inst.tol / 2), max(inst.reward_att)
+    inside = [max(max(inst.penalty_att), z) + inst.tol / 4]
     checks = 0
     while hi - lo > inst.tol:
-        inside = [lo + (hi - lo) * (k / (levels_per_round + 1)) for k in range(1, levels_per_round + 1)]
         inside = [u for u in inside if lo < u < hi]
         if not inside:
             break
@@ -456,6 +491,7 @@ def minimax_seed_ref(inst, levels_per_round=32):
                 hi = u
                 break
             lo = u
+        inside = [lo + (hi - lo) * (k / (levels_per_round + 1)) for k in range(1, levels_per_round + 1)]
     _, counts, residual = level_greedy_ref(inst, hi)
     p = [r / inst.e_p for r in residual]
     total = np.sum(p)
@@ -479,6 +515,46 @@ def minimax_seed_ref(inst, levels_per_round=32):
         if lowered >= min(e_v[j] * counts[j], 1.0) and r_a * (1 - lowered) + p_a * lowered >= top:
             seed = max(seed, r_d * lowered + p_d * (1 - lowered))
     return seed, checks
+
+
+def minimax_level_ref(inst):
+    """The lowest attacker level ``level_greedy_ref`` finds feasible, bisected
+    over ``[max P_a, max R_a]`` down to one float step."""
+    lo, hi = float(inst.penalty_att.max()), float(inst.reward_att.max())
+    if level_greedy_ref(inst, lo)[0]:
+        return lo
+    while True:
+        mid = lo / 2 + hi / 2
+        if mid in (lo, hi):
+            return hi
+        lo, hi = (lo, mid) if level_greedy_ref(inst, mid)[0] else (mid, hi)
+
+
+def minimax_profile_33ary(pool):
+    """The minimax search before its crossing-first start: ``[max P_a, max
+    R_a]`` narrowed in rounds of 32 evenly spread level rows from the first
+    round on. Patched in for ``feasibility._minimax_profile``, it gives the
+    former minimax seed; returns ``(profile, level rows checked)``."""
+    instance = pool.instance
+    lo, hi = float(instance.penalty_att.max()), float(instance.reward_att.max())
+    steps = np.arange(1, 33) / 33
+    checks = 0
+    while hi - lo > instance.tol:
+        levels = lo + (hi - lo) * steps
+        levels = levels[(lo < levels) & (levels < hi)]
+        if levels.size == 0:
+            break
+        feasible = feasibility._levels_feasible(instance, levels)
+        checks += levels.size
+        first = int(np.argmax(feasible)) if feasible.any() else levels.size
+        if first < levels.size:
+            hi = float(levels[first])
+        if first > 0:
+            lo = float(levels[first - 1])
+    spent = np.zeros(1, dtype=np.int64)
+    c_min = feasibility._min_coverage(instance, np.array([[hi]]))
+    _, p, v = feasibility._fill(instance, c_min, spent, spent, witness=True)
+    return StrategyProfile(p[0], v[0]), checks
 
 
 def solve_hw_sequential(inst):

@@ -354,6 +354,15 @@ class TestSweepCompare:
         assert "--grid" in capsys.readouterr().err
         assert not out.exists() and not tally.exists()
 
+    def test_tally_output_over_the_grid_output_is_usage_error(self, tmp_path, monkeypatch, capsys):
+        # the tally once overwrote the grid CSV, and the command still reported the grid
+        monkeypatch.chdir(tmp_path)
+        for tally in ("g.csv", "./g.csv", str(tmp_path / "g.csv")):
+            code = cli_dispatch(["compare", "--grid", "--output", "g.csv", "--tally-output", tally])
+            assert code == 2, tally
+            assert "same file" in capsys.readouterr().err
+            assert not (tmp_path / "g.csv").exists()
+
     def test_compare_cells_read_back_exactly(self, tmp_path, capsys):
         out = tmp_path / "compare.csv"
         assert cli_dispatch(["compare", "--algorithm", "hw", "--output", str(out)]) == 0

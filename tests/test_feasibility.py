@@ -674,11 +674,13 @@ class TestCandidates:
     @pytest.mark.parametrize(
         "solve, diagnostics",
         [
-            # hw: 224 minimax level rows (7 rounds of 32), 4 candidate rows;
-            # both targets tie, so the bound keeps both
+            # hw: 1 minimax level row, 4 candidate rows. The pooled need
+            # 1 - u meets the cover 0.5 + 0.5 at u = 0, and the one row just
+            # above it holds (the villager takes a whole piece), so the search
+            # ends there. Both targets tie, so the bound keeps both
             (
                 solve_hw,
-                {"feasibility_checks": 228, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0, "bounded": 0},
+                {"feasibility_checks": 5, "candidates": 2, "iterations": 2, "swaps": 0, "pruned": 0, "bounded": 0},
             ),
             # tdbs: 4 villager rows, v = 0 and v = 1 on each target in one
             # round (a round holds every count, so no cap is computed);
@@ -820,7 +822,7 @@ class TestUpperBounds:
             tracemalloc.stop()
         assert peak < 2**20, peak
         # and it keeps the villager search to at most two targets
-        assert (bounds >= feasibility._minimax_seed(inst)[0] - inst.tol).sum() <= 2
+        assert (bounds >= feasibility._minimax_seed(feasibility._Pool(inst))[0] - inst.tol).sum() <= 2
 
     def test_targets_never_tied_are_bounded_to_minus_inf(self):
         # with no resources the attacker takes the largest reward, 5; target 0's is 1

@@ -1,6 +1,8 @@
 import copy
 import dataclasses
 import tracemalloc
+import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,6 +26,8 @@ from patrolgame.waterfill import WaterfillState, get_swap_line, solve_hw
 from conftest import (
     greedy_villagers_loop,
     min_coverage_ref,
+    minimax_level_ref,
+    minimax_profile_33ary,
     minimax_seed_ref,
     placements,
     random_instance,
@@ -62,7 +66,8 @@ def make_state(inst, i_star, p, v):
 
 def kept_by_bound(inst):
     """Per target, whether ``solve_hw``'s bound leaves it to the villager search."""
-    return feasibility._upper_bounds(feasibility._Pool(inst)) >= feasibility._minimax_seed(inst)[0] - inst.tol
+    pool = feasibility._Pool(inst)
+    return feasibility._upper_bounds(pool) >= feasibility._minimax_seed(pool)[0] - inst.tol
 
 
 def scw_ref(inst, v, u, i_star):
@@ -528,13 +533,13 @@ class TestMinimaxSeed:
         for k in range(120):
             n = 2 + k % 5
             inst = random_instance(15_000 + k, n=n, r_p=(k % 4) * n / 3, r_v=(k // 4) % 4)
-            profile, _ = feasibility._minimax_profile(inst)
+            profile, _ = feasibility._minimax_profile(feasibility._Pool(inst))
             assert validate_profile(inst, profile) == [], k
             oracle = solve_oracle(inst)
             # the search's level: no valid profile holds the attacker lower
             level = attacker_utilities(inst, compute_coverage(inst, profile)).max()
             assert level <= attacker_utilities(inst, compute_coverage(inst, oracle.profile)).max() + 2 * inst.tol, k
-            seed, _ = feasibility._minimax_seed(inst)
+            seed, _ = feasibility._minimax_seed(feasibility._Pool(inst))
             assert seed <= oracle.defender_utility + inst.tol, k
             reached += seed >= oracle.defender_utility - inst.tol
         assert reached >= 60  # most often the seed is an optimum itself
@@ -549,7 +554,7 @@ class TestMinimaxSeed:
             reward_def=[0.0, 0.0, 0.0], penalty_def=[0.0, -100.0, -100.0],
             reward_att=[1.0 - 5e-8, 1.0, 1.0], penalty_att=[-1.0, -1.0, -1.0],
         )
-        assert feasibility._minimax_seed(inst)[0] == -100.0
+        assert feasibility._minimax_seed(feasibility._Pool(inst))[0] == -100.0
         result = solve_hw(inst)
         assert result.diagnostics["pruned"] == 0
         oracle = solve_oracle(inst)
@@ -559,7 +564,7 @@ class TestMinimaxSeed:
         for k in range(60):
             n = 2 + k % 9
             inst = random_instance(15_500 + k, n=n, r_p=(k % 4) * n / 3, r_v=(k // 4) % 5)
-            assert feasibility._minimax_seed(inst) == minimax_seed_ref(inst), k
+            assert feasibility._minimax_seed(feasibility._Pool(inst)) == minimax_seed_ref(inst), k
 
     def test_zero_spread_target_against_the_oracle(self):
         # Target 0 pays the attacker nothing at any coverage: the minimax
@@ -599,6 +604,78 @@ class TestMinimaxSeed:
                 for factor in (1.0, 1e-300, 1e-9, 1e6, 1e300)
             }
             assert len(set(pruned.values())) == 1, (k, pruned)
+
+
+def _minimax_family():
+    """216 seeded small instances for the minimax search: zero-spread targets
+    on a third, ranger budget 0 on a quarter, villager budgets 0, 1, 3 and
+    2**62, per-target e_v on a quarter, each at payoff scales 1, 1e-9 and 1e6."""
+    rng = np.random.default_rng(28)
+    for k in range(72):
+        n = 2 + k % 5
+        inst = random_instance(28_000 + k, n=n, r_p=(k % 4) * n / 3, r_v=(0, 1, 3, 2**62)[(k // 4) % 4])
+        if k % 3 == 0:
+            flat = rng.random(n) < 0.4
+            inst = dataclasses.replace(
+                inst,
+                reward_att=np.where(flat, 0.0, inst.reward_att),
+                penalty_att=np.where(flat, 0.0, inst.penalty_att),
+            )
+        if k % 4 == 3:
+            inst = dataclasses.replace(inst, e_v=rng.uniform(0.05, 0.95, n).round(3))
+        for factor in (1.0, 1e-9, 1e6):
+            yield k, factor, scaled(inst, factor)
+
+
+class TestCrossingStart:
+    """The minimax search starts at the pooled crossing: one level row
+    usually settles it, and the seed prunes as the 33-ary search's did."""
+
+    def test_profile_is_valid_and_within_tol_of_the_fine_level(self):
+        seen = Counter()
+        for k, factor, inst in _minimax_family():
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                profile, rows = feasibility._minimax_profile(feasibility._Pool(inst))
+            assert validate_profile(inst, profile) == [], (k, factor)
+            level = attacker_utilities(inst, compute_coverage(inst, profile)).max()
+            assert level >= inst.penalty_att.max(), (k, factor)
+            assert abs(level - minimax_level_ref(inst)) <= inst.tol, (k, factor)
+            seen["one row"] += rows == 1
+            seen["zero spread"] += bool((inst.spread_att == 0).any())
+            seen["no rangers"] += inst.ranger_budget == 0
+            seen["no villagers"] += inst.villager_budget == 0
+            seen["2**62 villagers"] += inst.villager_budget == 2**62
+        assert min(seen.values()) >= 40 and seen["one row"] >= 150, seen
+
+    @pytest.mark.parametrize("n", [5, 50, 240])
+    def test_one_level_row_on_the_benchmark_family(self, n):
+        one_row = 0
+        for s in range(40):
+            inst = generate_instance(GenParams(n=n, r_p=n / 2, r_v=n // 2, seed=s))
+            one_row += feasibility._minimax_profile(feasibility._Pool(inst))[1] == 1
+        assert one_row >= 38, one_row
+
+    def test_solves_match_the_33ary_seed(self, monkeypatch):
+        family = [
+            scaled(random_instance(28_500 + k, n=2 + k % 11, r_p=(k % 4) * (2 + k % 11) / 3, r_v=(k // 4) % 5), factor)
+            for k in range(60)
+            for factor in (1.0, 1e6)
+        ]
+        crossing = [solve_hw(inst) for inst in family]
+        monkeypatch.setattr(feasibility, "_minimax_profile", minimax_profile_33ary)
+        rows = Counter()
+        for k, (inst, got) in enumerate(zip(family, crossing)):
+            want = solve_hw(inst)
+            assert got.attacked == want.attacked, k
+            assert got.defender_utility.hex() == want.defender_utility.hex(), k
+            assert got.profile.p.tobytes() == want.profile.p.tobytes(), k
+            assert got.profile.v.tobytes() == want.profile.v.tobytes(), k
+            counters = [dict(result.diagnostics) for result in (got, want)]
+            rows.update(crossing=counters[0].pop("feasibility_checks"), ary=counters[1].pop("feasibility_checks"))
+            assert counters[0] == counters[1], k
+        # the patch took: the 33-ary rounds sent far more level rows
+        assert rows["crossing"] * 3 < rows["ary"], rows
 
 
 def case_study_grid():
