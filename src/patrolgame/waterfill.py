@@ -20,9 +20,23 @@ the pour runs past any number of them, with running sums over the targets
 below the sea, straight to the highest of the next swap, the next penalty
 floor (or the fixed target's level) and the level where the ranger budget
 runs out (``_next_event``). ``diagnostics["iterations"]`` counts these
-events, and ``get_swap_line`` is called once per iteration. Each fact is
-computed once: the pinned mask in ``_refresh_levels``, the merge set in
-``_next_event`` and utilities from villagers alone in ``_drop``.
+events, and ``get_swap_line`` is called once per iteration; it builds its
+members x donors matrix only on a layout that ``_swap_free`` did not
+certify (below). Each fact is computed once: the pinned mask in
+``_refresh_levels``, the merge set in ``_next_event`` and utilities from
+villagers alone in ``_drop``.
+
+Swap-free layouts: a swap takes a villager from a donor ``j`` to a narrower
+member ``i``, and ``get_swap_line`` finds one only where the donor has not
+merged at the pair's level, which needs ``vo_i - e_v s_i >= u_j - tol``:
+``i``'s utility with the villager it would gain, from its villagers alone,
+against the donor's utility (spreads ``s``). ``_swap_free`` tests every
+pair once, at the first event. Where no donor is pinned and every pair
+misses by ``2 tol`` (plus rounding), no event can swap: until a swap the
+villager counts do not change, members only leave their set, and a donor,
+carrying no effort, was never poured. Then ``get_swap_line`` returns None
+at once. Every case-study layout is certified; an uncertified layout runs
+the matrix search at every event, as before.
 
 Pours hit levels inexactly, so every level comparison (critical-set
 membership, pinned-at-floor tests, swap qualification) allows the
@@ -49,6 +63,10 @@ from .model import (
     utilities_of,
 )
 
+# _swap_free's margin over tol: 2 tol + 16 eps max|payoff|, as tol = REL_TOL max|payoff|.
+_SWAP_FREE_MARGIN = 2.0 + 16 * float(np.finfo(float).eps) / REL_TOL
+
+
 @dataclass
 class WaterfillState:
     """Mutable iteration state of one waterfilling subproblem."""
@@ -64,6 +82,7 @@ class WaterfillState:
     ranger_remaining: float
     swaps: int = 0
     iterations: int = 0
+    swap_free: bool = False  # no event can swap: ``_swap_free`` held at the first event
 
 
 @dataclass(frozen=True)
@@ -82,7 +101,9 @@ def _drop(state: WaterfillState, i, j, spread_gap):
     part of the last villager's coverage on ``j``. ``spread_gap`` is the
     divisor, the payoff spread of ``j`` less that of ``i``; ``i``'s utility
     from its villagers alone comes from its count. Index arrays broadcast: a
-    column of ``i`` and a row of ``j`` give a matrix of drops.
+    column of ``i`` and a row of ``j`` give a matrix of drops. Only
+    ``get_swap_line``'s matrix search calls it, so a layout ``_swap_free``
+    certifies never does.
     """
     inst = state.instance
     spread = inst.spread_att
@@ -108,7 +129,12 @@ def get_swap_line(state: WaterfillState, pinned: np.ndarray) -> Optional[SwapCan
     floor, or behind the current level, don't qualify. ``u_change`` is the
     sea's drop to the event. ``pinned`` is the mask ``_refresh_levels``
     returned for this state, which must have a sea.
+
+    On a layout ``_swap_free`` certified at its first event
+    (``state.swap_free``) it returns None at once and builds no matrix.
     """
+    if state.swap_free:
+        return None
     inst = state.instance
     sea = state.sea_level
     idx = np.arange(inst.n)
@@ -146,6 +172,54 @@ def get_swap_line(state: WaterfillState, pinned: np.ndarray) -> Optional[SwapCan
         i_outp=int(members[mi, 0]),
         i_outv=int(donors[0, dj]),
     )
+
+
+def _swap_free(state: WaterfillState, pinned: np.ndarray) -> bool:
+    """Whether no event of this villager layout can swap; call at the first event.
+
+    ``get_swap_line`` takes a (member ``i``, donor ``j``) pair, spreads
+    ``s_j > s_i``, with an unpinned donor only where the donor has not merged
+    at the pair's level, ``u_j <= level``. With the division cleared, that
+    needs ``vo_i - u_j - (s_i / s_j) (ol_j - u_j) >= -tol``: ``vo`` is the
+    utility from villagers alone, ``ol`` the donor's with one villager fewer
+    (``_drop``), and the ``tol`` covers a critical member's
+    ``joins - u_att``. An unpinned donor's coverage is its villagers' alone,
+    below 1, so ``ol_j - u_j = e_v s_j`` and the test reads
+    ``a_i >= u_j - tol`` with ``a_i = vo_i - e_v s_i``.
+
+    So when no donor is pinned and ``a_i < u_j - margin`` for every pair, no
+    pair qualifies now, nor at any later event: without a swap, members
+    (unpinned targets but the fixed one) only leave their set and keep their
+    ``vo``, and a later donor carries no effort, so it was never poured and
+    keeps its utility. Donors here are every other target holding a
+    villager, which covers ``get_swap_line``'s at every event, and
+    ``vo = u_att`` as no target carries effort yet. The margin,
+    ``2 tol + 16 eps max|payoff|``, is one ``tol`` more than the test needs,
+    and that ``tol`` also covers the rounding of ``a``, ``u`` and the
+    matrix's levels, each a few ``eps`` of the payoffs (every utility lies
+    within them). ``max a < min u - margin`` settles most layouts in O(n);
+    the rest test every pair.
+    """
+    inst = state.instance
+    member = ~pinned
+    member[state.i_star] = False
+    donor = state.villagers > 0
+    donor[state.i_star] = False
+    u = state.u_att[donor]
+    if not (u.size and np.count_nonzero(member)):
+        return True
+    if np.count_nonzero(pinned & donor):
+        return False
+    spread = inst.spread_att
+    s = spread[member]
+    # Past about 1e308 the difference overflows to -inf, which passes rightly.
+    with np.errstate(over="ignore"):
+        a = state.u_att[member] - inst.e_v * s
+    margin = _SWAP_FREE_MARGIN * inst.tol
+    if float(a.max()) < float(u.min()) - margin:
+        return True
+    near = a[:, None] >= u - margin
+    return not np.count_nonzero(near & (spread[donor] > s[:, None]))
 
 
 def _greedy_villagers(inst, i_star: int, v_star: int):
@@ -297,6 +371,8 @@ def _run_subproblem(instance, i_star, v_star, on_state=None):
         state.iterations += 1
         if state.iterations > max_iterations:
             raise RuntimeError("waterfilling failed to terminate; this is a bug")
+        if state.iterations == 1:
+            state.swap_free = _swap_free(state, pinned)
         if on_state is not None:
             on_state(state)
 

@@ -791,6 +791,134 @@ class TestEventDrivenPour:
         assert np.all(np.abs(u_att - inst.penalty_att)[1:] <= inst.tol)
 
 
+def layout_instance(r_a, p_a, e_v, villager_budget):
+    """Unit defender payoffs around the given attacker payoffs."""
+    n = len(r_a)
+    return Instance(1.0, villager_budget, 0.5, e_v, np.ones(n), -np.ones(n), r_a, p_a)
+
+
+class TestSwapCertificate:
+    """``_swap_free`` certifies a layout at its first event only where no event can swap."""
+
+    def tally(self, inst, pairs, counts):
+        """Run each subproblem; at every state the matrix search must agree with the certificate.
+
+        Returns whether each subproblem's layout was certified.
+        """
+        certified = []
+        for i_star, v_star in pairs:
+            seen = []
+
+            def check(state):
+                if state.sea_level is None:
+                    return
+                probe = dataclasses.replace(state, swap_free=False)
+                swap = get_swap_line(probe, waterfill._refresh_levels(probe))
+                if state.swap_free:
+                    assert swap is None, (i_star, v_star, state.iterations)
+                if state.iterations not in seen:  # the call after the loop repeats the last event
+                    seen.append(state.iterations)
+                    counts["certified" if state.swap_free else "uncertified"] += 1
+
+            _, final = waterfill._run_subproblem(inst, i_star, v_star, check)
+            assert final.swaps == 0 or not final.swap_free
+            certified.append(final.swap_free)
+        return certified
+
+    def tally_layout(self, monkeypatch, inst, villagers, counts):
+        """``tally`` from a hand-set layout, fixed target 0, in place of the greedy's; whether it was certified."""
+        villagers = np.asarray(villagers, dtype=np.int64)
+        u_att = attacker_utilities(inst, np.minimum(inst.e_v * villagers, 1.0))
+        monkeypatch.setattr(waterfill, "_greedy_villagers", lambda *_: (villagers.copy(), u_att.copy()))
+        return self.tally(inst, [(0, int(villagers[0]))], counts)[0]
+
+    def test_certified_layouts_never_swap(self, monkeypatch):
+        counts = Counter()
+        families = [scaled(base, f) for f in (1.0, 1e-9, 1e6) for base in TestBracketPruning().family()]
+        for inst in [*families, *mid_size_family(), *case_study_grid()]:
+            self.tally(inst, subproblems(inst), counts)
+
+        # Counts past 2**53 at e_v = 0.9e-18; with target 4's 3e18 villagers,
+        # ol_4 = R - e_v (v - 1) s lies 1.7 spreads below its floor, and it is pinned.
+        inst = layout_instance([1.0, 2.0, 8.0, 20.0, 0.5, 0.5], [-1.0, -2.0, 0.0, -4.0, -1.0, -0.5], 0.9e-18, 2**62)
+        held = [0, 3 * 10**17, 5 * 10**17, 7 * 10**17, 3 * 10**18, 0]
+        assert not self.tally_layout(monkeypatch, inst, held, counts)
+        held[4] = 0
+        assert self.tally_layout(monkeypatch, inst, held, counts)
+        # A zero-spread target never joins the pairs; a pinned donor stops the certificate.
+        inst = layout_instance([4.0, 0.0, 3.0, 6.0, 2.0], [-4.0, 0.0, -3.0, -6.0, -2.0], 0.25, 6)
+        assert self.tally_layout(monkeypatch, inst, [0, 0, 0, 1, 0], counts)
+        assert not self.tally_layout(monkeypatch, inst, [0, 0, 0, 1, 4], counts)
+        # Pinned donor 3 holds a spare villager and swaps it; its pairs alone would pass.
+        inst = layout_instance([2.0, 2.0, 4.0, 5.0], [-5.0, -2.0, -6.0, -1.0], 0.25, 10)
+        assert not self.tally_layout(monkeypatch, inst, [0, 3, 2, 5], counts)
+        # Donor 2 is one float step wider than member 1: the pair's divisor is one ulp.
+        inst = layout_instance([1.0, 3.0, np.nextafter(3.0, np.inf), 0.5], [-1.0, 0.0, 0.0, -0.5], 0.25, 3)
+        assert self.tally_layout(monkeypatch, inst, [0, 2, 1, 0], counts)
+        assert not self.tally_layout(monkeypatch, inst, [0, 0, 1, 0], counts)
+
+        assert counts["certified"] >= 1000 and counts["uncertified"] >= 100, counts
+
+    def assert_same_uncertified(self, monkeypatch, instances):
+        """``solve_hw`` with the certificate never holding gives the same bits."""
+        certify = waterfill._swap_free
+        held = Counter()
+
+        def counted(state, pinned):
+            certified = certify(state, pinned)
+            held[certified] += 1
+            return certified
+
+        results = []
+        for inst in instances:
+            monkeypatch.setattr(waterfill, "_swap_free", counted)
+            got = solve_hw(inst)
+            monkeypatch.setattr(waterfill, "_swap_free", lambda state, pinned: False)
+            results.append((got, solve_hw(inst)))
+        for k, (got, want) in enumerate(results):
+            assert got.attacked == want.attacked, k
+            assert float(got.defender_utility).hex() == float(want.defender_utility).hex(), k
+            assert got.profile.p.tobytes() == want.profile.p.tobytes(), k
+            assert got.profile.v.tobytes() == want.profile.v.tobytes(), k
+            assert got.diagnostics == want.diagnostics, k
+        assert held[True] > 0, held  # the patch took
+
+    @pytest.mark.parametrize("factor", [1.0, 1e-9, 1e6])
+    def test_seeded_outputs_match_without_the_certificate(self, monkeypatch, factor):
+        instances = [
+            scaled(random_instance(15_000 + k, n=3 + k % 30, r_p=(1 + k % 3) * (3 + k % 30) / 4, r_v=k % 9), factor)
+            for k in range(100)
+        ]
+        self.assert_same_uncertified(monkeypatch, instances)
+
+    def test_case_study_outputs_match_without_the_certificate(self, monkeypatch):
+        self.assert_same_uncertified(monkeypatch, list(case_study_grid()))
+
+    def spy_drop(self, monkeypatch):
+        calls = []
+        drop = waterfill._drop
+
+        def spy(*args):
+            calls.append(1)
+            return drop(*args)
+
+        monkeypatch.setattr(waterfill, "_drop", spy)
+        return calls
+
+    def test_case_study_grid_builds_no_swap_matrix(self, monkeypatch):
+        # every layout of the grid is certified, so no matrix is built
+        calls = self.spy_drop(monkeypatch)
+        for inst in case_study_grid():
+            solve_hw(inst)
+        assert len(calls) == 0
+
+    def test_mid_size_family_still_searches(self, monkeypatch):
+        calls = self.spy_drop(monkeypatch)
+        for inst in mid_size_family():
+            solve_hw(inst)
+        assert len(calls) > 0
+
+
 class TestStateInvariants:
     def collect(self, inst):
         runs = []
