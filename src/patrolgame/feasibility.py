@@ -18,8 +18,9 @@ targets), so memory stays O(block × n). Rows come from three sources:
   must be held to ``i_star``'s attacker utility;
 - witness rows (``witness_blocks``) are query rows that also build each
   feasible row's profile (p, v) from the greedy's villagers and the trimmed
-  ranger effort; ``tdbs`` scores the blocks as they come. Both kinds of
-  query share one loop (``_query_blocks``);
+  ranger effort; ``tdbs``'s one row per candidate is one, and the winner
+  rule scores its blocks as they come. Both kinds of query share one loop
+  (``_query_blocks``);
 - level rows (``_levels_feasible``) hold every target to one attacker
   level, with nothing spent. The minimax search (``_minimax_profile``),
   which seeds ``solve_hw``'s pruning, checks one of them at the pooled
@@ -34,9 +35,9 @@ For each attacked target, a solver completes the best allocation that keeps
 it attacked, and the best completion wins (``model.first_best``). Both
 solvers take their candidates from this module, one function each:
 
-- ``candidates_with_effort`` for ``tdbs``: the shared candidate search
-  ``candidates`` on every target, then an effort search (``most_effort``)
-  per candidate;
+- ``candidates_with_effort`` for ``tdbs``: the searches of ``candidates``
+  on every target, then an effort search (``most_effort``'s) per
+  candidate, both ended by one witness row per candidate (below);
 - ``candidates_above_seed`` for ``hw``: ``candidates`` on the targets its
   bound keeps, then the break-even prune (both below).
 
@@ -120,21 +121,37 @@ lockstep bisection (``_bisect``): villager counts over ``[-1,
 villager_budget]`` and efforts over ``[0, ranger_budget]``, which differ
 only in the midpoint rule. One routine (``_search``) runs it in three steps:
 
-1. bisect on ``_Pool.passes`` alone, with no row;
-2. check each end above the lower bound with one ``feasible_rows`` row. An
-   end at the lower bound passed no probe, so the full search ends there
-   too. Consistency is monotone in the fixed resources, so where the row
-   finds the end consistent, it is the full search's end: every probe a
-   test failed fails the full check too, and every probe both passed lies
-   at or below the end, so is consistent too. A wrong rejection would
-   change the search's path, which is why the pooled test keeps its margin;
-3. bisect the searches whose end failed again, on the full check alone: a
-   count below the failed end, as its answer is the same on any path; an
-   effort from the start, as its end depends on its path.
+1. bisect on ``_Pool.passes`` alone, with no row (``_cheap_ends``);
+2. check each end above the lower bound with one ``feasible_rows`` row
+   (``_confirm``). An end at the lower bound passed no probe, so the full
+   search ends there too. Consistency is monotone in the fixed resources,
+   so where the row finds the end consistent, it is the full search's end:
+   every probe a test failed fails the full check too, and every probe both
+   passed lies at or below the end, so is consistent too. A wrong rejection
+   would change the search's path, which is why the pooled test keeps its
+   margin;
+3. bisect the searches whose end failed again, on the full check alone
+   (``_fall_back``): a count below the failed end, as its answer is the
+   same on any path; an effort from the start, as its end depends on its
+   path.
+
+``tdbs`` merges step 2 of its two searches into one row per candidate
+(``candidates_with_effort``): it runs step 1 for every villager count (or
+the one call that probes every count, whose counts need no row), then for
+every candidate's effort at that count, and sends one witness row at ``(i,
+p_end, v_end)``. Where that row passes it confirms both ends, and it is the
+candidate's witness: it is the effort's confirming row, and ``(i, 0,
+v_end)`` is consistent by monotonicity. Only a candidate whose row fails
+takes steps 2 and 3 one search at a time (``_fall_back_ends``): the count's
+row at ``(i, 0, v_end)`` and its fallback where that fails, then a fresh
+effort search where the count moved, or the effort's fallback where it did
+not; one witness row then serves its new ends.
 
 Rows counted: ``feasibility_checks`` counts the rows sent through
-``feasible_rows`` (and the level rows), never the cheap tests' answers.
-In step 3 every probe below the failed end is one row, and every probe at or
+``feasible_rows``, the level rows and ``tdbs``'s one witness row per
+candidate, each once, never the cheap tests' answers. The witness rows of
+the fallback ends are not counted: rows already confirmed those ends. In
+step 3 every probe below the failed end is one row, and every probe at or
 above it fails with none. No cheap test runs there: the attacker's utility
 on the fixed target falls as its resources grow, so every probe below an
 end that passed the floor test passes it too.
@@ -161,11 +178,11 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
-from .model import REL_TOL, GameDefinitionError, Instance, StrategyProfile, coverage_of, utilities_of
+from .model import REL_TOL, GameDefinitionError, Instance, StrategyProfile, _resolution, coverage_of, utilities_of
 
 # Slack on the ranger-coverage sum: its trim lifts a utility by at most
 # tol / 2 (module docstring).
@@ -378,7 +395,11 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
     pieces overall, ties to the lowest target index. Zero-size remainders
     are never taken. Returns ``(left, alloc)``: every row's residual need
     (zero on a row with a villager for every piece), and every row's
-    villager counts, or None without ``counts``. Only the ranking of the
+    villager counts, or None without ``counts``. The counts are floats until
+    the last step, so past 2**53 they round; a row whose counts then sum
+    past its ``spare`` takes the excess, a few rounding steps, off its
+    largest count, which lowers that target's coverage by far less than
+    ``_COVERAGE_SLACK``. Only the ranking of the
     pieces forks on the type of ``e_v``. Temporaries are updated in place,
     to keep a block's memory small.
     """
@@ -427,7 +448,15 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
     np.subtract(c_min, left, out=left)
     np.maximum(left, 0.0, out=left)
     left[remainder_taken] = 0.0
-    alloc = (whole_taken + remainder_taken).astype(np.int64) if counts else None
+    if not counts:
+        return left, None
+    alloc = (whole_taken + remainder_taken).astype(np.int64)
+    # Past 2**53 the float counts round, and a row's counts can sum past its
+    # spare villagers by a few rounding steps: its largest count gives them up.
+    for row in np.flatnonzero(spare >= 2**53):
+        excess = sum(alloc[row].tolist()) - int(spare[row])
+        if excess > 0:
+            alloc[row, np.argmax(alloc[row])] -= excess
     return left, alloc
 
 
@@ -517,7 +546,12 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
     (``_fill``'s), with the query's own ``(p_star, v_star)`` on ``i_star``.
     """
     i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
-    floor = _floor_of_others(instance)
+    return _witness_blocks(instance, _floor_of_others(instance), i_star, p_star, v_star)
+
+
+def _witness_blocks(instance, floor, i_star, p_star, v_star):
+    """``witness_blocks`` on checked query arrays, with the attacker floor
+    ``floor`` already derived: a solve's rows read it from its ``_Pool``."""
     for block, rows, (ok, p, v) in _query_blocks(instance, floor, i_star, p_star, v_star, witness=True):
         kept = block.start + rows[ok]
         at = np.arange(kept.size), i_star[kept]
@@ -558,23 +592,38 @@ def _bisect(lo, hi, passes, epsilon=None):
         hi[rows[~ok]] = mid[~ok] - 1 if epsilon is None else mid[~ok]
 
 
-def _search(pool, i_stars, lo, hi, query, epsilon=None) -> Tuple[np.ndarray, int]:
-    """Per search, the end of its ``_bisect`` on the full check, and the rows sent: ``(ends, checks)``.
+def _count_query(rows, counts):
+    """The villager searches' probes: ``counts`` villagers and no effort."""
+    return np.zeros(rows.size), counts
+
+
+def _effort_query(v_stars):
+    """The effort searches' probes: each search's effort with its ``v_stars`` villagers."""
+    return lambda rows, mid: (mid, v_stars[rows])
+
+
+def _cheap_ends(pool, i_stars, lo, hi, query, epsilon=None) -> np.ndarray:
+    """Step 1 of the search: per search, the end of its ``_bisect`` on
+    ``pool.passes`` alone, with no row.
 
     Search k bisects ``[lo[k], hi[k]]`` with ``i_stars[k]`` the fixed
     target, and ``query(rows, mid)`` gives the ``(p_star, v_star)`` that
-    searches ``rows`` probe at ``mid``. Cheap tests first (module
-    docstring): every search bisects on ``pool.passes`` with no row, and one
-    ``feasible_rows`` row checks each end above ``lo``. The searches whose
-    end fails bisect again on the full check, one row per midpoint below
-    the failed end: a count's from ``lo`` to below that end, an effort's
-    over the whole ``[lo, hi]``.
+    searches ``rows`` probe at ``mid``.
+    """
+    return _bisect(lo.copy(), hi.copy(), lambda rows, mid: pool.passes(i_stars[rows], *query(rows, mid)), epsilon)[0]
+
+
+def _fall_back(pool, i_stars, lo, hi, ends, failed, query, epsilon=None) -> int:
+    """Step 3 of the search: the searches ``failed``, whose end a row found
+    inconsistent, bisect again on the full check; returns the rows sent.
+
+    ``ends`` is updated in place. One row per midpoint below the failed
+    end, and none at or above it: a count's bisection runs from ``lo`` to
+    below that end, an effort's over the whole ``[lo, hi]``. Arguments are
+    as ``_cheap_ends`` takes them, but counts need no ``hi``.
     """
     instance = pool.instance
-    ends = _bisect(lo.copy(), hi.copy(), lambda rows, mid: pool.passes(i_stars[rows], *query(rows, mid)), epsilon)[0]
-    moved = np.flatnonzero(ends > lo)
-    failed = moved[~_feasible_rows(instance, pool.floor, i_stars[moved], *query(moved, ends[moved]))]
-    checks = moved.size
+    checks = 0
 
     def full_check(rows, mid):
         nonlocal checks
@@ -588,25 +637,63 @@ def _search(pool, i_stars, lo, hi, query, epsilon=None) -> Tuple[np.ndarray, int
     # the failed end; an effort's end depends on its path, which starts over.
     top = ends[failed] - 1 if epsilon is None else hi[failed]
     ends[failed] = _bisect(lo[failed], top, full_check, epsilon)[0]
-    return ends, checks
+    return checks
 
 
-def _most_villagers(pool, i_stars) -> Tuple[np.ndarray, int]:
-    """``most_villagers`` on ``pool``'s instance."""
+def _confirm(pool, i_stars, lo, hi, ends, query, epsilon=None) -> int:
+    """Steps 2 and 3 of the search: one ``feasible_rows`` row checks each
+    end above ``lo``, and the searches whose end fails fall back
+    (``_fall_back``); returns the rows sent, with ``ends`` updated in place."""
+    moved = np.flatnonzero(ends > lo)
+    if not moved.size:
+        return 0
+    failed = moved[~_feasible_rows(pool.instance, pool.floor, i_stars[moved], *query(moved, ends[moved]))]
+    return moved.size + _fall_back(pool, i_stars, lo, hi, ends, failed, query, epsilon)
+
+
+def _search(pool, i_stars, lo, hi, query, epsilon=None) -> Tuple[np.ndarray, int]:
+    """Per search, the end of its ``_bisect`` on the full check, and the rows sent: ``(ends, checks)``.
+
+    Cheap tests first (module docstring): every search bisects on
+    ``pool.passes`` with no row (``_cheap_ends``, whose arguments these
+    are), and one ``feasible_rows`` row checks each end above ``lo``; the
+    searches whose end fails bisect again on the full check (``_confirm``).
+    """
+    ends = _cheap_ends(pool, i_stars, lo, hi, query, epsilon)
+    return ends, _confirm(pool, i_stars, lo, hi, ends, query, epsilon)
+
+
+def _villager_ends(pool, i_stars) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """``most_villagers``' searches before any confirming row: ``(i_stars,
+    ends, lo, checks)``.
+
+    ``i_stars`` comes back checked (``_query_rows``). Where every count of
+    every search fits one block, ``ends`` are the one call's exact answers
+    and ``lo`` is ``ends``, so no end needs a row more; otherwise ``ends``
+    are the cheap tests' (``_cheap_ends``) over ``[lo, villager_budget]``
+    with ``lo`` -1, and ``_confirm`` settles them. ``checks`` counts the one
+    call's rows.
+    """
     instance = pool.instance
     zeros = np.zeros(np.shape(i_stars), dtype=np.int64)
     i_stars = _query_rows(instance, i_stars, zeros, zeros)[0]
     if not i_stars.size:  # before any count is built: budget + 1 may not fit int64
-        return zeros, 0
+        return i_stars, zeros, zeros, 0
     width = instance.villager_budget + 1
     if width * i_stars.size <= _rows_per_block(instance):
         searches, counts = np.divmod(np.arange(width * i_stars.size), width)
         ok = _feasible_rows(instance, pool.floor, i_stars[searches], np.zeros(counts.size), counts)
         best = np.full(i_stars.size, -1, dtype=np.int64)
         np.maximum.at(best, searches[ok], counts[ok])
-        return best, counts.size
+        return i_stars, best, best.copy(), counts.size
     lo, hi = np.full(i_stars.size, -1, dtype=np.int64), np.full(i_stars.size, instance.villager_budget, dtype=np.int64)
-    return _search(pool, i_stars, lo, hi, lambda rows, counts: (np.zeros(rows.size), counts))
+    return i_stars, _cheap_ends(pool, i_stars, lo, hi, _count_query), lo, 0
+
+
+def _most_villagers(pool, i_stars) -> Tuple[np.ndarray, int]:
+    """``most_villagers`` on ``pool``'s instance."""
+    i_stars, ends, lo, checks = _villager_ends(pool, i_stars)
+    return ends, checks + _confirm(pool, i_stars, lo, None, ends, _count_query)
 
 
 def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
@@ -629,11 +716,14 @@ def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
     return _most_villagers(_Pool(instance), i_stars)
 
 
+def _effort_bounds(pool, count: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The effort searches' brackets: ``[0, ranger_budget]``, ``count`` times."""
+    return np.zeros(count), np.full(count, float(pool.instance.ranger_budget))
+
+
 def _most_effort(pool, i_stars, v_stars, epsilon: float) -> Tuple[np.ndarray, int]:
-    """``most_effort`` on ``pool``'s instance."""
-    count = len(i_stars)
-    lo, hi = np.zeros(count), np.full(count, float(pool.instance.ranger_budget))
-    return _search(pool, i_stars, lo, hi, lambda rows, mid: (mid, v_stars[rows]), epsilon)
+    """``most_effort`` on ``pool``'s instance, with checked query arrays."""
+    return _search(pool, i_stars, *_effort_bounds(pool, i_stars.size), _effort_query(v_stars), epsilon)
 
 
 def most_effort(instance: Instance, i_stars, v_stars, epsilon: float) -> Tuple[np.ndarray, int]:
@@ -643,8 +733,13 @@ def most_effort(instance: Instance, i_stars, v_stars, epsilon: float) -> Tuple[n
     Every search bisects ``[0, ranger_budget]``, cheap tests first
     (``_search``), and probes the midpoints it would probe alone on the full
     check. Returns (the largest effort found consistent per candidate, rows
-    checked).
+    checked). GameDefinitionError unless ``epsilon`` is a finite positive
+    real (as ``tdbs.TdbsConfig`` takes it) and ``i_stars`` and ``v_stars``
+    are 1-D integer arrays of one length, each a target and a villager count
+    within the budget (``_query_rows`` checks their no-effort rows).
     """
+    epsilon = _resolution(epsilon)
+    i_stars, _, v_stars = _query_rows(instance, i_stars, np.zeros(np.shape(i_stars)), v_stars)
     return _most_effort(_Pool(instance), i_stars, v_stars, epsilon)
 
 
@@ -659,28 +754,95 @@ def _candidates(pool, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:
 def candidates(instance: Instance, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:
     """The targets of ``targets`` that can be attacked at all, each with the most villagers it can keep.
 
-    Both solvers start here: ``tdbs`` with every target
-    (``candidates_with_effort``), ``hw`` with those its bound keeps
-    (``_upper_bounds``). ``most_villagers`` searches all of ``targets``, an
-    ascending index array, in lockstep. Returns ``(i_stars, v_stars,
-    counters)``: the candidates in index order, their villager counts, and a
-    ``Counter`` of the ``feasibility_checks`` spent (one per query row) and
-    the number of ``candidates``.
+    ``hw`` starts here with the targets its bound keeps
+    (``candidates_above_seed``), and ``tdbs``'s pipeline
+    (``candidates_with_effort``) runs the same searches on every target.
+    ``most_villagers`` searches all of ``targets``, an ascending index
+    array, in lockstep. Returns ``(i_stars, v_stars, counters)``: the
+    candidates in index order, their villager counts, and a ``Counter`` of
+    the ``feasibility_checks`` spent (one per query row) and the number of
+    ``candidates``.
     """
     return _candidates(_Pool(instance), targets)
 
 
-def candidates_with_effort(instance: Instance, epsilon: float) -> Tuple[np.ndarray, np.ndarray, np.ndarray, Counter]:
-    """TDBS's two searches on every target, on one ``_Pool``: ``(i_stars, v_stars, p_stars, counters)``.
+def candidates_with_effort(instance: Instance, epsilon: float) -> Tuple[Iterator, Counter]:
+    """TDBS's candidates on one ``_Pool``, each with its witness: ``(blocks, counters)``.
 
-    ``candidates`` over every target, then ``most_effort`` on each
-    candidate with its villagers; ``counters`` counts the rows of both.
+    Both searches run on the cheap tests alone (module docstring): every
+    target's villager count (or, where every count fits one block, one call
+    that probes them all, as ``candidates`` does), then each candidate's
+    effort at that count. One witness row per candidate at its two ends
+    (``_candidate_witnesses``) then confirms both and is its witness; the
+    candidates whose row fails take the full path (``_fall_back_ends``) and
+    get one witness row at their new ends.
+
+    ``blocks`` yields ``(targets, p, v)`` for ``model.first_best``: the
+    witnesses block by block, the first rows' in index order, then the
+    fallback ends'. Only one block is held at a time. ``counters`` counts the
+    ``feasibility_checks`` (every row but the fallback ends' witness rows) and
+    the ``candidates``, and is complete once ``blocks`` is exhausted.
+    RuntimeError if a fallback end's witness row fails, which is a bug.
     """
     pool = _Pool(instance)
-    i_stars, v_stars, counters = _candidates(pool, np.arange(instance.n))
-    p_stars, checks = _most_effort(pool, i_stars, v_stars, epsilon)
-    counters["feasibility_checks"] += checks
-    return i_stars, v_stars, p_stars, counters
+    i_stars, counts, known, checks = _villager_ends(pool, np.arange(instance.n))
+    attackable = counts >= 0
+    i_stars, v_stars, known = i_stars[attackable], counts[attackable], known[attackable]
+    p_stars = _cheap_ends(pool, i_stars, *_effort_bounds(pool, i_stars.size), _effort_query(v_stars), epsilon)
+    counters = Counter({"feasibility_checks": checks + i_stars.size, "candidates": i_stars.size})
+
+    def blocks():
+        passed = np.zeros(i_stars.size, dtype=bool)
+        yield from _candidate_witnesses(pool, i_stars, p_stars, v_stars, passed)
+        lost = np.flatnonzero(~passed)
+        if not lost.size:
+            return
+        kept, p_kept, v_kept, rows = _fall_back_ends(pool, i_stars[lost], p_stars[lost], v_stars[lost], known[lost], epsilon)
+        counters.update(feasibility_checks=rows, candidates=kept.size - lost.size)
+        for block, feasible, p, v in _witness_blocks(instance, pool.floor, kept, p_kept, v_kept):
+            if not feasible.all():
+                raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
+            yield kept[block], p, v
+
+    return blocks(), counters
+
+
+def _candidate_witnesses(pool, i_stars, p_stars, v_stars, passed):
+    """One witness row per candidate at its search ends: ``(targets, p, v)``
+    per block, for the rows that pass.
+
+    ``passed`` gets each row's answer. Where a row passes it confirms both
+    ends: the effort's, as its confirming row would (``_confirm``), and the
+    count's, as ``(i, 0, v)`` is consistent too by monotonicity and every
+    count the bisection rejected failed a cheap test, so fails the full
+    check too. Every row counts in ``feasibility_checks``.
+    """
+    for block, feasible, p, v in _witness_blocks(pool.instance, pool.floor, i_stars, p_stars, v_stars):
+        passed[block] = feasible
+        yield i_stars[block][feasible], p, v
+
+
+def _fall_back_ends(pool, i_stars, p_stars, v_stars, known, epsilon):
+    """The full path for candidates whose witness row failed: their ends ``(i_stars, p_stars, v_stars)`` and the rows sent.
+
+    Takes the candidates' search ends, ``p_stars`` to be overwritten, and
+    ``known``, each count known consistent (``_villager_ends``' ``lo``).
+    Each count above it gets its confirming row at ``(i, 0, v)``, and a
+    failed one falls back below it (``_confirm``). Where the count stayed,
+    the effort's end failed: its bisection is replayed from ``[0,
+    ranger_budget]`` on the full check (``_fall_back``). Where it moved, a
+    fresh effort search runs at the new count (``_most_effort``), and a
+    count of -1 drops the candidate.
+    """
+    counts = v_stars.copy()
+    checks = _confirm(pool, i_stars, known, None, counts, _count_query)
+    stayed = np.flatnonzero(counts == v_stars)
+    lo, hi = _effort_bounds(pool, i_stars.size)
+    checks += _fall_back(pool, i_stars, lo, hi, p_stars, stayed, _effort_query(v_stars), epsilon)
+    moved = np.flatnonzero((counts != v_stars) & (counts >= 0))
+    p_stars[moved], more = _most_effort(pool, i_stars[moved], counts[moved], epsilon)
+    kept = counts >= 0
+    return i_stars[kept], p_stars[kept], counts[kept], checks + more
 
 
 def candidates_above_seed(instance: Instance) -> Tuple[np.ndarray, np.ndarray, Counter]:

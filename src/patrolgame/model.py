@@ -91,6 +91,15 @@ def _finite(value, what: str) -> float:
     raise GameDefinitionError("%s must be a finite real number" % what)
 
 
+def _resolution(epsilon) -> float:
+    """``epsilon`` as a float; GameDefinitionError unless it is a finite
+    positive real, as a search resolution must be."""
+    epsilon = _finite(epsilon, "epsilon")
+    if not epsilon > 0:
+        raise GameDefinitionError("epsilon must be positive")
+    return epsilon
+
+
 def _is_integer(value) -> bool:
     """Whether ``value`` is an integer other than a bool."""
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
@@ -284,23 +293,27 @@ def tied_defender_utilities(instance, coverage: np.ndarray) -> np.ndarray:
 
 
 def first_best(instance, blocks, diagnostics) -> SolveResult:
-    """Both solvers' winner rule: the first best of their completed profiles.
+    """Both solvers' winner rule: the best of their completed profiles, ties to the lowest target.
 
-    ``blocks`` yields ``(p, v)`` blocks, one profile per row of efforts and
-    of villager counts, in tie order. Each row scores the defender utility
-    of its best response (``tied_defender_utilities``), and the first best
-    row wins. Returns ``evaluate_profile`` of the winner with
-    ``diagnostics``, the solver's counters, as a dict; RuntimeError if no
-    row arrives, as every solve completes at least one candidate.
+    ``blocks`` yields ``(targets, p, v)`` blocks, one profile per row of
+    efforts and of villager counts, each completing the candidate target of
+    its entry in ``targets``; the blocks may come in any order. Each row
+    scores the defender utility of its best response
+    (``tied_defender_utilities``), and the best row wins, ties to the
+    lowest target. Returns ``evaluate_profile`` of the winner with
+    ``diagnostics``, the solver's counters, as a dict once every block is
+    in; RuntimeError if no row arrives, as every solve completes at least
+    one candidate.
     """
-    best_utility, best = -np.inf, None
-    for p, v in blocks:
+    best_key, best = None, None
+    for targets, p, v in blocks:
         if not len(p):
             continue
         utilities = tied_defender_utilities(instance, coverage_of(instance, p, v)).max(axis=1)
-        k = int(np.argmax(utilities))  # the first best of the block
-        if utilities[k] > best_utility:
-            best_utility, best = utilities[k], StrategyProfile(p[k], v[k])
+        k = np.lexsort((targets, -utilities))[0]  # the block's best row, ties to the lowest target
+        key = (utilities[k], -targets[k])
+        if best is None or key > best_key:
+            best_key, best = key, StrategyProfile(p[k], v[k])
     if best is None:
         raise RuntimeError("no candidate target was completed; this is a bug")
     return replace(evaluate_profile(instance, best), diagnostics=dict(diagnostics))

@@ -1,30 +1,30 @@
 """Approximate solver: two nested binary searches per candidate target.
 
-The shared candidate search (``feasibility.candidates``) finds the largest
+The villager search (``feasibility.candidates``' search) finds the largest
 villager count each attackable target can keep; the effort search
-(``feasibility.most_effort``) then bisects the ranger effort on that
+(``feasibility.most_effort``'s) then bisects the ranger effort on that
 target to within a resolution ``epsilon``, keeping the target a best
 response throughout. ``feasibility.candidates_with_effort`` runs both for
-every target on one pool of sorted sums. Each dimension runs every
-candidate's search in lockstep, and no witness is built while searching.
+every target on one pool of sorted sums, each dimension every candidate's
+search in lockstep.
 
-Both searches are one routine in ``feasibility`` (its module docstring):
-the O(1) attacker-floor test and the O(log n) pooled-coverage test answer
-first, with no row; an end that one ``feasible_rows`` row finds consistent
-is the full search's end, and only the searches whose end fails bisect
-again on the full check. On the benchmark's ``tdbs-synthetic`` pools the
-tests' answer is most villager counts and efforts: on the scalar
-instances every one, as where each spare villager takes a whole piece the
-pooled deficit is the fill's own answer; the per-target instances keep
-more fill-bound efforts, as the pooled test counts every villager at
-``max(e_v)``.
+Both searches answer on two cheap tests first, with no row (the
+``feasibility`` module docstring): the O(1) attacker-floor test and the
+O(log n) pooled-coverage test. Then one witness row per candidate, at its
+villager count and its effort, confirms both ends at once and is the
+candidate's witness; only a candidate whose row fails goes back to the
+full check, one search at a time, and gets one more witness row at its new
+ends. On the benchmark's ``tdbs-synthetic`` pools (seed 320000) that row is
+the only one on every scalar candidate: 5,207 rows for 5,207 candidates;
+the per-target instances send 10,749 rows for 2,263 candidates, as the
+pooled test counts every villager at ``max(e_v)`` and leaves more
+fill-bound efforts.
 
-The candidates' final witnesses are then built once, block by block
-(``feasibility.witness_blocks``), and scored as they come by the winner
-rule both solvers share (``model.first_best``): the best wins, ties to the
-lowest target index, and only its row is kept. The returned profile's defender
-utility trails the exact optimum by less than ``e_p * 2 * M * epsilon``,
-where M bounds the absolute input values.
+The witnesses stream, block by block, into the winner rule both solvers
+share (``model.first_best``): the best wins, ties to the lowest target
+index, and only its row is kept. The returned profile's defender utility
+trails the exact optimum by less than ``e_p * 2 * M * epsilon``, where M
+bounds the absolute input values.
 
 That bound is proven for a scalar villager effectiveness only. The proof
 keeps the most villagers each candidate can hold, then the most effort; with
@@ -50,8 +50,8 @@ from typing import Optional
 
 import numpy as np
 
-from .feasibility import candidates_with_effort, witness_blocks
-from .model import GameDefinitionError, Instance, SolveResult, _finite, first_best
+from .feasibility import candidates_with_effort
+from .model import Instance, SolveResult, _resolution, first_best
 
 # Search resolution used by the experiment harness.
 DEFAULT_EPSILON = 1e-3
@@ -85,10 +85,7 @@ class TdbsConfig:
     epsilon: float = DEFAULT_EPSILON
 
     def __post_init__(self):
-        epsilon = _finite(self.epsilon, "epsilon")
-        if not epsilon > 0:
-            raise GameDefinitionError("epsilon must be positive")
-        object.__setattr__(self, "epsilon", epsilon)
+        object.__setattr__(self, "epsilon", _resolution(self.epsilon))
 
 
 def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> SolveResult:
@@ -96,13 +93,5 @@ def solve_tdbs(instance: Instance, config: Optional[TdbsConfig] = None) -> Solve
 
     Works for a scalar and for a per-target villager effectiveness.
     """
-    epsilon = (config or TdbsConfig()).epsilon
-    i_stars, v_stars, p_stars, counters = candidates_with_effort(instance, epsilon)
-
-    def witnesses():
-        for _, feasible, p, v in witness_blocks(instance, i_stars, p_stars, v_stars):
-            if not feasible.all():
-                raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
-            yield p, v
-
-    return first_best(instance, witnesses(), counters)
+    blocks, counters = candidates_with_effort(instance, (config or TdbsConfig()).epsilon)
+    return first_best(instance, blocks, counters)

@@ -60,7 +60,6 @@ from .model import (
     StrategyProfile,
     attacker_utilities,
     first_best,
-    utilities_of,
 )
 
 # _swap_free's margin over tol: 2 tol + 16 eps max|payoff|, as tol = REL_TOL max|payoff|.
@@ -108,7 +107,9 @@ def _drop(state: WaterfillState, i, j, spread_gap):
     inst = state.instance
     spread = inst.spread_att
     one_less = inst.reward_att[j] - spread[j] * inst.e_v * (state.villagers[j] - 1)
-    villagers_only = utilities_of(inst, np.minimum(inst.e_v * state.villagers[i], 1.0), i)[1]
+    covered = np.minimum(inst.e_v * state.villagers[i], 1.0)
+    # model.utilities_of's attacker side, the same expression, without its defender side
+    villagers_only = inst.reward_att[i] * (1.0 - covered) + inst.penalty_att[i] * covered
     ranger_dip = state.u_att[i] - villagers_only
     # The spreads divide first, so no product of two payoffs is formed. Past
     # about 1e306 near-equal spreads still overflow; an infinite drop is no swap.
@@ -449,4 +450,4 @@ def solve_hw(instance: Instance) -> SolveResult:
         p[k], v[k] = profile.p, profile.v
         diagnostics["iterations"] += state.iterations
         diagnostics["swaps"] += state.swaps
-    return first_best(instance, [(p, v)], diagnostics)
+    return first_best(instance, [(i_stars, p, v)], diagnostics)

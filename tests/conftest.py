@@ -14,13 +14,15 @@ import numpy as np
 
 from patrolgame import feasibility, waterfill
 from patrolgame.bench import GenParams, generate_instance
-from patrolgame.feasibility import candidates, fixed_target_utilities, witness_blocks
+from patrolgame.feasibility import candidates, fixed_target_utilities, most_effort, witness_blocks
 from patrolgame.model import (
     REL_TOL,
     Instance,
     StrategyProfile,
     attacker_utilities,
+    coverage_of,
     evaluate_profile,
+    tied_defender_utilities,
     utilities_of,
 )
 from patrolgame.waterfill import WaterfillState
@@ -58,10 +60,12 @@ def rebind(monkeypatch, name, replacement):
 
 def counting_rows(monkeypatch):
     """A list that gets the row count of every later query-row check
-    (``_feasible_rows``, behind ``feasible_rows`` and a solve's own rows) and
-    ``_levels_feasible`` call, the rows ``feasibility_checks`` counts."""
+    (``_feasible_rows``, behind ``feasible_rows`` and a solve's own rows),
+    ``_levels_feasible`` call and ``tdbs`` witness pass over every candidate
+    (``_candidate_witnesses``), the rows ``feasibility_checks`` counts."""
     rows = []
     rows_of, levels_of = feasibility._feasible_rows, feasibility._levels_feasible
+    witnesses_of = feasibility._candidate_witnesses
 
     def counted_rows(instance, floor, i_star, p_star, v_star):
         rows.append(len(i_star))
@@ -71,8 +75,13 @@ def counting_rows(monkeypatch):
         rows.append(len(levels))
         return levels_of(instance, levels)
 
+    def counted_witnesses(pool, i_stars, p_stars, v_stars, passed):
+        rows.append(len(i_stars))
+        return witnesses_of(pool, i_stars, p_stars, v_stars, passed)
+
     rebind(monkeypatch, "_feasible_rows", counted_rows)
     monkeypatch.setattr(feasibility, "_levels_feasible", counted_levels)
+    monkeypatch.setattr(feasibility, "_candidate_witnesses", counted_witnesses)
     return rows
 
 
@@ -400,6 +409,28 @@ def solve_tdbs_sequential(inst, epsilon=1e-3):
         return witness, {"feasibility_checks": checks}
 
     return best_candidate_sequential(inst, complete)
+
+
+def solve_tdbs_three_pass(inst, epsilon=1e-3):
+    """``solve_tdbs`` as three passes over the candidates: ``(result, candidates)``.
+
+    The villager searches (``candidates``), then the effort searches
+    (``most_effort``), each confirming its ends with their own rows; then
+    one ``witness_blocks`` row per candidate at its two ends, each scored
+    by its best response (``tied_defender_utilities``) in index order, the
+    first best winning. ``candidates`` is the number of candidates the
+    searches found.
+    """
+    i_stars, v_stars, counters = candidates(inst, np.arange(inst.n))
+    p_stars = most_effort(inst, i_stars, v_stars, epsilon)[0]
+    best_utility, best = -np.inf, None
+    for block, feasible, p, v in witness_blocks(inst, i_stars, p_stars, v_stars):
+        assert feasible.all(), "a searched end's witness row failed"
+        for row in range(len(p)):
+            utility = tied_defender_utilities(inst, coverage_of(inst, p[row], v[row])).max()
+            if utility > best_utility:
+                best_utility, best = utility, StrategyProfile(p[row], v[row])
+    return evaluate_profile(inst, best), counters["candidates"]
 
 
 def level_greedy_ref(inst, u):

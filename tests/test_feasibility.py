@@ -687,8 +687,9 @@ class TestCandidates:
             # no effort row: with v = 1 on target i, effort p leaves i at
             # coverage 0.5 + 0.5 p, the other target needs as much, and the
             # rangers left cover only 0.5 - 0.5 p, so the pooled test fails
-            # every midpoint above 0 and each bisection ends at 0 unchecked
-            (solve_tdbs, {"feasibility_checks": 4, "candidates": 2}),
+            # every midpoint above 0 and each bisection ends at 0; then one
+            # witness row per candidate at (i, 0, 1), which passes
+            (solve_tdbs, {"feasibility_checks": 6, "candidates": 2}),
         ],
         ids=["hw", "tdbs"],
     )
@@ -1097,9 +1098,9 @@ class TestPooledTest:
 
 
 def test_a_solve_derives_the_attacker_floor_once(monkeypatch):
-    # The searches' confirm and fallback rows, the one-call villager path and
-    # hw's break-even rows read the floor from the solve's pool; only the pool
-    # and tdbs's witness pass derive it.
+    # The searches' confirm and fallback rows, the one-call villager path,
+    # tdbs's witness rows and hw's break-even rows read the floor from the
+    # solve's pool; only the pool derives it.
     calls = []
     floor_of = feasibility._floor_of_others
 
@@ -1110,8 +1111,33 @@ def test_a_solve_derives_the_attacker_floor_once(monkeypatch):
     monkeypatch.setattr(feasibility, "_floor_of_others", counting_floor)
     base = generate_instance(GenParams(240, 120, 120, seed=6))
     per_target = dataclasses.replace(base, e_v=np.random.default_rng(6).uniform(0.05, 0.95, base.n))
-    for solve, instances, most in ((solve_tdbs, (base, per_target), 2), (solve_hw, (base,), 1)):
+    for solve, instances in ((solve_tdbs, (base, per_target)), (solve_hw, (base,))):
         for inst in instances:
             calls.clear()
             solve(inst)
-            assert 0 < len(calls) <= most, (solve.__name__, len(calls))
+            assert len(calls) == 1, (solve.__name__, len(calls))
+
+
+def test_most_effort_checks_its_queries():
+    # most_effort checks its query rows as most_villagers does, and epsilon
+    # as TdbsConfig does; two targets and one villager here
+    inst = symmetric_instance()
+    zero, one = np.array([0]), np.array([1])
+    for i_stars, v_stars, epsilon in (
+        (zero, np.array([5]), 1e-3),  # past the villager budget
+        (zero, one, float("nan")),
+        (zero, one, 0.0),
+        (zero, one, -1.0),
+        (zero, one, float("inf")),
+        (np.array([5]), one, 1e-3),  # no such target
+        (np.array([0, 1]), one, 1e-3),  # lengths differ
+        (zero, np.array([0.5]), 1e-3),  # not a count
+        ([5], [1], 1e-3),
+        ([0], [5], 1e-3),
+    ):
+        with pytest.raises(GameDefinitionError):
+            most_effort(inst, i_stars, v_stars, epsilon)
+    # plain lists are query arrays, as feasible_rows and most_villagers take them
+    efforts, checks = most_effort(inst, [0, 1], [1, 0], 1e-3)
+    want = most_effort(inst, np.array([0, 1]), np.array([1, 0]), 1e-3)
+    assert efforts.tobytes() == want[0].tobytes() and checks == want[1]

@@ -12,6 +12,7 @@ from patrolgame.model import (
     best_response,
     compute_coverage,
     evaluate_profile,
+    first_best,
     tied_defender_utilities,
     utilities_of,
     validate_profile,
@@ -305,6 +306,35 @@ class TestTiedDefenderUtilities:
                 kinds["defender picks a later target"] += int(br.target > np.argmax(np.isfinite(row)))
                 kinds["slack decides"] += int(np.any((u_a < u_a.max()) & np.isfinite(row)))
         assert min(kinds.values()) > 100, kinds
+
+
+class TestFirstBest:
+    # In the symmetric game, the villager on one target and the ranger on the
+    # other tie at utility 0 whichever target is attacked.
+    on_0 = np.array([[0.0, 1.0]]), np.array([[1, 0]])
+    on_1 = np.array([[1.0, 0.0]]), np.array([[0, 1]])
+
+    def test_ties_go_to_the_lowest_target_in_any_block_order(self):
+        inst = symmetric_instance()
+        for blocks in (
+            [(np.array([1]), *self.on_1), (np.array([0]), *self.on_0)],
+            [(np.array([0]), *self.on_0), (np.array([1]), *self.on_1)],
+            [(np.array([1, 0]), np.vstack([self.on_1[0], self.on_0[0]]), np.vstack([self.on_1[1], self.on_0[1]]))],
+        ):
+            result = first_best(inst, iter(blocks), {"candidates": 2})
+            assert result.profile.v.tolist() == [1, 0] and result.defender_utility == 0.0
+            assert result.diagnostics == {"candidates": 2}
+
+    def test_a_better_row_wins_from_a_later_block(self):
+        inst = symmetric_instance()
+        nothing = np.array([0]), np.zeros((1, 2)), np.zeros((1, 2), dtype=np.int64)
+        result = first_best(inst, iter([nothing, (np.array([1]), *self.on_1)]), {})
+        assert result.profile.v.tolist() == [0, 1] and result.defender_utility == 0.0
+
+    def test_no_row_is_a_bug(self):
+        empty = np.array([], dtype=np.int64), np.zeros((0, 2)), np.zeros((0, 2), dtype=np.int64)
+        with pytest.raises(RuntimeError, match="no candidate target was completed"):
+            first_best(symmetric_instance(), iter([empty]), {})
 
 
 class TestValidateProfile:

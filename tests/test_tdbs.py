@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -10,16 +11,25 @@ from patrolgame.feasibility import feasible_rows
 from patrolgame.model import (
     GameDefinitionError,
     Instance,
+    StrategyProfile,
+    attacker_utilities,
     best_response,
     compute_coverage,
     evaluate_profile,
     validate_profile,
 )
 from patrolgame.oracle import solve_oracle
-from patrolgame.planner import case_study_scenario
+from patrolgame.planner import case_study_scenario, terrain_adjust, with_effectiveness
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound, value_bound
 
-from conftest import most_effort_blind, most_villagers_blind, random_instance, symmetric_instance
+from conftest import (
+    most_effort_blind,
+    most_villagers_blind,
+    random_instance,
+    scaled,
+    solve_tdbs_three_pass,
+    symmetric_instance,
+)
 
 
 class TestConfig:
@@ -113,27 +123,30 @@ def test_infeasible_final_witness_is_a_bug(monkeypatch):
     # the whole ranger budget on either target, next to its villager, leaves
     # the other target uncovered and more attractive
     inst = symmetric_instance()
+    bisect = feasibility._bisect
 
-    def full_effort(pool, i_stars, v_stars, epsilon):
-        return np.full(len(i_stars), pool.instance.ranger_budget), 0
+    def full_effort(lo, hi, passes, epsilon=None):
+        # every effort search, the cheap one and its fallback, ends at the budget
+        return (hi, hi) if epsilon is not None else bisect(lo, hi, passes)
 
-    monkeypatch.setattr(feasibility, "_most_effort", full_effort)
+    monkeypatch.setattr(feasibility, "_bisect", full_effort)
     assert not feasible_rows(inst, [0, 1], [1.0, 1.0], [1, 1]).any()
     with pytest.raises(RuntimeError, match="lost a candidate's witness"):
         solve_tdbs(inst)
 
 
 @pytest.mark.parametrize("block_cells", [feasibility._BLOCK_CELLS, 16])
-def test_builds_one_witness_row_per_candidate(monkeypatch, block_cells):
+def test_builds_one_passing_witness_row_per_candidate(monkeypatch, block_cells):
     # 16 cells put one row of the n = 21 case study in each block
     monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
     fill = feasibility._fill
     witness_rows = []
 
     def counting_fill(instance, c_min, p_star, v_star, witness=False):
+        answer = fill(instance, c_min, p_star, v_star, witness)
         if witness:
-            witness_rows.append(len(c_min))
-        return fill(instance, c_min, p_star, v_star, witness)
+            witness_rows.append(int(answer[0].sum()))
+        return answer
 
     monkeypatch.setattr(feasibility, "_fill", counting_fill)
     for inst in (symmetric_instance(), case_study_scenario().instance,
@@ -141,6 +154,98 @@ def test_builds_one_witness_row_per_candidate(monkeypatch, block_cells):
         witness_rows.clear()
         result = solve_tdbs(inst)
         assert sum(witness_rows) == result.diagnostics["candidates"] > 1
+
+
+def _three_pass_family():
+    """``(instance, epsilon, block cells)``: scalar and per-target e_v, payoffs
+    x1, x1e-9 and x1e6, zero-spread targets, villager budgets up to 2**62,
+    epsilon 1e-3 and 1e-7, blocks of the default size and of 16 cells (where
+    most villager searches bisect on the cheap tests); then the case study's
+    grid, scalar and terrain-adjusted."""
+    rng = np.random.default_rng(30)
+    for k in range(96):
+        n = 2 + k % 10
+        r_v = 2**62 if k % 8 in (4, 5) else int(rng.integers(0, 3 * n))
+        inst = random_instance(30_000 + k, n=n, r_p=float(rng.uniform(0.2, n)), r_v=r_v)
+        if k % 5 == 1:
+            flat = rng.random(n) < 0.4
+            inst = dataclasses.replace(
+                inst,
+                reward_att=np.where(flat, 0.0, inst.reward_att),
+                penalty_att=np.where(flat, 0.0, inst.penalty_att),
+            )
+        if k % 2:
+            inst = dataclasses.replace(inst, e_v=rng.uniform(0.05, 1.0, n).round(3) * inst.e_p)
+        elif r_v == 2**62:
+            inst = dataclasses.replace(inst, e_v=inst.e_v * 1e-18)
+        yield scaled(inst, (1.0, 1e-9, 1e6)[k % 3]), (1e-3, 1e-7)[(k // 3) % 2], (feasibility._BLOCK_CELLS, 16)[(k // 6) % 2]
+    scenario = case_study_scenario()
+    values = [round(0.1 * k, 1) for k in range(1, 10)]
+    for e_p in values:
+        for e_v in values:
+            if e_p >= e_v:
+                yield with_effectiveness(scenario, e_p, e_v).instance, 1e-3, feasibility._BLOCK_CELLS
+                yield terrain_adjust(scenario, e_p, e_v), 1e-3, feasibility._BLOCK_CELLS
+
+
+def test_one_row_per_candidate_matches_three_passes(monkeypatch):
+    # One witness row per candidate confirms both search ends; only the
+    # candidates whose row fails take the full path, so the answer must be
+    # the three-pass flow's: searches, then witnesses, then the winner.
+    seen = Counter()
+    fall_back = feasibility._fall_back_ends
+
+    def spy(pool, i_stars, p_stars, v_stars, known, epsilon):
+        ends = fall_back(pool, i_stars, p_stars.copy(), v_stars, known, epsilon)
+        kept = np.isin(i_stars, ends[0])
+        seen["count dropped"] += int(np.count_nonzero(~kept))
+        seen["count stayed"] += int(np.count_nonzero(v_stars[kept] == ends[2]))
+        seen["count moved"] += int(np.count_nonzero(v_stars[kept] != ends[2]))
+        return ends
+
+    monkeypatch.setattr(feasibility, "_fall_back_ends", spy)
+    for k, (inst, epsilon, block_cells) in enumerate(_three_pass_family()):
+        monkeypatch.setattr(feasibility, "_BLOCK_CELLS", block_cells)
+        result = solve_tdbs(inst, TdbsConfig(epsilon))
+        want, count = solve_tdbs_three_pass(inst, epsilon)
+        assert result.attacked == want.attacked, k
+        assert result.defender_utility.hex() == want.defender_utility.hex(), k
+        assert result.profile.p.tobytes() == want.profile.p.tobytes(), k
+        assert result.profile.v.tolist() == want.profile.v.tolist(), k
+        assert result.diagnostics["candidates"] == count, k
+        seen["candidates"] += count
+        seen["per-target" if np.ndim(inst.e_v) else "scalar"] += 1
+    assert seen["candidates"] > 2000 and min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("seed", [6, 7])
+def test_every_candidate_costs_one_row(seed):
+    # the cheap tests settle both searches of every candidate here, so the
+    # witness row is the only row each one sends
+    result = solve_tdbs(generate_instance(GenParams(n=240, r_p=120, r_v=120, seed=seed)))
+    assert result.diagnostics["feasibility_checks"] == result.diagnostics["candidates"] > 100
+
+
+def test_villager_counts_past_2_53_stay_in_the_budget():
+    # The greedy counts villagers in floats, which round past 2**53: here 91
+    # witness rows summed past the budget, and 12 of the 40 solves raised
+    # "villager budget exceeded" when such a row won.
+    rows = 0
+    for s in range(40):
+        inst = random_instance(40_000 + s, n=6, r_p=3.0, r_v=2**62)
+        inst = dataclasses.replace(inst, e_v=inst.e_v * 1e-18)
+        result = solve_tdbs(inst)
+        assert validate_profile(inst, result.profile) == [], s
+        i_stars, v_stars, _ = feasibility.candidates(inst, np.arange(inst.n))
+        p_stars = feasibility.most_effort(inst, i_stars, v_stars, tdbs.DEFAULT_EPSILON)[0]
+        for block, feasible, p, v in feasibility.witness_blocks(inst, i_stars, p_stars, v_stars):
+            for i_star, effort, villagers in zip(i_stars[block][feasible].tolist(), p, v):
+                profile = StrategyProfile(effort, villagers)
+                assert validate_profile(inst, profile) == [], (s, i_star)
+                u_att = attacker_utilities(inst, compute_coverage(inst, profile))
+                assert u_att[i_star] >= u_att.max() - inst.tol, (s, i_star)
+                rows += 1
+    assert rows > 150, rows
 
 
 def test_search_memory_stays_bounded():

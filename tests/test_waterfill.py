@@ -346,8 +346,15 @@ class TestSolveHw:
             calls.extend(levels)  # one check per level row of the minimax search
             return levels_feasible(instance, levels)
 
+        witnesses_of = feasibility._candidate_witnesses
+
+        def recording_witnesses(pool, i_stars, p_stars, v_stars, passed):
+            calls.extend(zip(i_stars, p_stars, v_stars))  # one check per tdbs candidate's witness row
+            return witnesses_of(pool, i_stars, p_stars, v_stars, passed)
+
         rebind(monkeypatch, "_feasible_rows", recording_rows)
         monkeypatch.setattr(feasibility, "_levels_feasible", recording_levels)
+        monkeypatch.setattr(feasibility, "_candidate_witnesses", recording_witnesses)
         monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
         unattackable = bounded = 0
         for k in range(12):
