@@ -21,11 +21,11 @@ targets), so memory stays O(block × n). Rows come from three sources:
   ranger effort; ``tdbs``'s one row per candidate is one, and the winner
   rule scores its blocks as they come. Both kinds of query share one loop
   (``_query_blocks``);
-- level rows (``_levels_feasible``) hold every target to one attacker
-  level, with nothing spent. The minimax search (``_minimax_profile``),
-  which seeds ``solve_hw``'s pruning, checks one of them at the pooled
-  crossing first, and ``_LEVELS_PER_ROUND`` per round only where that one
-  fails; it builds its profile as witness rows do.
+- level rows (``_level_rows``) hold every target to one attacker level,
+  with nothing spent. The minimax search (``_minimax_profile``), which
+  seeds ``solve_hw``'s pruning, checks one of them at the pooled crossing
+  first, and only where that one fails a few more, placed by Newton's
+  steps (below); it builds its profile as witness rows do.
 
 So a target's v = 0 query past the floor test is the level row at its own
 attacker reward, where its own need is zero.
@@ -119,21 +119,36 @@ workloads one of them, not the fill, usually binds.
 ``_Pool.passes`` answers both tests for query rows. Both searches are one
 lockstep bisection (``_bisect``): villager counts over ``[-1,
 villager_budget]`` and efforts over ``[0, ranger_budget]``, which differ
-only in the midpoint rule. One routine (``_search``) runs it in three steps:
+only in the midpoint rule. Each runs in three steps:
 
 1. bisect on ``_Pool.passes`` alone, with no row (``_cheap_ends``);
-2. check each end above the lower bound with one ``feasible_rows`` row
-   (``_confirm``). An end at the lower bound passed no probe, so the full
-   search ends there too. Consistency is monotone in the fixed resources,
-   so where the row finds the end consistent, it is the full search's end:
-   every probe a test failed fails the full check too, and every probe both
-   passed lies at or below the end, so is consistent too. A wrong rejection
-   would change the search's path, which is why the pooled test keeps its
-   margin;
-3. bisect the searches whose end failed again, on the full check alone
-   (``_fall_back``): a count below the failed end, as its answer is the
-   same on any path; an effort from the start, as its end depends on its
-   path.
+2. check each end above the lower bound with one full-check row. An end at
+   the lower bound passed no probe, so the full search ends there too.
+   Consistency is monotone in the fixed resources, so where the row finds
+   the end consistent, it is the full search's end: every probe a test
+   failed fails the full check too, and every probe both passed lies at or
+   below the end, so is consistent too. A wrong rejection would change the
+   search's path, which is why the pooled test keeps its margin;
+3. find the full search's end where that row fails. A count bisects again
+   on the full check below the failed end, one row per probe
+   (``_confirm``): its answer is the same on any path. An effort's end
+   depends on its path, the bisection from ``[0, ranger_budget]``; the
+   certified search (``_certified_search``) replays that path on a few rows.
+
+Certified search: a bisection's answer is fixed by its decisions, and the
+full check is monotone, so once rows have shown a pass at a and a fail at b,
+every probe at or below a passes and every probe at or above b fails. The
+fill's slack (``_fill``: the cover left less the residual need) is linear
+between kinks, and one row gives its slope (``_slope``), so a Newton step
+from a or b guesses the threshold. Each round walks every path as far as a
+and b decide it, then on by the guess, and sends rows to the two probes
+nearest the guess on that path; where both answer as guessed, no probe of
+the path is left undecided, and the path ends exactly where the
+row-by-row search ends. Newton only places rows: every answer is a row's
+pass or fail, from ``_fill``'s own comparison. Where no slope gives a step
+(a slope of 0 or NaN, a slack of -inf past the floor test, a step out of
+``(a, b)``), a round probes the path's next undecided step instead, as the
+row-by-row search does.
 
 ``tdbs`` merges step 2 of its two searches into one row per candidate
 (``candidates_with_effort``): it runs step 1 for every villager count (or
@@ -141,20 +156,28 @@ the one call that probes every count, whose counts need no row), then for
 every candidate's effort at that count, and sends one witness row at ``(i,
 p_end, v_end)``. Where that row passes it confirms both ends, and it is the
 candidate's witness: it is the effort's confirming row, and ``(i, 0,
-v_end)`` is consistent by monotonicity. Only a candidate whose row fails
-takes steps 2 and 3 one search at a time (``_fall_back_ends``): the count's
-row at ``(i, 0, v_end)`` and its fallback where that fails, then a fresh
-effort search where the count moved, or the effort's fallback where it did
-not; one witness row then serves its new ends.
+v_end)`` is consistent by monotonicity. Only the candidates whose row fails
+take steps 2 and 3 (``_fall_back_ends``): the count's row at ``(i, 0,
+v_end)`` and its fallback where that fails, then every effort search in one
+certified lockstep, from the failed witness row where the count stayed and
+from a fresh cheap search's failed ``hi`` where it moved; one witness row
+then serves their new ends.
 
-Rows counted: ``feasibility_checks`` counts the rows sent through
-``feasible_rows``, the level rows and ``tdbs``'s one witness row per
-candidate, each once, never the cheap tests' answers. The witness rows of
-the fallback ends are not counted: rows already confirmed those ends. In
-step 3 every probe below the failed end is one row, and every probe at or
-above it fails with none. No cheap test runs there: the attacker's utility
-on the fixed target falls as its resources grow, so every probe below an
-end that passed the floor test passes it too.
+Level rows: the minimax search's path is rounds of ``_LEVELS_PER_ROUND``
+levels (``_rounds``), replayed by the same certified search from the
+crossing row's slack and slope: two level rows usually settle what took
+rounds of 32.
+
+Rows counted: ``feasibility_checks`` counts every row sent to the fill:
+through ``feasible_rows``, the fallback's count and effort rows
+(``_effort_rows``), the level rows and ``tdbs``'s one witness row per
+candidate, each once, never the cheap tests' answers. The rows the certified
+search sends to place and confirm its guesses count like any other. The
+witness rows of the fallback ends are not counted: rows already confirmed
+those ends. In step 3 no probe at or above a failed end costs a row, and
+no cheap test runs: the attacker's utility on the fixed target falls as its
+resources grow, so every probe below an end that passed the floor test
+passes it too.
 
 Slack (all from ``model.REL_TOL``): a witness reported as feasible keeps
 ``i_star`` within ``instance.tol`` of the attacker's best, so it stays in
@@ -178,7 +201,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import Counter
-from typing import Iterator, Tuple
+from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -188,13 +211,19 @@ from .model import REL_TOL, GameDefinitionError, Instance, StrategyProfile, _res
 # tol / 2 (module docstring).
 _COVERAGE_SLACK = REL_TOL / 4
 
+# Rounds a certified search's path may stand at one probe before a round
+# probes that probe's step itself, as the row-by-row search does
+# (``_certified_search``).
+_STALLS = 3
+
 # Cells (query rows times targets) the greedy handles in one array
 # operation; bounds the transient memory of a batched check at O(block × n).
 _BLOCK_CELLS = 2**13
 
-# Attacker levels the minimax search checks per round where its one row at
-# the pooled crossing fails (``_minimax_profile``).
+# Attacker levels per round of the minimax search's path (``_rounds``): the
+# level it returns is the one this path ends at, however its rows were placed.
 _LEVELS_PER_ROUND = 32
+_STEPS = np.arange(1, _LEVELS_PER_ROUND + 1) / (_LEVELS_PER_ROUND + 1)
 
 
 def TargetSpecificInstance(base: Instance, e_v) -> Instance:
@@ -330,6 +359,8 @@ def _query_rows(instance, i_star, p_star, v_star):
     """
     i_star, v_star = np.asarray(i_star), np.asarray(v_star)
     p_star = np.asarray(p_star, dtype=float)
+    # An empty plain list is float64; with no entry it holds no non-integer.
+    i_star, v_star = (x.astype(np.int64) if x.size == 0 else x for x in (i_star, v_star))
     if not (i_star.ndim == 1 and i_star.shape == p_star.shape == v_star.shape):
         raise GameDefinitionError("query rows must be 1-D arrays of one length")
     if i_star.dtype.kind not in "iu" or v_star.dtype.kind not in "iu":
@@ -460,30 +491,69 @@ def _place_villagers(c_min: np.ndarray, e_v, spare: np.ndarray, counts: bool = F
     return left, alloc
 
 
-def _fill(instance, c_min, p_star, v_star, witness: bool = False):
-    """Greedy fill of rows of needs: ``(feasible, p, v)``.
+class _Filled(NamedTuple):
+    """``_fill``'s answer for its rows."""
+
+    feasible: np.ndarray
+    p: Optional[np.ndarray]
+    v: Optional[np.ndarray]
+    slack: np.ndarray  # cover left less residual need; negative exactly where infeasible
+    left: np.ndarray  # residual need per row and target
+
+
+def _fill(instance, c_min, p_star, v_star, witness: bool = False) -> _Filled:
+    """Greedy fill of rows of needs: ``(feasible, p, v, slack, left)``.
 
     Row k of ``c_min`` holds one row's need per target, and ``p_star[k]``
     and ``v_star[k]`` the ranger effort and villagers it has already spent.
     The spare villagers go where each covers the most still-needed coverage
-    (``_place_villagers``), and ``feasible`` says whether the rangers left
-    cover every row's residual need within ``_COVERAGE_SLACK``. With
-    ``witness``, row j of ``p`` and ``v`` is the witness of the j-th
-    feasible row: the greedy's villagers, and ranger effort covering the
-    residual need, its total trimmed to the budget left (the
-    ``_COVERAGE_SLACK`` shortfall); without it both are None.
+    (``_place_villagers``), which leaves ``left``, and ``feasible`` says
+    whether the rangers left cover every row's residual need within
+    ``_COVERAGE_SLACK``. ``slack`` is that cover less the residual's sum,
+    taken from the comparison's own two sides, so it is negative exactly
+    where a row is infeasible. With ``witness``, row j of ``p`` and ``v``
+    is the witness of the j-th feasible row: the greedy's villagers, and
+    ranger effort covering the residual need, its total trimmed to the
+    budget left (the ``_COVERAGE_SLACK`` shortfall); without it both are
+    None.
     """
     left, alloc = _place_villagers(c_min, instance.e_v, instance.villager_budget - v_star, witness)
     budget = np.maximum(instance.ranger_budget - p_star, 0.0)
-    feasible = left.sum(axis=1) <= budget * instance.e_p + _COVERAGE_SLACK
+    cover, need = budget * instance.e_p + _COVERAGE_SLACK, left.sum(axis=1)
+    feasible = need <= cover
+    slack = cover - need
     if not witness:
-        return feasible, None, None
+        return _Filled(feasible, None, None, slack, left)
     p, budget = left[feasible] / instance.e_p, budget[feasible]
     total = p.sum(axis=1)
     over = (total > budget) & (total > 0.0)
     # Divide first: budget / total can be subnormal and lose the digits that keep the sum in budget.
     p[over] = p[over] / total[over][:, None] * budget[over][:, None]
-    return feasible, p, alloc[feasible]
+    return _Filled(feasible, p, alloc[feasible], slack, left)
+
+
+def _slope(instance, c_min, left, i_star=None, p_star=None, v_star=None) -> np.ndarray:
+    """Per row of ``_fill``, the slope of its slack along its search.
+
+    The slack is linear between the fill's kinks, so one row gives its
+    slope there. Let W be the sum of ``1 / spread_j`` over the targets with
+    residual need left and ``0 < c_min_j < 1``: the rate at which the
+    residual falls as the attacker level rises. A level row's slack rises at
+    W per unit of level. A query row (``i_star`` with ``p_star`` effort and
+    ``v_star`` villagers) loses ``e_p`` of ranger cover per unit of effort,
+    and its fixed target's attacker utility falls at ``spread_i * e_p``,
+    which raises the others' needs at W per unit: its slack falls at ``e_p
+    (1 + spread_i W)``, or at ``e_p`` where i's own coverage is saturated.
+    """
+    spread = instance.spread_att
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        width = np.where(spread > 0, 1.0 / np.where(spread > 0, spread, 1.0), 0.0)
+        rate = ((left > 0.0) & (c_min > 0.0) & (c_min < 1.0)) @ width
+        if i_star is None:
+            return rate
+        e_v = instance.e_v[i_star] if isinstance(instance.e_v, np.ndarray) else instance.e_v
+        saturated = instance.e_p * p_star + e_v * v_star >= 1.0
+        return -instance.e_p * (1.0 + np.where(saturated, 0.0, spread[i_star] * rate))
 
 
 def _rows_per_block(instance) -> int:
@@ -498,11 +568,11 @@ def _blocks(instance, count: int):
 
 
 def _query_blocks(instance, floor, i_star, p_star, v_star, witness: bool):
-    """``_fill`` on ``_query_rows``'s arrays, one block at a time: ``(block, rows, fill)``.
+    """``_fill`` on ``_query_rows``'s arrays, one block at a time: ``(block, rows, c_min, fill)``.
 
     ``rows`` indexes the block's queries past the attacker-floor test (every
     other target can be pushed down to the fixed target's utility u), with
-    ``floor`` its ``_floor_of_others(instance)``; each needs
+    ``floor`` its ``_floor_of_others(instance)``; each needs ``c_min``,
     ``_min_coverage(u)`` on every other target, and ``fill`` is ``_fill``'s
     answer for them.
     """
@@ -512,7 +582,7 @@ def _query_blocks(instance, floor, i_star, p_star, v_star, witness: bool):
         rows = np.flatnonzero(passes)
         c_min = _min_coverage(instance, u[rows, None])
         c_min[np.arange(rows.size), fixed[rows]] = 0.0
-        yield block, rows, _fill(instance, c_min, spent_p[rows], spent_v[rows], witness)
+        yield block, rows, c_min, _fill(instance, c_min, spent_p[rows], spent_v[rows], witness)
 
 
 def _feasible_rows(instance, floor, i_star, p_star, v_star) -> np.ndarray:
@@ -520,8 +590,8 @@ def _feasible_rows(instance, floor, i_star, p_star, v_star) -> np.ndarray:
     a solve's rows read it from its ``_Pool``."""
     i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
     feasible = np.zeros(i_star.shape[0], dtype=bool)
-    for block, rows, (ok, _, _) in _query_blocks(instance, floor, i_star, p_star, v_star, witness=False):
-        feasible[block.start + rows] = ok
+    for block, rows, _, fill in _query_blocks(instance, floor, i_star, p_star, v_star, witness=False):
+        feasible[block.start + rows] = fill.feasible
     return feasible
 
 
@@ -549,16 +619,46 @@ def witness_blocks(instance: Instance, i_star, p_star, v_star):
     return _witness_blocks(instance, _floor_of_others(instance), i_star, p_star, v_star)
 
 
-def _witness_blocks(instance, floor, i_star, p_star, v_star):
+def _witness_blocks(instance, floor, i_star, p_star, v_star, lost=None):
     """``witness_blocks`` on checked query arrays, with the attacker floor
-    ``floor`` already derived: a solve's rows read it from its ``_Pool``."""
-    for block, rows, (ok, p, v) in _query_blocks(instance, floor, i_star, p_star, v_star, witness=True):
+    ``floor`` already derived: a solve's rows read it from its ``_Pool``.
+
+    With ``lost``, a list, each block with infeasible queries appends their
+    ``(positions, slack, slope)`` to it, as ``_effort_rows`` gives them:
+    ``tdbs``'s fallback takes its first Newton step from them.
+    """
+    for block, rows, c_min, fill in _query_blocks(instance, floor, i_star, p_star, v_star, witness=True):
+        ok = fill.feasible
         kept = block.start + rows[ok]
         at = np.arange(kept.size), i_star[kept]
-        p[at], v[at] = p_star[kept], v_star[kept]
+        fill.p[at], fill.v[at] = p_star[kept], v_star[kept]
         feasible = np.zeros(i_star[block].shape[0], dtype=bool)
         feasible[rows[ok]] = True
-        yield block, feasible, p, v
+        if lost is not None and not feasible.all():
+            slack, slope = np.full(feasible.size, -np.inf), np.full(feasible.size, np.nan)
+            failed, queries = rows[~ok], block.start + rows[~ok]
+            slack[failed] = fill.slack[~ok]
+            slope[failed] = _slope(instance, c_min[~ok], fill.left[~ok], i_star[queries], p_star[queries], v_star[queries])
+            out = np.flatnonzero(~feasible)
+            lost.append((block.start + out, slack[out], slope[out]))
+        yield block, feasible, fill.p, fill.v
+
+
+def _effort_rows(pool, i_star, p_star, v_star):
+    """The effort searches' full-check rows: per query, ``(passes, slack, slope)``.
+
+    Query rows on checked arrays, each with the slack of its fill and that
+    slack's slope in the effort (``_slope``); a query that fails the
+    attacker-floor test gets no fill, so slack -inf and no slope (nan).
+    """
+    instance = pool.instance
+    passes = np.zeros(i_star.size, dtype=bool)
+    slack, slope = np.full(i_star.size, -np.inf), np.full(i_star.size, np.nan)
+    for block, rows, c_min, fill in _query_blocks(instance, pool.floor, i_star, p_star, v_star, witness=False):
+        at = block.start + rows
+        passes[at], slack[at] = fill.feasible, fill.slack
+        slope[at] = _slope(instance, c_min, fill.left, i_star[at], p_star[at], v_star[at])
+    return passes, slack, slope
 
 
 def _bisect(lo, hi, passes, epsilon=None):
@@ -602,65 +702,160 @@ def _effort_query(v_stars):
     return lambda rows, mid: (mid, v_stars[rows])
 
 
-def _cheap_ends(pool, i_stars, lo, hi, query, epsilon=None) -> np.ndarray:
-    """Step 1 of the search: per search, the end of its ``_bisect`` on
-    ``pool.passes`` alone, with no row.
+def _cheap_ends(pool, i_stars, lo, hi, query, epsilon=None) -> Tuple[np.ndarray, np.ndarray]:
+    """Step 1 of the searches: per search, the final ``(lo, hi)`` of its
+    ``_bisect`` on ``pool.passes`` alone, with no row.
 
     Search k bisects ``[lo[k], hi[k]]`` with ``i_stars[k]`` the fixed
     target, and ``query(rows, mid)`` gives the ``(p_star, v_star)`` that
-    searches ``rows`` probe at ``mid``.
+    searches ``rows`` probe at ``mid``. Every probe it fails, so at or above
+    its ``hi``, fails the full check too.
     """
-    return _bisect(lo.copy(), hi.copy(), lambda rows, mid: pool.passes(i_stars[rows], *query(rows, mid)), epsilon)[0]
+    return _bisect(lo.copy(), hi.copy(), lambda rows, mid: pool.passes(i_stars[rows], *query(rows, mid)), epsilon)
 
 
-def _fall_back(pool, i_stars, lo, hi, ends, failed, query, epsilon=None) -> int:
-    """Step 3 of the search: the searches ``failed``, whose end a row found
-    inconsistent, bisect again on the full check; returns the rows sent.
-
-    ``ends`` is updated in place. One row per midpoint below the failed
-    end, and none at or above it: a count's bisection runs from ``lo`` to
-    below that end, an effort's over the whole ``[lo, hi]``. Arguments are
-    as ``_cheap_ends`` takes them, but counts need no ``hi``.
+def _confirm(check, lo, ends) -> int:
+    """Steps 2 and 3 of the villager searches: one row checks each count
+    above ``lo``, and a count that fails bisects again on the full check,
+    from ``lo`` to one below it; returns the rows sent, with ``ends``
+    updated in place. A count's answer is the same on any path, so its
+    bisection goes on below the failed count. ``check(searches, counts)``
+    sends one full-check row per count, with no effort, and answers it.
     """
-    instance = pool.instance
-    checks = 0
-
-    def full_check(rows, mid):
-        nonlocal checks
-        ok = mid < ends[failed[rows]]  # every probe from a failed end up fails too
-        sent = failed[rows[ok]]
-        ok[ok] = _feasible_rows(instance, pool.floor, i_stars[sent], *query(sent, mid[ok]))
-        checks += sent.size
-        return ok
-
-    # A count's answer is the same on any path, so its bisection goes on below
-    # the failed end; an effort's end depends on its path, which starts over.
-    top = ends[failed] - 1 if epsilon is None else hi[failed]
-    ends[failed] = _bisect(lo[failed], top, full_check, epsilon)[0]
-    return checks
-
-
-def _confirm(pool, i_stars, lo, hi, ends, query, epsilon=None) -> int:
-    """Steps 2 and 3 of the search: one ``feasible_rows`` row checks each
-    end above ``lo``, and the searches whose end fails fall back
-    (``_fall_back``); returns the rows sent, with ``ends`` updated in place."""
     moved = np.flatnonzero(ends > lo)
     if not moved.size:
         return 0
-    failed = moved[~_feasible_rows(pool.instance, pool.floor, i_stars[moved], *query(moved, ends[moved]))]
-    return moved.size + _fall_back(pool, i_stars, lo, hi, ends, failed, query, epsilon)
+    checks = moved.size
+    failed = moved[~check(moved, ends[moved])]
+
+    def full_check(rows, counts):
+        nonlocal checks
+        checks += rows.size
+        return check(failed[rows], counts)
+
+    ends[failed] = _bisect(lo[failed], ends[failed] - 1, full_check)[0]
+    return checks
 
 
-def _search(pool, i_stars, lo, hi, query, epsilon=None) -> Tuple[np.ndarray, int]:
-    """Per search, the end of its ``_bisect`` on the full check, and the rows sent: ``(ends, checks)``.
+def _certified_search(path, probe, lo, hi, a, b, slack, slope, guess) -> Tuple[np.ndarray, np.ndarray, int]:
+    """Lockstep searches replayed on what rows have shown: their final ``(lo, hi)`` and the rows sent.
 
-    Cheap tests first (module docstring): every search bisects on
-    ``pool.passes`` with no row (``_cheap_ends``, whose arguments these
-    are), and one ``feasible_rows`` row checks each end above ``lo``; the
-    searches whose end fails bisect again on the full check (``_confirm``).
+    Search k follows ``path`` (``_bisect`` on efforts, ``_rounds`` on
+    levels) from ``(lo[k], hi[k])`` on the full check, which is monotone:
+    its probes lie below a threshold (an effort that passes, a level that
+    is infeasible) or above it. ``a[k]`` is the largest point known below
+    and ``b[k]`` the smallest known above, and ``slack`` and ``slope``
+    (rows for a and b) hold the fill's slack there and its slope (nan where
+    no row gave them); all four are updated in place, and ``lo`` and ``hi``
+    narrowed. ``probe(searches, points)`` sends one full-check row per
+    point: ``(below, slack, slope)``, ``below`` from the fill's own
+    comparison.
+
+    A bisection's answer is fixed by its decisions, and a probe at or below
+    a lies below, one at or above b above. So each round walks every path
+    from where it stands as far as a and b decide it (``_Walk``), keeps it
+    at its first undecided probe, and walks on by a guess of the threshold:
+    ``guess[k]`` in the first round where it is not nan, then Newton's step
+    on the fill's slack from a or b, the shorter one that lands strictly
+    inside ``(a, b)`` (none where no slope gives one). The rows go to the
+    last probe of that walk guessed below and its first guessed above;
+    where both answer as guessed, every probe of the path is decided, and
+    the path ends where that walk ended. Where there is no guess, or where
+    the path has stood at one probe for ``_STALLS`` rounds, a round's rows
+    go to that probe's step instead (one midpoint, or a round's undecided
+    levels), as the row-by-row search sends them. The guess only places
+    rows: every decision comes from a and b, so every path ends exactly
+    where the row-by-row search ends.
     """
-    ends = _cheap_ends(pool, i_stars, lo, hi, query, epsilon)
-    return ends, _confirm(pool, i_stars, lo, hi, ends, query, epsilon)
+    guess = np.where(np.isnan(guess), _newton(a, b, slack, slope), guess)
+    checks, stalls = 0, np.zeros(lo.size, dtype=np.int64)
+    while True:
+        walk = _Walk(lo, hi, a, b, guess)
+        before = lo.copy(), hi.copy()
+        lo, hi = path(lo, hi, walk)
+        met = walk.met
+        if not met.any():
+            return lo, hi, checks
+        # The walk went where its guess leads: its final lo is its largest probe
+        # guessed below and its final hi its smallest guessed above, each open
+        # where it lies strictly between a and b.
+        led = lo.copy(), hi.copy()
+        nearest = np.stack([np.where(lo > a, lo, np.nan), np.where(hi < b, hi, np.nan)], axis=1)
+        lo[met], hi[met] = walk.start[0][met], walk.start[1][met]
+        # rounds in a row whose rows left the path where it was
+        stalls = np.where((lo == before[0]) & (hi == before[1]), stalls + 1, 0)
+        guessed = met & ~np.isnan(guess) & (stalls < _STALLS)
+        nearest[~guessed] = np.nan
+        points = np.concatenate([nearest, np.where((met & ~guessed)[:, None], walk.next, np.nan)], axis=1)
+        searches, column = np.nonzero(~np.isnan(points))
+        points = points[searches, column]
+        below, row_slack, row_slope = probe(searches, points)
+        checks += points.size
+        # Where every row of a guess answered as guessed, the path it led is the path.
+        missed = np.zeros(lo.size, dtype=bool)
+        missed[searches[below != (column == 0)]] = True
+        settled = guessed & ~missed
+        lo[settled], hi[settled] = led[0][settled], led[1][settled]
+        if not (met & ~settled).any():
+            return lo, hi, checks
+        # A search's rows come in ascending order, so its largest below is the
+        # last below of its run and its smallest above the first above.
+        same = searches[1:] == searches[:-1]
+        last, first = below.copy(), ~below
+        last[:-1] &= ~(same & below[1:])
+        first[1:] &= ~(same & ~below[:-1])
+        for side, k in enumerate((np.flatnonzero(last), np.flatnonzero(first))):
+            (a, b)[side][searches[k]] = points[k]
+            slack[side, searches[k]], slope[side, searches[k]] = row_slack[k], row_slope[k]
+        guess = _newton(a, b, slack, slope)
+
+
+def _newton(a, b, slack, slope) -> np.ndarray:
+    """Per search, Newton's step on the fill's slack from a or from b (rows
+    0 and 1 of ``slack`` and ``slope``): of the two steps that land strictly
+    inside ``(a, b)``, the shorter; nan where neither does."""
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        step = slack / slope
+        roots = np.stack([a, b]) - step
+        step[~((a < roots) & (roots < b))] = np.nan
+        from_b = np.isnan(step[0]) | (np.abs(step[1]) < np.abs(step[0]))
+    return np.where(np.isnan(np.where(from_b, step[1], step[0])), np.nan, np.where(from_b, roots[1], roots[0]))
+
+
+class _Walk:
+    """One walk of ``_certified_search``'s paths, as ``path``'s ``passes``.
+
+    Each probe lies below where it is at most the search's guess. The guess
+    lies strictly inside ``(a, b)``, so this agrees with a and b wherever
+    they decide a probe; where there is no guess, a stands in for it, which
+    agrees with them up to the first probe they leave open. ``met`` marks
+    the paths that reached a probe that a and b leave open, ``start`` holds
+    each one's ``(lo, hi)`` at its first such probe, and ``next`` that
+    step's open probes (nan elsewhere). ``lo`` and ``hi`` are the arrays the
+    path narrows.
+    """
+
+    def __init__(self, lo, hi, a, b, guess):
+        self.lo, self.hi, self.a, self.b = lo, hi, a, b
+        self.guess = np.where(np.isnan(guess), a, guess)
+        self.met = np.zeros(lo.size, dtype=bool)
+        self.start = lo.copy(), hi.copy()
+        self.next = np.full((lo.size, 1), np.nan)
+
+    def __call__(self, rows, points):
+        shape, points = points.shape, points.reshape(rows.size, -1)
+        fresh = np.flatnonzero(~self.met[rows])
+        if fresh.size:
+            at, probes = rows[fresh], points[fresh]
+            open_ = (self.a[at, None] < probes) & (probes < self.b[at, None])
+            first = open_.any(axis=1)
+            at, probes, open_ = at[first], probes[first], open_[first]
+            self.met[at] = True
+            self.start[0][at], self.start[1][at] = self.lo[at], self.hi[at]
+            if self.next.shape[1] < points.shape[1]:
+                self.next = np.full((self.met.size, points.shape[1]), np.nan)
+            self.next[at] = np.where(open_, probes, np.nan)
+        return (points <= self.guess[rows, None]).reshape(shape)
 
 
 def _villager_ends(pool, i_stars) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -687,13 +882,17 @@ def _villager_ends(pool, i_stars) -> Tuple[np.ndarray, np.ndarray, np.ndarray, i
         np.maximum.at(best, searches[ok], counts[ok])
         return i_stars, best, best.copy(), counts.size
     lo, hi = np.full(i_stars.size, -1, dtype=np.int64), np.full(i_stars.size, instance.villager_budget, dtype=np.int64)
-    return i_stars, _cheap_ends(pool, i_stars, lo, hi, _count_query), lo, 0
+    return i_stars, _cheap_ends(pool, i_stars, lo, hi, _count_query)[0], lo, 0
 
 
-def _most_villagers(pool, i_stars) -> Tuple[np.ndarray, int]:
-    """``most_villagers`` on ``pool``'s instance."""
+def _most_villagers(pool, i_stars) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``most_villagers`` on ``pool``'s instance, with the checked ``i_stars`` first."""
     i_stars, ends, lo, checks = _villager_ends(pool, i_stars)
-    return ends, checks + _confirm(pool, i_stars, lo, None, ends, _count_query)
+
+    def check(searches, counts):
+        return _feasible_rows(pool.instance, pool.floor, i_stars[searches], np.zeros(searches.size), counts)
+
+    return i_stars, ends, checks + _confirm(check, lo, ends)
 
 
 def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
@@ -707,13 +906,14 @@ def most_villagers(instance: Instance, i_stars) -> Tuple[np.ndarray, int]:
       call probes them all, and each search's answer is its largest
       consistent count (there one call costs less than bisecting);
     - otherwise every search bisects ``[-1, villager_budget]`` in lockstep,
-      cheap tests first (``_search``).
+      cheap tests first (``_cheap_ends``), and one row confirms each end
+      (``_confirm``).
 
     Returns (counts, rows checked). GameDefinitionError unless ``i_stars`` is
     a 1-D array of integers, each naming a target (``_query_rows`` checks
     its v = 0 rows).
     """
-    return _most_villagers(_Pool(instance), i_stars)
+    return _most_villagers(_Pool(instance), i_stars)[1:]
 
 
 def _effort_bounds(pool, count: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -721,18 +921,44 @@ def _effort_bounds(pool, count: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.zeros(count), np.full(count, float(pool.instance.ranger_budget))
 
 
+def _effort_ends(pool, i_stars, v_stars, epsilon, fail, slack, slope, guess) -> Tuple[np.ndarray, int]:
+    """Each effort search's end on the full check, and the rows sent.
+
+    Search k bisects ``[0, ranger_budget]`` (``_bisect``) with
+    ``v_stars[k]`` villagers on ``i_stars[k]``, on rows placed by
+    ``_certified_search``: ``fail[k]`` is an effort known to fail, and
+    ``slack`` and ``slope`` hold the fill's slack and its slope at no effort
+    (row 0) and at ``fail`` (row 1), nan where no row gave them;
+    ``guess[k]`` is a first guess of the threshold (nan for Newton's).
+    """
+    lo, hi = _effort_bounds(pool, i_stars.size)
+    ends, _, checks = _certified_search(
+        lambda lo, hi, passes: _bisect(lo, hi, passes, epsilon),
+        lambda searches, efforts: _effort_rows(pool, i_stars[searches], efforts, v_stars[searches]),
+        lo, hi, lo.copy(), fail, slack, slope, guess,
+    )
+    return ends, checks
+
+
 def _most_effort(pool, i_stars, v_stars, epsilon: float) -> Tuple[np.ndarray, int]:
-    """``most_effort`` on ``pool``'s instance, with checked query arrays."""
-    return _search(pool, i_stars, *_effort_bounds(pool, i_stars.size), _effort_query(v_stars), epsilon)
+    """``most_effort`` on ``pool``'s instance, with checked query arrays.
+
+    Every search bisects on the cheap tests first (``_cheap_ends``); then
+    the full-check search starts from the cheap path's failed ``hi`` and
+    guesses the cheap end, so its first row confirms that end.
+    """
+    cheap, fail = _cheap_ends(pool, i_stars, *_effort_bounds(pool, i_stars.size), _effort_query(v_stars), epsilon)
+    unknown = np.full((2, i_stars.size), np.nan)
+    return _effort_ends(pool, i_stars, v_stars, epsilon, fail, unknown, unknown.copy(), cheap)
 
 
 def most_effort(instance: Instance, i_stars, v_stars, epsilon: float) -> Tuple[np.ndarray, int]:
     """Bisect the ranger effort on every candidate to within ``epsilon``, in lockstep.
 
     Candidate k keeps ``v_stars[k]`` villagers on target ``i_stars[k]``.
-    Every search bisects ``[0, ranger_budget]``, cheap tests first
-    (``_search``), and probes the midpoints it would probe alone on the full
-    check. Returns (the largest effort found consistent per candidate, rows
+    Every search bisects ``[0, ranger_budget]``, cheap tests first, and
+    ends where it would end alone on the full check (``_most_effort``).
+    Returns (the largest effort found consistent per candidate, rows
     checked). GameDefinitionError unless ``epsilon`` is a finite positive
     real (as ``tdbs.TdbsConfig`` takes it) and ``i_stars`` and ``v_stars``
     are 1-D integer arrays of one length, each a target and a villager count
@@ -745,10 +971,10 @@ def most_effort(instance: Instance, i_stars, v_stars, epsilon: float) -> Tuple[n
 
 def _candidates(pool, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:
     """``candidates`` on ``pool``'s instance."""
-    counts, checks = _most_villagers(pool, targets)
+    targets, counts, checks = _most_villagers(pool, targets)
     attackable = counts >= 0
     counters = Counter({"feasibility_checks": checks, "candidates": int(attackable.sum())})
-    return np.asarray(targets)[attackable], counts[attackable], counters
+    return targets[attackable], counts[attackable], counters
 
 
 def candidates(instance: Instance, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:
@@ -788,17 +1014,19 @@ def candidates_with_effort(instance: Instance, epsilon: float) -> Tuple[Iterator
     i_stars, counts, known, checks = _villager_ends(pool, np.arange(instance.n))
     attackable = counts >= 0
     i_stars, v_stars, known = i_stars[attackable], counts[attackable], known[attackable]
-    p_stars = _cheap_ends(pool, i_stars, *_effort_bounds(pool, i_stars.size), _effort_query(v_stars), epsilon)
+    p_stars = _cheap_ends(pool, i_stars, *_effort_bounds(pool, i_stars.size), _effort_query(v_stars), epsilon)[0]
     counters = Counter({"feasibility_checks": checks + i_stars.size, "candidates": i_stars.size})
 
     def blocks():
-        passed = np.zeros(i_stars.size, dtype=bool)
-        yield from _candidate_witnesses(pool, i_stars, p_stars, v_stars, passed)
-        lost = np.flatnonzero(~passed)
-        if not lost.size:
+        lost = []
+        yield from _candidate_witnesses(pool, i_stars, p_stars, v_stars, lost)
+        if not lost:
             return
-        kept, p_kept, v_kept, rows = _fall_back_ends(pool, i_stars[lost], p_stars[lost], v_stars[lost], known[lost], epsilon)
-        counters.update(feasibility_checks=rows, candidates=kept.size - lost.size)
+        index, slack, slope = (np.concatenate(part) for part in zip(*lost))
+        kept, p_kept, v_kept, rows = _fall_back_ends(
+            pool, i_stars[index], p_stars[index], v_stars[index], known[index], (slack, slope), epsilon
+        )
+        counters.update(feasibility_checks=rows, candidates=kept.size - index.size)
         for block, feasible, p, v in _witness_blocks(instance, pool.floor, kept, p_kept, v_kept):
             if not feasible.all():
                 raise RuntimeError("tdbs lost a candidate's witness; this is a bug")
@@ -807,42 +1035,57 @@ def candidates_with_effort(instance: Instance, epsilon: float) -> Tuple[Iterator
     return blocks(), counters
 
 
-def _candidate_witnesses(pool, i_stars, p_stars, v_stars, passed):
+def _candidate_witnesses(pool, i_stars, p_stars, v_stars, lost):
     """One witness row per candidate at its search ends: ``(targets, p, v)``
     per block, for the rows that pass.
 
-    ``passed`` gets each row's answer. Where a row passes it confirms both
-    ends: the effort's, as its confirming row would (``_confirm``), and the
+    Each block's failed rows go to ``lost`` with their slack and slope
+    (``_witness_blocks``). Where a row passes it confirms both ends: the
+    effort's, as every probe its cheap search failed fails the full check
+    too and every probe it passed lies at or below the row, and the
     count's, as ``(i, 0, v)`` is consistent too by monotonicity and every
     count the bisection rejected failed a cheap test, so fails the full
     check too. Every row counts in ``feasibility_checks``.
     """
-    for block, feasible, p, v in _witness_blocks(pool.instance, pool.floor, i_stars, p_stars, v_stars):
-        passed[block] = feasible
+    for block, feasible, p, v in _witness_blocks(pool.instance, pool.floor, i_stars, p_stars, v_stars, lost):
         yield i_stars[block][feasible], p, v
 
 
-def _fall_back_ends(pool, i_stars, p_stars, v_stars, known, epsilon):
+def _fall_back_ends(pool, i_stars, p_stars, v_stars, known, at_end, epsilon):
     """The full path for candidates whose witness row failed: their ends ``(i_stars, p_stars, v_stars)`` and the rows sent.
 
-    Takes the candidates' search ends, ``p_stars`` to be overwritten, and
-    ``known``, each count known consistent (``_villager_ends``' ``lo``).
-    Each count above it gets its confirming row at ``(i, 0, v)``, and a
-    failed one falls back below it (``_confirm``). Where the count stayed,
-    the effort's end failed: its bisection is replayed from ``[0,
-    ranger_budget]`` on the full check (``_fall_back``). Where it moved, a
-    fresh effort search runs at the new count (``_most_effort``), and a
-    count of -1 drops the candidate.
+    Takes the candidates' search ends, ``known``, each count known
+    consistent (``_villager_ends``' ``lo``), and ``at_end``, the failed
+    rows' slack and slope. Each count above ``known`` gets its confirming
+    row at ``(i, 0, v)``, and a failed one falls back below it
+    (``_confirm``); a count of -1 drops the candidate. Then every effort
+    search runs on the full check in one lockstep (``_effort_ends``), from
+    the slack and slope of its count's last passing row at no effort, where
+    one was sent. Where the count stayed, its failed witness row bounds the
+    search and gives the first Newton step from above; where it moved, a
+    fresh cheap search at the new count gives the bound, the failed ``hi``
+    of its bisection.
     """
     counts = v_stars.copy()
-    checks = _confirm(pool, i_stars, known, None, counts, _count_query)
-    stayed = np.flatnonzero(counts == v_stars)
-    lo, hi = _effort_bounds(pool, i_stars.size)
-    checks += _fall_back(pool, i_stars, lo, hi, p_stars, stayed, _effort_query(v_stars), epsilon)
-    moved = np.flatnonzero((counts != v_stars) & (counts >= 0))
-    p_stars[moved], more = _most_effort(pool, i_stars[moved], counts[moved], epsilon)
+    at_zero = np.full((2, counts.size), np.nan)
+
+    def check(searches, counts):
+        passes, slack, slope = _effort_rows(pool, i_stars[searches], np.zeros(searches.size), counts)
+        # a count bisection's passing rows rise, so the last one is at its count
+        at_zero[:, searches[passes]] = slack[passes], slope[passes]
+        return passes
+
+    checks = _confirm(check, known, counts)
     kept = counts >= 0
-    return i_stars[kept], p_stars[kept], counts[kept], checks + more
+    i_stars, counts, at_zero = i_stars[kept], counts[kept], at_zero[:, kept]
+    moved = counts != v_stars[kept]
+    fail = p_stars[kept]
+    if moved.any():
+        bounds = _effort_bounds(pool, int(moved.sum()))
+        fail[moved] = _cheap_ends(pool, i_stars[moved], *bounds, _effort_query(counts[moved]), epsilon)[1]
+    slack, slope = (np.stack([zero, np.where(moved, np.nan, end[kept])]) for zero, end in zip(at_zero, at_end))
+    ends, more = _effort_ends(pool, i_stars, counts, epsilon, fail, slack, slope, np.full(counts.size, np.nan))
+    return i_stars, ends, counts, checks + more
 
 
 def candidates_above_seed(instance: Instance) -> Tuple[np.ndarray, np.ndarray, Counter]:
@@ -877,18 +1120,48 @@ def candidates_above_seed(instance: Instance) -> Tuple[np.ndarray, np.ndarray, C
     return i_stars[keep], v_stars[keep], counters
 
 
-def _levels_feasible(instance, levels: np.ndarray) -> np.ndarray:
-    """Per attacker level u of ``levels``, whether the budgets hold every target to at most u.
+def _level_rows(instance, levels: np.ndarray):
+    """Per attacker level u of ``levels``: whether the budgets hold every
+    target to at most u, and the fill's slack and its slope in u (``_slope``).
 
     Each level is one ``_fill`` row needing every target's
     ``_min_coverage(u)``, with nothing spent.
     """
     feasible = np.empty(levels.size, dtype=bool)
+    slack, slope = np.empty(levels.size), np.empty(levels.size)
     spent = np.zeros(levels.size, dtype=np.int64)
     for block in _blocks(instance, levels.size):
         c_min = _min_coverage(instance, levels[block, None])
-        feasible[block] = _fill(instance, c_min, spent[block], spent[block])[0]
-    return feasible
+        fill = _fill(instance, c_min, spent[block], spent[block])
+        feasible[block], slack[block], slope[block] = fill.feasible, fill.slack, _slope(instance, c_min, fill.left)
+    return feasible, slack, slope
+
+
+def _rounds(lo, hi, below, tol):
+    """Lockstep minimax level searches, one per entry of ``lo`` and ``hi``: their final ``(lo, hi)``.
+
+    Each round places ``_LEVELS_PER_ROUND`` levels evenly in every open
+    bracket and calls ``below(rows, levels)`` once, with the brackets still
+    open and one row of levels each, those not strictly inside their
+    bracket (near one float step) as nan. A level is below where it is
+    infeasible: the largest level below becomes ``lo``, the smallest above
+    ``hi``. A bracket stays open while it is wider than ``tol`` and holds a
+    level. Both arrays are narrowed in place.
+    """
+    while True:
+        rows = np.flatnonzero(hi - lo > tol)
+        if rows.size:
+            bottom, top = lo[rows, None], hi[rows, None]
+            levels = bottom + (top - bottom) * _STEPS
+            inside = (bottom < levels) & (levels < top)
+            held = inside.any(axis=1)
+            rows, levels, inside = rows[held], levels[held], inside[held]
+        if not rows.size:
+            return lo, hi
+        levels[~inside] = np.nan
+        under = below(rows, levels) & inside
+        lo[rows] = np.maximum(lo[rows], np.where(under, levels, -np.inf).max(axis=1))
+        hi[rows] = np.minimum(hi[rows], np.where(inside & ~under, levels, np.inf).min(axis=1))
 
 
 def _minimax_profile(pool) -> Tuple[StrategyProfile, int]:
@@ -904,46 +1177,53 @@ def _minimax_profile(pool) -> Tuple[StrategyProfile, int]:
     feasible (the ``_COVERAGE_SLACK`` moves a level by at most that);
     wherever every spare villager takes a whole piece, the fill's residual
     is F less the villagers' share, and the minimax level lies within
-    ``tol / 2`` below z. The bracket starts
-    as ``[max(max P_a, z - tol / 2), max R_a]``, and the first round checks
-    one level row at ``max(max P_a, z) + tol / 4`` (at ``max P_a + tol / 4``
-    where the pooled cover reaches every target and z is -inf); where that
-    row is feasible the bracket is within ``tol``. Otherwise, and from
-    ``[max P_a, max R_a]`` where the sweep gives no crossing, the search
-    narrows the bracket in rounds, each one ``_levels_feasible`` call on
-    ``_LEVELS_PER_ROUND`` levels spread evenly inside it, until it is
-    within ``tol`` or one float step, as the effort search (``_bisect``)
-    stops. The start only places the rows: the profile is ``_fill``'s
-    witness of the level row at the bracket's feasible end, built as
-    ``witness_blocks`` builds its witnesses, however that level was found.
+    ``tol / 2`` below z. The bracket starts as ``[max(max P_a, z - tol /
+    2), max R_a]``, and the first round checks one level row at ``max(max
+    P_a, z) + tol / 4`` (at ``max P_a + tol / 4`` where the pooled cover
+    reaches every target and z is -inf); where that row is feasible the
+    bracket is within ``tol``. Otherwise, and from ``[max P_a, max R_a]``
+    where the sweep gives no crossing, the search's path narrows the
+    bracket in rounds of ``_LEVELS_PER_ROUND`` levels spread evenly inside
+    it (``_rounds``), until it is within ``tol`` or one float step, as the
+    effort search (``_bisect``) stops. That path is replayed on a few level
+    rows placed by Newton's steps on the fill's slack, from the first row's
+    slack and slope (``_certified_search``). The start only places the
+    rows: the profile is ``_fill``'s witness of the level row at the
+    bracket's feasible end, built as ``witness_blocks`` builds its
+    witnesses, however that level was found.
     """
     instance = pool.instance
     lo, hi = float(instance.penalty_att.max()), float(instance.reward_att.max())
     with np.errstate(over="ignore"):
         cover = instance.e_p * instance.ranger_budget + np.max(instance.e_v) * instance.villager_budget
     crossing = _crossing(pool, cover)
-    steps = np.arange(1, _LEVELS_PER_ROUND + 1) / (_LEVELS_PER_ROUND + 1)
-    if np.isnan(crossing):
-        levels = lo + (hi - lo) * steps
-    else:
-        levels = np.array([max(lo, crossing) + instance.tol / 4])
-        lo = max(lo, crossing - instance.tol / 2)
+    slack, slope = np.full((2, 1), np.nan), np.full((2, 1), np.nan)
     checks = 0
-    while hi - lo > instance.tol:
-        levels = levels[(lo < levels) & (levels < hi)]  # ascending; repeats only near one float step
-        if levels.size == 0:
-            break  # narrower than one float step
-        feasible = _levels_feasible(instance, levels)
-        checks += levels.size
-        first = int(np.argmax(feasible)) if feasible.any() else levels.size
-        if first < levels.size:
-            hi = float(levels[first])
-        if first > 0:
-            lo = float(levels[first - 1])
-        levels = lo + (hi - lo) * steps
+    if not np.isnan(crossing):
+        level = max(lo, crossing) + instance.tol / 4
+        lo = max(lo, crossing - instance.tol / 2)
+        if not lo < level < hi:
+            lo = hi  # no level fits in the bracket: the search ends at hi
+        elif hi - lo > instance.tol:
+            feasible, at_level, rate = _level_rows(instance, np.array([level]))
+            side = int(feasible[0])  # the level becomes hi where feasible, else lo
+            slack[side], slope[side], checks = at_level, rate, 1
+            lo, hi = (lo, level) if side else (level, hi)
+    if hi - lo > instance.tol:
+
+        def infeasible(_, levels):
+            feasible, at_levels, rates = _level_rows(instance, levels)
+            return ~feasible, at_levels, rates
+
+        bracket = np.array([lo]), np.array([hi])
+        _, top, more = _certified_search(
+            lambda lo, hi, below: _rounds(lo, hi, below, instance.tol),
+            infeasible, *bracket, bracket[0].copy(), bracket[1].copy(), slack, slope, np.full(1, np.nan),
+        )
+        hi, checks = top[0], checks + more
     spent = np.zeros(1, dtype=np.int64)
-    _, p, v = _fill(instance, _min_coverage(instance, np.array([[hi]])), spent, spent, witness=True)
-    return StrategyProfile(p[0], v[0]), checks
+    fill = _fill(instance, _min_coverage(instance, np.array([[hi]])), spent, spent, witness=True)
+    return StrategyProfile(fill.p[0], fill.v[0]), checks
 
 
 def _minimax_seed(pool) -> Tuple[float, int]:

@@ -13,12 +13,15 @@ Both searches answer on two cheap tests first, with no row (the
 O(log n) pooled-coverage test. Then one witness row per candidate, at its
 villager count and its effort, confirms both ends at once and is the
 candidate's witness; only a candidate whose row fails goes back to the
-full check, one search at a time, and gets one more witness row at its new
-ends. On the benchmark's ``tdbs-synthetic`` pools (seed 320000) that row is
-the only one on every scalar candidate: 5,207 rows for 5,207 candidates;
-the per-target instances send 10,749 rows for 2,263 candidates, as the
-pooled test counts every villager at ``max(e_v)`` and leaves more
-fill-bound efforts.
+full check: its count first, then its effort search, replayed bit for bit
+on a few rows that Newton's steps on the fill's slack place
+(``feasibility._certified_search``), in one lockstep with the others; it
+gets one more witness row at its new ends. On the benchmark's
+``tdbs-synthetic`` pool at seed 320000 that row is the only one on every
+scalar candidate: 5,207 rows for 5,207 candidates; the per-target
+instances send 6,349 rows for 2,263 candidates (10,749 when the fallback
+sent one row per probe), as the pooled test counts every villager at
+``max(e_v)`` and leaves more fill-bound efforts.
 
 The witnesses stream, block by block, into the winner rule both solvers
 share (``model.first_best``): the best wins, ties to the lowest target

@@ -61,26 +61,32 @@ def rebind(monkeypatch, name, replacement):
 def counting_rows(monkeypatch):
     """A list that gets the row count of every later query-row check
     (``_feasible_rows``, behind ``feasible_rows`` and a solve's own rows),
-    ``_levels_feasible`` call and ``tdbs`` witness pass over every candidate
+    ``tdbs`` fallback row check (``_effort_rows``), level-row check
+    (``_level_rows``) and ``tdbs`` witness pass over every candidate
     (``_candidate_witnesses``), the rows ``feasibility_checks`` counts."""
     rows = []
-    rows_of, levels_of = feasibility._feasible_rows, feasibility._levels_feasible
-    witnesses_of = feasibility._candidate_witnesses
+    rows_of, efforts_of = feasibility._feasible_rows, feasibility._effort_rows
+    levels_of, witnesses_of = feasibility._level_rows, feasibility._candidate_witnesses
 
     def counted_rows(instance, floor, i_star, p_star, v_star):
         rows.append(len(i_star))
         return rows_of(instance, floor, i_star, p_star, v_star)
 
+    def counted_efforts(pool, i_star, p_star, v_star):
+        rows.append(len(i_star))
+        return efforts_of(pool, i_star, p_star, v_star)
+
     def counted_levels(instance, levels):
         rows.append(len(levels))
         return levels_of(instance, levels)
 
-    def counted_witnesses(pool, i_stars, p_stars, v_stars, passed):
+    def counted_witnesses(pool, i_stars, p_stars, v_stars, lost):
         rows.append(len(i_stars))
-        return witnesses_of(pool, i_stars, p_stars, v_stars, passed)
+        return witnesses_of(pool, i_stars, p_stars, v_stars, lost)
 
     rebind(monkeypatch, "_feasible_rows", counted_rows)
-    monkeypatch.setattr(feasibility, "_levels_feasible", counted_levels)
+    monkeypatch.setattr(feasibility, "_effort_rows", counted_efforts)
+    monkeypatch.setattr(feasibility, "_level_rows", counted_levels)
     monkeypatch.setattr(feasibility, "_candidate_witnesses", counted_witnesses)
     return rows
 
@@ -561,6 +567,91 @@ def minimax_level_ref(inst):
         lo, hi = (lo, mid) if level_greedy_ref(inst, mid)[0] else (mid, hi)
 
 
+def fall_back_ends_row_by_row(pool, i_stars, p_stars, v_stars, known, epsilon):
+    """``tdbs``'s fallback for candidates whose witness row failed, every
+    full-check probe one row, as it ran before its effort searches were
+    certified: ``(i_stars, p_stars, v_stars, rows, rounds)``.
+
+    Each count above ``known`` gets a row at ``(i, 0, v)`` and bisects
+    below it where that fails. A count that stayed replays its effort
+    bisection from ``[0, ranger_budget]``, one row per midpoint below its
+    failed end; one that moved runs a fresh search at its new count: the
+    cheap tests' bisection, one row at its end, and the same replay below
+    that end where the row fails. ``rounds`` counts the calls that sent
+    rows, one after the other.
+    """
+    instance, spent = pool.instance, Counter()
+    budget = float(instance.ranger_budget)
+
+    def full_check(i, p, v):
+        spent.update(rows=len(i), rounds=int(len(i) > 0))
+        return feasibility._feasible_rows(instance, pool.floor, i, p, v)
+
+    def replay(i, v, ends):
+        def passes(rows, mid):
+            ok = mid < ends[rows]  # every probe from a failed end up fails too
+            ok[ok] = full_check(i[rows[ok]], mid[ok], v[rows[ok]])
+            return ok
+
+        return feasibility._bisect(np.zeros(i.size), np.full(i.size, budget), passes, epsilon)[0]
+
+    counts = v_stars.copy()
+    up = np.flatnonzero(counts > known)
+    failed = up[~full_check(i_stars[up], np.zeros(up.size), counts[up])]
+    zero = lambda rows, c: full_check(i_stars[failed[rows]], np.zeros(rows.size), c)
+    counts[failed] = feasibility._bisect(known[failed], counts[failed] - 1, zero)[0]
+    efforts = p_stars.copy()
+    stayed = np.flatnonzero(counts == v_stars)
+    efforts[stayed] = replay(i_stars[stayed], v_stars[stayed], p_stars[stayed])
+    moved = np.flatnonzero((counts != v_stars) & (counts >= 0))
+    i, v = i_stars[moved], counts[moved]
+    cheap = feasibility._bisect(
+        np.zeros(i.size), np.full(i.size, budget), lambda rows, mid: pool.passes(i[rows], mid, v[rows]), epsilon
+    )[0]
+    up = np.flatnonzero(cheap > 0)
+    failed = up[~full_check(i[up], cheap[up], v[up])]
+    cheap[failed] = replay(i[failed], v[failed], cheap[failed])
+    efforts[moved] = cheap
+    kept = counts >= 0
+    return i_stars[kept], efforts[kept], counts[kept], spent["rows"], spent["rounds"]
+
+
+def minimax_profile_rounds(pool):
+    """``_minimax_profile`` as it ran before its rounds were certified:
+    ``(profile, level rows, rounds)``.
+
+    One level row at the pooled crossing first, as ``_minimax_profile``
+    places it; where that leaves the bracket wider than tol, rounds of 32
+    evenly spread level rows narrow it until it is within tol or one float
+    step. ``rounds`` counts the calls that sent rows.
+    """
+    instance = pool.instance
+    lo, hi = float(instance.penalty_att.max()), float(instance.reward_att.max())
+    with np.errstate(over="ignore"):
+        cover = instance.e_p * instance.ranger_budget + np.max(instance.e_v) * instance.villager_budget
+    crossing = feasibility._crossing(pool, cover)
+    steps = np.arange(1, 33) / 33
+    if np.isnan(crossing):
+        levels = lo + (hi - lo) * steps
+    else:
+        levels = np.array([max(lo, crossing) + instance.tol / 4])
+        lo = max(lo, crossing - instance.tol / 2)
+    rows = rounds = 0
+    while hi - lo > instance.tol:
+        levels = levels[(lo < levels) & (levels < hi)]
+        if levels.size == 0:
+            break
+        feasible = feasibility._level_rows(instance, levels)[0]
+        rows, rounds = rows + levels.size, rounds + 1
+        first = int(np.argmax(feasible)) if feasible.any() else levels.size
+        if first < levels.size:
+            hi = float(levels[first])
+        if first > 0:
+            lo = float(levels[first - 1])
+        levels = lo + (hi - lo) * steps
+    return _level_witness(instance, hi), rows, rounds
+
+
 def minimax_profile_33ary(pool):
     """The minimax search before its crossing-first start: ``[max P_a, max
     R_a]`` narrowed in rounds of 32 evenly spread level rows from the first
@@ -575,17 +666,21 @@ def minimax_profile_33ary(pool):
         levels = levels[(lo < levels) & (levels < hi)]
         if levels.size == 0:
             break
-        feasible = feasibility._levels_feasible(instance, levels)
+        feasible = feasibility._level_rows(instance, levels)[0]
         checks += levels.size
         first = int(np.argmax(feasible)) if feasible.any() else levels.size
         if first < levels.size:
             hi = float(levels[first])
         if first > 0:
             lo = float(levels[first - 1])
+    return _level_witness(instance, hi), checks
+
+
+def _level_witness(instance, level):
+    """The fill's witness of the level row at ``level``, as ``_minimax_profile`` builds it."""
     spent = np.zeros(1, dtype=np.int64)
-    c_min = feasibility._min_coverage(instance, np.array([[hi]]))
-    _, p, v = feasibility._fill(instance, c_min, spent, spent, witness=True)
-    return StrategyProfile(p[0], v[0]), checks
+    fill = feasibility._fill(instance, feasibility._min_coverage(instance, np.array([[level]])), spent, spent, witness=True)
+    return StrategyProfile(fill.p[0], fill.v[0])
 
 
 def solve_hw_sequential(inst):

@@ -462,7 +462,7 @@ class TestQueryRowsAreLevelRows:
             inst = _flavoured_instance(rng, k, n, int(rng.integers(0, 4)), int(rng.integers(0, 25)))
             passing = np.flatnonzero(inst.reward_att >= feasibility._floor_of_others(inst))
             query = feasible_rows(inst, passing, np.zeros(passing.size), np.zeros(passing.size, dtype=int))
-            level = feasibility._levels_feasible(inst, inst.reward_att[passing])
+            level = feasibility._level_rows(inst, inst.reward_att[passing])[0]
             assert query.tolist() == level.tolist(), k
             answers.update(query.tolist())
         assert answers[True] > 300 and answers[False] > 20, answers
@@ -477,7 +477,7 @@ class TestQueryRowsAreLevelRows:
             inst = _flavoured_instance(rng, k, n, int(rng.integers(0, 4)), int(rng.integers(0, 25)))
             grid = np.linspace(inst.penalty_att.max(), inst.reward_att.max(), 40)
             levels = np.sort(np.concatenate([grid, inst.reward_att, inst.penalty_att]))
-            feasible = feasibility._levels_feasible(inst, levels)
+            feasible = feasibility._level_rows(inst, levels)[0]
             assert np.all(feasible[1:] >= feasible[:-1]), k
             mixed += feasible.any() and not feasible.all()
         assert mixed > 50

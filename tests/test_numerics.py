@@ -34,7 +34,9 @@ EPSILONS = (1e-3, 1e-5, 1e-7, 1e-9, 1e-10, 1e-11, 1e-13)
 
 
 def epsilon_family():
-    for k in range(60):
+    # 100 instances: the certified fallback sends fewer rows, and the witness
+    # test wants over 10,000 feasible answers from them
+    for k in range(100):
         yield generate_instance(
             GenParams(n=2 + k % 12, r_p=float(k % 5), r_v=(k // 5) % 6, seed=90_000 + k)
         )
@@ -52,22 +54,42 @@ def epsilon_sweep():
     """tdbs gaps to solve_hw per (instance, epsilon), plus every feasible
     answer those solves received, each with its one-row witness."""
     answers = []
-    rows_of = feasibility._feasible_rows
+    rows_of, efforts_of, witnesses_of = feasibility._feasible_rows, feasibility._effort_rows, feasibility._witness_blocks
 
-    def recording_rows(instance, floor, i_star, p_star, v_star):
-        feasible = rows_of(instance, floor, i_star, p_star, v_star)
+    rebuilding = []  # set while witness_of sends its own witness rows
+
+    def record(instance, feasible, i_star, p_star, v_star):
         for row in np.flatnonzero(feasible):
             # the witness the row stands for, rebuilt one query at a time
             query = (int(i_star[row]), float(p_star[row]), int(v_star[row]))
+            rebuilding.append(query)
             witness = witness_of(instance, *query)
+            rebuilding.pop()
             assert witness is not None, query
             answers.append((instance, query[0], witness))
+
+    def recording_rows(instance, floor, i_star, p_star, v_star):
+        feasible = rows_of(instance, floor, i_star, p_star, v_star)
+        record(instance, feasible, i_star, p_star, v_star)
         return feasible
+
+    def recording_efforts(pool, i_star, p_star, v_star):
+        answer = efforts_of(pool, i_star, p_star, v_star)
+        record(pool.instance, answer[0], i_star, p_star, v_star)
+        return answer
+
+    def recording_witnesses(instance, floor, i_star, p_star, v_star, lost=None):
+        for block, feasible, p, v in witnesses_of(instance, floor, i_star, p_star, v_star, lost):
+            if not rebuilding:
+                record(instance, feasible, i_star[block], p_star[block], v_star[block])
+            yield block, feasible, p, v
 
     gaps = []
     with pytest.MonkeyPatch.context() as mp:
-        # every query row: the searches' and hw's break-even rows
+        # every query row: the searches', tdbs's witness and fallback rows and hw's break-even rows
         rebind(mp, "_feasible_rows", recording_rows)
+        mp.setattr(feasibility, "_effort_rows", recording_efforts)
+        mp.setattr(feasibility, "_witness_blocks", recording_witnesses)
         for k, inst in enumerate(epsilon_family()):
             exact = solve_hw(inst).defender_utility
             for epsilon in EPSILONS:

@@ -195,8 +195,8 @@ def test_one_row_per_candidate_matches_three_passes(monkeypatch):
     seen = Counter()
     fall_back = feasibility._fall_back_ends
 
-    def spy(pool, i_stars, p_stars, v_stars, known, epsilon):
-        ends = fall_back(pool, i_stars, p_stars.copy(), v_stars, known, epsilon)
+    def spy(pool, i_stars, p_stars, v_stars, known, *rest):
+        ends = fall_back(pool, i_stars, p_stars.copy(), v_stars, known, *rest)
         kept = np.isin(i_stars, ends[0])
         seen["count dropped"] += int(np.count_nonzero(~kept))
         seen["count stayed"] += int(np.count_nonzero(v_stars[kept] == ends[2]))

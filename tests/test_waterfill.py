@@ -340,20 +340,25 @@ class TestSolveHw:
             subproblems.append(i_star)
             return run_subproblem(instance, i_star, v_star, on_state)
 
-        levels_feasible = feasibility._levels_feasible
+        level_rows, effort_rows = feasibility._level_rows, feasibility._effort_rows
 
         def recording_levels(instance, levels):
             calls.extend(levels)  # one check per level row of the minimax search
-            return levels_feasible(instance, levels)
+            return level_rows(instance, levels)
+
+        def recording_efforts(pool, i_stars, p_stars, v_stars):
+            calls.extend(zip(i_stars, p_stars, v_stars))  # one check per tdbs fallback row
+            return effort_rows(pool, i_stars, p_stars, v_stars)
 
         witnesses_of = feasibility._candidate_witnesses
 
-        def recording_witnesses(pool, i_stars, p_stars, v_stars, passed):
+        def recording_witnesses(pool, i_stars, p_stars, v_stars, lost):
             calls.extend(zip(i_stars, p_stars, v_stars))  # one check per tdbs candidate's witness row
-            return witnesses_of(pool, i_stars, p_stars, v_stars, passed)
+            return witnesses_of(pool, i_stars, p_stars, v_stars, lost)
 
         rebind(monkeypatch, "_feasible_rows", recording_rows)
-        monkeypatch.setattr(feasibility, "_levels_feasible", recording_levels)
+        monkeypatch.setattr(feasibility, "_level_rows", recording_levels)
+        monkeypatch.setattr(feasibility, "_effort_rows", recording_efforts)
         monkeypatch.setattr(feasibility, "_candidate_witnesses", recording_witnesses)
         monkeypatch.setattr(waterfill, "_run_subproblem", recording_subproblem)
         unattackable = bounded = 0
@@ -571,7 +576,11 @@ class TestMinimaxSeed:
         for k in range(60):
             n = 2 + k % 9
             inst = random_instance(15_500 + k, n=n, r_p=(k % 4) * n / 3, r_v=(k // 4) % 5)
-            assert feasibility._minimax_seed(feasibility._Pool(inst)) == minimax_seed_ref(inst), k
+            seed, rows = feasibility._minimax_seed(feasibility._Pool(inst))
+            want, probed = minimax_seed_ref(inst)
+            assert seed == want, k
+            # the replay certifies the reference's rounds with no more level rows than they probe
+            assert rows <= probed, k
 
     def test_zero_spread_target_against_the_oracle(self):
         # Target 0 pays the attacker nothing at any coverage: the minimax
