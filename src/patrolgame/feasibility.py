@@ -135,8 +135,10 @@ only in the midpoint rule. Each runs in three steps:
    depends on its path, the bisection from ``[0, ranger_budget]``; the
    certified search (``_certified_search``) replays that path on a few rows.
 
-Certified search: a bisection's answer is fixed by its decisions, and the
-full check is monotone, so once rows have shown a pass at a and a fail at b,
+Certified search: every search it runs is ``_bisect``'s float path, an
+effort's to within ``epsilon`` and the minimax level's to within ``tol``.
+A bisection's answer is fixed by its decisions, and the full check is
+monotone, so once rows have shown a pass at a and a fail at b,
 every probe at or below a passes and every probe at or above b fails. The
 fill's slack (``_fill``: the cover left less the residual need) is linear
 between kinks, and one row gives its slope (``_slope``), so a Newton step
@@ -147,8 +149,8 @@ the path is left undecided, and the path ends exactly where the
 row-by-row search ends. Newton only places rows: every answer is a row's
 pass or fail, from ``_fill``'s own comparison. Where no slope gives a step
 (a slope of 0 or NaN, a slack of -inf past the floor test, a step out of
-``(a, b)``), a round probes the path's next undecided step instead, as the
-row-by-row search does.
+``(a, b)``), a round probes the path's next undecided midpoint instead, as
+the row-by-row search does.
 
 ``tdbs`` merges step 2 of its two searches into one row per candidate
 (``candidates_with_effort``): it runs step 1 for every villager count (or
@@ -163,10 +165,10 @@ certified lockstep, from the failed witness row where the count stayed and
 from a fresh cheap search's failed ``hi`` where it moved; one witness row
 then serves their new ends.
 
-Level rows: the minimax search's path is rounds of ``_LEVELS_PER_ROUND``
-levels (``_rounds``), replayed by the same certified search from the
-crossing row's slack and slope: two level rows usually settle what took
-rounds of 32.
+Level rows: the minimax search bisects the level bracket the crossing row
+leaves, as the effort search bisects its effort, and the same certified
+search replays that bisection from the crossing row's slack and slope: two
+level rows usually settle what took about 30 row-by-row midpoints.
 
 Rows counted: ``feasibility_checks`` counts every row sent to the fill:
 through ``feasible_rows``, the fallback's count and effort rows
@@ -212,18 +214,12 @@ from .model import REL_TOL, GameDefinitionError, Instance, StrategyProfile, _res
 _COVERAGE_SLACK = REL_TOL / 4
 
 # Rounds a certified search's path may stand at one probe before a round
-# probes that probe's step itself, as the row-by-row search does
-# (``_certified_search``).
+# probes it, as the row-by-row search does (``_certified_search``).
 _STALLS = 3
 
 # Cells (query rows times targets) the greedy handles in one array
 # operation; bounds the transient memory of a batched check at O(block × n).
 _BLOCK_CELLS = 2**13
-
-# Attacker levels per round of the minimax search's path (``_rounds``): the
-# level it returns is the one this path ends at, however its rows were placed.
-_LEVELS_PER_ROUND = 32
-_STEPS = np.arange(1, _LEVELS_PER_ROUND + 1) / (_LEVELS_PER_ROUND + 1)
 
 
 def TargetSpecificInstance(base: Instance, e_v) -> Instance:
@@ -737,19 +733,18 @@ def _confirm(check, lo, ends) -> int:
     return checks
 
 
-def _certified_search(path, probe, lo, hi, a, b, slack, slope, guess) -> Tuple[np.ndarray, np.ndarray, int]:
+def _certified_search(probe, lo, hi, a, b, slack, slope, guess, epsilon) -> Tuple[np.ndarray, np.ndarray, int]:
     """Lockstep searches replayed on what rows have shown: their final ``(lo, hi)`` and the rows sent.
 
-    Search k follows ``path`` (``_bisect`` on efforts, ``_rounds`` on
-    levels) from ``(lo[k], hi[k])`` on the full check, which is monotone:
-    its probes lie below a threshold (an effort that passes, a level that
-    is infeasible) or above it. ``a[k]`` is the largest point known below
-    and ``b[k]`` the smallest known above, and ``slack`` and ``slope``
-    (rows for a and b) hold the fill's slack there and its slope (nan where
-    no row gave them); all four are updated in place, and ``lo`` and ``hi``
-    narrowed. ``probe(searches, points)`` sends one full-check row per
-    point: ``(below, slack, slope)``, ``below`` from the fill's own
-    comparison.
+    Search k follows ``_bisect``'s float path to within ``epsilon`` from
+    ``(lo[k], hi[k])`` on the full check, which is monotone: its probes lie
+    below a threshold (an effort that passes, a level that is infeasible)
+    or above it. ``a[k]`` is the largest point known below and ``b[k]`` the
+    smallest known above, and ``slack`` and ``slope`` (rows for a and b)
+    hold the fill's slack there and its slope (nan where no row gave them);
+    all four are updated in place, and ``lo`` and ``hi`` narrowed.
+    ``probe(searches, points)`` sends one full-check row per point:
+    ``(below, slack, slope)``, ``below`` from the fill's own comparison.
 
     A bisection's answer is fixed by its decisions, and a probe at or below
     a lies below, one at or above b above. So each round walks every path
@@ -761,18 +756,17 @@ def _certified_search(path, probe, lo, hi, a, b, slack, slope, guess) -> Tuple[n
     last probe of that walk guessed below and its first guessed above;
     where both answer as guessed, every probe of the path is decided, and
     the path ends where that walk ended. Where there is no guess, or where
-    the path has stood at one probe for ``_STALLS`` rounds, a round's rows
-    go to that probe's step instead (one midpoint, or a round's undecided
-    levels), as the row-by-row search sends them. The guess only places
-    rows: every decision comes from a and b, so every path ends exactly
-    where the row-by-row search ends.
+    the path has stood at one probe for ``_STALLS`` rounds, a round's row
+    goes to that probe instead, as the row-by-row search sends it. The
+    guess only places rows: every decision comes from a and b, so every
+    path ends exactly where the row-by-row search ends.
     """
     guess = np.where(np.isnan(guess), _newton(a, b, slack, slope), guess)
     checks, stalls = 0, np.zeros(lo.size, dtype=np.int64)
     while True:
         walk = _Walk(lo, hi, a, b, guess)
         before = lo.copy(), hi.copy()
-        lo, hi = path(lo, hi, walk)
+        lo, hi = _bisect(lo, hi, walk, epsilon)
         met = walk.met
         if not met.any():
             return lo, hi, checks
@@ -786,7 +780,7 @@ def _certified_search(path, probe, lo, hi, a, b, slack, slope, guess) -> Tuple[n
         stalls = np.where((lo == before[0]) & (hi == before[1]), stalls + 1, 0)
         guessed = met & ~np.isnan(guess) & (stalls < _STALLS)
         nearest[~guessed] = np.nan
-        points = np.concatenate([nearest, np.where((met & ~guessed)[:, None], walk.next, np.nan)], axis=1)
+        points = np.concatenate([nearest, np.where(met & ~guessed, walk.next, np.nan)[:, None]], axis=1)
         searches, column = np.nonzero(~np.isnan(points))
         points = points[searches, column]
         below, row_slack, row_slope = probe(searches, points)
@@ -823,16 +817,15 @@ def _newton(a, b, slack, slope) -> np.ndarray:
 
 
 class _Walk:
-    """One walk of ``_certified_search``'s paths, as ``path``'s ``passes``.
+    """One walk of ``_certified_search``'s paths, as ``_bisect``'s ``passes``.
 
     Each probe lies below where it is at most the search's guess. The guess
     lies strictly inside ``(a, b)``, so this agrees with a and b wherever
     they decide a probe; where there is no guess, a stands in for it, which
     agrees with them up to the first probe they leave open. ``met`` marks
     the paths that reached a probe that a and b leave open, ``start`` holds
-    each one's ``(lo, hi)`` at its first such probe, and ``next`` that
-    step's open probes (nan elsewhere). ``lo`` and ``hi`` are the arrays the
-    path narrows.
+    each one's ``(lo, hi)`` at its first such probe, and ``next`` that probe
+    (nan elsewhere). ``lo`` and ``hi`` are the arrays the path narrows.
     """
 
     def __init__(self, lo, hi, a, b, guess):
@@ -840,22 +833,15 @@ class _Walk:
         self.guess = np.where(np.isnan(guess), a, guess)
         self.met = np.zeros(lo.size, dtype=bool)
         self.start = lo.copy(), hi.copy()
-        self.next = np.full((lo.size, 1), np.nan)
+        self.next = np.full(lo.size, np.nan)
 
     def __call__(self, rows, points):
-        shape, points = points.shape, points.reshape(rows.size, -1)
-        fresh = np.flatnonzero(~self.met[rows])
-        if fresh.size:
-            at, probes = rows[fresh], points[fresh]
-            open_ = (self.a[at, None] < probes) & (probes < self.b[at, None])
-            first = open_.any(axis=1)
-            at, probes, open_ = at[first], probes[first], open_[first]
-            self.met[at] = True
-            self.start[0][at], self.start[1][at] = self.lo[at], self.hi[at]
-            if self.next.shape[1] < points.shape[1]:
-                self.next = np.full((self.met.size, points.shape[1]), np.nan)
-            self.next[at] = np.where(open_, probes, np.nan)
-        return (points <= self.guess[rows, None]).reshape(shape)
+        open_ = ~self.met[rows] & (self.a[rows] < points) & (points < self.b[rows])
+        at = rows[open_]
+        self.met[at] = True
+        self.start[0][at], self.start[1][at] = self.lo[at], self.hi[at]
+        self.next[at] = points[open_]
+        return points <= self.guess[rows]
 
 
 def _villager_ends(pool, i_stars) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -933,9 +919,8 @@ def _effort_ends(pool, i_stars, v_stars, epsilon, fail, slack, slope, guess) -> 
     """
     lo, hi = _effort_bounds(pool, i_stars.size)
     ends, _, checks = _certified_search(
-        lambda lo, hi, passes: _bisect(lo, hi, passes, epsilon),
         lambda searches, efforts: _effort_rows(pool, i_stars[searches], efforts, v_stars[searches]),
-        lo, hi, lo.copy(), fail, slack, slope, guess,
+        lo, hi, lo.copy(), fail, slack, slope, guess, epsilon,
     )
     return ends, checks
 
@@ -1137,33 +1122,6 @@ def _level_rows(instance, levels: np.ndarray):
     return feasible, slack, slope
 
 
-def _rounds(lo, hi, below, tol):
-    """Lockstep minimax level searches, one per entry of ``lo`` and ``hi``: their final ``(lo, hi)``.
-
-    Each round places ``_LEVELS_PER_ROUND`` levels evenly in every open
-    bracket and calls ``below(rows, levels)`` once, with the brackets still
-    open and one row of levels each, those not strictly inside their
-    bracket (near one float step) as nan. A level is below where it is
-    infeasible: the largest level below becomes ``lo``, the smallest above
-    ``hi``. A bracket stays open while it is wider than ``tol`` and holds a
-    level. Both arrays are narrowed in place.
-    """
-    while True:
-        rows = np.flatnonzero(hi - lo > tol)
-        if rows.size:
-            bottom, top = lo[rows, None], hi[rows, None]
-            levels = bottom + (top - bottom) * _STEPS
-            inside = (bottom < levels) & (levels < top)
-            held = inside.any(axis=1)
-            rows, levels, inside = rows[held], levels[held], inside[held]
-        if not rows.size:
-            return lo, hi
-        levels[~inside] = np.nan
-        under = below(rows, levels) & inside
-        lo[rows] = np.maximum(lo[rows], np.where(under, levels, -np.inf).max(axis=1))
-        hi[rows] = np.minimum(hi[rows], np.where(inside & ~under, levels, np.inf).min(axis=1))
-
-
 def _minimax_profile(pool) -> Tuple[StrategyProfile, int]:
     """A profile holding the attacker's best utility lowest, and the level rows checked.
 
@@ -1182,15 +1140,14 @@ def _minimax_profile(pool) -> Tuple[StrategyProfile, int]:
     P_a, z) + tol / 4`` (at ``max P_a + tol / 4`` where the pooled cover
     reaches every target and z is -inf); where that row is feasible the
     bracket is within ``tol``. Otherwise, and from ``[max P_a, max R_a]``
-    where the sweep gives no crossing, the search's path narrows the
-    bracket in rounds of ``_LEVELS_PER_ROUND`` levels spread evenly inside
-    it (``_rounds``), until it is within ``tol`` or one float step, as the
-    effort search (``_bisect``) stops. That path is replayed on a few level
-    rows placed by Newton's steps on the fill's slack, from the first row's
-    slack and slope (``_certified_search``). The start only places the
-    rows: the profile is ``_fill``'s witness of the level row at the
-    bracket's feasible end, built as ``witness_blocks`` builds its
-    witnesses, however that level was found.
+    where the sweep gives no crossing, the search bisects the bracket on
+    ``_bisect``'s float path with ``epsilon = tol``, as the effort search
+    does, until it is within ``tol`` or one float step. That bisection is
+    replayed on a few level rows placed by Newton's steps on the fill's
+    slack, from the first row's slack and slope (``_certified_search``).
+    The start only places the rows: the profile is ``_fill``'s witness of
+    the level row at the bracket's feasible end, built as
+    ``witness_blocks`` builds its witnesses, however that level was found.
     """
     instance = pool.instance
     lo, hi = float(instance.penalty_att.max()), float(instance.reward_att.max())
@@ -1217,8 +1174,7 @@ def _minimax_profile(pool) -> Tuple[StrategyProfile, int]:
 
         bracket = np.array([lo]), np.array([hi])
         _, top, more = _certified_search(
-            lambda lo, hi, below: _rounds(lo, hi, below, instance.tol),
-            infeasible, *bracket, bracket[0].copy(), bracket[1].copy(), slack, slope, np.full(1, np.nan),
+            infeasible, *bracket, bracket[0].copy(), bracket[1].copy(), slack, slope, np.full(1, np.nan), instance.tol,
         )
         hi, checks = top[0], checks + more
     spent = np.zeros(1, dtype=np.int64)

@@ -500,15 +500,15 @@ def crossing_ref(inst):
     return lo + (hi - lo) * ((need(lo) - cover) / (need(lo) - need(hi)))
 
 
-def minimax_seed_ref(inst, levels_per_round=32):
+def minimax_seed_ref(inst):
     """Reference minimax seed: (defender utility, level rows checked).
 
     The search starts at the crossing z (``crossing_ref``): the attacker
     level bracket is ``[max(max P_a, z - tol / 2), max R_a]``, and the first
     round checks the one level ``max(max P_a, z) + tol / 4`` with
-    ``level_greedy_ref``. From there the bracket shrinks in rounds of
-    ``levels_per_round`` evenly spread levels, until it is within tol or one
-    float step. At the feasible end, the greedy's villagers and rangers
+    ``level_greedy_ref``. From there the bracket is bisected, one level at
+    ``lo / 2 + hi / 2`` per round, until it is within tol or one float
+    step. At the feasible end, the greedy's villagers and rangers
     covering the residual (scaled into the budget) form the minimax profile.
     The seed is the best defender utility over targets that profile attacks
     exactly, or that shed rangers until their attacker utility passes the
@@ -516,19 +516,15 @@ def minimax_seed_ref(inst, levels_per_round=32):
     """
     z = crossing_ref(inst)
     lo, hi = max(max(inst.penalty_att), z - inst.tol / 2), max(inst.reward_att)
-    inside = [max(max(inst.penalty_att), z) + inst.tol / 4]
+    u = max(max(inst.penalty_att), z) + inst.tol / 4
     checks = 0
-    while hi - lo > inst.tol:
-        inside = [u for u in inside if lo < u < hi]
-        if not inside:
-            break
-        checks += len(inside)
-        for u in inside:
-            if level_greedy_ref(inst, u)[0]:
-                hi = u
-                break
+    while hi - lo > inst.tol and lo < u < hi:
+        checks += 1
+        if level_greedy_ref(inst, u)[0]:
+            hi = u
+        else:
             lo = u
-        inside = [lo + (hi - lo) * (k / (levels_per_round + 1)) for k in range(1, levels_per_round + 1)]
+        u = lo / 2 + hi / 2
     _, counts, residual = level_greedy_ref(inst, hi)
     p = [r / inst.e_p for r in residual]
     total = np.sum(p)
@@ -616,40 +612,33 @@ def fall_back_ends_row_by_row(pool, i_stars, p_stars, v_stars, known, epsilon):
     return i_stars[kept], efforts[kept], counts[kept], spent["rows"], spent["rounds"]
 
 
-def minimax_profile_rounds(pool):
-    """``_minimax_profile`` as it ran before its rounds were certified:
-    ``(profile, level rows, rounds)``.
+def minimax_profile_row_by_row(pool):
+    """``_minimax_profile`` with every probe of its bisection sent as its
+    own level row, the path it certifies: ``(profile, level rows, rounds)``.
 
     One level row at the pooled crossing first, as ``_minimax_profile``
-    places it; where that leaves the bracket wider than tol, rounds of 32
-    evenly spread level rows narrow it until it is within tol or one float
-    step. ``rounds`` counts the calls that sent rows.
+    places it (none where the sweep gives no crossing); where that leaves
+    the bracket wider than tol, it is bisected one level row at a time, at
+    ``lo / 2 + hi / 2``, until it is within tol or one float step. Each
+    round sends one row, so ``rounds``, the calls that sent rows, equals
+    the rows.
     """
     instance = pool.instance
     lo, hi = float(instance.penalty_att.max()), float(instance.reward_att.max())
     with np.errstate(over="ignore"):
         cover = instance.e_p * instance.ranger_budget + np.max(instance.e_v) * instance.villager_budget
     crossing = feasibility._crossing(pool, cover)
-    steps = np.arange(1, 33) / 33
     if np.isnan(crossing):
-        levels = lo + (hi - lo) * steps
+        level = lo / 2 + hi / 2
     else:
-        levels = np.array([max(lo, crossing) + instance.tol / 4])
+        level = max(lo, crossing) + instance.tol / 4
         lo = max(lo, crossing - instance.tol / 2)
-    rows = rounds = 0
-    while hi - lo > instance.tol:
-        levels = levels[(lo < levels) & (levels < hi)]
-        if levels.size == 0:
-            break
-        feasible = feasibility._level_rows(instance, levels)[0]
-        rows, rounds = rows + levels.size, rounds + 1
-        first = int(np.argmax(feasible)) if feasible.any() else levels.size
-        if first < levels.size:
-            hi = float(levels[first])
-        if first > 0:
-            lo = float(levels[first - 1])
-        levels = lo + (hi - lo) * steps
-    return _level_witness(instance, hi), rows, rounds
+    rows = 0
+    while hi - lo > instance.tol and lo < level < hi:
+        rows += 1
+        lo, hi = (lo, level) if feasibility._level_rows(instance, np.array([level]))[0][0] else (level, hi)
+        level = lo / 2 + hi / 2
+    return _level_witness(instance, hi), rows, rows
 
 
 def minimax_profile_33ary(pool):

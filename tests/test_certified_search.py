@@ -1,5 +1,6 @@
 """The certified searches: ``tdbs``'s effort fallback and ``hw``'s minimax
-rounds end where the row-by-row searches end, bit for bit, on fewer rows.
+level bisection end where the row-by-row searches end, bit for bit, on
+fewer rows.
 
 Newton's steps on the fill's slack only place the rows; every answer comes
 from rows, so a slope of 0, NaN or the wrong sign may cost rows but never
@@ -21,7 +22,7 @@ from patrolgame.tdbs import TdbsConfig, solve_tdbs
 
 from conftest import (
     fall_back_ends_row_by_row,
-    minimax_profile_rounds,
+    minimax_profile_row_by_row,
     most_effort_blind,
     random_instance,
     scaled,
@@ -226,7 +227,7 @@ def _case_study_grid():
 
 
 def _check_minimax_family(monkeypatch):
-    """Check ``_minimax_profile`` against its 32-level rounds on every
+    """Check ``_minimax_profile`` against its row-by-row bisection on every
     instance of ``_minimax_family``: the same profile bits, on no more level
     rows. Tallies the rounds, one per ``_level_rows`` call."""
     level_rows, sent = feasibility._level_rows, []
@@ -242,7 +243,7 @@ def _check_minimax_family(monkeypatch):
             mp.setattr(feasibility, "_level_rows", counted)
             sent.clear()
             profile, rows = feasibility._minimax_profile(pool)
-        want, probed, rounds = minimax_profile_rounds(pool)
+        want, probed, rounds = minimax_profile_row_by_row(pool)
         assert profile.p.tobytes() == want.p.tobytes() and profile.v.tobytes() == want.v.tobytes(), k
         assert rows == sum(sent) <= probed, k
         seen["rounds past the crossing row"] += rounds > 1
@@ -256,9 +257,10 @@ def test_minimax_profile_matches_its_rounds(monkeypatch):
 
 
 def test_few_level_rows_per_case_study_solve():
-    # The 32-level rounds sent 193 level rows on each of the 32 settings whose
-    # crossing row fails. A reward between that row and the minimax level
-    # bends the slack, and a second Newton round then costs two rows more.
+    # One level row per midpoint sent 29 to 31 level rows on each of the 32
+    # settings whose crossing row fails. A reward between that row and the
+    # minimax level bends the slack, and a second Newton round then costs two
+    # rows more.
     rows = [feasibility._minimax_profile(feasibility._Pool(inst))[1] for inst in _case_study_grid()]
     assert len(rows) == 45 and sum(rows) <= 4 * len(rows) and max(rows) <= 5, rows
 

@@ -673,11 +673,13 @@ class TestCrossingStart:
         assert one_row >= 38, one_row
 
     def test_solves_match_the_33ary_seed(self, monkeypatch):
+        # The zero-sum case study ties co-optimal candidates within tol, where a
+        # seed change would most likely move a tied answer.
         family = [
             scaled(random_instance(28_500 + k, n=2 + k % 11, r_p=(k % 4) * (2 + k % 11) / 3, r_v=(k // 4) % 5), factor)
             for k in range(60)
             for factor in (1.0, 1e6)
-        ]
+        ] + list(case_study_grid())
         crossing = [solve_hw(inst) for inst in family]
         monkeypatch.setattr(feasibility, "_minimax_profile", minimax_profile_33ary)
         rows = Counter()
