@@ -16,7 +16,7 @@ targets), so memory stays O(block × n). Rows come from three sources:
 - query rows (``feasible_rows``) fix ``p_star`` effort and ``v_star``
   villagers on ``i_star``; past the attacker-floor test, every other target
   must be held to ``i_star``'s attacker utility;
-- witness rows (``witness_blocks``) are query rows that also build each
+- witness rows (``_witness_blocks``) are query rows that also build each
   feasible row's profile (p, v) from the greedy's villagers and the trimmed
   ranger effort; ``tdbs``'s one row per candidate is one, and the winner
   rule scores its blocks as they come. Both kinds of query share one loop
@@ -35,19 +35,18 @@ For each attacked target, a solver completes the best allocation that keeps
 it attacked, and the best completion wins (``model.first_best``). Both
 solvers take their candidates from this module, one function each:
 
-- ``candidates_with_effort`` for ``tdbs``: the searches of ``candidates``
-  on every target, then an effort search (``most_effort``'s) per
-  candidate, both ended by one witness row per candidate (below);
-- ``candidates_above_seed`` for ``hw``: ``candidates`` on the targets its
-  bound keeps, then the break-even prune (both below).
+- ``candidates_with_effort`` for ``tdbs``: a villager search on every
+  target, then an effort search per candidate, both ended by one witness
+  row per candidate (below);
+- ``candidates_above_seed`` for ``hw``: a villager search on the targets
+  its bound keeps (``_candidates``), then the break-even prune (both below).
 
-``candidates`` runs one villager search per target (``most_villagers``).
-Where every count of every villager search fits one block, one call probes
-them all; otherwise the searches bisect in lockstep, cheap tests first
-(below). Each pipeline builds one ``_Pool`` and passes it to all of its
-steps, and its query rows read the attacker floor (``_floor_of_others``)
-from that pool: only ``feasible_rows`` and ``witness_blocks``, which take an
-instance, derive the floor again.
+A villager search is ``most_villagers``' search for one target. Where every
+count of every villager search fits one block, one call probes them all;
+otherwise the searches bisect in lockstep, cheap tests first (below). Each
+pipeline builds one ``_Pool`` and passes it to all of its steps, and its
+query rows read the attacker floor (``_floor_of_others``) from that pool:
+only ``feasible_rows``, which takes an instance, derives the floor again.
 
 Pruning ``hw``'s candidates, in two steps, both against a seed: a defender
 utility that some valid profile reaches on the target it is attacked on, so
@@ -67,7 +66,7 @@ feasible.
   of any valid profile that leaves it in the attacker's tied set (ORIGAMI's
   pooled-coverage sweep in ``_pooled_level``, with integrality dropped). A
   target whose bound is below ``minimax seed - tol`` cannot win. It gets no
-  villager search and counts in ``bounded``; the rest go to ``candidates``.
+  villager search and counts in ``bounded``; the rest are searched.
 - Break-even: the seed becomes the larger of the minimax seed and the best
   candidate's utility with its villagers and no ranger effort, which that
   candidate's completion reaches. A candidate's defender utility rises with
@@ -152,13 +151,13 @@ pass or fail, from ``_fill``'s own comparison. Where no slope gives a step
 ``(a, b)``), a round probes the path's next undecided midpoint instead, as
 the row-by-row search does.
 
-``tdbs`` merges step 2 of its two searches into one row per candidate
-(``candidates_with_effort``): it runs step 1 for every villager count (or
-the one call that probes every count, whose counts need no row), then for
-every candidate's effort at that count, and sends one witness row at ``(i,
-p_end, v_end)``. Where that row passes it confirms both ends, and it is the
-candidate's witness: it is the effort's confirming row, and ``(i, 0,
-v_end)`` is consistent by monotonicity. Only the candidates whose row fails
+Only ``tdbs`` searches efforts, and it merges step 2 of its two searches
+into one row per candidate (``candidates_with_effort``): it runs step 1 for
+every villager count (or the one call that probes every count, whose counts
+need no row), then for every candidate's effort at that count, and sends
+one witness row at ``(i, p_end, v_end)``. Where that row passes it confirms
+both ends, and it is the candidate's witness: it is the effort's confirming
+row, and ``(i, 0, v_end)`` is consistent by monotonicity. Only the candidates whose row fails
 take steps 2 and 3 (``_fall_back_ends``): the count's row at ``(i, 0,
 v_end)`` and its fallback where that fails, then every effort search in one
 certified lockstep, from the failed witness row where the count stayed and
@@ -207,7 +206,7 @@ from typing import Iterator, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from .model import REL_TOL, GameDefinitionError, Instance, StrategyProfile, _resolution, coverage_of, utilities_of
+from .model import REL_TOL, GameDefinitionError, Instance, StrategyProfile, coverage_of, utilities_of
 
 # Slack on the ranger-coverage sum: its trim lifts a utility by at most
 # tol / 2 (module docstring).
@@ -602,22 +601,15 @@ def feasible_rows(instance: Instance, i_star, p_star, v_star) -> np.ndarray:
     return _feasible_rows(instance, _floor_of_others(instance), i_star, p_star, v_star)
 
 
-def witness_blocks(instance: Instance, i_star, p_star, v_star):
-    """Per block of query rows: ``(block, feasible, p, v)``.
-
-    Takes the arrays ``feasible_rows`` takes and fills them block by block,
-    so only one block of rows is held at a time. ``block`` is the slice of
-    the queries it covers, ``feasible`` marks the block's feasible queries,
-    and row j of ``p`` and ``v`` is the witness of the j-th of them
-    (``_fill``'s), with the query's own ``(p_star, v_star)`` on ``i_star``.
-    """
-    i_star, p_star, v_star = _query_rows(instance, i_star, p_star, v_star)
-    return _witness_blocks(instance, _floor_of_others(instance), i_star, p_star, v_star)
-
-
 def _witness_blocks(instance, floor, i_star, p_star, v_star, lost=None):
-    """``witness_blocks`` on checked query arrays, with the attacker floor
-    ``floor`` already derived: a solve's rows read it from its ``_Pool``.
+    """Per block of checked query rows (``_query_rows``): ``(block, feasible, p, v)``.
+
+    Fills the rows block by block, so only one block is held at a time.
+    ``block`` is the slice of the queries it covers, ``feasible`` marks the
+    block's feasible queries, and row j of ``p`` and ``v`` is the witness of
+    the j-th of them (``_fill``'s), with the query's own ``(p_star,
+    v_star)`` on ``i_star``. ``floor`` is the attacker floor, which a
+    solve's rows read from its ``_Pool``.
 
     With ``lost``, a list, each block with infeasible queries appends their
     ``(positions, slack, slope)`` to it, as ``_effort_rows`` gives them:
@@ -733,7 +725,7 @@ def _confirm(check, lo, ends) -> int:
     return checks
 
 
-def _certified_search(probe, lo, hi, a, b, slack, slope, guess, epsilon) -> Tuple[np.ndarray, np.ndarray, int]:
+def _certified_search(probe, lo, hi, a, b, slack, slope, epsilon) -> Tuple[np.ndarray, np.ndarray, int]:
     """Lockstep searches replayed on what rows have shown: their final ``(lo, hi)`` and the rows sent.
 
     Search k follows ``_bisect``'s float path to within ``epsilon`` from
@@ -750,18 +742,17 @@ def _certified_search(probe, lo, hi, a, b, slack, slope, guess, epsilon) -> Tupl
     a lies below, one at or above b above. So each round walks every path
     from where it stands as far as a and b decide it (``_Walk``), keeps it
     at its first undecided probe, and walks on by a guess of the threshold:
-    ``guess[k]`` in the first round where it is not nan, then Newton's step
-    on the fill's slack from a or b, the shorter one that lands strictly
-    inside ``(a, b)`` (none where no slope gives one). The rows go to the
-    last probe of that walk guessed below and its first guessed above;
-    where both answer as guessed, every probe of the path is decided, and
-    the path ends where that walk ended. Where there is no guess, or where
-    the path has stood at one probe for ``_STALLS`` rounds, a round's row
-    goes to that probe instead, as the row-by-row search sends it. The
-    guess only places rows: every decision comes from a and b, so every
-    path ends exactly where the row-by-row search ends.
+    Newton's step on the fill's slack from a or b, the shorter one that
+    lands strictly inside ``(a, b)`` (none where no slope gives one). The
+    rows go to the last probe of that walk guessed below and its first
+    guessed above; where both answer as guessed, every probe of the path is
+    decided, and the path ends where that walk ended. Where there is no
+    guess, or where the path has stood at one probe for ``_STALLS`` rounds,
+    a round's row goes to that probe instead, as the row-by-row search sends
+    it. The guess only places rows: every decision comes from a and b, so
+    every path ends exactly where the row-by-row search ends.
     """
-    guess = np.where(np.isnan(guess), _newton(a, b, slack, slope), guess)
+    guess = _newton(a, b, slack, slope)
     checks, stalls = 0, np.zeros(lo.size, dtype=np.int64)
     while True:
         walk = _Walk(lo, hi, a, b, guess)
@@ -907,74 +898,36 @@ def _effort_bounds(pool, count: int) -> Tuple[np.ndarray, np.ndarray]:
     return np.zeros(count), np.full(count, float(pool.instance.ranger_budget))
 
 
-def _effort_ends(pool, i_stars, v_stars, epsilon, fail, slack, slope, guess) -> Tuple[np.ndarray, int]:
+def _effort_ends(pool, i_stars, v_stars, epsilon, fail, slack, slope) -> Tuple[np.ndarray, int]:
     """Each effort search's end on the full check, and the rows sent.
 
     Search k bisects ``[0, ranger_budget]`` (``_bisect``) with
     ``v_stars[k]`` villagers on ``i_stars[k]``, on rows placed by
     ``_certified_search``: ``fail[k]`` is an effort known to fail, and
     ``slack`` and ``slope`` hold the fill's slack and its slope at no effort
-    (row 0) and at ``fail`` (row 1), nan where no row gave them;
-    ``guess[k]`` is a first guess of the threshold (nan for Newton's).
+    (row 0) and at ``fail`` (row 1), nan where no row gave them.
     """
     lo, hi = _effort_bounds(pool, i_stars.size)
     ends, _, checks = _certified_search(
         lambda searches, efforts: _effort_rows(pool, i_stars[searches], efforts, v_stars[searches]),
-        lo, hi, lo.copy(), fail, slack, slope, guess, epsilon,
+        lo, hi, lo.copy(), fail, slack, slope, epsilon,
     )
     return ends, checks
 
 
-def _most_effort(pool, i_stars, v_stars, epsilon: float) -> Tuple[np.ndarray, int]:
-    """``most_effort`` on ``pool``'s instance, with checked query arrays.
-
-    Every search bisects on the cheap tests first (``_cheap_ends``); then
-    the full-check search starts from the cheap path's failed ``hi`` and
-    guesses the cheap end, so its first row confirms that end.
-    """
-    cheap, fail = _cheap_ends(pool, i_stars, *_effort_bounds(pool, i_stars.size), _effort_query(v_stars), epsilon)
-    unknown = np.full((2, i_stars.size), np.nan)
-    return _effort_ends(pool, i_stars, v_stars, epsilon, fail, unknown, unknown.copy(), cheap)
-
-
-def most_effort(instance: Instance, i_stars, v_stars, epsilon: float) -> Tuple[np.ndarray, int]:
-    """Bisect the ranger effort on every candidate to within ``epsilon``, in lockstep.
-
-    Candidate k keeps ``v_stars[k]`` villagers on target ``i_stars[k]``.
-    Every search bisects ``[0, ranger_budget]``, cheap tests first, and
-    ends where it would end alone on the full check (``_most_effort``).
-    Returns (the largest effort found consistent per candidate, rows
-    checked). GameDefinitionError unless ``epsilon`` is a finite positive
-    real (as ``tdbs.TdbsConfig`` takes it) and ``i_stars`` and ``v_stars``
-    are 1-D integer arrays of one length, each a target and a villager count
-    within the budget (``_query_rows`` checks their no-effort rows).
-    """
-    epsilon = _resolution(epsilon)
-    i_stars, _, v_stars = _query_rows(instance, i_stars, np.zeros(np.shape(i_stars)), v_stars)
-    return _most_effort(_Pool(instance), i_stars, v_stars, epsilon)
-
-
 def _candidates(pool, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:
-    """``candidates`` on ``pool``'s instance."""
+    """The targets of ``targets`` that can be attacked at all, each with the most villagers it can keep.
+
+    ``most_villagers``' searches on ``pool``'s instance, for all of
+    ``targets``, an ascending index array, in lockstep. Returns ``(i_stars,
+    v_stars, counters)``: the candidates in index order, their villager
+    counts, and a ``Counter`` of the ``feasibility_checks`` spent (one per
+    query row) and the number of ``candidates``.
+    """
     targets, counts, checks = _most_villagers(pool, targets)
     attackable = counts >= 0
     counters = Counter({"feasibility_checks": checks, "candidates": int(attackable.sum())})
     return targets[attackable], counts[attackable], counters
-
-
-def candidates(instance: Instance, targets) -> Tuple[np.ndarray, np.ndarray, Counter]:
-    """The targets of ``targets`` that can be attacked at all, each with the most villagers it can keep.
-
-    ``hw`` starts here with the targets its bound keeps
-    (``candidates_above_seed``), and ``tdbs``'s pipeline
-    (``candidates_with_effort``) runs the same searches on every target.
-    ``most_villagers`` searches all of ``targets``, an ascending index
-    array, in lockstep. Returns ``(i_stars, v_stars, counters)``: the
-    candidates in index order, their villager counts, and a ``Counter`` of
-    the ``feasibility_checks`` spent (one per query row) and the number of
-    ``candidates``.
-    """
-    return _candidates(_Pool(instance), targets)
 
 
 def candidates_with_effort(instance: Instance, epsilon: float) -> Tuple[Iterator, Counter]:
@@ -982,7 +935,7 @@ def candidates_with_effort(instance: Instance, epsilon: float) -> Tuple[Iterator
 
     Both searches run on the cheap tests alone (module docstring): every
     target's villager count (or, where every count fits one block, one call
-    that probes them all, as ``candidates`` does), then each candidate's
+    that probes them all, as in ``most_villagers``), then each candidate's
     effort at that count. One witness row per candidate at its two ends
     (``_candidate_witnesses``) then confirms both and is its witness; the
     candidates whose row fails take the full path (``_fall_back_ends``) and
@@ -1069,7 +1022,7 @@ def _fall_back_ends(pool, i_stars, p_stars, v_stars, known, at_end, epsilon):
         bounds = _effort_bounds(pool, int(moved.sum()))
         fail[moved] = _cheap_ends(pool, i_stars[moved], *bounds, _effort_query(counts[moved]), epsilon)[1]
     slack, slope = (np.stack([zero, np.where(moved, np.nan, end[kept])]) for zero, end in zip(at_zero, at_end))
-    ends, more = _effort_ends(pool, i_stars, counts, epsilon, fail, slack, slope, np.full(counts.size, np.nan))
+    ends, more = _effort_ends(pool, i_stars, counts, epsilon, fail, slack, slope)
     return i_stars, ends, counts, checks + more
 
 
@@ -1077,12 +1030,13 @@ def candidates_above_seed(instance: Instance) -> Tuple[np.ndarray, np.ndarray, C
     """HW's candidates, bounded and pruned against a seed: ``(i_stars, v_stars, counters)``.
 
     On one ``_Pool``: the minimax seed (``_minimax_seed``), the bound
-    (``_upper_bounds``), ``candidates`` on the targets it keeps, and the
-    break-even rows in one batch (module docstring). Returns the unpruned
-    candidates in index order with their villager counts, and a ``Counter``
-    of the ``feasibility_checks`` spent (level, villager and break-even
-    rows), the ``candidates`` found, how many of them are ``pruned``, and
-    the targets ``bounded``. Sound for a scalar ``e_v``.
+    (``_upper_bounds``), the villager searches on the targets it keeps
+    (``_candidates``), and the break-even rows in one batch (module
+    docstring). Returns the unpruned candidates in index order with their
+    villager counts, and a ``Counter`` of the ``feasibility_checks`` spent
+    (level, villager and break-even rows), the ``candidates`` found, how
+    many of them are ``pruned``, and the targets ``bounded``. Sound for a
+    scalar ``e_v``.
     """
     pool = _Pool(instance)
     minimax_seed, checks = _minimax_seed(pool)
@@ -1146,8 +1100,8 @@ def _minimax_profile(pool) -> Tuple[StrategyProfile, int]:
     replayed on a few level rows placed by Newton's steps on the fill's
     slack, from the first row's slack and slope (``_certified_search``).
     The start only places the rows: the profile is ``_fill``'s witness of
-    the level row at the bracket's feasible end, built as
-    ``witness_blocks`` builds its witnesses, however that level was found.
+    the level row at the bracket's feasible end, built as a witness row's
+    is, however that level was found.
     """
     instance = pool.instance
     lo, hi = float(instance.penalty_att.max()), float(instance.reward_att.max())
@@ -1174,7 +1128,7 @@ def _minimax_profile(pool) -> Tuple[StrategyProfile, int]:
 
         bracket = np.array([lo]), np.array([hi])
         _, top, more = _certified_search(
-            infeasible, *bracket, bracket[0].copy(), bracket[1].copy(), slack, slope, np.full(1, np.nan), instance.tol,
+            infeasible, *bracket, bracket[0].copy(), bracket[1].copy(), slack, slope, instance.tol,
         )
         hi, checks = top[0], checks + more
     spent = np.zeros(1, dtype=np.int64)

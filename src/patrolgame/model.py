@@ -58,7 +58,8 @@ class ProfileValidationError(ValueError):
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
-    """``values`` as a read-only 1-D array of ``dtype``.
+    """``values`` as a read-only 1-D array of ``dtype``; GameDefinitionError
+    if it is not a vector of real numbers or holds a bool.
 
     An array that already is one, and owns its data, is returned as it is,
     so instances made by ``dataclasses.replace`` share their vectors.
@@ -77,14 +78,25 @@ def _frozen_array(values, dtype) -> np.ndarray:
         raise GameDefinitionError("expected a vector of real numbers") from None
     if arr.ndim != 1:
         raise GameDefinitionError("expected a 1-D vector, got shape %s" % (arr.shape,))
+    if isinstance(values, np.ndarray) and values.dtype != object:
+        bools = values.dtype.kind == "b"
+    else:
+        bools = any(isinstance(x, (bool, np.bool_)) for x in values)
+    if bools:
+        raise GameDefinitionError("expected a vector of real numbers, got a bool")
     arr.setflags(write=False)
     return arr
 
 
+def _is_real(value) -> bool:
+    """Whether ``value`` is a real number other than a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def _finite(value, what: str) -> float:
-    """``value`` as a float; GameDefinitionError unless it is a finite real."""
+    """``value`` as a float; GameDefinitionError unless it is a finite real other than a bool."""
     try:
-        if isinstance(value, numbers.Real) and math.isfinite(value):
+        if _is_real(value) and math.isfinite(value):
             return float(value)
     except OverflowError:  # an int too large for a float
         pass
@@ -174,7 +186,7 @@ class Instance:
         if self.ranger_budget < 0:
             raise GameDefinitionError("ranger budget must be a nonnegative real")
         villagers = self.villager_budget  # range first: int() raises on inf and nan
-        if not (isinstance(villagers, numbers.Real) and 0 <= villagers <= np.iinfo(np.int64).max):
+        if not (_is_real(villagers) and 0 <= villagers <= np.iinfo(np.int64).max):
             raise GameDefinitionError("villager budget must be a nonnegative 64-bit integer")
         if int(villagers) != villagers:
             raise GameDefinitionError("villager budget must be a nonnegative integer")

@@ -1,12 +1,11 @@
 """Approximate solver: two nested binary searches per candidate target.
 
-The villager search (``feasibility.candidates``' search) finds the largest
-villager count each attackable target can keep; the effort search
-(``feasibility.most_effort``'s) then bisects the ranger effort on that
-target to within a resolution ``epsilon``, keeping the target a best
-response throughout. ``feasibility.candidates_with_effort`` runs both for
-every target on one pool of sorted sums, each dimension every candidate's
-search in lockstep.
+The villager search (``feasibility.most_villagers``' search) finds the
+largest villager count each attackable target can keep; the effort search
+then bisects the ranger effort on that target to within a resolution
+``epsilon``, keeping the target a best response throughout.
+``feasibility.candidates_with_effort`` runs both for every target on one
+pool of sorted sums, each dimension every candidate's search in lockstep.
 
 Both searches answer on two cheap tests first, with no row (the
 ``feasibility`` module docstring): the O(1) attacker-floor test and the
@@ -19,9 +18,8 @@ on a few rows that Newton's steps on the fill's slack place
 gets one more witness row at its new ends. On the benchmark's
 ``tdbs-synthetic`` pool at seed 320000 that row is the only one on every
 scalar candidate: 5,207 rows for 5,207 candidates; the per-target
-instances send 6,349 rows for 2,263 candidates (10,749 when the fallback
-sent one row per probe), as the pooled test counts every villager at
-``max(e_v)`` and leaves more fill-bound efforts.
+instances send 6,349 rows for 2,263 candidates, as the pooled test counts
+every villager at ``max(e_v)`` and leaves more fill-bound efforts.
 
 The witnesses stream, block by block, into the winner rule both solvers
 share (``model.first_best``): the best wins, ties to the lowest target

@@ -1,8 +1,17 @@
-"""Shared test helpers: instance factories and independent reference oracles.
+"""Shared test helpers: instance factories, row counters, reference oracles
+and entry points to single steps of the library's searches.
 
-The reference implementations here deliberately avoid the library's solver
-code paths (plain-Python loops, direct enumeration) so that agreement is
-meaningful.
+- The references avoid the code paths they check, so that agreement is
+  meaningful: plain-Python loops and direct enumeration (``*_ref``,
+  ``feasible_by_enumeration``), one full-check row per probe (``*_blind``,
+  ``*_row_by_row``), one query at a time (``*_sequential``), or a former
+  algorithm (``minimax_profile_33ary``, ``*_per_merge``).
+- The entry points (``witness_blocks``, ``candidates``, ``most_effort``)
+  are the opposite: they run ``feasibility``'s own private helpers on a
+  fresh ``_Pool``, input checks included. No library code calls them; the
+  tests drive one search step alone through them, and build references
+  from steps those references do not check (``solve_hw_unpruned``,
+  ``solve_tdbs_three_pass``).
 """
 
 import dataclasses
@@ -14,11 +23,12 @@ import numpy as np
 
 from patrolgame import feasibility, waterfill
 from patrolgame.bench import GenParams, generate_instance
-from patrolgame.feasibility import candidates, fixed_target_utilities, most_effort, witness_blocks
+from patrolgame.feasibility import fixed_target_utilities
 from patrolgame.model import (
     REL_TOL,
     Instance,
     StrategyProfile,
+    _resolution,
     attacker_utilities,
     coverage_of,
     evaluate_profile,
@@ -41,6 +51,51 @@ def scaled(inst, factor):
         reward_att=inst.reward_att * factor,
         penalty_att=inst.penalty_att * factor,
     )
+
+
+def witness_blocks(instance, i_star, p_star, v_star):
+    """Per block of query rows: ``(block, feasible, p, v)``.
+
+    Takes the arrays ``feasible_rows`` takes, checks them (``_query_rows``)
+    and fills them block by block (``_witness_blocks``), so only one block
+    of rows is held at a time. ``block`` is the slice of the queries it
+    covers, ``feasible`` marks the block's feasible queries, and row j of
+    ``p`` and ``v`` is the witness of the j-th of them, with the query's
+    own ``(p_star, v_star)`` on ``i_star``.
+    """
+    i_star, p_star, v_star = feasibility._query_rows(instance, i_star, p_star, v_star)
+    return feasibility._witness_blocks(instance, feasibility._floor_of_others(instance), i_star, p_star, v_star)
+
+
+def candidates(instance, targets):
+    """The targets of ``targets`` that can be attacked at all, each with the
+    most villagers it can keep: ``feasibility._candidates`` on a fresh pool,
+    ``(i_stars, v_stars, counters)``."""
+    return feasibility._candidates(feasibility._Pool(instance), targets)
+
+
+def most_effort(instance, i_stars, v_stars, epsilon):
+    """Bisect the ranger effort on every candidate to within ``epsilon``, in lockstep.
+
+    Candidate k keeps ``v_stars[k]`` villagers on target ``i_stars[k]``.
+    Every search bisects ``[0, ranger_budget]`` on the cheap tests first
+    (``_cheap_ends``); then the full-check search (``_effort_ends``) starts
+    from the cheap path's failed ``hi``, as ``_fall_back_ends`` runs it for
+    a candidate whose count moved, and ends where it would end alone on the
+    full check. Returns (the largest effort found consistent per candidate,
+    rows checked). GameDefinitionError unless ``epsilon`` is a finite
+    positive real (as ``tdbs.TdbsConfig`` takes it) and ``i_stars`` and
+    ``v_stars`` are 1-D integer arrays of one length, each a target and a
+    villager count within the budget (``_query_rows`` checks their
+    no-effort rows).
+    """
+    epsilon = _resolution(epsilon)
+    i_stars, _, v_stars = feasibility._query_rows(instance, i_stars, np.zeros(np.shape(i_stars)), v_stars)
+    pool = feasibility._Pool(instance)
+    bounds = feasibility._effort_bounds(pool, i_stars.size)
+    fail = feasibility._cheap_ends(pool, i_stars, *bounds, feasibility._effort_query(v_stars), epsilon)[1]
+    unknown = np.full((2, i_stars.size), np.nan)
+    return feasibility._effort_ends(pool, i_stars, v_stars, epsilon, fail, unknown, unknown.copy())
 
 
 def witness_of(inst, i_star, p_star, v_star):
@@ -281,7 +336,7 @@ def most_villagers_ref(inst, targets):
 
 # ---------------------------------------------------------------------------
 # The lockstep searches before they went floor and pool first, kept as the
-# reference for ``feasibility.most_villagers`` and ``feasibility.most_effort``: every
+# reference for ``feasibility.most_villagers`` and ``most_effort``: every
 # probe is one ``feasible_rows`` row, with no bisection on the cheap tests
 # (``feasibility._Pool.passes``) first.
 
@@ -356,7 +411,7 @@ def most_effort_blind(instance, i_stars, v_stars, epsilon):
 def best_candidate_sequential(inst, complete, extra_seed=None):
     """The candidate loop one ``witness_of`` call at a time.
 
-    The reference for ``feasibility.candidates`` and the solvers' choice of
+    The reference for ``candidates`` and the solvers' choice of
     winner: every candidate keeps its witness, the candidates are completed
     one after the other, and every completed profile goes through
     ``evaluate_profile``.

@@ -14,7 +14,6 @@ import pytest
 
 from patrolgame import waterfill
 from patrolgame.bench import GenParams, generate_instance, run_benchmark
-from patrolgame.feasibility import candidates
 from patrolgame.model import (
     Instance,
     attacker_utilities,
@@ -37,6 +36,7 @@ from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound
 from patrolgame.waterfill import solve_hw
 
 from conftest import (
+    candidates,
     feasible_by_enumeration,
     greedy_villagers_ref,
     min_coverage_ref,

@@ -15,18 +15,21 @@ import pytest
 
 from patrolgame import feasibility
 from patrolgame.bench import GenParams, generate_instance
-from patrolgame.feasibility import candidates, feasible_rows, most_effort, most_villagers, witness_blocks
+from patrolgame.feasibility import feasible_rows, most_villagers
 from patrolgame.model import GameDefinitionError
 from patrolgame.planner import case_study_scenario, with_effectiveness
 from patrolgame.tdbs import TdbsConfig, solve_tdbs
 
 from conftest import (
+    candidates,
     fall_back_ends_row_by_row,
     minimax_profile_row_by_row,
+    most_effort,
     most_effort_blind,
     random_instance,
     scaled,
     symmetric_instance,
+    witness_blocks,
 )
 
 EPSILONS = (1e-3, 1e-7, 1e-13, 1e-300)  # the last is below one float step of any effort here
@@ -123,9 +126,9 @@ def test_fallback_ends_match_the_row_by_row_fallback(monkeypatch):
 
 
 def test_searches_from_nothing_match_the_blind_bisection(monkeypatch):
-    # With no cheap bound, no failed row and no guess, the first rows probe
-    # the path's own midpoints, high efforts among them: rows that fail the
-    # floor test get slack -inf and no slope, and no Newton step from them.
+    # With no cheap bound and no failed row, the first rows probe the path's
+    # own midpoints, high efforts among them: rows that fail the floor test
+    # get slack -inf and no slope, and no Newton step from them.
     seen = Counter()
     _counting_effort_rows(monkeypatch, seen)
     for k, (inst, epsilon) in enumerate(_fallback_family()):
@@ -136,7 +139,7 @@ def test_searches_from_nothing_match_the_blind_bisection(monkeypatch):
         i_stars, v_stars = np.flatnonzero(counts >= 0), counts[counts >= 0]
         unknown = np.full((2, i_stars.size), np.nan)
         fail = np.full(i_stars.size, float(inst.ranger_budget))
-        ends, rows = feasibility._effort_ends(pool, i_stars, v_stars, epsilon, fail, unknown, unknown.copy(), unknown[0])
+        ends, rows = feasibility._effort_ends(pool, i_stars, v_stars, epsilon, fail, unknown, unknown.copy())
         want, probed = most_effort_blind(inst, i_stars, v_stars, epsilon)
         assert ends.tobytes() == want.tobytes(), k
         assert rows <= probed, k

@@ -8,7 +8,7 @@ import pytest
 
 from patrolgame import feasibility, waterfill
 from patrolgame.bench import GenParams, generate_instance
-from patrolgame.feasibility import candidates, feasible_rows, most_effort, most_villagers, witness_blocks
+from patrolgame.feasibility import feasible_rows, most_villagers
 from patrolgame.planner import case_study_scenario, terrain_adjust, with_effectiveness
 from patrolgame.tdbs import TdbsConfig, solve_tdbs
 from patrolgame.waterfill import solve_hw
@@ -29,9 +29,11 @@ from patrolgame.model import (
 )
 
 from conftest import (
+    candidates,
     counting_rows,
     feasible_by_enumeration,
     greedy_villagers_ref,
+    most_effort,
     most_effort_blind,
     most_villagers_blind,
     most_villagers_ref,
@@ -42,6 +44,7 @@ from conftest import (
     solve_tdbs_sequential,
     spying_passes,
     symmetric_instance,
+    witness_blocks,
     witness_of,
 )
 

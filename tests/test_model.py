@@ -196,6 +196,16 @@ class TestInstanceValidation:
             (dict(n=0), "at least one target"),
             (dict(ranger_budget=-1.0), "ranger budget"),
             (dict(villager_budget=2.5), "villager budget must be a nonnegative integer"),
+            # a bool is not a number of anything: True used to build budgets of 1
+            (dict(ranger_budget=True), "ranger budget"),
+            (dict(villager_budget=True), "villager budget"),
+            (dict(villager_budget=False), "villager budget"),
+            (dict(e_p=True), "ranger effectiveness"),
+            (dict(e_v=True), "villager effectiveness"),
+            (dict(e_v=[True, True]), "got a bool"),
+            (dict(e_v=np.array([True, True])), "got a bool"),
+            (dict(reward_def=[True, 1.0]), "got a bool"),
+            (dict(penalty_att=[np.bool_(False), -1.0]), "got a bool"),
         ],
     )
     def test_structural_rejections(self, kw, message):

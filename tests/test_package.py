@@ -16,6 +16,11 @@ REMOVED = (
     "target_utilities",
     "_target_index",
     "_require_scalar_e_v",
+    # the search entry points only tests call live in tests/conftest.py
+    "most_effort",
+    "_most_effort",
+    "candidates",
+    "witness_blocks",
 )
 
 

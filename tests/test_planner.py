@@ -254,7 +254,7 @@ class TestBudgetSweep:
         with pytest.raises(GameDefinitionError, match="integer"):
             budget_sweep(self.scenario(), max_extra=max_extra)
 
-    @pytest.mark.parametrize("cost", [np.nan, np.inf, -np.inf, 0.0, -1.0, "3"])
+    @pytest.mark.parametrize("cost", [np.nan, np.inf, -np.inf, 0.0, -1.0, "3", True])
     def test_costs_must_be_finite_and_positive(self, cost):
         with pytest.raises(GameDefinitionError):
             budget_sweep(self.scenario(), max_extra=1, cost_ranger=cost)

@@ -23,12 +23,15 @@ from patrolgame.planner import case_study_scenario, terrain_adjust, with_effecti
 from patrolgame.tdbs import TdbsConfig, solve_tdbs, utility_gap_bound, value_bound
 
 from conftest import (
+    candidates,
+    most_effort,
     most_effort_blind,
     most_villagers_blind,
     random_instance,
     scaled,
     solve_tdbs_three_pass,
     symmetric_instance,
+    witness_blocks,
 )
 
 
@@ -40,9 +43,9 @@ class TestConfig:
         with pytest.raises(GameDefinitionError):
             TdbsConfig(epsilon=0.0)
 
-    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), "0.1", 10**400])
+    @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), "0.1", 10**400, True])
     def test_epsilon_must_be_a_finite_real(self, epsilon):
-        # an infinite epsilon used to end every effort bisection at once
+        # an infinite epsilon used to end every effort bisection at once, and True gave 1.0
         with pytest.raises(GameDefinitionError):
             TdbsConfig(epsilon=epsilon)
 
@@ -236,9 +239,9 @@ def test_villager_counts_past_2_53_stay_in_the_budget():
         inst = dataclasses.replace(inst, e_v=inst.e_v * 1e-18)
         result = solve_tdbs(inst)
         assert validate_profile(inst, result.profile) == [], s
-        i_stars, v_stars, _ = feasibility.candidates(inst, np.arange(inst.n))
-        p_stars = feasibility.most_effort(inst, i_stars, v_stars, tdbs.DEFAULT_EPSILON)[0]
-        for block, feasible, p, v in feasibility.witness_blocks(inst, i_stars, p_stars, v_stars):
+        i_stars, v_stars, _ = candidates(inst, np.arange(inst.n))
+        p_stars = most_effort(inst, i_stars, v_stars, tdbs.DEFAULT_EPSILON)[0]
+        for block, feasible, p, v in witness_blocks(inst, i_stars, p_stars, v_stars):
             for i_star, effort, villagers in zip(i_stars[block][feasible].tolist(), p, v):
                 profile = StrategyProfile(effort, villagers)
                 assert validate_profile(inst, profile) == [], (s, i_star)

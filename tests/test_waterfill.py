@@ -24,6 +24,7 @@ from patrolgame.tdbs import TdbsConfig, solve_tdbs
 from patrolgame.waterfill import WaterfillState, get_swap_line, solve_hw
 
 from conftest import (
+    candidates,
     greedy_villagers_loop,
     min_coverage_ref,
     minimax_level_ref,
@@ -454,7 +455,7 @@ class TestBracketPruning:
         assert abs(got.defender_utility - ref.defender_utility) <= inst.tol, label
         # hw's candidates: the attackable targets among those its bound keeps
         kept = kept_by_bound(inst)
-        i_stars = feasibility.candidates(inst, np.arange(inst.n))[0]
+        i_stars = candidates(inst, np.arange(inst.n))[0]
         assert got.diagnostics["candidates"] == kept[i_stars].sum(), label
         assert got.diagnostics["bounded"] == inst.n - kept.sum(), label
         # the reference runs one subproblem per candidate
@@ -520,7 +521,7 @@ class TestBreakEvenCheck:
             inst = scaled(base, factor)
             waterfilled.clear()
             solve_hw(inst)
-            i_stars, v_stars, _ = feasibility.candidates(inst, np.arange(inst.n))
+            i_stars, v_stars, _ = candidates(inst, np.arange(inst.n))
             # at least the solver's seed: the larger of the minimax seed and
             # the best no-effort utility (of every candidate, bounded or not)
             no_effort = fixed_target_utilities(inst, i_stars, 0.0, v_stars)[0]
@@ -708,7 +709,7 @@ def case_study_grid():
 
 def subproblems(inst):
     """Every candidate (i_star, v_star) ``solve_hw`` would waterfill unpruned."""
-    i_stars, v_stars, _ = feasibility.candidates(inst, np.arange(inst.n))
+    i_stars, v_stars, _ = candidates(inst, np.arange(inst.n))
     return zip(i_stars.tolist(), v_stars.tolist())
 
 
